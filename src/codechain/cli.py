@@ -6,9 +6,8 @@ config values. Exit codes: 0 success, 1 usage or config error, 2 data
 error, 3 internal invariant violation.
 
 All output files use the shared record envelope and are byte-identical
-across reruns with the same config and across --threads settings;
-runtime knobs (threads, paths) are deliberately left out of the header
-echoes.
+across reruns with the same config; paths are deliberately left out of
+the header echoes.
 """
 
 from __future__ import annotations
@@ -252,16 +251,15 @@ def cmd_fit(args) -> None:
     source = ds.load_corpus(args.source)
     if source.role != "source":
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
+    ds.require_transitions(source, cfg.patch_length)
     spec = cfg.embed_spec()
-    latents = rvq.embed_dataset(source, cfg.patch_length, spec)
+    latents = rvq.embed(ds.patchify(source.values, cfg.patch_length), spec)
     fit_result = rvq.fit(
         latents, cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
     quantizer = fit_result.quantizer
-    codes = [rvq.encode(quantizer, g) for g in latents]
-    class_tm = markov.build_class_tm(
-        codes, [inst.label for inst in source], source.n_classes, cfg.n_coarse
-    )
+    codes = fit_result.coarse_idx
+    class_tm = markov.build_class_tm(codes, source.labels, source.n_classes, cfg.n_coarse)
     channel_src = markov.build_channel_tm(codes, cfg.n_coarse)
 
     out_dir = Path(args.out_dir)
@@ -279,7 +277,7 @@ def cmd_fit(args) -> None:
         out_dir / "transitions.jsonl", class_tm, channel_src, cfg.epsilon, config=echo
     )
 
-    stats = rvq.code_stats(codes, quantizer, latents)
+    stats = rvq.code_stats(quantizer, latents, codes, fit_result.fine_idx)
     print(
         f"fit: {len(source)} instances, {stats.n_patches} patches, "
         f"d_dim={quantizer.d_dim}, iterations={len(fit_result.coarse_losses)}"
@@ -293,8 +291,7 @@ def cmd_fit(args) -> None:
         f"recon mse: coarse {stats.mse_coarse_only:.6f}, "
         f"coarse+fine {stats.mse_coarse_fine:.6f}"
     )
-    for k in range(class_tm.n_classes):
-        mean_tm = np.mean([tm.probs for tm in class_tm.tms[k]], axis=0)
+    for k, mean_tm in enumerate(class_tm.mean(axis=1)):
         i, j = np.unravel_index(int(np.argmax(mean_tm)), mean_tm.shape)
         print(
             f"class {k}: mean self-transition {float(np.diag(mean_tm).mean()):.3f}, "
@@ -306,40 +303,33 @@ def cmd_label(args) -> None:
     cfg, _, provided = load_run_config(args.config, _run_overrides(args))
     target = ds.load_corpus(args.target)
     quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
-    class_tm, channel_src, _, bundle_eps = markov.load_transitions(args.transitions)
-    if target.n_channels != class_tm.n_channels:
+    class_tm, channel_src, bundle_eps = markov.load_transitions(args.transitions)
+    n_classes, n_channels, n_codes = class_tm.shape[:3]
+    if target.n_channels != n_channels:
         raise DataError(
             f"target has {target.n_channels} channels but the transition bundle has "
-            f"{class_tm.n_channels}"
+            f"{n_channels}"
         )
-    if class_tm.n_codes != quantizer.coarse.n_codes:
+    if n_codes != quantizer.coarse.n_codes:
         raise DataError("quantizer and transition bundle disagree on n_coarse")
     epsilon = cfg.epsilon if "epsilon" in provided else bundle_eps
     if not epsilon > 0.0:
         raise ConfigError("epsilon must be > 0")
+    ds.require_transitions(target, patch_length)
 
-    codes_trg = rvq.encode_dataset(quantizer, target, patch_length, spec)
-    channel_trg = markov.build_channel_tm(codes_trg, quantizer.coarse.n_codes)
+    latents = rvq.embed(ds.patchify(target.values, patch_length), spec)
+    codes, _ = rvq.encode(quantizer, latents, fine=False)
+    channel_trg = markov.build_channel_tm(codes, n_codes)
     computed = transport.channel_weights(
-        channel_src.smoothed(epsilon),
-        channel_trg.smoothed(epsilon),
+        markov.smooth(channel_src, epsilon),
+        markov.smooth(channel_trg, epsilon),
         transport.cosine_cost(quantizer.coarse),
         cfg.sigma,
     )
-    used = computed if cfg.use_ca else transport.ChannelWeights.ones(
-        target.n_channels, cfg.sigma
-    )
-    prior = cfg.label_prior(class_tm.n_classes)
+    used = computed if cfg.use_ca else transport.ChannelWeights.ones(n_channels, cfg.sigma)
+    prior = cfg.label_prior(n_classes)
     labels = pseudolabel.label_dataset(
-        target,
-        quantizer,
-        class_tm.smoothed(epsilon),
-        used,
-        prior,
-        patch_length,
-        spec=spec,
-        threads=args.threads,
-        precomputed=codes_trg,
+        target, codes, markov.smooth(class_tm, epsilon), used, prior
     )
     selected = pseudolabel.top_r_select(labels, cfg.r_top)
 
@@ -355,7 +345,7 @@ def cmd_label(args) -> None:
     transport.write_alignment_report(
         out_dir / "alignment_report.tsv", computed, config=report_echo
     )
-    counts = np.bincount([pl.label for pl in labels], minlength=class_tm.n_classes)
+    counts = np.bincount([pl.label for pl in labels], minlength=n_classes)
     mean_conf = float(np.mean([pl.confidence for pl in labels]))
     print(
         f"label: {len(labels)} instances, mean confidence {mean_conf:.4f}, "
@@ -511,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument("--quantizer", required=True)
     p_label.add_argument("--transitions", required=True)
     p_label.add_argument("--out-dir", required=True)
-    p_label.add_argument("--threads", type=int, default=1)
     p_label.set_defaults(func=cmd_label)
 
     p_eval = sub.add_parser("eval", help="score pseudo-labels against sealed truth")

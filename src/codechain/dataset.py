@@ -1,8 +1,8 @@
-"""Time-series data model, corpus files, and patchification."""
+"""Corpora as arrays, corpus files, and patchification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,124 +10,100 @@ from . import records
 from .errors import ConfigError, DataError
 
 ROLES = ("source", "target")
-
-
-@dataclass(frozen=True)
-class TimeSeriesInstance:
-    """One multivariate series: a (channels, time) float matrix plus an optional label."""
-
-    id: str
-    values: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DataError(f"instance {self.id!r}: values must be 2-D (channels, time)")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"instance {self.id!r}: non-finite values")
-        object.__setattr__(self, "values", values)
-        if self.label is not None:
-            object.__setattr__(self, "label", int(self.label))
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
+UNLABELED = -1
 
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """A homogeneous collection of instances from one domain.
+    """One domain's corpus: an (N, channels, time) float array plus side arrays.
 
-    Source instances must all be labeled. Target instances may carry
-    labels, but those are only ever read by evaluation, never by
-    labeling. Instances are immutable after construction.
+    ids holds N distinct non-empty strings; labels holds N class indices,
+    UNLABELED (-1) where an instance carries none. Source instances must
+    all be labeled. Target labels are only ever read by evaluation,
+    never by labeling.
     """
 
-    instances: tuple[TimeSeriesInstance, ...]
-    n_channels: int
-    length: int
+    values: np.ndarray
+    ids: np.ndarray
+    labels: np.ndarray
     n_classes: int
     role: str
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
+        values = np.asarray(self.values, dtype=np.float64)
+        ids = np.asarray(self.ids, dtype=str)
+        labels = np.asarray(self.labels, dtype=np.int64)
         if self.role not in ROLES:
             raise DataError(f"role must be one of {ROLES}, got {self.role!r}")
         if self.n_classes < 1:
             raise DataError("n_classes must be >= 1")
-        seen = set()
-        for inst in self.instances:
-            if inst.values.shape != (self.n_channels, self.length):
-                raise DataError(
-                    f"instance {inst.id!r}: shape {inst.values.shape} does not match "
-                    f"dataset shape {(self.n_channels, self.length)}"
-                )
-            if inst.id in seen:
-                raise DataError(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
-            if inst.label is None:
-                if self.role == "source":
-                    raise DataError(f"source instance {inst.id!r} is unlabeled")
-            elif not 0 <= inst.label < self.n_classes:
-                raise DataError(
-                    f"instance {inst.id!r}: label {inst.label} out of range [0, {self.n_classes})"
-                )
+        if values.ndim != 3:
+            raise DataError(f"values must be 3-D (instances, channels, time), got shape {values.shape}")
+        if ids.shape != values.shape[:1] or labels.shape != values.shape[:1]:
+            raise DataError("ids and labels must be 1-D and align with the instances")
+        finite = np.isfinite(values).all(axis=(1, 2))
+        if not finite.all():
+            raise DataError(f"instance {ids[np.argmin(finite)]!r}: non-finite values")
+        if (ids == "").any():
+            raise DataError("instance ids must be non-empty")
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise DataError(f"duplicate instance id {unique[np.argmax(counts)]!r}")
+        unlabeled = labels == UNLABELED
+        if self.role == "source" and unlabeled.any():
+            raise DataError(f"source instance {ids[np.argmax(unlabeled)]!r} is unlabeled")
+        bad = ~unlabeled & ((labels < 0) | (labels >= self.n_classes))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(
+                f"instance {ids[i]!r}: label {labels[i]} out of range [0, {self.n_classes})"
+            )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.values.shape[0]
 
-    def __iter__(self):
-        return iter(self.instances)
+    @property
+    def n_channels(self) -> int:
+        return self.values.shape[1]
 
-    def labels(self) -> list[int | None]:
-        return [inst.label for inst in self.instances]
-
-    @classmethod
-    def build(cls, instances, n_classes: int, role: str) -> "DomainDataset":
-        """Infer (n_channels, length) from the first instance."""
-        instances = tuple(instances)
-        if not instances:
-            raise DataError("dataset needs at least one instance")
-        first = instances[0]
-        return cls(
-            instances=instances,
-            n_channels=first.n_channels,
-            length=first.length,
-            n_classes=n_classes,
-            role=role,
-        )
+    @property
+    def length(self) -> int:
+        return self.values.shape[2]
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    """Non-overlapping patches of one instance: (n_channels, n_patches, patch_length)."""
-
-    patches: np.ndarray
-    patch_length: int
-    n_patches: int
-
-
-def patchify(instance: TimeSeriesInstance, patch_length: int) -> PatchGrid:
-    """Split every channel into consecutive non-overlapping windows.
-
-    The trailing ``length mod patch_length`` steps are dropped. All
-    channels share the same patch boundaries.
-    """
+def _n_patches(length: int, patch_length: int) -> int:
+    """Patches per channel of a series; the trailing remainder is dropped."""
     m = int(patch_length)
     if m < 2:
         raise ConfigError(f"patch_length must be >= 2, got {m}")
-    if m > instance.length:
+    if m > length:
+        raise DataError(f"patch_length {m} exceeds series length {length}: empty patch grid")
+    return length // m
+
+
+def require_transitions(dataset: DomainDataset, patch_length: int) -> None:
+    """Fail unless every channel holds >= 2 patches, the least with a code transition."""
+    if _n_patches(dataset.length, patch_length) < 2:
         raise DataError(
-            f"patch_length {m} exceeds series length {instance.length}: empty patch grid"
+            f"series of length {dataset.length} hold one patch of length {patch_length}; "
+            "code transitions need at least 2 patches per channel"
         )
-    n = instance.length // m
-    patches = instance.values[:, : n * m].reshape(instance.n_channels, n, m)
-    return PatchGrid(patches=patches, patch_length=m, n_patches=n)
+
+
+def patchify(values: np.ndarray, patch_length: int) -> np.ndarray:
+    """Split the last (time) axis into consecutive non-overlapping windows.
+
+    (..., length) becomes (..., n_patches, patch_length). The trailing
+    ``length mod patch_length`` steps are dropped, so all channels share
+    the same patch boundaries.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    m = int(patch_length)
+    n = _n_patches(values.shape[-1], m)
+    return values[..., : n * m].reshape(*values.shape[:-1], n, m)
 
 
 def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> None:
@@ -142,40 +118,51 @@ def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> Non
     if config is not None:
         header["config"] = config
     recs = (
-        {"id": inst.id, "label": inst.label, "channels": inst.values.tolist()}
-        for inst in dataset
+        {
+            "id": str(rid),
+            "label": None if label == UNLABELED else int(label),
+            "channels": values.tolist(),
+        }
+        for rid, label, values in zip(dataset.ids, dataset.labels, dataset.values)
     )
     records.write_record_file(path, header, recs)
 
 
 def load_corpus(path) -> DomainDataset:
-    """Load a corpus file, validating shapes against the header."""
+    """Load a corpus file into one array, parsing one record at a time.
+
+    The header's n_instances, when present, sizes the array; without it
+    the array doubles as records arrive. Every record's shape must match
+    the header.
+    """
     header, recs = records.read_record_file(path, expected_kind="corpus")
     for key in ("role", "n_channels", "length", "n_classes"):
         if key not in header:
             raise DataError(f"{path}: corpus header missing {key!r}")
-    n_channels = int(header["n_channels"])
-    length = int(header["length"])
-    instances = []
-    for rec in recs:
+    shape = (int(header["n_channels"]), int(header["length"]))
+    values = np.empty((max(int(header.get("n_instances", 1)), 1), *shape))
+    ids: list[str] = []
+    labels: list[int] = []
+    for i, rec in enumerate(recs):
         rid = rec.get("id")
         if not isinstance(rid, str) or not rid:
             raise DataError(f"{path}: record without a string id")
-        channels = rec.get("channels")
-        if not isinstance(channels, list) or len(channels) != n_channels:
-            raise DataError(f"instance {rid!r}: expected {n_channels} channels")
-        lengths = {len(ch) if isinstance(ch, list) else -1 for ch in channels}
-        if lengths != {length}:
-            raise DataError(
-                f"instance {rid!r}: channel length mismatch, expected {length}, got {sorted(lengths)}"
-            )
-        instances.append(
-            TimeSeriesInstance(id=rid, values=np.asarray(channels, dtype=np.float64), label=rec.get("label"))
-        )
+        try:
+            row = np.asarray(rec.get("channels"), dtype=np.float64)
+            label = rec.get("label")
+            labels.append(UNLABELED if label is None else int(label))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"instance {rid!r}: channels or label are not numbers") from exc
+        if row.shape != shape:
+            raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
+        if i == len(values):
+            values = np.concatenate([values, np.empty_like(values)])
+        values[i] = row
+        ids.append(rid)
     return DomainDataset(
-        instances=tuple(instances),
-        n_channels=n_channels,
-        length=length,
+        values=values[: len(ids)],
+        ids=ids,
+        labels=labels,
         n_classes=int(header["n_classes"]),
         role=str(header["role"]),
     )
@@ -183,27 +170,21 @@ def load_corpus(path) -> DomainDataset:
 
 def strip_labels(dataset: DomainDataset) -> DomainDataset:
     """Copy of the dataset with all labels removed (role forced to target)."""
-    return DomainDataset(
-        instances=tuple(
-            TimeSeriesInstance(id=i.id, values=i.values, label=None) for i in dataset
-        ),
-        n_channels=dataset.n_channels,
-        length=dataset.length,
-        n_classes=dataset.n_classes,
-        role="target",
-    )
+    return replace(dataset, labels=np.full(len(dataset), UNLABELED), role="target")
 
 
 def save_truth(path, dataset: DomainDataset, config: dict | None = None) -> None:
     """Write id -> label pairs for sealed evaluation use."""
-    missing = [inst.id for inst in dataset if inst.label is None]
-    if missing:
-        raise DataError(f"cannot write truth for unlabeled instances: {missing[:3]}")
+    missing = dataset.ids[dataset.labels == UNLABELED]
+    if missing.size:
+        raise DataError(f"cannot write truth for unlabeled instances: {missing[:3].tolist()}")
     header = {"kind": "truth", "n_classes": dataset.n_classes, "n_instances": len(dataset)}
     if config is not None:
         header["config"] = config
     records.write_record_file(
-        path, header, ({"id": inst.id, "label": inst.label} for inst in dataset)
+        path,
+        header,
+        ({"id": str(rid), "label": int(label)} for rid, label in zip(dataset.ids, dataset.labels)),
     )
 
 

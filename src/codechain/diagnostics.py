@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rvq import CodeGrid, ResidualQuantizer
+from .rvq import ResidualQuantizer
 
 
 @dataclass(frozen=True)
@@ -91,26 +91,28 @@ def permutation_entropy(series: np.ndarray, order: int = 3, delay: int = 1) -> f
 
 def pe_report(
     quantizer: ResidualQuantizer,
-    code_grids: Iterable[CodeGrid],
+    coarse_idx: np.ndarray,
+    fine_idx: np.ndarray,
     order: int = 3,
     delay: int = 1,
 ) -> tuple[float, float]:
     """Mean permutation entropy of coarse vs fine code-vector traces.
 
+    coarse_idx and fine_idx are (n_instances, n_channels, n_patches).
     For every instance and channel, the sequence of assigned raw
     codewords is flattened into one series (patch after patch), once
     with coarse vectors and once with fine vectors, and scored with
     permutation_entropy. Returns (mean coarse PE, mean fine PE).
     """
-    grids = list(code_grids)
-    if not grids:
-        raise DataError("no code grids given")
-    coarse_vals = []
-    fine_vals = []
-    for grid in grids:
-        for d in range(grid.n_channels):
-            coarse_series = quantizer.coarse.vectors[grid.coarse_idx[d]].ravel()
-            fine_series = quantizer.fine.vectors[grid.fine_idx[d]].ravel()
-            coarse_vals.append(permutation_entropy(coarse_series, order, delay))
-            fine_vals.append(permutation_entropy(fine_series, order, delay))
-    return float(np.mean(coarse_vals)), float(np.mean(fine_vals))
+    coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
+    fine_idx = np.asarray(fine_idx, dtype=np.int64)
+    if coarse_idx.ndim != 3 or coarse_idx.shape != fine_idx.shape:
+        raise DataError("coarse and fine indices must share an (instances, channels, patches) shape")
+    if coarse_idx.size == 0:
+        raise DataError("no codes given")
+    n_series = coarse_idx.shape[0] * coarse_idx.shape[1]
+    coarse_series = quantizer.coarse.vectors[coarse_idx].reshape(n_series, -1)
+    fine_series = quantizer.fine.vectors[fine_idx].reshape(n_series, -1)
+    coarse_pe = [permutation_entropy(x, order, delay) for x in coarse_series]
+    fine_pe = [permutation_entropy(x, order, delay) for x in fine_series]
+    return float(np.mean(coarse_pe)), float(np.mean(fine_pe))

@@ -2,217 +2,130 @@
 
 Transition probabilities are row-normalized bigram counts over code
 sequences. Codes never observed as a departure state get a uniform row.
-Matrices are estimated separately per (class, channel) on labeled data
-and pooled per channel across all instances of a domain.
+Matrices are estimated separately per (class, channel) on labeled data,
+as one (n_classes, n_channels, n_codes, n_codes) array, and pooled per
+channel across all instances of a domain, as one (n_channels, n_codes,
+n_codes) array. Any stack of matrices is an array whose last two axes
+are (from, to).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import records
 from .errors import ConfigError, DataError
-from .rvq import CodeGrid
 
 _ROW_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-            raise DataError("transition matrix must be square")
-        if probs.shape[0] < 2:
-            raise DataError("transition matrix needs at least 2 states")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise DataError("transition probabilities must be finite and non-negative")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > _ROW_TOL:
-            raise DataError("transition matrix rows must sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_codes(self) -> int:
-        return self.probs.shape[0]
+def _row_normalize(counts: np.ndarray) -> np.ndarray:
+    """Counts (..., n, n) to probabilities; rows with no counts become uniform."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    return np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / counts.shape[-1])
 
 
-def estimate_tm(sequences: Iterable[np.ndarray], n_codes: int) -> TransitionMatrix:
-    """Row-normalized bigram counts; unseen departure codes get uniform rows."""
+def estimate_tm(sequences: Iterable[np.ndarray], n_codes: int) -> np.ndarray:
+    """(n_codes, n_codes) row-normalized bigram counts pooled over sequences.
+
+    Unseen departure codes get uniform rows.
+    """
     if n_codes < 2:
         raise ConfigError("n_codes must be >= 2")
-    counts = np.zeros((n_codes, n_codes), dtype=np.float64)
-    any_seq = False
-    for seq in sequences:
-        seq = np.asarray(seq, dtype=np.int64)
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+    if not seqs:
+        raise DataError("estimate_tm needs at least one sequence")
+    for seq in seqs:
         if seq.ndim != 1 or seq.size < 2:
             raise DataError("each code sequence must be 1-D with length >= 2")
         if seq.min() < 0 or seq.max() >= n_codes:
             raise DataError(f"code out of range [0, {n_codes}) in sequence")
-        np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
-        any_seq = True
-    if not any_seq:
-        raise DataError("estimate_tm needs at least one sequence")
-    totals = counts.sum(axis=1)
-    probs = np.full((n_codes, n_codes), 1.0 / n_codes)
-    seen = totals > 0
-    probs[seen] = counts[seen] / totals[seen, None]
-    return TransitionMatrix(probs=probs)
-
-
-@dataclass(frozen=True)
-class ClassChannelTM:
-    """One transition matrix per (class, channel)."""
-
-    tms: tuple[tuple[TransitionMatrix, ...], ...]
-
-    def __post_init__(self):
-        tms = tuple(tuple(row) for row in self.tms)
-        if not tms or not tms[0]:
-            raise DataError("class/channel matrix collection is empty")
-        width = len(tms[0])
-        n = tms[0][0].n_codes
-        for row in tms:
-            if len(row) != width or any(tm.n_codes != n for tm in row):
-                raise DataError("ragged class/channel matrix collection")
-        object.__setattr__(self, "tms", tms)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.tms)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.tms[0])
-
-    @property
-    def n_codes(self) -> int:
-        return self.tms[0][0].n_codes
-
-    def smoothed(self, epsilon: float) -> "ClassChannelTM":
-        return ClassChannelTM(
-            tms=tuple(tuple(smooth(tm, epsilon) for tm in row) for row in self.tms)
-        )
-
-    def probs_array(self) -> np.ndarray:
-        """(n_classes, n_channels, n_codes, n_codes) stacked probabilities."""
-        return np.asarray(
-            [[tm.probs for tm in row] for row in self.tms], dtype=np.float64
-        )
-
-
-@dataclass(frozen=True)
-class ChannelTM:
-    """One transition matrix per channel, pooled over a whole domain."""
-
-    tms: tuple[TransitionMatrix, ...]
-
-    def __post_init__(self):
-        tms = tuple(self.tms)
-        if not tms:
-            raise DataError("channel matrix collection is empty")
-        n = tms[0].n_codes
-        if any(tm.n_codes != n for tm in tms):
-            raise DataError("channel matrices disagree on n_codes")
-        object.__setattr__(self, "tms", tms)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.tms)
-
-    @property
-    def n_codes(self) -> int:
-        return self.tms[0].n_codes
-
-    def smoothed(self, epsilon: float) -> "ChannelTM":
-        return ChannelTM(tms=tuple(smooth(tm, epsilon) for tm in self.tms))
-
-    def probs_array(self) -> np.ndarray:
-        return np.asarray([tm.probs for tm in self.tms], dtype=np.float64)
+    cells = np.concatenate([seq[:-1] * n_codes + seq[1:] for seq in seqs])
+    counts = np.bincount(cells, minlength=n_codes * n_codes)
+    return _row_normalize(counts.reshape(n_codes, n_codes))
 
 
 def build_class_tm(
-    code_grids: Sequence[CodeGrid],
-    labels: Sequence[int],
-    n_classes: int,
-    n_codes: int,
-) -> ClassChannelTM:
-    """Per-(class, channel) matrices from labeled coarse-code grids.
+    codes: np.ndarray, labels: np.ndarray, n_classes: int, n_codes: int
+) -> np.ndarray:
+    """(n_classes, n_channels, n_codes, n_codes) matrices from labeled codes.
 
+    codes is (n_instances, n_channels, n_patches) coarse indices; all
+    transitions are counted with one bincount over the flat cell index
+    ((class * n_channels + channel) * n_codes + from) * n_codes + to.
     A class with no instances gets uniform matrices and a warning.
     """
-    grids = list(code_grids)
-    labels = [int(x) for x in labels]
-    if len(grids) != len(labels):
-        raise DataError("code grids and labels must align")
-    if not grids:
-        raise DataError("no code grids given")
-    if any(not 0 <= y < n_classes for y in labels):
+    codes = np.asarray(codes, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if n_codes < 2:
+        raise ConfigError("n_codes must be >= 2")
+    if codes.ndim != 3 or codes.shape[2] < 2:
+        raise DataError("codes must be (instances, channels, patches) with >= 2 patches")
+    if labels.shape != codes.shape[:1]:
+        raise DataError("codes and labels must align")
+    if codes.shape[0] == 0:
+        raise DataError("no codes given")
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise DataError(f"label out of range [0, {n_classes})")
-    n_channels = grids[0].n_channels
-    if any(g.n_channels != n_channels for g in grids):
-        raise DataError("code grids disagree on channel count")
-    uniform = TransitionMatrix(np.full((n_codes, n_codes), 1.0 / n_codes))
-    rows = []
-    for k in range(n_classes):
-        members = [g for g, y in zip(grids, labels) if y == k]
-        if not members:
-            warnings.warn(f"class {k} has no instances; using uniform transitions")
-            rows.append(tuple(uniform for _ in range(n_channels)))
-            continue
-        rows.append(
-            tuple(
-                estimate_tm([g.coarse_idx[d] for g in members], n_codes)
-                for d in range(n_channels)
-            )
-        )
-    return ClassChannelTM(tms=tuple(rows))
+    if codes.min() < 0 or codes.max() >= n_codes:
+        raise DataError(f"code out of range [0, {n_codes})")
+    n_channels = codes.shape[1]
+    group = labels[:, None, None] * n_channels + np.arange(n_channels)[None, :, None]
+    cells = (group * n_codes + codes[:, :, :-1]) * n_codes + codes[:, :, 1:]
+    counts = np.bincount(cells.ravel(), minlength=n_classes * n_channels * n_codes * n_codes)
+    for k in np.flatnonzero(np.bincount(labels, minlength=n_classes) == 0):
+        warnings.warn(f"class {k} has no instances; using uniform transitions")
+    return _row_normalize(counts.reshape(n_classes, n_channels, n_codes, n_codes))
 
 
-def build_channel_tm(code_grids: Sequence[CodeGrid], n_codes: int) -> ChannelTM:
-    """Per-channel matrices pooled over every instance of a domain."""
-    grids = list(code_grids)
-    if not grids:
-        raise DataError("no code grids given")
-    n_channels = grids[0].n_channels
-    if any(g.n_channels != n_channels for g in grids):
-        raise DataError("code grids disagree on channel count")
-    return ChannelTM(
-        tms=tuple(
-            estimate_tm([g.coarse_idx[d] for g in grids], n_codes)
-            for d in range(n_channels)
-        )
-    )
+def build_channel_tm(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """(n_channels, n_codes, n_codes) matrices pooled over every instance of a domain."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return build_class_tm(codes, np.zeros(codes.shape[:1], dtype=np.int64), 1, n_codes)[0]
 
 
-def smooth(tm: TransitionMatrix, epsilon: float) -> TransitionMatrix:
-    """(p + eps) / (1 + n*eps) per row: strictly positive, still stochastic."""
+def smooth(probs: np.ndarray, epsilon: float) -> np.ndarray:
+    """(p + eps) / (1 + n*eps) per row of a (..., n, n) stack: strictly positive, still stochastic."""
     if not epsilon > 0.0:
         raise ConfigError("epsilon must be > 0")
-    n = tm.n_codes
-    return TransitionMatrix(probs=(tm.probs + epsilon) / (1.0 + n * epsilon))
+    probs = np.asarray(probs, dtype=np.float64)
+    return (probs + epsilon) / (1.0 + probs.shape[-1] * epsilon)
+
+
+def _validate_tm(probs, ndim: int, name: str = "transition matrices") -> np.ndarray:
+    """A float array of ndim axes whose last two form square row-stochastic matrices."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != ndim or probs.shape[-1] != probs.shape[-2]:
+        raise DataError(f"{name} must be {ndim}-D stacks of square matrices, got shape {probs.shape}")
+    if probs.shape[-1] < 2:
+        raise DataError(f"{name} need at least 2 states")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        raise DataError(f"{name} must be finite and non-negative")
+    if probs.size and np.max(np.abs(probs.sum(axis=-1) - 1.0)) > _ROW_TOL:
+        raise DataError(f"{name} rows must sum to 1")
+    return probs
 
 
 def log_likelihood(
-    sequence: np.ndarray, tm: TransitionMatrix, per_transition: bool = False
+    sequence: np.ndarray, probs: np.ndarray, per_transition: bool = False
 ) -> float:
     """Sequence-length-normalized log probability of a code sequence.
 
-    Sums ln p(s[t+1] | s[t]) and divides by the sequence length N (or by
-    N - 1 when per_transition is set). Requires a smoothed matrix: any
-    zero-probability transition raises instead of returning -inf.
+    Sums ln p(s[t+1] | s[t]) under one (n, n) matrix and divides by the
+    sequence length N (or by N - 1 when per_transition is set). Requires
+    a smoothed matrix: any zero-probability transition raises instead of
+    returning -inf.
     """
+    probs = np.asarray(probs, dtype=np.float64)
     seq = np.asarray(sequence, dtype=np.int64)
     if seq.ndim != 1 or seq.size < 2:
         raise DataError("sequence must be 1-D with length >= 2")
-    if seq.min() < 0 or seq.max() >= tm.n_codes:
-        raise DataError(f"code out of range [0, {tm.n_codes}) in sequence")
-    p = tm.probs[seq[:-1], seq[1:]]
+    if seq.min() < 0 or seq.max() >= probs.shape[0]:
+        raise DataError(f"code out of range [0, {probs.shape[0]}) in sequence")
+    p = probs[seq[:-1], seq[1:]]
     if np.any(p <= 0.0):
         raise DataError(
             "zero transition probability encountered; smooth the matrix before scoring"
@@ -223,55 +136,49 @@ def log_likelihood(
 
 def save_transitions(
     path,
-    class_tm: ClassChannelTM,
-    channel_src: ChannelTM,
+    class_tm: np.ndarray,
+    channel_src: np.ndarray,
     epsilon: float,
-    channel_trg: ChannelTM | None = None,
     config: dict | None = None,
 ) -> None:
     """Bundle of raw (unsmoothed) matrices; epsilon travels alongside."""
-    if class_tm.n_channels != channel_src.n_channels:
-        raise DataError("class and channel matrices disagree on channel count")
-    if class_tm.n_codes != channel_src.n_codes:
-        raise DataError("class and channel matrices disagree on n_codes")
+    if class_tm.shape[1:] != channel_src.shape:
+        raise DataError(
+            f"class matrices {class_tm.shape} and channel matrices {channel_src.shape} "
+            "disagree on channels or codes"
+        )
     header = {
         "kind": "transitions",
-        "n_classes": class_tm.n_classes,
-        "n_channels": class_tm.n_channels,
-        "n_coarse": class_tm.n_codes,
+        "n_classes": class_tm.shape[0],
+        "n_channels": class_tm.shape[1],
+        "n_coarse": class_tm.shape[2],
     }
     if config is not None:
         header["config"] = config
     rec = {
         "epsilon": epsilon,
-        "class_tms": class_tm.probs_array().tolist(),
-        "channel_tms_source": channel_src.probs_array().tolist(),
-        "channel_tms_target": None if channel_trg is None else channel_trg.probs_array().tolist(),
+        "class_tms": class_tm.tolist(),
+        "channel_tms_source": channel_src.tolist(),
+        "channel_tms_target": None,
     }
     records.write_record_file(path, header, [rec])
 
 
-def load_transitions(path) -> tuple[ClassChannelTM, ChannelTM, ChannelTM | None, float]:
+def load_transitions(path) -> tuple[np.ndarray, np.ndarray, float]:
+    """(class matrices, source channel matrices, epsilon), validated row-stochastic."""
     header, recs = records.read_record_file(path, expected_kind="transitions")
+    recs = list(recs)
     if len(recs) != 1:
         raise DataError(f"{path}: transitions bundle must hold exactly one record")
     rec = recs[0]
     for key in ("epsilon", "class_tms", "channel_tms_source"):
         if key not in rec:
             raise DataError(f"{path}: transitions record missing {key!r}")
-    class_arr = np.asarray(rec["class_tms"], dtype=np.float64)
-    if class_arr.ndim != 4:
-        raise DataError(f"{path}: class_tms must be 4-D")
-    class_tm = ClassChannelTM(
-        tms=tuple(
-            tuple(TransitionMatrix(probs=class_arr[k, d]) for d in range(class_arr.shape[1]))
-            for k in range(class_arr.shape[0])
-        )
-    )
-    src_arr = np.asarray(rec["channel_tms_source"], dtype=np.float64)
-    channel_src = ChannelTM(tms=tuple(TransitionMatrix(probs=m) for m in src_arr))
-    channel_trg = None
-    if rec.get("channel_tms_target") is not None:
-        trg_arr = np.asarray(rec["channel_tms_target"], dtype=np.float64)
-        channel_trg = ChannelTM(tms=tuple(TransitionMatrix(probs=m) for m in trg_arr))
-    return class_tm, channel_src, channel_trg, float(rec["epsilon"])
+    try:
+        class_tm = _validate_tm(rec["class_tms"], 4, f"{path}: class_tms")
+        channel_src = _validate_tm(rec["channel_tms_source"], 3, f"{path}: channel_tms_source")
+    except ValueError as exc:
+        raise DataError(f"{path}: transition matrices are not numeric arrays") from exc
+    if class_tm.shape[1:] != channel_src.shape:
+        raise DataError(f"{path}: class and channel matrices disagree on channels or codes")
+    return class_tm, channel_src, float(rec["epsilon"])

@@ -11,17 +11,14 @@ and how much total weight the channels carried.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import records
-from .dataset import DomainDataset, patchify
+from .dataset import DomainDataset
 from .errors import ConfigError, DataError
-from .markov import ClassChannelTM, log_likelihood
-from .rvq import EmbedSpec, ResidualQuantizer, embed, encode
 from .transport import ChannelWeights
 
 _PRIOR_FLOOR = 1e-12
@@ -58,16 +55,20 @@ class LabelPrior:
 
 
 def channel_posterior(logliks: np.ndarray, prior: LabelPrior) -> np.ndarray:
-    """softmax over classes of loglik + log(prior)/tau; sums to 1."""
+    """softmax over the last (class) axis of loglik + log(prior)/tau.
+
+    logliks is (..., n_classes); every class vector of the result sums
+    to 1.
+    """
     logliks = np.asarray(logliks, dtype=np.float64)
-    if logliks.shape != (prior.n_classes,):
-        raise DataError("log-likelihood vector does not match the prior's class count")
+    if logliks.ndim < 1 or logliks.shape[-1] != prior.n_classes:
+        raise DataError("log-likelihoods do not match the prior's class count")
     if not np.all(np.isfinite(logliks)):
         raise DataError("log-likelihoods must be finite")
     logits = logliks + np.log(prior.probs) / prior.tau
-    logits = logits - logits.max()
+    logits = logits - logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -79,94 +80,79 @@ class PseudoLabel:
     per_channel_posteriors: np.ndarray
 
 
-def aggregate(posteriors: np.ndarray, weights, instance_id: str = "") -> PseudoLabel:
-    """Weight-averaged class scores; argmax label, ties to the lowest index.
+def aggregate(posteriors: np.ndarray, weights, ids: Sequence[str] | None = None) -> list[PseudoLabel]:
+    """Weight-averaged class scores per instance; argmax label, ties to the lowest index.
 
-    posteriors is (n_channels, n_classes); weights is a ChannelWeights
-    or a plain vector. Scores are sum_d w_d * posterior_d / n_channels,
-    deliberately not renormalized.
+    posteriors is (n_instances, n_channels, n_classes); weights is a
+    ChannelWeights or a plain vector. Scores are
+    sum_d w_d * posterior_d / n_channels, deliberately not renormalized.
+    ids name the instances in order (empty strings when not given).
     """
     post = np.asarray(posteriors, dtype=np.float64)
-    if post.ndim != 2:
-        raise DataError("posteriors must be 2-D (n_channels, n_classes)")
+    if post.ndim != 3:
+        raise DataError("posteriors must be 3-D (instances, channels, classes)")
     w = weights.weights if isinstance(weights, ChannelWeights) else np.asarray(weights, dtype=np.float64)
-    if w.shape != (post.shape[0],):
+    if w.shape != (post.shape[1],):
         raise DataError("weights do not match the posterior channel count")
-    scores = (w[:, None] * post).sum(axis=0) / post.shape[0]
-    label = int(np.argmax(scores))
-    return PseudoLabel(
-        instance_id=instance_id,
-        scores=scores,
-        label=label,
-        confidence=float(scores[label]),
-        per_channel_posteriors=post,
-    )
-
-
-def _label_one(inst, grid, log_probs, prior, weights):
-    n_classes, n_channels = log_probs.shape[0], log_probs.shape[1]
-    n = grid.n_patches
-    if n < 2:
-        raise DataError(
-            f"instance {inst.id!r}: needs at least 2 patches to score transitions"
+    ids = [""] * len(post) if ids is None else [str(i) for i in ids]
+    if len(ids) != len(post):
+        raise DataError("ids do not match the posterior instance count")
+    scores = (w[None, :, None] * post).sum(axis=1) / post.shape[1]
+    labels = np.argmax(scores, axis=1)
+    confidences = scores[np.arange(len(scores)), labels]
+    return [
+        PseudoLabel(
+            instance_id=iid,
+            scores=scores[n],
+            label=int(labels[n]),
+            confidence=float(confidences[n]),
+            per_channel_posteriors=post[n],
         )
-    logliks = np.empty((n_channels, n_classes))
-    for d in range(n_channels):
-        seq = grid.coarse_idx[d]
-        frm, to = seq[:-1], seq[1:]
-        logliks[d] = log_probs[:, d, frm, to].sum(axis=1) / n
-    posteriors = np.stack([channel_posterior(logliks[d], prior) for d in range(n_channels)])
-    return aggregate(posteriors, weights, instance_id=inst.id)
+        for n, iid in enumerate(ids)
+    ]
 
 
 def label_dataset(
     target: DomainDataset,
-    quantizer: ResidualQuantizer,
-    model: ClassChannelTM,
+    codes: np.ndarray,
+    model: np.ndarray,
     weights: ChannelWeights,
     prior: LabelPrior,
-    patch_length: int,
-    spec: EmbedSpec = EmbedSpec(),
-    threads: int = 1,
-    precomputed: Sequence | None = None,
 ) -> list[PseudoLabel]:
-    """Pseudo-label every target instance.
+    """Pseudo-label every target instance from its coarse codes, in one batch.
 
-    The model must already be smoothed (strictly positive); per-channel
-    log-likelihoods follow the same length normalization as
-    markov.log_likelihood. precomputed, when given, must be the
-    dataset's code grids in order and skips re-encoding. Results are
-    ordered like the dataset and do not depend on the thread count.
+    codes is (n_instances, n_channels, n_patches); model holds the
+    smoothed (strictly positive) (n_classes, n_channels, n_codes,
+    n_codes) class matrices. One gather takes log p(to | from) of every
+    transition under every class; summed over the transitions and
+    divided by n_patches, it gives the (n_instances, n_channels,
+    n_classes) log-likelihoods of markov.log_likelihood. Those become
+    per-channel posteriors, then weighted scores. Results are ordered
+    like the dataset.
     """
     if target.role != "target":
         raise DataError(f"labeling expects a target dataset, got role {target.role!r}")
-    if model.n_classes != prior.n_classes:
+    model = np.asarray(model, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.int64)
+    if model.ndim != 4 or model.shape[0] != prior.n_classes:
         raise DataError("model and prior disagree on the class count")
-    if model.n_channels != target.n_channels:
+    if model.shape[1] != target.n_channels:
         raise DataError("model and dataset disagree on the channel count")
     if weights.n_channels != target.n_channels:
         raise DataError("weights and dataset disagree on the channel count")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if precomputed is not None and len(precomputed) != len(target):
-        raise DataError("precomputed code grids do not align with the dataset")
-    probs = model.probs_array()
-    if np.any(probs <= 0.0):
+    if codes.ndim != 3 or codes.shape[:2] != (len(target), target.n_channels) or codes.shape[2] < 2:
+        raise DataError(
+            f"codes of shape {codes.shape} are not (instances, channels, >= 2 patches) of the dataset"
+        )
+    if codes.size and (codes.min() < 0 or codes.max() >= model.shape[-1]):
+        raise DataError(f"code out of range [0, {model.shape[-1]})")
+    if np.any(model <= 0.0):
         raise DataError("model has zero transition probabilities; smooth it first")
-    log_probs = np.log(probs)
-
-    def work(i: int) -> PseudoLabel:
-        inst = target.instances[i]
-        if precomputed is not None:
-            grid = precomputed[i]
-        else:
-            grid = encode(quantizer, embed(patchify(inst, patch_length), spec))
-        return _label_one(inst, grid, log_probs, prior, weights)
-
-    if threads == 1 or len(target) <= 1:
-        return [work(i) for i in range(len(target))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, range(len(target))))
+    log_probs = np.moveaxis(np.log(model), 0, -1)  # (channels, from, to, classes)
+    channel = np.arange(target.n_channels)[None, :, None]
+    gathered = log_probs[channel, codes[:, :, :-1], codes[:, :, 1:]]
+    logliks = gathered.sum(axis=2) / codes.shape[2]
+    return aggregate(channel_posterior(logliks, prior), weights, target.ids)
 
 
 def top_r_select(labels: Sequence[PseudoLabel], r_top: float) -> np.ndarray:
@@ -246,6 +232,7 @@ def save_selection(path, labels: Sequence[PseudoLabel], indices: np.ndarray, r_t
 
 def load_selection(path) -> tuple[list[dict], dict]:
     header, recs = records.read_record_file(path, expected_kind="selection")
+    recs = list(recs)
     for rec in recs:
         if "id" not in rec or "index" not in rec:
             raise DataError(f"{path}: selection record missing 'id' or 'index'")

@@ -16,7 +16,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import DataError, ParseError
 
@@ -42,23 +42,31 @@ def write_record_file(path, header: dict, records: Iterable[dict]) -> None:
             fh.write(dump_line(rec) + "\n")
 
 
-def read_record_file(path, expected_kind: str | None = None) -> tuple[dict, list[dict]]:
-    """Read (header, records); raises ParseError with a 1-based line number."""
+def read_record_file(path, expected_kind: str | None = None) -> tuple[dict, Iterator[dict]]:
+    """Read the header now and the records lazily, one line at a time.
+
+    Returns (header, records). The records iterator opens the file
+    again when first advanced and closes it when exhausted or discarded.
+    Both raise ParseError with a 1-based line number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
+        first = fh.readline()
+    if not first.strip():
         raise ParseError(path, 1, "missing header line")
-    header = _parse(path, 1, lines[0])
+    header = _parse(path, 1, first)
     if header.get("format") != FORMAT:
         raise ParseError(path, 1, f"unrecognized format {header.get('format')!r}")
     if expected_kind is not None and header.get("kind") != expected_kind:
         raise ParseError(path, 1, f"expected kind {expected_kind!r}, got {header.get('kind')!r}")
-    out = []
-    for no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        out.append(_parse(path, no, line))
-    return header, out
+    return header, _records(path)
+
+
+def _records(path) -> Iterator[dict]:
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for no, line in enumerate(fh, start=2):
+            if line.strip():
+                yield _parse(path, no, line)
 
 
 def _parse(path, no: int, line: str) -> dict:

@@ -18,16 +18,11 @@ pool terminates with every code in use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import records
-from .dataset import DomainDataset, PatchGrid, patchify
-from .errors import ConfigError, DataError, InternalError
-
-# diagnostic weighting of the commitment terms in the combined code loss
-COMMITMENT_WEIGHT = 0.25
+from .errors import ConfigError, DataError
 
 EMBED_MODES = ("znorm", "raw")
 _STD_FLOOR = 1e-8
@@ -76,37 +71,24 @@ class EmbedSpec:
         return q * np.sign(np.diag(r))[None, :]
 
 
-@dataclass(frozen=True)
-class LatentGrid:
-    """Latent vectors of one instance: (n_channels, n_patches, d_dim)."""
-
-    latents: np.ndarray
-
-
-def embed(grid: PatchGrid, spec: EmbedSpec = EmbedSpec()) -> LatentGrid:
-    """Map a patch grid to latent vectors.
+def embed(patches: np.ndarray, spec: EmbedSpec = EmbedSpec()) -> np.ndarray:
+    """Map patches (..., patch_length) to latent vectors (..., latent_dim).
 
     Standardization uses the population std with a 1e-8 floor; an exactly
     constant patch becomes the zero vector, which downstream assignment
     resolves to code 0 by the lowest-index tie rule.
     """
-    patches = np.asarray(grid.patches, dtype=np.float64)
+    patches = np.asarray(patches, dtype=np.float64)
     if spec.mode == "znorm":
         mean = patches.mean(axis=-1, keepdims=True)
         std = patches.std(axis=-1, keepdims=True)
         lat = (patches - mean) / (std + _STD_FLOOR)
     else:
         lat = patches.copy()
-    proj = spec.projection(grid.patch_length)
+    proj = spec.projection(patches.shape[-1])
     if proj is not None:
         lat = lat @ proj
-    return LatentGrid(latents=lat)
-
-
-def embed_dataset(
-    dataset: DomainDataset, patch_length: int, spec: EmbedSpec = EmbedSpec()
-) -> list[LatentGrid]:
-    return [embed(patchify(inst, patch_length), spec) for inst in dataset]
+    return lat
 
 
 @dataclass(frozen=True)
@@ -146,53 +128,30 @@ class ResidualQuantizer:
 
 
 @dataclass(frozen=True)
-class CodeGrid:
-    """Code indices of one instance, both (n_channels, n_patches)."""
-
-    coarse_idx: np.ndarray
-    fine_idx: np.ndarray
-
-    def __post_init__(self):
-        coarse = np.asarray(self.coarse_idx, dtype=np.int64)
-        fine = np.asarray(self.fine_idx, dtype=np.int64)
-        if coarse.shape != fine.shape or coarse.ndim != 2:
-            raise DataError("coarse_idx and fine_idx must share a 2-D shape")
-        object.__setattr__(self, "coarse_idx", coarse)
-        object.__setattr__(self, "fine_idx", fine)
-
-    @property
-    def n_channels(self) -> int:
-        return self.coarse_idx.shape[0]
-
-    @property
-    def n_patches(self) -> int:
-        return self.coarse_idx.shape[1]
-
-
-@dataclass(frozen=True)
 class QuantizerFit:
-    """Fit output: the quantizer plus per-iteration diagnostic traces.
+    """Fit output: the quantizer, its training assignments, and loss traces.
 
-    coarse_losses / fine_losses are mean squared quantization errors per
-    Lloyd iteration of each stage. code_losses is the combined
-    commitment-weighted loss over the fine stage, with the coarse term
-    frozen at its final value.
+    coarse_idx / fine_idx are the final code indices of the training
+    latents, shaped like the latents without their last axis; they equal
+    what encode assigns to those latents. coarse_losses / fine_losses
+    are mean squared quantization errors per Lloyd iteration of each
+    stage.
     """
 
     quantizer: ResidualQuantizer
+    coarse_idx: np.ndarray
+    fine_idx: np.ndarray
     coarse_losses: tuple[float, ...]
     fine_losses: tuple[float, ...]
-    code_losses: tuple[float, ...]
 
 
 def _nearest(points: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assignment to the nearest L2-normalized codeword; ties -> lowest index."""
     cn = l2_normalize(codewords, axis=1)
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ cn.T
-        + (cn * cn).sum(axis=1)[None, :]
-    )
+    # |p|^2 - 2 p.c + |c|^2, evaluated in that order inside one (n, k) buffer
+    d2 = (2.0 * points) @ cn.T
+    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (cn * cn).sum(axis=1)[None, :]
     assign = np.argmin(d2, axis=1)
     best = d2[np.arange(len(points)), assign]
     return assign, np.maximum(best, 0.0)
@@ -247,13 +206,13 @@ def _lloyd(points, n_codes, max_iters, rng):
 
 
 def fit(
-    latent_grids: Sequence[LatentGrid],
+    latents: np.ndarray,
     n_coarse: int,
     n_fine: int,
     max_iters: int = 50,
     seed: int = 0,
 ) -> QuantizerFit:
-    """Fit coarse then fine codebooks on the pooled latents.
+    """Fit coarse then fine codebooks on all latent vectors (..., d_dim).
 
     The coarse stage clusters L2-normalized latents; the fine stage
     clusters the residuals against the chosen normalized coarse
@@ -263,11 +222,11 @@ def fit(
         raise ConfigError("n_coarse and n_fine must be >= 2")
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    grids = [np.asarray(g.latents, dtype=np.float64) for g in latent_grids]
-    if not grids:
-        raise DataError("no latent grids to fit on")
-    d_dim = grids[0].shape[-1]
-    pool = np.concatenate([g.reshape(-1, d_dim) for g in grids], axis=0)
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim < 2 or latents.size == 0:
+        raise DataError("no latent vectors to fit on")
+    d_dim = latents.shape[-1]
+    pool = latents.reshape(-1, d_dim)
     if n_coarse >= len(pool):
         raise DataError(f"n_coarse {n_coarse} must be below the pooled patch count {len(pool)}")
     if n_fine >= len(pool):
@@ -277,65 +236,62 @@ def fit(
     zn = l2_normalize(pool, axis=1)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(zn, n_coarse, max_iters, rng)
     residuals = zn - l2_normalize(coarse_vecs, axis=1)[coarse_assign]
-    fine_vecs, _, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
+    fine_vecs, fine_assign, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
 
-    frozen = coarse_losses[-1]
-    code_losses = tuple(
-        (1.0 + COMMITMENT_WEIGHT) * (frozen + f) for f in fine_losses
-    )
     quantizer = ResidualQuantizer(
         coarse=Codebook(coarse_vecs), fine=Codebook(fine_vecs), d_dim=d_dim
     )
     return QuantizerFit(
         quantizer=quantizer,
+        coarse_idx=coarse_assign.reshape(latents.shape[:-1]),
+        fine_idx=fine_assign.reshape(latents.shape[:-1]),
         coarse_losses=tuple(coarse_losses),
         fine_losses=tuple(fine_losses),
-        code_losses=code_losses,
     )
 
 
-def encode(quantizer: ResidualQuantizer, latents: LatentGrid) -> CodeGrid:
-    """Assign each latent to its coarse and fine code, lowest index on ties."""
-    lat = np.asarray(latents.latents, dtype=np.float64)
-    if lat.ndim != 3 or lat.shape[-1] != quantizer.d_dim:
+def encode(
+    quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Coarse and fine code indices of latents (..., d_dim), lowest index on ties.
+
+    Both index arrays are shaped like the latents without their last
+    axis. With fine=False only the coarse stage runs and the fine
+    indices are None.
+    """
+    lat = np.asarray(latents, dtype=np.float64)
+    if lat.ndim < 1 or lat.shape[-1] != quantizer.d_dim:
         raise DataError(
             f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}"
         )
-    n_ch, n_patch = lat.shape[0], lat.shape[1]
-    z = lat.reshape(-1, quantizer.d_dim)
-    zn = l2_normalize(z, axis=1)
+    zn = l2_normalize(lat.reshape(-1, quantizer.d_dim), axis=1)
     coarse_idx, _ = _nearest(zn, quantizer.coarse.vectors)
+    if not fine:
+        return coarse_idx.reshape(lat.shape[:-1]), None
     residual = zn - l2_normalize(quantizer.coarse.vectors, axis=1)[coarse_idx]
     fine_idx, _ = _nearest(residual, quantizer.fine.vectors)
-    return CodeGrid(
-        coarse_idx=coarse_idx.reshape(n_ch, n_patch),
-        fine_idx=fine_idx.reshape(n_ch, n_patch),
-    )
-
-
-def encode_dataset(
-    quantizer: ResidualQuantizer,
-    dataset: DomainDataset,
-    patch_length: int,
-    spec: EmbedSpec = EmbedSpec(),
-) -> list[CodeGrid]:
-    return [encode(quantizer, g) for g in embed_dataset(dataset, patch_length, spec)]
+    return coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1])
 
 
 def reconstruct(
-    quantizer: ResidualQuantizer, codes: CodeGrid, coarse_only: bool = False
-) -> LatentGrid:
-    """Sum of the raw (un-normalized) code vectors for each patch."""
-    coarse = np.asarray(codes.coarse_idx)
-    fine = np.asarray(codes.fine_idx)
-    if coarse.min() < 0 or coarse.max() >= quantizer.coarse.n_codes:
+    quantizer: ResidualQuantizer, coarse_idx: np.ndarray, fine_idx: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum of the raw (un-normalized) code vectors for each patch.
+
+    Without fine indices, only the coarse vectors are summed.
+    """
+    coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
+    if coarse_idx.min() < 0 or coarse_idx.max() >= quantizer.coarse.n_codes:
         raise DataError("coarse index out of range for this quantizer")
-    if fine.min() < 0 or fine.max() >= quantizer.fine.n_codes:
-        raise DataError("fine index out of range for this quantizer")
-    out = quantizer.coarse.vectors[coarse]
-    if not coarse_only:
-        out = out + quantizer.fine.vectors[fine]
-    return LatentGrid(latents=out)
+    out = quantizer.coarse.vectors[coarse_idx]
+    if fine_idx is not None:
+        fine_idx = np.asarray(fine_idx, dtype=np.int64)
+        if fine_idx.shape != coarse_idx.shape:
+            raise DataError("coarse and fine indices must share a shape")
+        if fine_idx.min() < 0 or fine_idx.max() >= quantizer.fine.n_codes:
+            raise DataError("fine index out of range for this quantizer")
+        out = out + quantizer.fine.vectors[fine_idx]
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,46 +306,36 @@ class CodeUsageReport:
 
 
 def code_stats(
-    code_grids: Iterable[CodeGrid],
     quantizer: ResidualQuantizer,
-    latent_grids: Iterable[LatentGrid],
+    latents: np.ndarray,
+    coarse_idx: np.ndarray,
+    fine_idx: np.ndarray,
 ) -> CodeUsageReport:
     """Usage counts, dead-code percentages, and reconstruction MSE.
 
     MSE compares the raw code-vector sums against the L2-normalized
     latents the assignment actually quantizes.
     """
-    code_grids = list(code_grids)
-    latent_grids = list(latent_grids)
-    if len(code_grids) != len(latent_grids):
-        raise DataError("code grids and latent grids must align")
-    if not code_grids:
-        raise DataError("no code grids given")
-    coarse_counts = np.zeros(quantizer.coarse.n_codes, dtype=np.int64)
-    fine_counts = np.zeros(quantizer.fine.n_codes, dtype=np.int64)
-    sse_c = 0.0
-    sse_cf = 0.0
-    total = 0
-    for codes, lats in zip(code_grids, latent_grids):
-        coarse_counts += np.bincount(
-            codes.coarse_idx.ravel(), minlength=quantizer.coarse.n_codes
-        )
-        fine_counts += np.bincount(codes.fine_idx.ravel(), minlength=quantizer.fine.n_codes)
-        zn = l2_normalize(np.asarray(lats.latents, dtype=np.float64), axis=-1)
-        rec_c = reconstruct(quantizer, codes, coarse_only=True).latents
-        rec_cf = reconstruct(quantizer, codes).latents
-        sse_c += float(((zn - rec_c) ** 2).sum())
-        sse_cf += float(((zn - rec_cf) ** 2).sum())
-        total += codes.coarse_idx.size
-    denom = total * quantizer.d_dim
+    latents = np.asarray(latents, dtype=np.float64)
+    coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
+    if latents.shape[:-1] != coarse_idx.shape:
+        raise DataError("code indices and latents must align")
+    if coarse_idx.size == 0:
+        raise DataError("no codes given")
+    zn = l2_normalize(latents, axis=-1)
+    rec_c = reconstruct(quantizer, coarse_idx)
+    rec_cf = reconstruct(quantizer, coarse_idx, fine_idx)
+    coarse_counts = np.bincount(coarse_idx.ravel(), minlength=quantizer.coarse.n_codes)
+    fine_counts = np.bincount(np.ravel(fine_idx), minlength=quantizer.fine.n_codes)
+    denom = coarse_idx.size * quantizer.d_dim
     return CodeUsageReport(
         coarse_counts=coarse_counts,
         fine_counts=fine_counts,
         coarse_dead_pct=100.0 * float((coarse_counts == 0).sum()) / quantizer.coarse.n_codes,
         fine_dead_pct=100.0 * float((fine_counts == 0).sum()) / quantizer.fine.n_codes,
-        mse_coarse_only=sse_c / denom,
-        mse_coarse_fine=sse_cf / denom,
-        n_patches=total,
+        mse_coarse_only=float(((zn - rec_c) ** 2).sum()) / denom,
+        mse_coarse_fine=float(((zn - rec_cf) ** 2).sum()) / denom,
+        n_patches=int(coarse_idx.size),
     )
 
 
@@ -424,6 +370,7 @@ def save_quantizer(
 def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle."""
     header, recs = records.read_record_file(path, expected_kind="quantizer")
+    recs = list(recs)
     if len(recs) != 1:
         raise DataError(f"{path}: quantizer bundle must hold exactly one record")
     rec = recs[0]

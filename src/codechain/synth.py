@@ -13,11 +13,11 @@ scale/offset emit identical chains and identical pre-shift values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import DomainDataset, TimeSeriesInstance
+from .dataset import DomainDataset
 from .errors import ConfigError, DataError
 
 PRIMITIVES = ("up_ramp", "down_ramp", "flat", "sine")
@@ -236,36 +236,26 @@ def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
         return labels[rng.permutation(n)]
 
     src_labels = draw_labels("source", cfg.n_source)
-    src_instances = [
-        TimeSeriesInstance(
-            id=f"src-{i:04d}",
-            values=_emit_series(rng, regimes[int(y)], cfg),
-            label=int(y),
-        )
-        for i, y in enumerate(src_labels)
-    ]
+    src_values = np.stack([_emit_series(rng, regimes[int(y)], cfg) for y in src_labels])
 
     trg_labels = draw_labels("target", cfg.n_target)
-    trg_instances = []
+    trg_values = np.empty((cfg.n_target, cfg.n_channels, cfg.length))
     for i, y in enumerate(trg_labels):
         values = _emit_series(rng, regimes_trg[int(y)], cfg)
         values = scale[:, None] * values + offset[:, None]
-        values = values + noise[:, None] * rng.standard_normal(values.shape)
-        trg_instances.append(
-            TimeSeriesInstance(id=f"trg-{i:04d}", values=values, label=int(y))
-        )
+        trg_values[i] = values + noise[:, None] * rng.standard_normal(values.shape)
 
     source = DomainDataset(
-        instances=tuple(src_instances),
-        n_channels=cfg.n_channels,
-        length=cfg.length,
+        values=src_values,
+        ids=[f"src-{i:04d}" for i in range(cfg.n_source)],
+        labels=src_labels,
         n_classes=cfg.n_classes,
         role="source",
     )
     target = DomainDataset(
-        instances=tuple(trg_instances),
-        n_channels=cfg.n_channels,
-        length=cfg.length,
+        values=trg_values,
+        ids=[f"trg-{i:04d}" for i in range(cfg.n_target)],
+        labels=trg_labels,
         n_classes=cfg.n_classes,
         role="target",
     )
@@ -285,17 +275,8 @@ def inject_channel_noise(
     if magnitude < 0.0:
         raise ConfigError("magnitude must be >= 0")
     rng = np.random.default_rng(seed)
-    out = []
-    for inst in dataset:
-        eta = rng.standard_normal(dataset.length)
-        values = inst.values.copy()
-        if magnitude > 0.0:
-            values[channel] = values[channel] + magnitude * eta
-        out.append(TimeSeriesInstance(id=inst.id, values=values, label=inst.label))
-    return DomainDataset(
-        instances=tuple(out),
-        n_channels=dataset.n_channels,
-        length=dataset.length,
-        n_classes=dataset.n_classes,
-        role=dataset.role,
-    )
+    eta = rng.standard_normal((len(dataset), dataset.length))
+    values = dataset.values.copy()
+    if magnitude > 0.0:
+        values[:, channel] = values[:, channel] + magnitude * eta
+    return replace(dataset, values=values)

@@ -300,29 +300,30 @@ class ChannelWeights:
         )
 
 
-def channel_weights(src, trg, cost: CostMatrix, sigma: float) -> ChannelWeights:
+def channel_weights(src: np.ndarray, trg: np.ndarray, cost: CostMatrix, sigma: float) -> ChannelWeights:
     """exp(-(mean row-wise EMD / sigma)^2) per channel.
 
-    src and trg are per-channel transition-matrix collections over the
-    same codes; each matrix row is transported onto its counterpart row
-    under the given ground cost, and the n_codes row costs are averaged.
-    Identical matrices give weight 1; weights shrink toward 0 as the
-    matrices drift apart.
+    src and trg are (n_channels, n_codes, n_codes) transition matrices
+    over the same codes; each matrix row is transported onto its
+    counterpart row under the given ground cost, and the n_codes row
+    costs are averaged. Identical matrices give weight 1; weights shrink
+    toward 0 as the matrices drift apart.
     """
     if not sigma > 0.0:
         raise ConfigError("sigma must be > 0")
-    if src.n_channels != trg.n_channels:
+    src = np.asarray(src, dtype=np.float64)
+    trg = np.asarray(trg, dtype=np.float64)
+    if src.ndim != 3 or src.shape[0] != trg.shape[0]:
         raise DataError("source and target disagree on channel count")
-    if src.n_codes != trg.n_codes or cost.n != src.n_codes:
+    if src.shape != trg.shape or cost.n != src.shape[-1]:
         raise DataError("transition matrices and cost matrix disagree on n_codes")
-    mean_costs = np.empty(src.n_channels)
-    for d in range(src.n_channels):
-        rows_src = src.tms[d].probs
-        rows_trg = trg.tms[d].probs
+    n_channels, n_codes = src.shape[0], src.shape[-1]
+    mean_costs = np.empty(n_channels)
+    for d in range(n_channels):
         total = 0.0
-        for i in range(src.n_codes):
-            total += solve_emd(rows_src[i], rows_trg[i], cost.costs).cost
-        mean_costs[d] = total / src.n_codes
+        for i in range(n_codes):
+            total += solve_emd(src[d, i], trg[d, i], cost.costs).cost
+        mean_costs[d] = total / n_codes
     weights = np.exp(-((mean_costs / sigma) ** 2))
     return ChannelWeights(weights=weights, sigma=sigma, mean_costs=mean_costs)
 

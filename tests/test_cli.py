@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from codechain import cli, records
 from codechain import dataset as ds
-from codechain import pseudolabel
+from codechain import pseudolabel, rvq
 
 
 def run(*argv):
@@ -45,7 +46,7 @@ def test_synth_writes_three_files(tmp_path):
         assert (out / name).exists()
     target = ds.load_corpus(out / "target.jsonl")
     assert target.role == "target"
-    assert all(i.label is None for i in target.instances)
+    assert all(label == ds.UNLABELED for label in target.labels)
 
 
 def test_synth_is_byte_deterministic(tmp_path):
@@ -68,10 +69,10 @@ def test_synth_corrupt_variants(tmp_path):
     assert len(variants) == 3
     base = ds.load_corpus(out / "target.jsonl")
     zero = ds.load_corpus(variants[0])
-    for a, b in zip(base.instances, zero.instances):
-        assert a.values.tobytes() == b.values.tobytes()
+    for a, b in zip(base.values, zero.values):
+        assert a.tobytes() == b.tobytes()
     noisy = ds.load_corpus(variants[2])
-    assert base.instances[0].values[1].tobytes() != noisy.instances[0].values[1].tobytes()
+    assert base.values[0][1].tobytes() != noisy.values[0][1].tobytes()
     header, _ = records.read_record_file(variants[2], expected_kind="corpus")
     assert header["config"]["corrupt"]["magnitude"] == 1.5
 
@@ -142,18 +143,39 @@ def test_label_channel_mismatch(workspace, tmp_path):
                "--out-dir", out) == 2
 
 
-def test_label_threads_do_not_change_bytes(workspace, tmp_path):
-    data, model, _ = workspace
-    outs = []
-    for threads in (1, 4):
-        out = tmp_path / f"t{threads}"
-        assert run("label", "--target", data / "target.jsonl",
-                   "--quantizer", model / "quantizer.jsonl",
-                   "--transitions", model / "transitions.jsonl",
-                   "--out-dir", out, "--threads", threads) == 0
-        outs.append(out)
-    for name in ("labels.jsonl", "selected.jsonl", "alignment_report.tsv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+def never_called(*args, **kwargs):
+    raise AssertionError("called on a corpus that cannot be scored")
+
+
+def test_label_single_patch_corpus_fails_before_encoding(tmp_path, monkeypatch):
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert run(*synth_args(data, length=16)) == 0
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model,
+               "--n-coarse", 4, "--n-fine", 8) == 0
+    target = ds.load_corpus(data / "target.jsonl")
+    ds.save_corpus(tmp_path / "one_patch.jsonl", replace(target, values=target.values[:, :, :12]))
+    monkeypatch.setattr(rvq, "encode", never_called)
+    monkeypatch.setattr(rvq, "embed", never_called)
+    assert run("label", "--target", tmp_path / "one_patch.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
+    assert run(*synth_args(tmp_path / "data", length=16)) == 0
+    source = ds.load_corpus(tmp_path / "data" / "source.jsonl")
+    ds.save_corpus(tmp_path / "one_patch.jsonl", replace(source, values=source.values[:, :, :12]))
+    monkeypatch.setattr(rvq, "embed", never_called)
+    monkeypatch.setattr(rvq, "fit", never_called)
+    assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
+
+
+def test_label_help_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["label", "--help"])
+    assert "--threads" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- eval
@@ -173,6 +195,7 @@ def test_eval_reports_metrics(workspace, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "accuracy=" in printed and "top-r subset" in printed
     header, rows = records.read_record_file(metrics_path, expected_kind="metrics")
+    rows = list(rows)
     assert [r["split"] for r in rows] == ["all", "selected"]
     assert 0.0 <= rows[0]["accuracy"] <= 1.0
 
@@ -208,11 +231,10 @@ def test_eval_disjoint_ids(workspace, tmp_path):
                "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl",
                "--out-dir", out) == 0
-    strangers = ds.DomainDataset.build(
-        [
-            ds.TimeSeriesInstance(id=f"stranger{k}", values=np.zeros((1, 4)), label=0)
-            for k in range(3)
-        ],
+    strangers = ds.DomainDataset(
+        values=np.zeros((3, 1, 4)),
+        ids=[f"stranger{k}" for k in range(3)],
+        labels=[0, 0, 0],
         n_classes=4,
         role="target",
     )

@@ -11,17 +11,15 @@ from codechain import dataset as ds
 from codechain.errors import ConfigError, DataError, ParseError
 
 
-def make_instance(iid, values, label=None):
-    return ds.TimeSeriesInstance(id=iid, values=np.asarray(values, dtype=np.float64), label=label)
+def make_dataset(ids, values, labels=None, n_classes=2, role="source"):
+    labels = [ds.UNLABELED] * len(ids) if labels is None else labels
+    return ds.DomainDataset(values=values, ids=ids, labels=labels, n_classes=n_classes, role=role)
 
 
 def tiny_dataset(role="source", n=3, d=2, t=8, n_classes=2):
     rng = np.random.default_rng(7)
-    instances = [
-        make_instance(f"i{k}", rng.normal(size=(d, t)), label=k % n_classes if role == "source" else None)
-        for k in range(n)
-    ]
-    return ds.DomainDataset.build(instances, n_classes=n_classes, role=role)
+    labels = [k % n_classes if role == "source" else ds.UNLABELED for k in range(n)]
+    return make_dataset([f"i{k}" for k in range(n)], rng.normal(size=(n, d, t)), labels, n_classes, role)
 
 
 # ---------------------------------------------------------------- records
@@ -50,7 +48,7 @@ def test_record_file_round_trip(tmp_path):
     got_header, got_recs = records.read_record_file(path, expected_kind="corpus")
     assert got_header["kind"] == "corpus"
     assert got_header["format"] == records.FORMAT
-    assert got_recs == recs
+    assert list(got_recs) == recs
 
 
 def test_record_file_kind_mismatch(tmp_path):
@@ -65,8 +63,9 @@ def test_record_file_reports_bad_line_number(tmp_path):
     records.write_record_file(path, {"kind": "corpus"}, [{"id": "a"}])
     with open(path, "a") as f:
         f.write("{not json\n")
+    _, recs = records.read_record_file(path, expected_kind="corpus")
     with pytest.raises(ParseError) as exc:
-        records.read_record_file(path, expected_kind="corpus")
+        list(recs)
     assert exc.value.line_no == 3
 
 
@@ -74,96 +73,83 @@ def test_record_file_reports_bad_line_number(tmp_path):
 
 def test_instance_requires_2d_finite():
     with pytest.raises(DataError):
-        make_instance("a", [1.0, 2.0])
+        make_dataset(["a"], [[1.0, 2.0]], [0])
     with pytest.raises(DataError):
-        make_instance("a", [[1.0, np.nan]])
+        make_dataset(["a"], [[[1.0, np.nan]]], [0])
 
 
 def test_dataset_rejects_shape_mismatch():
-    good = make_instance("a", np.zeros((2, 8)), label=0)
-    bad = make_instance("b", np.zeros((2, 7)), label=0)
     with pytest.raises(DataError) as exc:
-        ds.DomainDataset.build([good, bad], n_classes=2, role="source")
-    assert "b" in str(exc.value)
+        make_dataset(["a", "b"], np.zeros((2, 2, 8)), [0])
+    assert "align" in str(exc.value)
 
 
 def test_dataset_rejects_duplicate_ids():
-    a = make_instance("a", np.zeros((1, 4)), label=0)
-    b = make_instance("a", np.ones((1, 4)), label=1)
     with pytest.raises(DataError):
-        ds.DomainDataset.build([a, b], n_classes=2, role="source")
+        make_dataset(["a", "a"], np.zeros((2, 1, 4)), [0, 1])
 
 
 def test_source_requires_labels():
-    a = make_instance("a", np.zeros((1, 4)))
     with pytest.raises(DataError):
-        ds.DomainDataset.build([a], n_classes=2, role="source")
+        make_dataset(["a"], np.zeros((1, 1, 4)))
 
 
 def test_label_out_of_range():
-    a = make_instance("a", np.zeros((1, 4)), label=5)
     with pytest.raises(DataError):
-        ds.DomainDataset.build([a], n_classes=2, role="source")
+        make_dataset(["a"], np.zeros((1, 1, 4)), [5])
 
 
 def test_role_validated():
-    a = make_instance("a", np.zeros((1, 4)), label=0)
     with pytest.raises(DataError):
-        ds.DomainDataset.build([a], n_classes=2, role="validation")
+        make_dataset(["a"], np.zeros((1, 1, 4)), [0], role="validation")
 
 
 # ---------------------------------------------------------------- patchify
 
 def test_patchify_128_by_8():
-    inst = make_instance("a", np.arange(3 * 128, dtype=np.float64).reshape(3, 128))
-    grid = ds.patchify(inst, 8)
-    assert grid.n_patches == 16
-    assert grid.patches.shape == (3, 16, 8)
+    patches = ds.patchify(np.arange(3 * 128, dtype=np.float64).reshape(3, 128), 8)
+    assert patches.shape[-2] == 16
+    assert patches.shape == (3, 16, 8)
 
 
 def test_patchify_300_by_15():
-    inst = make_instance("a", np.zeros((1, 300)))
-    assert ds.patchify(inst, 15).n_patches == 20
+    assert ds.patchify(np.zeros((1, 300)), 15).shape[-2] == 20
 
 
 def test_patchify_drops_trailing_remainder():
-    inst = make_instance("a", np.arange(10, dtype=np.float64)[None, :])
-    grid = ds.patchify(inst, 8)
-    assert grid.n_patches == 1
-    assert_array_equal(grid.patches[0, 0], np.arange(8, dtype=np.float64))
+    patches = ds.patchify(np.arange(10, dtype=np.float64)[None, :], 8)
+    assert patches.shape[-2] == 1
+    assert_array_equal(patches[0, 0], np.arange(8, dtype=np.float64))
 
 
 def test_patchify_lossless_up_to_truncation():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(2, 23))
-    grid = ds.patchify(make_instance("a", values), 5)
+    patches = ds.patchify(values, 5)
     for d in range(2):
-        assert_array_equal(grid.patches[d].reshape(-1), values[d, :20])
+        assert_array_equal(patches[d].reshape(-1), values[d, :20])
 
 
 def test_patchify_rejects_small_m():
-    inst = make_instance("a", np.zeros((1, 8)))
     with pytest.raises(ConfigError):
-        ds.patchify(inst, 1)
+        ds.patchify(np.zeros((1, 8)), 1)
 
 
 def test_patchify_rejects_m_longer_than_series():
-    inst = make_instance("a", np.zeros((1, 4)))
     with pytest.raises(DataError):
-        ds.patchify(inst, 8)
+        ds.patchify(np.zeros((1, 4)), 8)
 
 
 # ---------------------------------------------------------------- corpus io
 
 def test_minimal_corpus_round_trip(tmp_path):
-    inst = make_instance("only", np.array([[1.0, 2.0, 3.0, 4.0]]), label=0)
-    data = ds.DomainDataset.build([inst], n_classes=1, role="source")
+    data = make_dataset(["only"], np.array([[[1.0, 2.0, 3.0, 4.0]]]), [0], n_classes=1)
     path = tmp_path / "c.jsonl"
     ds.save_corpus(path, data)
     back = ds.load_corpus(path)
     assert len(back) == 1
     assert back.n_channels == 1 and back.length == 4
-    assert back.instances[0].label == 0
+    assert back.labels[0] == 0
 
 
 def test_corpus_round_trip_is_bit_exact(tmp_path):
@@ -171,11 +157,11 @@ def test_corpus_round_trip_is_bit_exact(tmp_path):
     vals = rng.normal(size=(2, 12)) * np.array([[1e-7], [1e9]])
     vals[0, 0] = 1 / 3
     vals[1, 0] = -0.0
-    data = ds.DomainDataset.build([make_instance("x", vals, label=1)], n_classes=2, role="source")
+    data = make_dataset(["x"], vals[None], [1])
     path = tmp_path / "c.jsonl"
     ds.save_corpus(path, data)
     back = ds.load_corpus(path)
-    assert back.instances[0].values.tobytes() == vals.tobytes()
+    assert back.values[0].tobytes() == vals.tobytes()
 
 
 def test_save_load_save_is_byte_stable(tmp_path):
@@ -209,19 +195,16 @@ def test_load_corpus_missing_label_for_source(tmp_path):
 
 def test_strip_labels():
     data = tiny_dataset(role="target")
-    labeled = ds.DomainDataset.build(
-        [make_instance(i.id, i.values, label=0) for i in data.instances],
-        n_classes=2,
-        role="target",
-    )
+    labeled = make_dataset(data.ids, data.values, [0] * len(data), role="target")
     stripped = ds.strip_labels(labeled)
-    assert all(i.label is None for i in stripped.instances)
+    assert all(label == ds.UNLABELED for label in stripped.labels)
     assert stripped.role == "target"
 
 
 def test_truth_round_trip(tmp_path):
-    insts = [make_instance(f"t{k}", np.zeros((1, 4)), label=k % 3) for k in range(5)]
-    data = ds.DomainDataset.build(insts, n_classes=3, role="target")
+    data = make_dataset(
+        [f"t{k}" for k in range(5)], np.zeros((5, 1, 4)), [k % 3 for k in range(5)], 3, "target"
+    )
     path = tmp_path / "truth.jsonl"
     ds.save_truth(path, data)
     mapping, n_classes = ds.load_truth(path)

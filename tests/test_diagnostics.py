@@ -124,11 +124,8 @@ def constant_code_quantizer():
 
 def test_pe_report_constant_code_is_zero():
     q = constant_code_quantizer()
-    codes = rvq.CodeGrid(
-        coarse_idx=np.zeros((2, 4), dtype=np.int64),
-        fine_idx=np.zeros((2, 4), dtype=np.int64),
-    )
-    coarse_pe, fine_pe = diagnostics.pe_report(q, [codes])
+    codes = np.zeros((1, 2, 4), dtype=np.int64)
+    coarse_pe, fine_pe = diagnostics.pe_report(q, codes, codes)
     assert coarse_pe == 0.0
     assert fine_pe == 0.0
 
@@ -138,15 +135,14 @@ def test_pe_report_deterministic_and_ordered_inputs():
     coarse = rvq.Codebook(vectors=rng.normal(size=(3, 4)))
     fine = rvq.Codebook(vectors=rng.normal(size=(5, 4)))
     q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=4)
-    grids = [
-        rvq.CodeGrid(
-            coarse_idx=rng.integers(0, 3, size=(2, 6)).astype(np.int64),
-            fine_idx=rng.integers(0, 5, size=(2, 6)).astype(np.int64),
-        )
+    pairs = [
+        (rng.integers(0, 3, size=(2, 6)), rng.integers(0, 5, size=(2, 6)))
         for _ in range(3)
     ]
-    a = diagnostics.pe_report(q, grids)
-    b = diagnostics.pe_report(q, grids)
+    coarse_idx = np.stack([c for c, _ in pairs])
+    fine_idx = np.stack([f for _, f in pairs])
+    a = diagnostics.pe_report(q, coarse_idx, fine_idx)
+    b = diagnostics.pe_report(q, coarse_idx, fine_idx)
     assert a == b
     assert 0.0 <= a[0] <= 1.0 and 0.0 <= a[1] <= 1.0
 
@@ -157,8 +153,7 @@ def test_pe_report_single_instance_matches_direct():
     fine = rvq.Codebook(vectors=rng.normal(size=(2, 3)))
     q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=3)
     idx = np.array([[0, 1, 1, 0, 1]], dtype=np.int64)
-    codes = rvq.CodeGrid(coarse_idx=idx, fine_idx=idx.copy())
-    coarse_pe, fine_pe = diagnostics.pe_report(q, [codes])
+    coarse_pe, fine_pe = diagnostics.pe_report(q, idx[None], idx[None].copy())
     series_c = coarse.vectors[idx[0]].reshape(-1)
     series_f = fine.vectors[idx[0]].reshape(-1)
     assert_allclose(coarse_pe, diagnostics.permutation_entropy(series_c), atol=0)

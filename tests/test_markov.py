@@ -1,13 +1,14 @@
 """Transition estimation, smoothing, and sequence log-likelihoods."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from codechain import markov, rvq
+from codechain import markov, records
 from codechain.errors import ConfigError, DataError
 
 
@@ -28,26 +29,26 @@ def counter_oracle(sequences, n_codes):
     return probs
 
 
-def grid(coarse_rows, n_fine=2):
-    arr = np.asarray(coarse_rows, dtype=np.int64)
-    return rvq.CodeGrid(coarse_idx=arr, fine_idx=np.zeros_like(arr) % n_fine)
+def grid(coarse_rows):
+    """(channels, patches) coarse codes of one instance."""
+    return np.asarray(coarse_rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- estimate
 
 def test_estimate_alternating_pair():
     tm = markov.estimate_tm([np.array([0, 1, 0, 1, 0])], 2)
-    assert_array_equal(tm.probs, [[0.0, 1.0], [1.0, 0.0]])
+    assert_array_equal(tm, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_estimate_unseen_row_uniform():
     tm = markov.estimate_tm([np.array([0, 0, 0])], 2)
-    assert_array_equal(tm.probs, [[1.0, 0.0], [0.5, 0.5]])
+    assert_array_equal(tm, [[1.0, 0.0], [0.5, 0.5]])
 
 
 def test_estimate_pools_sequences():
     tm = markov.estimate_tm([np.array([0, 1]), np.array([1, 1])], 2)
-    assert_array_equal(tm.probs, [[0.0, 1.0], [0.0, 1.0]])
+    assert_array_equal(tm, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_estimate_matches_counter_oracle():
@@ -59,7 +60,7 @@ def test_estimate_matches_counter_oracle():
             for _ in range(int(rng.integers(1, 5)))
         ]
         tm = markov.estimate_tm(seqs, n_codes)
-        assert_array_equal(tm.probs, counter_oracle(seqs, n_codes))
+        assert_array_equal(tm, counter_oracle(seqs, n_codes))
 
 
 def test_estimate_rejects_bad_input():
@@ -77,10 +78,10 @@ def test_class_tm_single_instance_and_uniform_fallback():
     g = grid([[0, 1, 0, 1], [1, 1, 1, 1]])
     with pytest.warns(UserWarning):
         ctm = markov.build_class_tm([g], [0], n_classes=2, n_codes=2)
-    assert_array_equal(ctm.tms[0][0].probs, markov.estimate_tm([g.coarse_idx[0]], 2).probs)
-    assert_array_equal(ctm.tms[0][1].probs, [[0.5, 0.5], [0.0, 1.0]])
+    assert_array_equal(ctm[0, 0], markov.estimate_tm([g[0]], 2))
+    assert_array_equal(ctm[0, 1], [[0.5, 0.5], [0.0, 1.0]])
     for d in range(2):
-        assert_array_equal(ctm.tms[1][d].probs, np.full((2, 2), 0.5))
+        assert_array_equal(ctm[1, d], np.full((2, 2), 0.5))
 
 
 def test_class_tm_order_invariant():
@@ -92,7 +93,22 @@ def test_class_tm_order_invariant():
     b = markov.build_class_tm([grids[i] for i in order], [labels[i] for i in order], 2, 3)
     for k in range(2):
         for d in range(2):
-            assert_array_equal(a.tms[k][d].probs, b.tms[k][d].probs)
+            assert_array_equal(a[k, d], b[k, d])
+
+
+def test_class_tm_matches_counter_oracle_per_class_and_channel():
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        n_classes, n_channels, n_codes = (int(x) for x in rng.integers(2, 5, size=3))
+        codes = rng.integers(0, n_codes, size=(int(rng.integers(1, 9)), n_channels, int(rng.integers(2, 12))))
+        labels = rng.integers(0, n_classes, size=len(codes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctm = markov.build_class_tm(codes, labels, n_classes, n_codes)
+        assert ctm.shape == (n_classes, n_channels, n_codes, n_codes)
+        for k in range(n_classes):
+            for d in range(n_channels):
+                assert_array_equal(ctm[k, d], counter_oracle(list(codes[labels == k, d]), n_codes))
 
 
 def test_class_tm_label_out_of_range():
@@ -105,8 +121,8 @@ def test_disjoint_regimes_have_disjoint_support():
     a = grid([[0, 1, 0, 1, 0, 1]])
     b = grid([[2, 3, 2, 3, 2, 3]])
     ctm = markov.build_class_tm([a, b], [0, 1], n_classes=2, n_codes=4)
-    support0 = set(zip(*np.nonzero(ctm.tms[0][0].probs[:2, :])))
-    support1 = set(zip(*np.nonzero(ctm.tms[1][0].probs[2:, :])))
+    support0 = set(zip(*np.nonzero(ctm[0, 0][:2, :])))
+    support1 = set(zip(*np.nonzero(ctm[1, 0][2:, :])))
     # observed transitions: class 0 stays in {0,1}, class 1 in {2,3}
     assert {(i, j) for i, j in support0} == {(0, 1), (1, 0)}
     assert {(i + 2, j) for i, j in support1} == {(2, 3), (3, 2)}
@@ -116,8 +132,8 @@ def test_channel_tm_pools_classes():
     rng = np.random.default_rng(23)
     grids = [grid(rng.integers(0, 3, size=(1, 8))) for _ in range(5)]
     pooled = markov.build_channel_tm(grids, 3)
-    direct = markov.estimate_tm([g.coarse_idx[0] for g in grids], 3)
-    assert_array_equal(pooled.tms[0].probs, direct.probs)
+    direct = markov.estimate_tm([g[0] for g in grids], 3)
+    assert_array_equal(pooled[0], direct)
 
 
 def test_channel_tm_equals_class_tm_for_single_class():
@@ -126,23 +142,23 @@ def test_channel_tm_equals_class_tm_for_single_class():
     ctm = markov.build_class_tm(grids, [0] * 4, n_classes=1, n_codes=2)
     chtm = markov.build_channel_tm(grids, 2)
     for d in range(2):
-        assert_array_equal(ctm.tms[0][d].probs, chtm.tms[d].probs)
+        assert_array_equal(ctm[0, d], chtm[d])
 
 
 # ---------------------------------------------------------------- smoothing
 
 def test_smooth_formula():
-    tm = markov.TransitionMatrix(probs=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    tm = np.array([[0.0, 1.0], [1.0, 0.0]])
     eps = 1e-8
     out = markov.smooth(tm, eps)
-    assert_allclose(out.probs, np.array([[eps, 1 + eps], [1 + eps, eps]]) / (1 + 2 * eps), rtol=0, atol=0)
-    assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
+    assert_allclose(out, np.array([[eps, 1 + eps], [1 + eps, eps]]) / (1 + 2 * eps), rtol=0, atol=0)
+    assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_smooth_uniform_fixed_point():
-    tm = markov.TransitionMatrix(probs=np.full((3, 3), 1.0 / 3.0))
+    tm = np.full((3, 3), 1.0 / 3.0)
     out = markov.smooth(tm, 1e-6)
-    assert_allclose(out.probs, tm.probs, rtol=1e-14)
+    assert_allclose(out, tm, rtol=1e-14)
 
 
 def test_smooth_min_entry_bound():
@@ -151,13 +167,22 @@ def test_smooth_min_entry_bound():
         n = int(rng.integers(2, 6))
         probs = rng.dirichlet(np.ones(n), size=n)
         eps = 10.0 ** rng.uniform(-9, -2)
-        out = markov.smooth(markov.TransitionMatrix(probs=probs), eps)
-        assert out.probs.min() >= eps / (1 + n * eps) - 1e-18
-        assert np.all(out.probs > 0)
+        out = markov.smooth(probs, eps)
+        assert out.min() >= eps / (1 + n * eps) - 1e-18
+        assert np.all(out > 0)
+
+
+def test_smooth_acts_on_every_matrix_of_a_stack():
+    rng = np.random.default_rng(29)
+    stack = rng.dirichlet(np.ones(3), size=(2, 4, 3))
+    out = markov.smooth(stack, 1e-4)
+    for k in range(2):
+        for d in range(4):
+            assert_array_equal(out[k, d], markov.smooth(stack[k, d], 1e-4))
 
 
 def test_smooth_requires_positive_epsilon():
-    tm = markov.TransitionMatrix(probs=np.eye(2) * 1.0)
+    tm = np.eye(2) * 1.0
     with pytest.raises(ConfigError):
         markov.smooth(tm, 0.0)
 
@@ -165,7 +190,7 @@ def test_smooth_requires_positive_epsilon():
 # ---------------------------------------------------------------- likelihood
 
 def test_log_likelihood_hand_value():
-    tm = markov.TransitionMatrix(probs=np.array([[0.5, 0.5], [0.5, 0.5]]))
+    tm = np.array([[0.5, 0.5], [0.5, 0.5]])
     value = markov.log_likelihood(np.array([0, 1]), tm)
     assert value == math.log(0.5) / 2
     assert_allclose(value, -0.34657359027997264, rtol=0, atol=0)
@@ -173,27 +198,27 @@ def test_log_likelihood_hand_value():
 
 def test_log_likelihood_self_loop_near_zero():
     eps = 1e-8
-    tm = markov.smooth(markov.TransitionMatrix(probs=np.array([[1.0, 0.0], [0.5, 0.5]])), eps)
+    tm = markov.smooth(np.array([[1.0, 0.0], [0.5, 0.5]]), eps)
     value = markov.log_likelihood(np.array([0, 0, 0, 0]), tm)
     assert abs(value) <= 3 * eps
 
 
 def test_log_likelihood_per_transition_divides_by_n_minus_1():
-    tm = markov.TransitionMatrix(probs=np.full((2, 2), 0.5))
+    tm = np.full((2, 2), 0.5)
     seq = np.array([0, 1, 0])
     assert_allclose(markov.log_likelihood(seq, tm), 2 * math.log(0.5) / 3, atol=0)
     assert_allclose(markov.log_likelihood(seq, tm, per_transition=True), math.log(0.5), atol=0)
 
 
 def test_log_likelihood_rejects_zero_transition():
-    tm = markov.TransitionMatrix(probs=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    tm = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DataError) as exc:
         markov.log_likelihood(np.array([0, 0]), tm)
     assert "smooth" in str(exc.value)
 
 
 def test_log_likelihood_needs_two_steps():
-    tm = markov.TransitionMatrix(probs=np.full((2, 2), 0.5))
+    tm = np.full((2, 2), 0.5)
     with pytest.raises(DataError):
         markov.log_likelihood(np.array([0]), tm)
 
@@ -211,7 +236,7 @@ def test_own_tm_maximizes_likelihood():
 
 
 def test_reversal_changes_likelihood():
-    tm = markov.TransitionMatrix(probs=np.array([[0.9, 0.1], [0.5, 0.5]]))
+    tm = np.array([[0.9, 0.1], [0.5, 0.5]])
     fwd = markov.log_likelihood(np.array([0, 1]), tm)
     rev = markov.log_likelihood(np.array([1, 0]), tm)
     assert fwd != rev
@@ -225,17 +250,15 @@ def test_transitions_round_trip(tmp_path):
     labels = [0, 1, 1, 0, 1, 0]
     ctm = markov.build_class_tm(grids, labels, 2, 3)
     ch_src = markov.build_channel_tm(grids[:3], 3)
-    ch_trg = markov.build_channel_tm(grids[3:], 3)
     path = tmp_path / "t.jsonl"
-    markov.save_transitions(path, ctm, ch_src, 1e-8, channel_trg=ch_trg)
-    back_ctm, back_src, back_trg, eps = markov.load_transitions(path)
+    markov.save_transitions(path, ctm, ch_src, 1e-8)
+    back_ctm, back_src, eps = markov.load_transitions(path)
     assert eps == 1e-8
     for k in range(2):
         for d in range(2):
-            assert back_ctm.tms[k][d].probs.tobytes() == ctm.tms[k][d].probs.tobytes()
+            assert back_ctm[k, d].tobytes() == ctm[k, d].tobytes()
     for d in range(2):
-        assert back_src.tms[d].probs.tobytes() == ch_src.tms[d].probs.tobytes()
-        assert back_trg.tms[d].probs.tobytes() == ch_trg.tms[d].probs.tobytes()
+        assert back_src[d].tobytes() == ch_src[d].tobytes()
 
 
 def test_transitions_round_trip_without_target(tmp_path):
@@ -245,5 +268,25 @@ def test_transitions_round_trip_without_target(tmp_path):
     ch = markov.build_channel_tm([g], 2)
     path = tmp_path / "t.jsonl"
     markov.save_transitions(path, ctm, ch, 1e-6)
-    _, _, back_trg, eps = markov.load_transitions(path)
-    assert back_trg is None and eps == 1e-6
+    _, _, eps = markov.load_transitions(path)
+    assert eps == 1e-6
+    _, (rec,) = records.read_record_file(path, expected_kind="transitions")
+    assert rec["channel_tms_target"] is None
+
+
+def test_load_transitions_rejects_rows_that_do_not_sum_to_one(tmp_path):
+    g = grid([[0, 1, 0, 1]])
+    ctm = markov.build_class_tm([g, g], [0, 1], 2, 2)
+    ch = markov.build_channel_tm([g], 2)
+    for bad_class, bad_channel in ((0.5 * ctm, ch), (ctm, -ch)):
+        path = tmp_path / "t.jsonl"
+        markov.save_transitions(path, bad_class, bad_channel, 1e-8)
+        with pytest.raises(DataError):
+            markov.load_transitions(path)
+
+
+def test_save_transitions_rejects_mismatched_shapes(tmp_path):
+    g = grid([[0, 1, 0, 1], [1, 1, 0, 0]])
+    ctm = markov.build_class_tm([g, g], [0, 1], 2, 2)
+    with pytest.raises(DataError):
+        markov.save_transitions(tmp_path / "t.jsonl", ctm, markov.build_channel_tm([g[:1]], 2), 1e-8)

@@ -41,13 +41,16 @@ def fitted():
         seed=3,
     )
     source, _ = synth.generate(cfg)
-    latents = rvq.embed_dataset(source, 8)
+    latents = rvq.embed(ds.patchify(source.values, 8))
     fit = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=50, seed=0)
-    codes = [rvq.encode(fit.quantizer, g) for g in latents]
-    class_tm = markov.build_class_tm(
-        codes, [i.label for i in source.instances], 2, 3
-    ).smoothed(1e-8)
+    codes, _ = rvq.encode(fit.quantizer, latents)
+    class_tm = markov.smooth(markov.build_class_tm(codes, source.labels, 2, 3), 1e-8)
     return source, fit.quantizer, class_tm
+
+
+def coarse_codes(quantizer, dataset, patch_length=8):
+    codes, _ = rvq.encode(quantizer, rvq.embed(ds.patchify(dataset.values, patch_length)), fine=False)
+    return codes
 
 
 # ---------------------------------------------------------------- prior
@@ -122,7 +125,7 @@ def test_posterior_monotone_in_prior():
 
 def test_aggregate_single_channel_identity():
     post = np.array([[0.3, 0.7]])
-    out = pseudolabel.aggregate(post, np.array([1.0]))
+    out = pseudolabel.aggregate(post[None], np.array([1.0]))[0]
     assert_allclose(out.scores, [0.3, 0.7], atol=0)
     assert out.label == 1
     assert out.confidence == 0.7
@@ -130,21 +133,21 @@ def test_aggregate_single_channel_identity():
 
 def test_aggregate_hand_values():
     post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post, np.array([1.0, 1.0]))
+    out = pseudolabel.aggregate(post[None], np.array([1.0, 1.0]))[0]
     assert_allclose(out.scores, [0.7, 0.3], atol=1e-15)
     assert out.label == 0
 
 
 def test_aggregate_zero_weight_drops_channel():
     post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post, np.array([1.0, 0.0]))
+    out = pseudolabel.aggregate(post[None], np.array([1.0, 0.0]))[0]
     assert_allclose(out.scores, [0.4, 0.1], atol=1e-15)
     assert out.label == 0
 
 
 def test_aggregate_tie_breaks_low():
     post = np.array([[0.5, 0.5]])
-    out = pseudolabel.aggregate(post, np.array([1.0]))
+    out = pseudolabel.aggregate(post[None], np.array([1.0]))[0]
     assert out.label == 0
 
 
@@ -155,8 +158,8 @@ def test_aggregate_argmax_invariant_to_weight_scale():
         post = rng.dirichlet(np.ones(k), size=d)
         w = rng.uniform(0.05, 1.0, size=d)
         c = rng.uniform(0.1, 10.0)
-        a = pseudolabel.aggregate(post, w)
-        b = pseudolabel.aggregate(post, c * w)
+        a = pseudolabel.aggregate(post[None], w)[0]
+        b = pseudolabel.aggregate(post[None], c * w)[0]
         assert a.label == b.label
         assert_allclose(b.scores, c * a.scores, rtol=1e-12)
 
@@ -165,68 +168,17 @@ def test_aggregate_argmax_invariant_to_weight_scale():
 
 def test_label_recovers_source_classes(fitted):
     source, quantizer, class_tm = fitted
-    target = ds.DomainDataset.build(
-        [ds.TimeSeriesInstance(id=i.id, values=i.values, label=None) for i in source.instances],
-        n_classes=2,
-        role="target",
-    )
+    target = ds.strip_labels(source)
     labels = pseudolabel.label_dataset(
         target,
-        quantizer,
+        coarse_codes(quantizer, target),
         class_tm,
         transport.ChannelWeights.ones(1, sigma=0.2),
         pseudolabel.LabelPrior.uniform(2),
-        patch_length=8,
     )
-    assert [pl.label for pl in labels] == [i.label for i in source.instances]
+    assert [pl.label for pl in labels] == source.labels.tolist()
     for pl in labels:
         assert_allclose(pl.per_channel_posteriors.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_label_threads_do_not_change_output(fitted):
-    source, quantizer, class_tm = fitted
-    target = ds.strip_labels(
-        ds.DomainDataset.build(
-            [ds.TimeSeriesInstance(id=i.id, values=i.values, label=0) for i in source.instances],
-            n_classes=2,
-            role="target",
-        )
-    )
-    args = (
-        target,
-        quantizer,
-        class_tm,
-        transport.ChannelWeights.ones(1, sigma=0.2),
-        pseudolabel.LabelPrior.uniform(2),
-    )
-    one = pseudolabel.label_dataset(*args, patch_length=8, threads=1)
-    four = pseudolabel.label_dataset(*args, patch_length=8, threads=4)
-    assert [a.label for a in one] == [b.label for b in four]
-    for a, b in zip(one, four):
-        assert a.scores.tobytes() == b.scores.tobytes()
-
-
-def test_label_precomputed_codes_match(fitted):
-    source, quantizer, class_tm = fitted
-    target = ds.strip_labels(
-        ds.DomainDataset.build(
-            [ds.TimeSeriesInstance(id=i.id, values=i.values, label=0) for i in source.instances],
-            n_classes=2,
-            role="target",
-        )
-    )
-    grids = rvq.encode_dataset(quantizer, target, 8)
-    args = (
-        target,
-        quantizer,
-        class_tm,
-        transport.ChannelWeights.ones(1, sigma=0.2),
-        pseudolabel.LabelPrior.uniform(2),
-    )
-    plain = pseudolabel.label_dataset(*args, patch_length=8)
-    cached = pseudolabel.label_dataset(*args, patch_length=8, precomputed=grids)
-    for a, b in zip(plain, cached):
-        assert a.scores.tobytes() == b.scores.tobytes()
 
 
 def test_label_rejects_source_role(fitted):
@@ -234,35 +186,52 @@ def test_label_rejects_source_role(fitted):
     with pytest.raises(DataError):
         pseudolabel.label_dataset(
             source,
-            quantizer,
+            coarse_codes(quantizer, source),
             class_tm,
             transport.ChannelWeights.ones(1, sigma=0.2),
             pseudolabel.LabelPrior.uniform(2),
-            patch_length=8,
         )
 
 
 def test_label_rejects_unsmoothed_model(fitted):
     source, quantizer, _ = fitted
-    latents = rvq.embed_dataset(source, 8)
-    codes = [rvq.encode(quantizer, g) for g in latents]
-    raw_tm = markov.build_class_tm(codes, [i.label for i in source.instances], 2, 3)
-    target = ds.strip_labels(
-        ds.DomainDataset.build(
-            [ds.TimeSeriesInstance(id=i.id, values=i.values, label=0) for i in source.instances],
-            n_classes=2,
-            role="target",
-        )
-    )
+    latents = rvq.embed(ds.patchify(source.values, 8))
+    codes, _ = rvq.encode(quantizer, latents)
+    raw_tm = markov.build_class_tm(codes, source.labels, 2, 3)
+    target = ds.strip_labels(source)
     with pytest.raises(DataError):
         pseudolabel.label_dataset(
             target,
-            quantizer,
+            coarse_codes(quantizer, target),
             raw_tm,
             transport.ChannelWeights.ones(1, sigma=0.2),
             pseudolabel.LabelPrior.uniform(2),
-            patch_length=8,
         )
+
+
+def test_batched_posteriors_match_the_log_likelihood_oracle():
+    cfg = synth.SynthConfig(n_source=80, n_target=40, target_regime_mix=0.3, noise=0.5, seed=6)
+    source, target = synth.generate(cfg)
+    latents = rvq.embed(ds.patchify(source.values, 8))
+    fit = rvq.fit(latents, n_coarse=8, n_fine=16, max_iters=50, seed=0)
+    model = markov.smooth(markov.build_class_tm(fit.coarse_idx, source.labels, 4, 8), 1e-8)
+    prior = pseudolabel.LabelPrior(probs=np.array([0.4, 0.3, 0.2, 0.1]), tau=0.7)
+    weights = np.array([0.9, 0.5, 0.2])
+    target = ds.strip_labels(target)
+    codes = coarse_codes(fit.quantizer, target)
+    labels = pseudolabel.label_dataset(
+        target, codes, model, transport.ChannelWeights(weights, 0.2, np.zeros(3)), prior
+    )
+    assert [pl.instance_id for pl in labels] == target.ids.tolist()
+    for n, pl in enumerate(labels):
+        oracle = np.stack([
+            pseudolabel.channel_posterior(
+                np.array([markov.log_likelihood(codes[n, d], model[k, d]) for k in range(4)]), prior
+            )
+            for d in range(3)
+        ])
+        assert_allclose(pl.per_channel_posteriors, oracle, rtol=0, atol=1e-12)
+        assert_allclose(pl.scores, (weights[:, None] * oracle).sum(axis=0) / 3, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- selection

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from codechain import rvq
+from codechain import rvq, synth
 from codechain import dataset as ds
 from codechain.errors import ConfigError, DataError
 
 
 def grid_from(values, m):
-    inst = ds.TimeSeriesInstance(id="g", values=np.asarray(values, dtype=np.float64))
-    return ds.patchify(inst, m)
+    return ds.patchify(np.asarray(values, dtype=np.float64), m)
 
 
 def latent_from(points):
     # one channel, one latent row per point
     arr = np.asarray(points, dtype=np.float64)
-    return rvq.LatentGrid(latents=arr[None, :, :])
+    return arr[None, :, :]
 
 
 def cluster_cloud(n_dirs, per_dir, d, seed=0, spread=0.02):
@@ -34,7 +33,7 @@ def cluster_cloud(n_dirs, per_dir, d, seed=0, spread=0.02):
 
 def test_embed_removes_mean_and_scales():
     grid = grid_from([[1.0, 2.0, 3.0, 4.0]], 4)
-    latent = rvq.embed(grid).latents[0, 0]
+    latent = rvq.embed(grid)[0, 0]
     std = np.std([1.0, 2.0, 3.0, 4.0])
     assert std == 1.118033988749895
     assert_allclose(latent, np.array([-1.5, -0.5, 0.5, 1.5]) / (std + 1e-8), rtol=0, atol=0)
@@ -43,21 +42,21 @@ def test_embed_removes_mean_and_scales():
 
 def test_embed_constant_patch_is_zero():
     grid = grid_from([[5.0, 5.0, 5.0, 5.0]], 4)
-    assert_array_equal(rvq.embed(grid).latents[0, 0], np.zeros(4))
+    assert_array_equal(rvq.embed(grid)[0, 0], np.zeros(4))
 
 
 def test_embed_unit_power():
     rng = np.random.default_rng(1)
     grid = grid_from(rng.normal(size=(3, 32)), 8)
-    latents = rvq.embed(grid).latents
+    latents = rvq.embed(grid)
     power = (latents ** 2).sum(axis=-1) / 8
     assert_allclose(power, 1.0, atol=1e-6)
 
 
 def test_embed_raw_mode_keeps_patches():
     grid = grid_from([[1.0, 2.0, 3.0, 4.0]], 4)
-    latents = rvq.embed(grid, rvq.EmbedSpec(mode="raw")).latents
-    assert_array_equal(latents, grid.patches)
+    latents = rvq.embed(grid, rvq.EmbedSpec(mode="raw"))
+    assert_array_equal(latents, grid)
 
 
 def test_projection_is_orthogonal_and_seeded():
@@ -75,9 +74,9 @@ def test_projected_embedding_shape():
     rng = np.random.default_rng(2)
     grid = grid_from(rng.normal(size=(2, 24)), 8)
     spec = rvq.EmbedSpec(mode="znorm", d_dim=5)
-    latents = rvq.embed(grid, spec).latents
+    latents = rvq.embed(grid, spec)
     assert latents.shape == (2, 3, 5)
-    plain = rvq.embed(grid).latents
+    plain = rvq.embed(grid)
     assert_allclose(latents, plain @ spec.projection(8), atol=0)
 
 
@@ -110,10 +109,10 @@ def axis_quantizer():
 
 def test_encode_axis_example():
     q = axis_quantizer()
-    codes = rvq.encode(q, latent_from([[0.9, 0.1]]))
-    assert codes.coarse_idx[0, 0] == 0
+    coarse_idx, fine_idx = rvq.encode(q, latent_from([[0.9, 0.1]]))
+    assert coarse_idx[0, 0] == 0
     # residual l2(z) - e0 points almost straight up
-    assert codes.fine_idx[0, 0] == 1
+    assert fine_idx[0, 0] == 1
 
 
 def test_encode_parallel_latent_picks_that_code():
@@ -123,25 +122,25 @@ def test_encode_parallel_latent_picks_that_code():
     fine = rvq.Codebook(vectors=rng.normal(size=(4, 5)))
     q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=5)
     z = 2.5 * vectors[3]
-    codes = rvq.encode(q, latent_from([z]))
-    assert codes.coarse_idx[0, 0] == 3
+    coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
+    assert coarse_idx[0, 0] == 3
 
 
 def test_encode_zero_latent_ties_to_lowest_index():
     q = axis_quantizer()
-    codes = rvq.encode(q, latent_from([[0.0, 0.0]]))
+    coarse_idx, fine_idx = rvq.encode(q, latent_from([[0.0, 0.0]]))
     # every coarse code is at distance 1 from the zero vector, tie -> 0
-    assert codes.coarse_idx[0, 0] == 0
+    assert coarse_idx[0, 0] == 0
     # residual is -e0 = (-1, 0), exactly fine code 2
-    assert codes.fine_idx[0, 0] == 2
+    assert fine_idx[0, 0] == 2
 
 
 def test_encode_tie_on_duplicate_direction_prefers_lower():
     coarse = rvq.Codebook(vectors=np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
     fine = rvq.Codebook(vectors=np.array([[0.5, 0.5], [-0.5, 0.5]]))
     q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=2)
-    codes = rvq.encode(q, latent_from([[3.0, 0.2]]))
-    assert codes.coarse_idx[0, 0] == 0
+    coarse_idx, fine_idx = rvq.encode(q, latent_from([[3.0, 0.2]]))
+    assert coarse_idx[0, 0] == 0
 
 
 def test_encode_matches_exhaustive_scan():
@@ -152,30 +151,30 @@ def test_encode_matches_exhaustive_scan():
         fine = rvq.Codebook(vectors=rng.normal(size=(nf, d)))
         q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=int(d))
         z = rng.normal(size=d)
-        codes = rvq.encode(q, latent_from([z]))
+        coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
         zn = rvq.l2_normalize(z)
         cd = [np.sum((zn - rvq.l2_normalize(v)) ** 2) for v in coarse.vectors]
         c_best = int(np.argmin(cd))
-        assert codes.coarse_idx[0, 0] == c_best
+        assert coarse_idx[0, 0] == c_best
         r = zn - rvq.l2_normalize(coarse.vectors[c_best])
         fd = [np.sum((r - rvq.l2_normalize(v)) ** 2) for v in fine.vectors]
-        assert codes.fine_idx[0, 0] == int(np.argmin(fd))
+        assert fine_idx[0, 0] == int(np.argmin(fd))
 
 
 # ---------------------------------------------------------------- fit
 
 def test_fit_separated_directions_uses_every_code():
     latents, _ = cluster_cloud(8, 25, 6, seed=6)
-    result = rvq.fit([latents], n_coarse=8, n_fine=4, max_iters=50, seed=0)
-    codes = rvq.encode(result.quantizer, latents)
-    used = np.bincount(codes.coarse_idx.reshape(-1), minlength=8)
+    result = rvq.fit(latents, n_coarse=8, n_fine=4, max_iters=50, seed=0)
+    coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
+    used = np.bincount(coarse_idx.reshape(-1), minlength=8)
     assert np.all(used > 0)
 
 
 def test_fit_losses_non_increasing():
     latents, _ = cluster_cloud(5, 30, 4, seed=7, spread=0.3)
-    result = rvq.fit([latents], n_coarse=4, n_fine=6, max_iters=40, seed=1)
-    for trace in (result.coarse_losses, result.fine_losses, result.code_losses):
+    result = rvq.fit(latents, n_coarse=4, n_fine=6, max_iters=40, seed=1)
+    for trace in (result.coarse_losses, result.fine_losses):
         arr = np.asarray(trace)
         assert arr.size >= 1 and np.all(np.isfinite(arr))
         assert np.all(np.diff(arr) <= 1e-12)
@@ -183,8 +182,8 @@ def test_fit_losses_non_increasing():
 
 def test_fit_is_deterministic():
     latents, _ = cluster_cloud(4, 20, 3, seed=8)
-    a = rvq.fit([latents], n_coarse=3, n_fine=4, max_iters=30, seed=5)
-    b = rvq.fit([latents], n_coarse=3, n_fine=4, max_iters=30, seed=5)
+    a = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=30, seed=5)
+    b = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=30, seed=5)
     assert a.quantizer.coarse.vectors.tobytes() == b.quantizer.coarse.vectors.tobytes()
     assert a.quantizer.fine.vectors.tobytes() == b.quantizer.fine.vectors.tobytes()
     assert a.coarse_losses == b.coarse_losses
@@ -193,9 +192,9 @@ def test_fit_is_deterministic():
 def test_fit_insufficient_data():
     latents = latent_from(np.random.default_rng(0).normal(size=(3, 4)))
     with pytest.raises(DataError):
-        rvq.fit([latents], n_coarse=5, n_fine=2)
+        rvq.fit(latents, n_coarse=5, n_fine=2)
     with pytest.raises(DataError):
-        rvq.fit([latents], n_coarse=2, n_fine=10)
+        rvq.fit(latents, n_coarse=2, n_fine=10)
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -209,20 +208,18 @@ def test_reconstruct_exact_on_codebook_sums():
     fine = rvq.Codebook(vectors=np.stack([f0, np.array([0.6, -0.8])]))
     q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=2)
     z = coarse.vectors[0] + fine.vectors[0]
-    codes = rvq.encode(q, latent_from([z]))
-    assert codes.coarse_idx[0, 0] == 0 and codes.fine_idx[0, 0] == 0
-    recon = rvq.reconstruct(q, codes).latents[0, 0]
+    coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
+    assert coarse_idx[0, 0] == 0 and fine_idx[0, 0] == 0
+    recon = rvq.reconstruct(q, coarse_idx, fine_idx)[0, 0]
     assert_array_equal(recon, z)
 
 
 def test_reconstruct_coarse_only():
     q = axis_quantizer()
-    codes = rvq.CodeGrid(
-        coarse_idx=np.array([[0, 1]], dtype=np.int64),
-        fine_idx=np.array([[2, 3]], dtype=np.int64),
-    )
-    both = rvq.reconstruct(q, codes).latents
-    coarse_only = rvq.reconstruct(q, codes, coarse_only=True).latents
+    coarse_idx = np.array([[0, 1]], dtype=np.int64)
+    fine_idx = np.array([[2, 3]], dtype=np.int64)
+    both = rvq.reconstruct(q, coarse_idx, fine_idx)
+    coarse_only = rvq.reconstruct(q, coarse_idx)
     assert_array_equal(coarse_only[0], q.coarse.vectors[[0, 1]])
     assert_array_equal(both[0], q.coarse.vectors[[0, 1]] + q.fine.vectors[[2, 3]])
 
@@ -231,10 +228,10 @@ def test_reconstruct_coarse_only():
 
 def test_code_stats_counts_and_mse():
     latents, _ = cluster_cloud(4, 30, 5, seed=9, spread=0.4)
-    result = rvq.fit([latents], n_coarse=4, n_fine=8, max_iters=50, seed=2)
-    codes = rvq.encode(result.quantizer, latents)
-    stats = rvq.code_stats([codes], result.quantizer, [latents])
-    assert stats.coarse_counts.sum() == latents.latents.shape[0] * latents.latents.shape[1]
+    result = rvq.fit(latents, n_coarse=4, n_fine=8, max_iters=50, seed=2)
+    coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
+    stats = rvq.code_stats(result.quantizer, latents, coarse_idx, fine_idx)
+    assert stats.coarse_counts.sum() == latents.shape[0] * latents.shape[1]
     assert stats.fine_counts.sum() == stats.coarse_counts.sum()
     assert stats.mse_coarse_fine <= stats.mse_coarse_only + 1e-9
     if np.all(stats.coarse_counts > 0):
@@ -243,7 +240,7 @@ def test_code_stats_counts_and_mse():
 
 def test_quantizer_round_trip_bit_exact(tmp_path):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
-    result = rvq.fit([latents], n_coarse=3, n_fine=4, max_iters=20, seed=3)
+    result = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=20, seed=3)
     spec = rvq.EmbedSpec(mode="znorm", d_dim=4, projection_seed=7)
     path = tmp_path / "q.jsonl"
     rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
@@ -256,15 +253,37 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
 
 def test_encode_dataset_shapes():
     rng = np.random.default_rng(11)
-    insts = [
-        ds.TimeSeriesInstance(id=f"i{k}", values=rng.normal(size=(2, 20)), label=0)
-        for k in range(4)
-    ]
-    data = ds.DomainDataset.build(insts, n_classes=1, role="source")
-    latents = rvq.embed_dataset(data, 5)
+    latents = rvq.embed(ds.patchify(rng.normal(size=(4, 2, 20)), 5))
     result = rvq.fit(latents, n_coarse=2, n_fine=2, max_iters=10, seed=0)
-    grids = rvq.encode_dataset(result.quantizer, data, 5)
-    assert len(grids) == 4
-    for g in grids:
-        assert g.coarse_idx.shape == (2, 4)
-        assert g.fine_idx.shape == (2, 4)
+    coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
+    assert len(coarse_idx) == 4
+    for c, f in zip(coarse_idx, fine_idx):
+        assert c.shape == (2, 4)
+        assert f.shape == (2, 4)
+
+
+def test_fit_assignments_equal_a_fresh_encode_of_the_training_latents():
+    source, _ = synth.generate(synth.SynthConfig(n_source=60, n_target=4, seed=12))
+    latents = rvq.embed(ds.patchify(source.values, 8))
+    result = rvq.fit(latents, n_coarse=8, n_fine=16, max_iters=50, seed=0)
+    coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
+    assert result.coarse_idx.shape == result.fine_idx.shape == latents.shape[:-1]
+    assert_array_equal(result.coarse_idx, coarse_idx)
+    assert_array_equal(result.fine_idx, fine_idx)
+
+
+def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
+    source, _ = synth.generate(synth.SynthConfig(n_source=12, n_target=4, seed=13))
+    spec = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=3)
+    latents = rvq.embed(ds.patchify(source.values, 8), spec)
+    q = rvq.fit(latents, n_coarse=4, n_fine=8, max_iters=20, seed=0).quantizer
+    coarse_idx, fine_idx = rvq.encode(q, latents)
+    coarse_only, no_fine = rvq.encode(q, latents, fine=False)
+    assert no_fine is None
+    assert_array_equal(coarse_only, coarse_idx)
+    for n, values in enumerate(source.values):
+        one = rvq.embed(ds.patchify(values, 8), spec)
+        assert one.tobytes() == latents[n].tobytes()
+        c, f = rvq.encode(q, one)
+        assert_array_equal(c, coarse_idx[n])
+        assert_array_equal(f, fine_idx[n])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from codechain import dataset as ds
 from codechain import markov, rvq, synth
 from codechain.errors import ConfigError, DataError
 
@@ -56,34 +57,34 @@ def test_generate_shapes_roles_and_labels():
     assert source.role == "source" and target.role == "target"
     assert len(source) == 20 and len(target) == 12
     assert source.n_channels == 2 and source.length == 48
-    assert all(i.label is not None for i in source.instances)
+    assert all(label != ds.UNLABELED for label in source.labels)
     # target keeps labels for the sealed truth file
-    assert all(i.label is not None for i in target.instances)
+    assert all(label != ds.UNLABELED for label in target.labels)
 
 
 def test_generate_is_deterministic():
     a_src, a_trg = synth.generate(small_cfg())
     b_src, b_trg = synth.generate(small_cfg())
-    for a, b in zip(a_src.instances + a_trg.instances, b_src.instances + b_trg.instances):
-        assert a.id == b.id
+    for a, b in ((a_src, b_src), (a_trg, b_trg)):
+        assert_array_equal(a.ids, b.ids)
         assert a.values.tobytes() == b.values.tobytes()
-        assert a.label == b.label
+        assert_array_equal(a.labels, b.labels)
 
 
 def test_generate_different_seed_differs():
     a_src, _ = synth.generate(small_cfg())
     b_src, _ = synth.generate(small_cfg(seed=10))
-    assert a_src.instances[0].values.tobytes() != b_src.instances[0].values.tobytes()
+    assert a_src.values[0].tobytes() != b_src.values[0].tobytes()
 
 
 def test_label_counts_follow_probs():
     source, _ = synth.generate(synth.SynthConfig(n_source=200, n_target=8, seed=0))
-    counts = np.bincount([i.label for i in source.instances], minlength=4)
+    counts = np.bincount(source.labels, minlength=4)
     assert_array_equal(counts, [50, 50, 50, 50])
     skew, _ = synth.generate(
         synth.SynthConfig(n_source=200, n_target=8, seed=0, class_probs_source=(0.7, 0.1, 0.1, 0.1))
     )
-    counts = np.bincount([i.label for i in skew.instances], minlength=4)
+    counts = np.bincount(skew.labels, minlength=4)
     assert_array_equal(counts, [140, 20, 20, 20])
 
 
@@ -94,19 +95,17 @@ def test_amplitude_shift_leaves_codes_unchanged():
     _, shifted = synth.generate(shifted_cfg)
     # the shift is applied after emission without consuming rng draws
     assert_allclose(
-        shifted.instances[0].values,
-        plain.instances[0].values * np.array([[2.0], [0.5]]) + np.array([[1.0], [-3.0]]),
+        shifted.values[0],
+        plain.values[0] * np.array([[2.0], [0.5]]) + np.array([[1.0], [-3.0]]),
         atol=1e-12,
     )
     source, _ = synth.generate(plain_cfg)
-    latents = rvq.embed_dataset(source, 8)
+    latents = rvq.embed(ds.patchify(source.values, 8))
     fit = rvq.fit(latents, n_coarse=4, n_fine=6, max_iters=30, seed=0)
-    for a, b in zip(
-        rvq.encode_dataset(fit.quantizer, plain, 8),
-        rvq.encode_dataset(fit.quantizer, shifted, 8),
-    ):
-        assert_array_equal(a.coarse_idx, b.coarse_idx)
-        assert_array_equal(a.fine_idx, b.fine_idx)
+    a = rvq.encode(fit.quantizer, rvq.embed(ds.patchify(plain.values, 8)))
+    b = rvq.encode(fit.quantizer, rvq.embed(ds.patchify(shifted.values, 8)))
+    assert_array_equal(a[0], b[0])
+    assert_array_equal(a[1], b[1])
 
 
 def test_disjoint_primitive_supports_yield_disjoint_dominant_transitions():
@@ -132,15 +131,15 @@ def test_disjoint_primitive_supports_yield_disjoint_dominant_transitions():
         seed=2,
     )
     source, _ = synth.generate(cfg)
-    latents = rvq.embed_dataset(source, 8)
+    latents = rvq.embed(ds.patchify(source.values, 8))
     fit = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=40, seed=0)
-    codes = rvq.encode_dataset(fit.quantizer, source, 8)
-    ctm = markov.build_class_tm(codes, [i.label for i in source.instances], 2, 3)
+    codes, _ = rvq.encode(fit.quantizer, latents)
+    ctm = markov.build_class_tm(codes, source.labels, 2, 3)
     # rows never departed from fall back to uniform and stay below the
     # threshold, so only genuinely visited transitions count
     dominant = []
     for k in range(2):
-        probs = ctm.tms[k][0].probs
+        probs = ctm[k, 0]
         cells = {
             (i, int(np.argmax(probs[i])))
             for i in range(3)
@@ -156,7 +155,7 @@ def test_target_regime_mix_changes_transitions():
     mixed = small_cfg(n_target=40, target_regime_mix=0.8)
     _, a = synth.generate(base)
     _, b = synth.generate(mixed)
-    assert a.instances[0].values.tobytes() != b.instances[0].values.tobytes()
+    assert a.values[0].tobytes() != b.values[0].tobytes()
 
 
 # ---------------------------------------------------------------- noise
@@ -164,16 +163,16 @@ def test_target_regime_mix_changes_transitions():
 def test_inject_zero_magnitude_is_identity():
     _, target = synth.generate(small_cfg())
     out = synth.inject_channel_noise(target, 0, 0.0, seed=5)
-    for a, b in zip(target.instances, out.instances):
-        assert a.values.tobytes() == b.values.tobytes()
+    for a, b in zip(target.values, out.values):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_inject_touches_only_one_channel():
     _, target = synth.generate(small_cfg())
     out = synth.inject_channel_noise(target, 1, 0.5, seed=5)
-    for a, b in zip(target.instances, out.instances):
-        assert a.values[0].tobytes() == b.values[0].tobytes()
-        assert a.values[1].tobytes() != b.values[1].tobytes()
+    for a, b in zip(target.values, out.values):
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() != b[1].tobytes()
 
 
 def test_inject_variance_matches_magnitude():
@@ -182,7 +181,7 @@ def test_inject_variance_matches_magnitude():
     mag = 0.7
     out = synth.inject_channel_noise(target, 0, mag, seed=6)
     diffs = np.concatenate(
-        [(b.values[0] - a.values[0]) for a, b in zip(target.instances, out.instances)]
+        [(b[0] - a[0]) for a, b in zip(target.values, out.values)]
     )
     assert abs(diffs.mean()) < 0.02
     assert abs(diffs.std() - mag) / mag < 0.05
@@ -192,10 +191,10 @@ def test_inject_same_seed_scales_exactly():
     _, target = synth.generate(small_cfg())
     one = synth.inject_channel_noise(target, 0, 1.0, seed=7)
     two = synth.inject_channel_noise(target, 0, 2.0, seed=7)
-    for base, a, b in zip(target.instances, one.instances, two.instances):
+    for base, a, b in zip(target.values, one.values, two.values):
         # the draws scale exactly; add-then-subtract reintroduces 1 ulp
-        d1 = a.values[0] - base.values[0]
-        d2 = b.values[0] - base.values[0]
+        d1 = a[0] - base[0]
+        d2 = b[0] - base[0]
         assert_allclose(d2, 2.0 * d1, rtol=1e-12, atol=1e-14)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from codechain import markov, rvq, transport
+from codechain import rvq, transport
 from codechain.errors import DataError
 
 
@@ -52,8 +52,9 @@ def random_cost(rng, n):
     return transport.cosine_cost(book)
 
 
-def tm_from(rows):
-    return markov.TransitionMatrix(probs=np.asarray(rows, dtype=np.float64))
+def tm_from(matrices):
+    """(n_channels, n, n) transition matrices from nested rows."""
+    return np.asarray(matrices, dtype=np.float64)
 
 
 # ---------------------------------------------------------------- cost matrix
@@ -160,8 +161,8 @@ def test_emd_rejects_bad_marginals():
 def test_identical_tms_give_weight_one():
     rng = np.random.default_rng(35)
     probs = rng.dirichlet(np.ones(3), size=3)
-    src = markov.ChannelTM(tms=(tm_from(probs),))
-    trg = markov.ChannelTM(tms=(tm_from(probs.copy()),))
+    src = tm_from([probs])
+    trg = tm_from([probs.copy()])
     costs = random_cost(rng, 3)
     cw = transport.channel_weights(src, trg, costs, sigma=0.2)
     assert cw.weights[0] == 1.0
@@ -170,8 +171,8 @@ def test_identical_tms_give_weight_one():
 
 def test_mean_cost_equal_to_sigma_gives_inverse_e():
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    src = markov.ChannelTM(tms=(tm_from([[1.0, 0.0], [0.0, 1.0]]),))
-    trg = markov.ChannelTM(tms=(tm_from([[0.0, 1.0], [1.0, 0.0]]),))
+    src = tm_from([[[1.0, 0.0], [0.0, 1.0]]])
+    trg = tm_from([[[0.0, 1.0], [1.0, 0.0]]])
     cw = transport.channel_weights(src, trg, costs, sigma=1.0)
     assert_allclose(cw.mean_costs[0], 1.0, atol=1e-12)
     assert_allclose(cw.weights[0], math.exp(-1.0), atol=1e-12)
@@ -179,9 +180,9 @@ def test_mean_cost_equal_to_sigma_gives_inverse_e():
 
 def test_weights_decrease_with_cost():
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    near = markov.ChannelTM(tms=(tm_from([[0.9, 0.1], [0.1, 0.9]]),))
-    far = markov.ChannelTM(tms=(tm_from([[0.1, 0.9], [0.9, 0.1]]),))
-    ident = markov.ChannelTM(tms=(tm_from([[1.0, 0.0], [0.0, 1.0]]),))
+    near = tm_from([[[0.9, 0.1], [0.1, 0.9]]])
+    far = tm_from([[[0.1, 0.9], [0.9, 0.1]]])
+    ident = tm_from([[[1.0, 0.0], [0.0, 1.0]]])
     w_near = transport.channel_weights(ident, near, costs, sigma=0.2).weights[0]
     w_far = transport.channel_weights(ident, far, costs, sigma=0.2).weights[0]
     assert 0 < w_far < w_near < 1
@@ -196,15 +197,15 @@ def test_weights_permutation_equivariant():
     book = rvq.Codebook(vectors=rng.normal(size=(n, 3)))
     costs = transport.cosine_cost(book)
     base = transport.channel_weights(
-        markov.ChannelTM(tms=(tm_from(src_probs),)),
-        markov.ChannelTM(tms=(tm_from(trg_probs),)),
+        tm_from([src_probs]),
+        tm_from([trg_probs]),
         costs,
         sigma=0.3,
     )
     perm = np.array([2, 0, 3, 1])
     permuted = transport.channel_weights(
-        markov.ChannelTM(tms=(tm_from(src_probs[perm][:, perm]),)),
-        markov.ChannelTM(tms=(tm_from(trg_probs[perm][:, perm]),)),
+        tm_from([src_probs[perm][:, perm]]),
+        tm_from([trg_probs[perm][:, perm]]),
         transport.cosine_cost(rvq.Codebook(vectors=book.vectors[perm])),
         sigma=0.3,
     )
