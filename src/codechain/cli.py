@@ -253,9 +253,9 @@ def cmd_fit(args) -> None:
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
     ds.require_transitions(source, cfg.patch_length)
     spec = cfg.embed_spec()
-    latents = rvq.embed(ds.patchify(source.values, cfg.patch_length), spec)
+    embedded = rvq.embed_dataset(source, cfg.patch_length, spec)
     fit_result = rvq.fit(
-        latents, cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
+        [embedded], cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
     quantizer = fit_result.quantizer
     codes = fit_result.coarse_idx
@@ -277,7 +277,7 @@ def cmd_fit(args) -> None:
         out_dir / "transitions.jsonl", class_tm, channel_src, cfg.epsilon, config=echo
     )
 
-    stats = rvq.code_stats(quantizer, latents, codes, fit_result.fine_idx)
+    stats = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
     print(
         f"fit: {len(source)} instances, {stats.n_patches} patches, "
         f"d_dim={quantizer.d_dim}, iterations={len(fit_result.coarse_losses)}"
@@ -317,8 +317,8 @@ def cmd_label(args) -> None:
         raise ConfigError("epsilon must be > 0")
     ds.require_transitions(target, patch_length)
 
-    latents = rvq.embed(ds.patchify(target.values, patch_length), spec)
-    codes, _ = rvq.encode(quantizer, latents, fine=False)
+    embedded = rvq.embed_dataset(target, patch_length, spec)
+    codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed = transport.channel_weights(
         markov.smooth(channel_src, epsilon),

@@ -131,36 +131,36 @@ def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> Non
 def load_corpus(path) -> DomainDataset:
     """Load a corpus file into one array, parsing one record at a time.
 
-    The header's n_instances, when present, sizes the array; without it
-    the array doubles as records arrive. Every record's shape must match
-    the header.
+    Every record's shape must match the header. On file only a null
+    label means "unlabeled"; a negative label is out of range.
     """
     header, recs = records.read_record_file(path, expected_kind="corpus")
     for key in ("role", "n_channels", "length", "n_classes"):
         if key not in header:
             raise DataError(f"{path}: corpus header missing {key!r}")
     shape = (int(header["n_channels"]), int(header["length"]))
-    values = np.empty((max(int(header.get("n_instances", 1)), 1), *shape))
+    rows: list[np.ndarray] = []
     ids: list[str] = []
     labels: list[int] = []
-    for i, rec in enumerate(recs):
+    for rec in recs:
         rid = rec.get("id")
         if not isinstance(rid, str) or not rid:
             raise DataError(f"{path}: record without a string id")
+        raw_label = rec.get("label")
         try:
             row = np.asarray(rec.get("channels"), dtype=np.float64)
-            label = rec.get("label")
-            labels.append(UNLABELED if label is None else int(label))
+            label = UNLABELED if raw_label is None else int(raw_label)
         except (TypeError, ValueError) as exc:
             raise DataError(f"instance {rid!r}: channels or label are not numbers") from exc
         if row.shape != shape:
             raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
-        if i == len(values):
-            values = np.concatenate([values, np.empty_like(values)])
-        values[i] = row
+        if raw_label is not None and label < 0:
+            raise DataError(f"instance {rid!r}: label {label} out of range [0, {header['n_classes']})")
+        rows.append(row)
         ids.append(rid)
+        labels.append(label)
     return DomainDataset(
-        values=values[: len(ids)],
+        values=np.stack(rows) if rows else np.empty((0, *shape)),
         ids=ids,
         labels=labels,
         n_classes=int(header["n_classes"]),

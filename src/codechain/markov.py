@@ -12,7 +12,6 @@ are (from, to).
 from __future__ import annotations
 
 import warnings
-from typing import Iterable
 
 import numpy as np
 
@@ -26,26 +25,6 @@ def _row_normalize(counts: np.ndarray) -> np.ndarray:
     """Counts (..., n, n) to probabilities; rows with no counts become uniform."""
     totals = counts.sum(axis=-1, keepdims=True)
     return np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / counts.shape[-1])
-
-
-def estimate_tm(sequences: Iterable[np.ndarray], n_codes: int) -> np.ndarray:
-    """(n_codes, n_codes) row-normalized bigram counts pooled over sequences.
-
-    Unseen departure codes get uniform rows.
-    """
-    if n_codes < 2:
-        raise ConfigError("n_codes must be >= 2")
-    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
-    if not seqs:
-        raise DataError("estimate_tm needs at least one sequence")
-    for seq in seqs:
-        if seq.ndim != 1 or seq.size < 2:
-            raise DataError("each code sequence must be 1-D with length >= 2")
-        if seq.min() < 0 or seq.max() >= n_codes:
-            raise DataError(f"code out of range [0, {n_codes}) in sequence")
-    cells = np.concatenate([seq[:-1] * n_codes + seq[1:] for seq in seqs])
-    counts = np.bincount(cells, minlength=n_codes * n_codes)
-    return _row_normalize(counts.reshape(n_codes, n_codes))
 
 
 def build_class_tm(

@@ -45,25 +45,27 @@ def write_record_file(path, header: dict, records: Iterable[dict]) -> None:
 def read_record_file(path, expected_kind: str | None = None) -> tuple[dict, Iterator[dict]]:
     """Read the header now and the records lazily, one line at a time.
 
-    Returns (header, records). The records iterator opens the file
-    again when first advanced and closes it when exhausted or discarded.
-    Both raise ParseError with a 1-based line number.
+    Returns (header, records). The records iterator reads on from the
+    same open file, so a pipe works too; the file closes when the
+    iterator is exhausted or discarded. Both raise ParseError with a
+    1-based line number.
     """
+    lines = _read(path, expected_kind)
+    return next(lines), lines
+
+
+def _read(path, expected_kind: str | None) -> Iterator[dict]:
+    """Yield the checked header, then every record."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-    if not first.strip():
-        raise ParseError(path, 1, "missing header line")
-    header = _parse(path, 1, first)
-    if header.get("format") != FORMAT:
-        raise ParseError(path, 1, f"unrecognized format {header.get('format')!r}")
-    if expected_kind is not None and header.get("kind") != expected_kind:
-        raise ParseError(path, 1, f"expected kind {expected_kind!r}, got {header.get('kind')!r}")
-    return header, _records(path)
-
-
-def _records(path) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
+        if not first.strip():
+            raise ParseError(path, 1, "missing header line")
+        header = _parse(path, 1, first)
+        if header.get("format") != FORMAT:
+            raise ParseError(path, 1, f"unrecognized format {header.get('format')!r}")
+        if expected_kind is not None and header.get("kind") != expected_kind:
+            raise ParseError(path, 1, f"expected kind {expected_kind!r}, got {header.get('kind')!r}")
+        yield header
         for no, line in enumerate(fh, start=2):
             if line.strip():
                 yield _parse(path, no, line)

@@ -18,10 +18,12 @@ pool terminates with every code in use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import records
+from .dataset import DomainDataset, patchify
 from .errors import ConfigError, DataError
 
 EMBED_MODES = ("znorm", "raw")
@@ -92,6 +94,20 @@ def embed(patches: np.ndarray, spec: EmbedSpec = EmbedSpec()) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CorpusLatents:
+    """Latent vectors of a whole corpus: (n_instances, n_channels, n_patches, d_dim)."""
+
+    latents: np.ndarray
+
+
+def embed_dataset(
+    dataset: DomainDataset, patch_length: int, spec: EmbedSpec = EmbedSpec()
+) -> CorpusLatents:
+    """Patchify and embed every series of a corpus in one call."""
+    return CorpusLatents(embed(patchify(dataset.values, patch_length), spec))
+
+
+@dataclass(frozen=True)
 class Codebook:
     vectors: np.ndarray
 
@@ -127,13 +143,20 @@ class ResidualQuantizer:
             raise DataError("codebook dimensions do not match quantizer d_dim")
 
 
+class Codes(NamedTuple):
+    """Coarse and fine code indices, each shaped like the latents without their last axis."""
+
+    coarse_idx: np.ndarray
+    fine_idx: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class QuantizerFit:
     """Fit output: the quantizer, its training assignments, and loss traces.
 
-    coarse_idx / fine_idx are the final code indices of the training
-    latents, shaped like the latents without their last axis; they equal
-    what encode assigns to those latents. coarse_losses / fine_losses
+    coarse_idx / fine_idx are what encode assigns to the training
+    latents under the fitted quantizer, shaped like the pooled latents
+    without their last axis. coarse_losses / fine_losses
     are mean squared quantization errors per Lloyd iteration of each
     stage.
     """
@@ -206,25 +229,29 @@ def _lloyd(points, n_codes, max_iters, rng):
 
 
 def fit(
-    latents: np.ndarray,
+    latent_grids: Sequence[CorpusLatents],
     n_coarse: int,
     n_fine: int,
     max_iters: int = 50,
     seed: int = 0,
 ) -> QuantizerFit:
-    """Fit coarse then fine codebooks on all latent vectors (..., d_dim).
+    """Fit coarse then fine codebooks on the latents of the given corpora.
 
-    The coarse stage clusters L2-normalized latents; the fine stage
-    clusters the residuals against the chosen normalized coarse
-    codewords. Deterministic given (inputs, seed).
+    The corpora are pooled along their first axis. The coarse stage
+    clusters L2-normalized latents; the fine stage clusters the
+    residuals against the chosen normalized coarse codewords.
+    Deterministic given (inputs, seed).
     """
     if n_coarse < 2 or n_fine < 2:
         raise ConfigError("n_coarse and n_fine must be >= 2")
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim < 2 or latents.size == 0:
+    grids = [np.asarray(g.latents, dtype=np.float64) for g in latent_grids]
+    if not grids or any(g.ndim < 2 or g.size == 0 for g in grids):
         raise DataError("no latent vectors to fit on")
+    if len({g.shape[1:] for g in grids}) > 1:
+        raise DataError("pooled corpora must share every latent axis but the first")
+    latents = np.concatenate(grids)
     d_dim = latents.shape[-1]
     pool = latents.reshape(-1, d_dim)
     if n_coarse >= len(pool):
@@ -236,28 +263,25 @@ def fit(
     zn = l2_normalize(pool, axis=1)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(zn, n_coarse, max_iters, rng)
     residuals = zn - l2_normalize(coarse_vecs, axis=1)[coarse_assign]
-    fine_vecs, fine_assign, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
+    fine_vecs, _, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
 
     quantizer = ResidualQuantizer(
         coarse=Codebook(coarse_vecs), fine=Codebook(fine_vecs), d_dim=d_dim
     )
+    codes = encode(quantizer, latents)
     return QuantizerFit(
         quantizer=quantizer,
-        coarse_idx=coarse_assign.reshape(latents.shape[:-1]),
-        fine_idx=fine_assign.reshape(latents.shape[:-1]),
+        coarse_idx=codes.coarse_idx,
+        fine_idx=codes.fine_idx,
         coarse_losses=tuple(coarse_losses),
         fine_losses=tuple(fine_losses),
     )
 
 
-def encode(
-    quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True) -> Codes:
     """Coarse and fine code indices of latents (..., d_dim), lowest index on ties.
 
-    Both index arrays are shaped like the latents without their last
-    axis. With fine=False only the coarse stage runs and the fine
-    indices are None.
+    With fine=False only the coarse stage runs and fine_idx is None.
     """
     lat = np.asarray(latents, dtype=np.float64)
     if lat.ndim < 1 or lat.shape[-1] != quantizer.d_dim:
@@ -267,10 +291,10 @@ def encode(
     zn = l2_normalize(lat.reshape(-1, quantizer.d_dim), axis=1)
     coarse_idx, _ = _nearest(zn, quantizer.coarse.vectors)
     if not fine:
-        return coarse_idx.reshape(lat.shape[:-1]), None
+        return Codes(coarse_idx.reshape(lat.shape[:-1]), None)
     residual = zn - l2_normalize(quantizer.coarse.vectors, axis=1)[coarse_idx]
     fine_idx, _ = _nearest(residual, quantizer.fine.vectors)
-    return coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1])
+    return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]))
 
 
 def reconstruct(

@@ -5,6 +5,7 @@ single summary line with the measured values.
 """
 
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ def embed_corpus(dataset, m=8):
 
 def fit_source(source, n_coarse=8, n_fine=64, m=8, seed=0):
     latents = embed_corpus(source, m)
-    fit = rvq.fit(latents, n_coarse, n_fine, max_iters=50, seed=seed)
+    fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse, n_fine, max_iters=50, seed=seed)
     codes, _ = rvq.encode(fit.quantizer, latents, fine=False)
     class_tm = markov.build_class_tm(codes, source.labels, source.n_classes, n_coarse)
     channel_src = markov.build_channel_tm(codes, n_coarse)
@@ -68,13 +69,15 @@ def test_criterion_01_transition_counts_match_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     for _ in range(200):
-        n_codes = int(rng.integers(2, 9))
-        seqs = [
-            rng.integers(0, n_codes, size=int(rng.integers(2, 65)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        tm = markov.estimate_tm(seqs, n_codes)
-        assert_array_equal(tm, counter_oracle(seqs, n_codes))
+        n_codes, n_classes, n_channels = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        codes = rng.integers(0, n_codes, size=(int(rng.integers(1, 6)), n_channels, int(rng.integers(2, 65))))
+        labels = rng.integers(0, n_classes, size=len(codes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a class may draw no instances
+            tm = markov.build_class_tm(codes, labels, n_classes, n_codes)
+        for k in range(n_classes):
+            for d in range(n_channels):
+                assert_array_equal(tm[k, d], counter_oracle(codes[labels == k, d], n_codes))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(1, f"200 sequence sets exact, {elapsed:.2f}s")
@@ -234,7 +237,7 @@ def test_criterion_06_informative_prior_and_low_tau_collapse():
 def test_criterion_07_no_dead_coarse_codes_and_residual_gain():
     source, _ = synth.generate(synth.SynthConfig(n_source=200, n_target=200, seed=0))
     latents = embed_corpus(source)
-    fit = rvq.fit(latents, 8, 64, max_iters=50, seed=0)
+    fit = rvq.fit([rvq.CorpusLatents(latents)], 8, 64, max_iters=50, seed=0)
     coarse_idx, fine_idx = rvq.encode(fit.quantizer, latents)
     stats = rvq.code_stats(fit.quantizer, latents, coarse_idx, fine_idx)
     assert stats.coarse_dead_pct == 0.0
@@ -252,7 +255,7 @@ def test_criterion_08_coarse_codes_are_temporally_simpler():
     for seed in range(10):
         source, _ = synth.generate(synth.SynthConfig(n_source=120, n_target=8, seed=seed))
         latents = embed_corpus(source)
-        fit = rvq.fit(latents, 8, 64, max_iters=50, seed=seed)
+        fit = rvq.fit([rvq.CorpusLatents(latents)], 8, 64, max_iters=50, seed=seed)
         coarse_idx, fine_idx = rvq.encode(fit.quantizer, latents)
         coarse_pe, fine_pe = diagnostics.pe_report(fit.quantizer, coarse_idx, fine_idx)
         pairs.append((coarse_pe, fine_pe))
@@ -301,11 +304,8 @@ def test_criterion_10a_rows_always_stochastic():
     rng = np.random.default_rng(110)
     for _ in range(1000):
         n_codes = int(rng.integers(2, 7))
-        seqs = [
-            rng.integers(0, n_codes, size=int(rng.integers(2, 30)))
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        tm = markov.estimate_tm(seqs, n_codes)
+        seqs = rng.integers(0, n_codes, size=(int(rng.integers(1, 4)), 1, int(rng.integers(2, 30))))
+        tm = markov.build_channel_tm(seqs, n_codes)[0]
         assert_allclose(tm.sum(axis=1), 1.0, atol=1e-9)
         smoothed = markov.smooth(tm, 10.0 ** rng.uniform(-10, -3))
         assert_allclose(smoothed.sum(axis=1), 1.0, atol=1e-9)
@@ -367,7 +367,7 @@ def test_criterion_10d_labels_invariant_to_weight_rescaling():
 def test_criterion_10e_codes_invariant_to_amplitude_shift():
     rng = np.random.default_rng(114)
     pool = rng.normal(size=(1, 120, 4))
-    fit = rvq.fit(pool, n_coarse=4, n_fine=4, max_iters=30, seed=0)
+    fit = rvq.fit([rvq.CorpusLatents(pool)], n_coarse=4, n_fine=4, max_iters=30, seed=0)
     for _ in range(1000):
         values = rng.normal(size=(2, 16))
         if rng.random() < 0.05:

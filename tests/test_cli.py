@@ -156,6 +156,7 @@ def test_label_single_patch_corpus_fails_before_encoding(tmp_path, monkeypatch):
     ds.save_corpus(tmp_path / "one_patch.jsonl", replace(target, values=target.values[:, :, :12]))
     monkeypatch.setattr(rvq, "encode", never_called)
     monkeypatch.setattr(rvq, "embed", never_called)
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("label", "--target", tmp_path / "one_patch.jsonl",
                "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl",
@@ -169,6 +170,7 @@ def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
     ds.save_corpus(tmp_path / "one_patch.jsonl", replace(source, values=source.values[:, :, :12]))
     monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "fit", never_called)
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
 
 

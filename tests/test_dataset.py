@@ -1,6 +1,8 @@
 """Corpus loading, patchify, and the line-delimited record envelope."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -67,6 +69,26 @@ def test_record_file_reports_bad_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         list(recs)
     assert exc.value.line_no == 3
+
+
+def test_record_file_reads_through_a_pipe(tmp_path):
+    source = tmp_path / "c.jsonl"
+    ds.save_corpus(source, tiny_dataset())
+    fifo = tmp_path / "c.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as out:
+            out.write(source.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        back = ds.load_corpus(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert_array_equal(back.values, tiny_dataset().values)
+    assert back.ids.tolist() == ["i0", "i1", "i2"]
 
 
 # ---------------------------------------------------------------- types
@@ -183,6 +205,29 @@ def test_load_corpus_dimension_mismatch_names_id(tmp_path):
     with pytest.raises(DataError) as exc:
         ds.load_corpus(path)
     assert "short" in str(exc.value)
+
+
+@pytest.mark.parametrize("label", [-1, -5])
+def test_load_corpus_rejects_a_negative_label_on_file(tmp_path, label):
+    path = tmp_path / "c.jsonl"
+    header = {"kind": "corpus", "role": "target", "n_channels": 1, "length": 2, "n_classes": 2}
+    records.write_record_file(path, header, [{"id": "a", "label": label, "channels": [[0.0, 1.0]]}])
+    with pytest.raises(DataError, match="out of range"):
+        ds.load_corpus(path)
+
+
+@pytest.mark.parametrize("count", [None, "three", -4, 0, 10**12])
+def test_load_corpus_does_not_trust_the_header_instance_count(tmp_path, count):
+    data = tiny_dataset()
+    path = tmp_path / "c.jsonl"
+    ds.save_corpus(path, data)
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["n_instances"] = count
+    path.write_text(records.dump_line(header) + "\n" + "".join(lines[1:]))
+    back = ds.load_corpus(path)
+    assert back.values.shape == data.values.shape
+    assert_array_equal(back.values, data.values)
 
 
 def test_load_corpus_missing_label_for_source(tmp_path):

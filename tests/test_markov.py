@@ -34,20 +34,25 @@ def grid(coarse_rows):
     return np.asarray(coarse_rows, dtype=np.int64)
 
 
+def pooled_tm(sequences, n_codes):
+    """build_channel_tm over equal-length sequences, each one single-channel instance."""
+    return markov.build_channel_tm(np.asarray(sequences, dtype=np.int64)[:, None, :], n_codes)[0]
+
+
 # ---------------------------------------------------------------- estimate
 
 def test_estimate_alternating_pair():
-    tm = markov.estimate_tm([np.array([0, 1, 0, 1, 0])], 2)
+    tm = pooled_tm([[0, 1, 0, 1, 0]], 2)
     assert_array_equal(tm, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_estimate_unseen_row_uniform():
-    tm = markov.estimate_tm([np.array([0, 0, 0])], 2)
+    tm = pooled_tm([[0, 0, 0]], 2)
     assert_array_equal(tm, [[1.0, 0.0], [0.5, 0.5]])
 
 
 def test_estimate_pools_sequences():
-    tm = markov.estimate_tm([np.array([0, 1]), np.array([1, 1])], 2)
+    tm = pooled_tm([[0, 1], [1, 1]], 2)
     assert_array_equal(tm, [[0.0, 1.0], [0.0, 1.0]])
 
 
@@ -55,21 +60,20 @@ def test_estimate_matches_counter_oracle():
     rng = np.random.default_rng(21)
     for _ in range(50):
         n_codes = int(rng.integers(2, 9))
-        seqs = [
-            rng.integers(0, n_codes, size=int(rng.integers(2, 65)))
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        tm = markov.estimate_tm(seqs, n_codes)
+        seqs = rng.integers(0, n_codes, size=(int(rng.integers(1, 5)), int(rng.integers(2, 65))))
+        tm = pooled_tm(seqs, n_codes)
         assert_array_equal(tm, counter_oracle(seqs, n_codes))
 
 
 def test_estimate_rejects_bad_input():
     with pytest.raises(DataError):
-        markov.estimate_tm([], 2)
+        markov.build_channel_tm(np.zeros((0, 1, 2), dtype=np.int64), 2)
     with pytest.raises(DataError):
-        markov.estimate_tm([np.array([0])], 2)
+        pooled_tm([[0]], 2)
     with pytest.raises(DataError):
-        markov.estimate_tm([np.array([0, 5])], 2)
+        pooled_tm([[0, 5]], 2)
+    with pytest.raises(ConfigError):
+        pooled_tm([[0, 1]], 1)
 
 
 # ---------------------------------------------------------------- class/channel
@@ -78,7 +82,7 @@ def test_class_tm_single_instance_and_uniform_fallback():
     g = grid([[0, 1, 0, 1], [1, 1, 1, 1]])
     with pytest.warns(UserWarning):
         ctm = markov.build_class_tm([g], [0], n_classes=2, n_codes=2)
-    assert_array_equal(ctm[0, 0], markov.estimate_tm([g[0]], 2))
+    assert_array_equal(ctm[0, 0], counter_oracle([g[0]], 2))
     assert_array_equal(ctm[0, 1], [[0.5, 0.5], [0.0, 1.0]])
     for d in range(2):
         assert_array_equal(ctm[1, d], np.full((2, 2), 0.5))
@@ -132,7 +136,7 @@ def test_channel_tm_pools_classes():
     rng = np.random.default_rng(23)
     grids = [grid(rng.integers(0, 3, size=(1, 8))) for _ in range(5)]
     pooled = markov.build_channel_tm(grids, 3)
-    direct = markov.estimate_tm([g[0] for g in grids], 3)
+    direct = counter_oracle([g[0] for g in grids], 3)
     assert_array_equal(pooled[0], direct)
 
 
@@ -230,8 +234,8 @@ def test_own_tm_maximizes_likelihood():
         n_codes = int(rng.integers(2, 5))
         seq = rng.integers(0, n_codes, size=int(rng.integers(8, 40)))
         other = rng.integers(0, n_codes, size=int(rng.integers(8, 40)))
-        own = markov.smooth(markov.estimate_tm([seq], n_codes), eps)
-        alt = markov.smooth(markov.estimate_tm([other], n_codes), eps)
+        own = markov.smooth(pooled_tm([seq], n_codes), eps)
+        alt = markov.smooth(pooled_tm([other], n_codes), eps)
         assert markov.log_likelihood(seq, own) >= markov.log_likelihood(seq, alt) - 1e-9
 
 

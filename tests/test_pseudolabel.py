@@ -42,7 +42,7 @@ def fitted():
     )
     source, _ = synth.generate(cfg)
     latents = rvq.embed(ds.patchify(source.values, 8))
-    fit = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=50, seed=0)
+    fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=50, seed=0)
     codes, _ = rvq.encode(fit.quantizer, latents)
     class_tm = markov.smooth(markov.build_class_tm(codes, source.labels, 2, 3), 1e-8)
     return source, fit.quantizer, class_tm
@@ -213,7 +213,7 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     cfg = synth.SynthConfig(n_source=80, n_target=40, target_regime_mix=0.3, noise=0.5, seed=6)
     source, target = synth.generate(cfg)
     latents = rvq.embed(ds.patchify(source.values, 8))
-    fit = rvq.fit(latents, n_coarse=8, n_fine=16, max_iters=50, seed=0)
+    fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=16, max_iters=50, seed=0)
     model = markov.smooth(markov.build_class_tm(fit.coarse_idx, source.labels, 4, 8), 1e-8)
     prior = pseudolabel.LabelPrior(probs=np.array([0.4, 0.3, 0.2, 0.1]), tau=0.7)
     weights = np.array([0.9, 0.5, 0.2])

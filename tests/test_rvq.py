@@ -165,7 +165,7 @@ def test_encode_matches_exhaustive_scan():
 
 def test_fit_separated_directions_uses_every_code():
     latents, _ = cluster_cloud(8, 25, 6, seed=6)
-    result = rvq.fit(latents, n_coarse=8, n_fine=4, max_iters=50, seed=0)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=4, max_iters=50, seed=0)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     used = np.bincount(coarse_idx.reshape(-1), minlength=8)
     assert np.all(used > 0)
@@ -173,7 +173,7 @@ def test_fit_separated_directions_uses_every_code():
 
 def test_fit_losses_non_increasing():
     latents, _ = cluster_cloud(5, 30, 4, seed=7, spread=0.3)
-    result = rvq.fit(latents, n_coarse=4, n_fine=6, max_iters=40, seed=1)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=6, max_iters=40, seed=1)
     for trace in (result.coarse_losses, result.fine_losses):
         arr = np.asarray(trace)
         assert arr.size >= 1 and np.all(np.isfinite(arr))
@@ -182,8 +182,8 @@ def test_fit_losses_non_increasing():
 
 def test_fit_is_deterministic():
     latents, _ = cluster_cloud(4, 20, 3, seed=8)
-    a = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=30, seed=5)
-    b = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=30, seed=5)
+    a = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=30, seed=5)
+    b = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=30, seed=5)
     assert a.quantizer.coarse.vectors.tobytes() == b.quantizer.coarse.vectors.tobytes()
     assert a.quantizer.fine.vectors.tobytes() == b.quantizer.fine.vectors.tobytes()
     assert a.coarse_losses == b.coarse_losses
@@ -192,9 +192,9 @@ def test_fit_is_deterministic():
 def test_fit_insufficient_data():
     latents = latent_from(np.random.default_rng(0).normal(size=(3, 4)))
     with pytest.raises(DataError):
-        rvq.fit(latents, n_coarse=5, n_fine=2)
+        rvq.fit([rvq.CorpusLatents(latents)], n_coarse=5, n_fine=2)
     with pytest.raises(DataError):
-        rvq.fit(latents, n_coarse=2, n_fine=10)
+        rvq.fit([rvq.CorpusLatents(latents)], n_coarse=2, n_fine=10)
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -228,7 +228,7 @@ def test_reconstruct_coarse_only():
 
 def test_code_stats_counts_and_mse():
     latents, _ = cluster_cloud(4, 30, 5, seed=9, spread=0.4)
-    result = rvq.fit(latents, n_coarse=4, n_fine=8, max_iters=50, seed=2)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=50, seed=2)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     stats = rvq.code_stats(result.quantizer, latents, coarse_idx, fine_idx)
     assert stats.coarse_counts.sum() == latents.shape[0] * latents.shape[1]
@@ -240,7 +240,7 @@ def test_code_stats_counts_and_mse():
 
 def test_quantizer_round_trip_bit_exact(tmp_path):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
-    result = rvq.fit(latents, n_coarse=3, n_fine=4, max_iters=20, seed=3)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=20, seed=3)
     spec = rvq.EmbedSpec(mode="znorm", d_dim=4, projection_seed=7)
     path = tmp_path / "q.jsonl"
     rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
@@ -254,7 +254,7 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
 def test_encode_dataset_shapes():
     rng = np.random.default_rng(11)
     latents = rvq.embed(ds.patchify(rng.normal(size=(4, 2, 20)), 5))
-    result = rvq.fit(latents, n_coarse=2, n_fine=2, max_iters=10, seed=0)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=2, n_fine=2, max_iters=10, seed=0)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     assert len(coarse_idx) == 4
     for c, f in zip(coarse_idx, fine_idx):
@@ -265,18 +265,50 @@ def test_encode_dataset_shapes():
 def test_fit_assignments_equal_a_fresh_encode_of_the_training_latents():
     source, _ = synth.generate(synth.SynthConfig(n_source=60, n_target=4, seed=12))
     latents = rvq.embed(ds.patchify(source.values, 8))
-    result = rvq.fit(latents, n_coarse=8, n_fine=16, max_iters=50, seed=0)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=16, max_iters=50, seed=0)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     assert result.coarse_idx.shape == result.fine_idx.shape == latents.shape[:-1]
     assert_array_equal(result.coarse_idx, coarse_idx)
     assert_array_equal(result.fine_idx, fine_idx)
+    # exhaustive scan over both books, by explicit squared differences
+    zn = rvq.l2_normalize(latents.reshape(-1, latents.shape[-1]))
+    cn = rvq.l2_normalize(result.quantizer.coarse.vectors)
+    fn = rvq.l2_normalize(result.quantizer.fine.vectors)
+    c_best = ((zn[:, None, :] - cn[None]) ** 2).sum(axis=2).argmin(axis=1)
+    r = zn - cn[c_best]
+    f_best = ((r[:, None, :] - fn[None]) ** 2).sum(axis=2).argmin(axis=1)
+    assert_array_equal(result.coarse_idx.ravel(), c_best)
+    assert_array_equal(result.fine_idx.ravel(), f_best)
+
+
+def test_fit_pools_corpora_along_the_instance_axis():
+    rng = np.random.default_rng(14)
+    a = rvq.embed(ds.patchify(rng.normal(size=(5, 2, 24)), 6))
+    b = rvq.embed(ds.patchify(rng.normal(size=(3, 2, 24)), 6))
+    pooled = rvq.fit([rvq.CorpusLatents(a), rvq.CorpusLatents(b)], n_coarse=3, n_fine=4, seed=1)
+    joined = rvq.fit([rvq.CorpusLatents(np.concatenate([a, b]))], n_coarse=3, n_fine=4, seed=1)
+    assert pooled.coarse_idx.shape == (8, 2, 4)
+    assert_array_equal(pooled.quantizer.coarse.vectors, joined.quantizer.coarse.vectors)
+    assert_array_equal(pooled.fine_idx, joined.fine_idx)
+    with pytest.raises(DataError):
+        rvq.fit([rvq.CorpusLatents(a), rvq.CorpusLatents(a[:, :1])], n_coarse=3, n_fine=4)
+    with pytest.raises(DataError):
+        rvq.fit([], n_coarse=3, n_fine=4)
+
+
+def test_embed_dataset_embeds_the_whole_corpus():
+    source, _ = synth.generate(synth.SynthConfig(n_source=6, n_target=2, seed=15))
+    spec = rvq.EmbedSpec(d_dim=5, projection_seed=2)
+    got = rvq.embed_dataset(source, 8, spec).latents
+    assert got.shape == (6, source.n_channels, source.length // 8, 5)
+    assert_array_equal(got, rvq.embed(ds.patchify(source.values, 8), spec))
 
 
 def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
     source, _ = synth.generate(synth.SynthConfig(n_source=12, n_target=4, seed=13))
     spec = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=3)
     latents = rvq.embed(ds.patchify(source.values, 8), spec)
-    q = rvq.fit(latents, n_coarse=4, n_fine=8, max_iters=20, seed=0).quantizer
+    q = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=20, seed=0).quantizer
     coarse_idx, fine_idx = rvq.encode(q, latents)
     coarse_only, no_fine = rvq.encode(q, latents, fine=False)
     assert no_fine is None
