@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import diagnostics, markov, pseudolabel, records, rvq, synth, transport
-from .errors import CodechainError, ConfigError, DataError, InternalError
+from .errors import CodechainError, ConfigError, DataError
 
 
 @dataclass
@@ -522,15 +522,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except CodechainError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

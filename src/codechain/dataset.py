@@ -131,8 +131,9 @@ def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> Non
 def load_corpus(path) -> DomainDataset:
     """Load a corpus file into one array, parsing one record at a time.
 
-    Every record's shape must match the header. On file only a null
-    label means "unlabeled"; a negative label is out of range.
+    Every record's shape must match the header. A label on file is null
+    ("unlabeled") or a JSON integer, never a float, string or bool; a
+    negative one is out of range.
     """
     header, recs = records.read_record_file(path, expected_kind="corpus")
     for key in ("role", "n_channels", "length", "n_classes"):
@@ -146,19 +147,20 @@ def load_corpus(path) -> DomainDataset:
         rid = rec.get("id")
         if not isinstance(rid, str) or not rid:
             raise DataError(f"{path}: record without a string id")
-        raw_label = rec.get("label")
+        label = rec.get("label")
+        if label is not None and type(label) is not int:
+            raise DataError(f"instance {rid!r}: label {label!r} is not an integer")
+        if label is not None and label < 0:
+            raise DataError(f"instance {rid!r}: label {label} out of range [0, {header['n_classes']})")
         try:
             row = np.asarray(rec.get("channels"), dtype=np.float64)
-            label = UNLABELED if raw_label is None else int(raw_label)
         except (TypeError, ValueError) as exc:
-            raise DataError(f"instance {rid!r}: channels or label are not numbers") from exc
+            raise DataError(f"instance {rid!r}: channels are not numbers") from exc
         if row.shape != shape:
             raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
-        if raw_label is not None and label < 0:
-            raise DataError(f"instance {rid!r}: label {label} out of range [0, {header['n_classes']})")
         rows.append(row)
         ids.append(rid)
-        labels.append(label)
+        labels.append(UNLABELED if label is None else label)
     return DomainDataset(
         values=np.stack(rows) if rows else np.empty((0, *shape)),
         ids=ids,
@@ -198,7 +200,7 @@ def load_truth(path) -> tuple[dict[str, int], int]:
         rid = rec.get("id")
         if not isinstance(rid, str) or rid in out:
             raise DataError(f"{path}: missing or duplicate id in truth record")
-        if not isinstance(rec.get("label"), int):
+        if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
         out[rid] = rec["label"]
     return out, int(header["n_classes"])

@@ -180,9 +180,9 @@ def _class_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _emit_patch(rng, prim: int, cfg: SynthConfig) -> np.ndarray:
-    m = cfg.patch_length
-    t = np.linspace(-1.0, 1.0, m)
+def _emit_patch(rng, prim: int, t: np.ndarray, cfg: SynthConfig) -> np.ndarray:
+    """One patch of a primitive over the patch grid t = linspace(-1, 1, m)."""
+    m = t.size
     if prim == 0:
         x = t + rng.uniform(-cfg.curvature_jitter, cfg.curvature_jitter) * t * t
     elif prim == 1:
@@ -201,12 +201,13 @@ def _emit_series(rng, regimes_kd: np.ndarray, cfg: SynthConfig) -> np.ndarray:
     """(n_channels, length) raw values for one instance of one class."""
     n_patches = cfg.length // cfg.patch_length
     p = cfg.n_primitives
+    t = np.linspace(-1.0, 1.0, cfg.patch_length)
     out = np.empty((cfg.n_channels, cfg.length))
     for d in range(cfg.n_channels):
         state = int(rng.integers(p))
         row = []
         for _ in range(n_patches):
-            row.append(_emit_patch(rng, state, cfg))
+            row.append(_emit_patch(rng, state, t, cfg))
             state = int(rng.choice(p, p=regimes_kd[d, state]))
         out[d] = np.concatenate(row)
     return out

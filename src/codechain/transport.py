@@ -4,13 +4,14 @@ solve_emd is a classical primal transportation simplex: north-west
 corner start, MODI (u/v) pricing on the basis tree, stepping-stone
 pivots along the unique tree cycle, and Bland's smallest-index rule for
 both the entering and the leaving variable so degenerate instances
-cannot cycle. The marginals are perturbed internally by a tiny constant
-to keep the start nondegenerate; once an optimal basis is found, the
-reported plan is re-solved on that basis from the true marginals. A
-dual-feasibility certificate is checked before returning.
-
-Problem sizes here are the number of coarse codes (single digits), so
-the implementation favors clarity over asymptotics.
+cannot cycle. The basis is always a spanning tree over the n rows and
+n columns. Each pivot walks it once from row 0, which yields the duals
+and a parent and depth per node; the cycle the entering cell closes is
+then read off by climbing parent pointers from both of its ends. The
+marginals are perturbed internally by a tiny constant to keep the start
+nondegenerate; once an optimal basis is found, the reported plan is
+re-solved on that basis from the true marginals. A dual-feasibility
+certificate is checked before returning.
 """
 
 from __future__ import annotations
@@ -103,71 +104,65 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return flow, in_basis
 
 
-def _duals(in_basis: np.ndarray, costs: np.ndarray):
-    """u_i + v_j = c_ij on basic cells, anchored at u_0 = 0."""
+def _spanning_tree(in_basis: np.ndarray, costs: np.ndarray):
+    """Walk the basis tree once from row 0: duals, parents and depths.
+
+    Node i < n is row i and node n + j is column j. The duals satisfy
+    u_i + v_j = c_ij on every basic cell, anchored at u_0 = 0; each one
+    is the chain of subtractions along its tree path from the root,
+    whose parent is -1.
+    """
     n = costs.shape[0]
-    u = np.full(n, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
+    adjacent: list[list[int]] = [[] for _ in range(2 * n)]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(in_basis))):
+        adjacent[i].append(n + j)
+        adjacent[n + j].append(i)
+    dual = [0.0] * (2 * n)
+    parent = [-1] * (2 * n)
+    depth = [-1] * (2 * n)
+    depth[0] = 0
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in np.flatnonzero(in_basis[k]):
-                if np.isnan(v[j]):
-                    v[j] = costs[k, j] - u[k]
-                    stack.append(("c", int(j)))
-        else:
-            for i in np.flatnonzero(in_basis[:, k]):
-                if np.isnan(u[i]):
-                    u[i] = costs[i, k] - v[k]
-                    stack.append(("r", int(i)))
-    if np.isnan(u).any() or np.isnan(v).any():
+        node = stack.pop()
+        for nxt in adjacent[node]:
+            if depth[nxt] < 0:
+                depth[nxt] = depth[node] + 1
+                parent[nxt] = node
+                cell = (node, nxt - n) if node < n else (nxt, node - n)
+                dual[nxt] = costs[cell] - dual[node]
+                stack.append(nxt)
+    if min(depth) < 0:
         raise InternalError("transport basis is not connected")
-    return u, v
+    dual = np.array(dual)
+    return dual[:n], dual[n:], parent, depth
 
 
-def _basis_cycle(in_basis: np.ndarray, entering: tuple[int, int]):
+def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int]):
     """The unique cycle created by adding the entering cell to the tree.
 
     Returned cells start at the entering cell and alternate +/- along
-    the cycle.
+    the cycle: then comes the tree path from column j0 to row i0, found
+    by climbing the parent pointers of both ends until they meet.
     """
-    n = in_basis.shape[0]
+    n = len(parent) // 2
+
+    def edge(node: int) -> tuple[int, int]:
+        """The basic cell joining a node to its parent."""
+        up = parent[node]
+        return (up, node - n) if node >= n else (node, up - n)
+
     i0, j0 = entering
-    start = ("c", j0)
-    goal = ("r", i0)
-    parent: dict = {}
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        kind, idx = node
-        if kind == "c":
-            for i in np.flatnonzero(in_basis[:, idx]):
-                nxt = ("r", int(i))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (node, (int(i), idx))
-                    stack.append(nxt)
+    a, b = n + j0, i0
+    from_col: list[tuple[int, int]] = []
+    from_row: list[tuple[int, int]] = []
+    while a != b:
+        if depth[a] >= depth[b]:
+            from_col.append(edge(a))
+            a = parent[a]
         else:
-            for j in np.flatnonzero(in_basis[idx]):
-                nxt = ("c", int(j))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (node, (idx, int(j)))
-                    stack.append(nxt)
-    if goal not in seen:
-        raise InternalError("entering cell closes no cycle; basis is not spanning")
-    cells = []
-    node = goal
-    while node != start:
-        node, cell = parent[node]
-        cells.append(cell)
-    cells.reverse()
-    return [entering] + cells
+            from_row.append(edge(b))
+            b = parent[b]
+    return [entering] + from_col + from_row[::-1]
 
 
 def _tree_flows(in_basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -237,14 +232,14 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs) -> TransportPlan:
 
     flow, in_basis = _northwest_corner(pp, qq)
     for _ in range(_MAX_PIVOTS):
-        u, v = _duals(in_basis, costs)
+        u, v, parent, depth = _spanning_tree(in_basis, costs)
         reduced = costs - u[:, None] - v[None, :]
         candidates = np.logical_and(~in_basis, reduced < -_PRICE_TOL)
         if not candidates.any():
             break
         flat = int(np.argmax(candidates.ravel()))  # first True in row-major order
         entering = (flat // n, flat % n)
-        cycle = _basis_cycle(in_basis, entering)
+        cycle = _basis_cycle(parent, depth, entering)
         minus = cycle[1::2]
         theta = min(flow[c] for c in minus)
         leaving = min(c for c in minus if flow[c] == theta)
@@ -263,8 +258,8 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs) -> TransportPlan:
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
     ):
         raise InternalError("transport plan violates its marginals")
-    u, v = _duals(in_basis, costs)
-    if float((costs - u[:, None] - v[None, :]).min()) < -_CERT_TOL:
+    # the last pricing pass priced this basis: its reduced costs certify it
+    if float(reduced.min()) < -_CERT_TOL:
         raise InternalError("transport optimality certificate failed")
     return TransportPlan(plan=plan, cost=float((plan * costs).sum()))
 

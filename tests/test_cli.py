@@ -10,7 +10,8 @@ import pytest
 
 from codechain import cli, records
 from codechain import dataset as ds
-from codechain import pseudolabel, rvq
+from codechain import pseudolabel, rvq, transport
+from codechain.errors import InternalError
 
 
 def run(*argv):
@@ -174,6 +175,20 @@ def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
     assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
 
 
+def test_internal_error_exits_3(workspace, monkeypatch, capsys):
+    data, model, out = workspace
+
+    def broken(*args, **kwargs):
+        raise InternalError("transport basis is not connected")
+
+    monkeypatch.setattr(transport, "channel_weights", broken)
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 3
+    assert "internal error: transport basis is not connected" in capsys.readouterr().err
+
+
 def test_label_help_has_no_threads_option(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["label", "--help"])
@@ -219,8 +234,6 @@ def test_eval_perfect_labels(tmp_path, capsys):
                 per_channel_posteriors=scores[None, :],
             )
         )
-    from codechain import transport
-
     path = tmp_path / "labels.jsonl"
     pseudolabel.save_labels(path, labels, transport.ChannelWeights.ones(3, 0.2))
     assert run("eval", "--labels", path, "--truth", data / "target_truth.jsonl") == 0
@@ -292,6 +305,17 @@ def test_console_entrypoint_help():
     assert proc.returncode == 0
     for sub in ("synth", "fit", "label", "eval"):
         assert sub in proc.stdout
+
+
+def test_cli_imports_numpy_but_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, codechain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- pipeline

@@ -207,12 +207,13 @@ def test_load_corpus_dimension_mismatch_names_id(tmp_path):
     assert "short" in str(exc.value)
 
 
-@pytest.mark.parametrize("label", [-1, -5])
+@pytest.mark.parametrize("label", [-1, -5, 2.7, 1.0, "3", True, False])
 def test_load_corpus_rejects_a_negative_label_on_file(tmp_path, label):
     path = tmp_path / "c.jsonl"
     header = {"kind": "corpus", "role": "target", "n_channels": 1, "length": 2, "n_classes": 2}
     records.write_record_file(path, header, [{"id": "a", "label": label, "channels": [[0.0, 1.0]]}])
-    with pytest.raises(DataError, match="out of range"):
+    expected = "out of range" if type(label) is int else "is not an integer"
+    with pytest.raises(DataError, match=expected):
         ds.load_corpus(path)
 
 
@@ -244,6 +245,13 @@ def test_strip_labels():
     stripped = ds.strip_labels(labeled)
     assert all(label == ds.UNLABELED for label in stripped.labels)
     assert stripped.role == "target"
+
+
+def test_load_truth_rejects_a_boolean_label(tmp_path):
+    path = tmp_path / "truth.jsonl"
+    records.write_record_file(path, {"kind": "truth", "n_classes": 2}, [{"id": "a", "label": True}])
+    with pytest.raises(DataError, match="must be an integer"):
+        ds.load_truth(path)
 
 
 def test_truth_round_trip(tmp_path):

@@ -148,6 +148,41 @@ def test_emd_sparse_marginals_within_tolerance():
     assert plan.cost <= 1e-12
 
 
+def linprog_emd_cost(optimize, p, q, costs):
+    """Optimal transport cost as a plain LP, solved by HiGHS."""
+    n = p.size
+    rows = np.kron(np.eye(n), np.ones((1, n)))  # sum_j x_ij = p_i
+    cols = np.kron(np.ones((1, n)), np.eye(n))  # sum_i x_ij = q_j
+    res = optimize.linprog(
+        costs.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([p, q]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32])
+def test_emd_matches_highs_beyond_enumeration(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1000 + n)
+    for trial in range(4):
+        p = rng.random(n)
+        q = rng.random(n)
+        if trial % 2:  # sparse marginals: most codes carry no mass
+            p *= rng.random(n) < 0.25
+            q *= rng.random(n) < 0.25
+            p[rng.integers(n)] += 0.5
+            q[rng.integers(n)] += 0.5
+        p /= p.sum()
+        q /= q.sum()
+        costs = random_cost(rng, n).costs
+        result = transport.solve_emd(p, q, costs)
+        assert abs(result.cost - linprog_emd_cost(optimize, p, q, costs)) <= 1e-9
+
+
 def test_emd_rejects_bad_marginals():
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DataError):
