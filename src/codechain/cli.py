@@ -246,6 +246,18 @@ def cmd_synth(args) -> None:
     print(line)
 
 
+def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
+    """Iterations of a Lloyd stage and whether it converged or hit its cap.
+
+    The loss trace holds one loss per iteration, plus a re-sync loss when
+    the stage stopped at its cap, so it converged exactly when the trace
+    is no longer than max_iters.
+    """
+    if len(losses) <= max_iters:
+        return f"{stage} {len(losses)} iterations (converged)"
+    return f"{stage} {max_iters} iterations (stopped at max_iters={max_iters})"
+
+
 def cmd_fit(args) -> None:
     cfg, _, _ = load_run_config(args.config, _run_overrides(args))
     source = ds.load_corpus(args.source)
@@ -278,10 +290,9 @@ def cmd_fit(args) -> None:
     )
 
     stats = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
-    print(
-        f"fit: {len(source)} instances, {stats.n_patches} patches, "
-        f"d_dim={quantizer.d_dim}, iterations={len(fit_result.coarse_losses)}"
-    )
+    print(f"fit: {len(source)} instances, {stats.n_patches} patches, d_dim={quantizer.d_dim}")
+    stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
+    print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
     print(
         f"coarse codes: {int((stats.coarse_counts == 0).sum())}/{quantizer.coarse.n_codes} dead "
         f"({stats.coarse_dead_pct:.1f}%), fine codes: {int((stats.fine_counts == 0).sum())}/"

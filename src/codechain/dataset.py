@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from .errors import ConfigError, DataError
 
 ROLES = ("source", "target")
 UNLABELED = -1
+_JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,9 @@ def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> Non
 def load_corpus(path) -> DomainDataset:
     """Load a corpus file into one array, parsing one record at a time.
 
-    Every record's shape must match the header. A label on file is null
+    The header's n_channels, length and n_classes are positive JSON
+    integers. Every record's channels are JSON numbers (no strings or
+    bools) in the header's shape. A label on file is null
     ("unlabeled") or a JSON integer, never a float, string or bool; a
     negative one is out of range.
     """
@@ -139,7 +143,11 @@ def load_corpus(path) -> DomainDataset:
     for key in ("role", "n_channels", "length", "n_classes"):
         if key not in header:
             raise DataError(f"{path}: corpus header missing {key!r}")
-    shape = (int(header["n_channels"]), int(header["length"]))
+    for key in ("n_channels", "length", "n_classes"):
+        value = header[key]
+        if type(value) is not int or value < 1:
+            raise DataError(f"{path}: corpus header {key} {value!r} is not a positive integer")
+    shape = (header["n_channels"], header["length"])
     rows: list[np.ndarray] = []
     ids: list[str] = []
     labels: list[int] = []
@@ -152,12 +160,16 @@ def load_corpus(path) -> DomainDataset:
             raise DataError(f"instance {rid!r}: label {label!r} is not an integer")
         if label is not None and label < 0:
             raise DataError(f"instance {rid!r}: label {label} out of range [0, {header['n_classes']})")
+        channels = rec.get("channels")
         try:
-            row = np.asarray(rec.get("channels"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            row = np.asarray(channels, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"instance {rid!r}: channels are not numbers") from exc
         if row.shape != shape:
             raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
+        # asarray would also read strings and bools as numbers
+        if not _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(channels))):
+            raise DataError(f"instance {rid!r}: channels are not numbers")
         rows.append(row)
         ids.append(rid)
         labels.append(UNLABELED if label is None else label)
@@ -165,7 +177,7 @@ def load_corpus(path) -> DomainDataset:
         values=np.stack(rows) if rows else np.empty((0, *shape)),
         ids=ids,
         labels=labels,
-        n_classes=int(header["n_classes"]),
+        n_classes=header["n_classes"],
         role=str(header["role"]),
     )
 

@@ -13,6 +13,16 @@ For both stages the assignment metric and the mean update form a
 monotone descent pair, and empty codes are re-seeded from the point
 with the largest current quantization error, so a fit on the training
 pool terminates with every code in use.
+
+The nearest-code search evaluates |p|^2 - 2 p.c + |c|^2 over row
+blocks of at most _BLOCK points, each in one (block, k) buffer that
+stays in cache, instead of one (n, k) array. The blocks are near-equal,
+so none holds a single row, and every float operation is the one the
+whole-array formula would do: assignments and errors are bitwise the
+same. A Lloyd stage sums |p|^2 once, not once per call. The mean update
+sums each code's members with one np.bincount per latent dimension,
+which adds in point order exactly as np.add.at would, at a fraction of
+its cost.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .errors import ConfigError, DataError
 
 EMBED_MODES = ("znorm", "raw")
 _STD_FLOOR = 1e-8
+_BLOCK = 2048  # points per block of the nearest-code search
 
 
 def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -168,19 +179,51 @@ class QuantizerFit:
     fine_losses: tuple[float, ...]
 
 
-def _nearest(points: np.ndarray, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assignment to the nearest L2-normalized codeword; ties -> lowest index."""
+def _block_bounds(n: int) -> np.ndarray:
+    """Row bounds of ceil(n / _BLOCK) near-equal blocks of at most _BLOCK rows.
+
+    Near-equal blocks hold at least 2 rows whenever n does, so each goes
+    through the same matrix-matrix product as the whole array would; a
+    1-row block would take numpy's vector-matrix path, whose sums can
+    round differently.
+    """
+    n_blocks = max(1, -(-n // _BLOCK))
+    return np.arange(n_blocks + 1) * n // n_blocks
+
+
+def _nearest(
+    points: np.ndarray, codewords: np.ndarray, sq_norms: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assignment to the nearest L2-normalized codeword; ties -> lowest index.
+
+    Returns (assignment, squared error). sq_norms, when given, must be
+    (points * points).sum(axis=1); a Lloyd stage passes it in so it is
+    summed once per stage rather than once per call.
+    """
     cn = l2_normalize(codewords, axis=1)
-    # |p|^2 - 2 p.c + |c|^2, evaluated in that order inside one (n, k) buffer
-    d2 = (2.0 * points) @ cn.T
-    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
-    d2 += (cn * cn).sum(axis=1)[None, :]
-    assign = np.argmin(d2, axis=1)
-    best = d2[np.arange(len(points)), assign]
-    return assign, np.maximum(best, 0.0)
+    # p @ (2c) holds the same products as (2p) @ c, since doubling is exact
+    twice = 2.0 * cn
+    c_sq = (cn * cn).sum(axis=1)
+    if sq_norms is None:
+        sq_norms = (points * points).sum(axis=1)
+    n = len(points)
+    assign = np.empty(n, dtype=np.intp)
+    err = np.empty(n)
+    bounds = _block_bounds(n)
+    buf = np.empty((int(np.diff(bounds).max()), len(cn)))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # |p|^2 - 2 p.c + |c|^2, evaluated in that order inside one (block, k) buffer
+        d2 = buf[: hi - lo]
+        np.matmul(points[lo:hi], twice.T, out=d2)
+        np.subtract(sq_norms[lo:hi, None], d2, out=d2)
+        d2 += c_sq
+        best = np.argmin(d2, axis=1)
+        assign[lo:hi] = best
+        err[lo:hi] = d2[np.arange(hi - lo), best]
+    return assign, np.maximum(err, 0.0, out=err)
 
 
-def _reseed_empty(points, centroids, assign, err, n_codes):
+def _reseed_empty(points, sq_norms, centroids, assign, err, n_codes):
     """Re-seed codes with no members from the worst-quantized point."""
     for _ in range(n_codes):
         used = np.bincount(assign, minlength=n_codes)
@@ -189,8 +232,19 @@ def _reseed_empty(points, centroids, assign, err, n_codes):
             break
         centroids = centroids.copy()
         centroids[empty[0]] = points[int(np.argmax(err))]
-        assign, err = _nearest(points, centroids)
+        assign, err = _nearest(points, centroids, sq_norms)
     return centroids, assign, err
+
+
+def _code_sums(columns, assign, n_codes):
+    """Per-code sums of the points, given as (d_dim, n) columns: (n_codes, d_dim).
+
+    bincount adds each code's members in point order, as np.add.at over
+    the rows would, so the sums are bitwise the same.
+    """
+    return np.stack(
+        [np.bincount(assign, weights=col, minlength=n_codes) for col in columns], axis=1
+    )
 
 
 def _lloyd(points, n_codes, max_iters, rng):
@@ -199,7 +253,9 @@ def _lloyd(points, n_codes, max_iters, rng):
     Initial codewords are drawn without replacement from the distinct
     rows of the pool. Per iteration: assign, re-seed empties, record the
     mean error, stop when assignments repeat, update means. The recorded
-    trace is non-increasing.
+    trace is non-increasing. It holds one loss per iteration when the
+    assignments repeated within max_iters, and max_iters + 1 (the last
+    from a re-sync after the final update) when the stage hit its cap.
     """
     distinct = np.unique(points, axis=0)
     if len(distinct) < n_codes:
@@ -207,23 +263,24 @@ def _lloyd(points, n_codes, max_iters, rng):
             f"need at least {n_codes} distinct vectors to fit {n_codes} codes, have {len(distinct)}"
         )
     centroids = distinct[rng.choice(len(distinct), size=n_codes, replace=False)]
+    sq_norms = (points * points).sum(axis=1)
+    columns = points.T.copy()
     losses: list[float] = []
     prev = None
     for _ in range(max_iters):
-        assign, err = _nearest(points, centroids)
-        centroids, assign, err = _reseed_empty(points, centroids, assign, err, n_codes)
+        assign, err = _nearest(points, centroids, sq_norms)
+        centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
         losses.append(float(err.mean()))
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, points)
+        sums = _code_sums(columns, assign, n_codes)
         counts = np.bincount(assign, minlength=n_codes).astype(np.float64)
         centroids = sums / counts[:, None]
     else:
         # ran out of iterations after an update: re-sync assignments
-        assign, err = _nearest(points, centroids)
-        centroids, assign, err = _reseed_empty(points, centroids, assign, err, n_codes)
+        assign, err = _nearest(points, centroids, sq_norms)
+        centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
         losses.append(float(err.mean()))
     return centroids, assign, losses
 

@@ -95,6 +95,30 @@ def test_fit_writes_bundles_and_reruns_identically(tmp_path, workspace):
         assert (model / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_fit_reports_how_each_lloyd_stage_ended(workspace, tmp_path, capsys):
+    data, model, _ = workspace
+    source = ds.load_corpus(data / "source.jsonl")
+    latents = rvq.embed_dataset(source, 8)
+    fit = rvq.fit([latents], 4, 8, max_iters=1000, seed=0)
+    assert len(fit.coarse_losses) <= 1000 and len(fit.fine_losses) <= 1000
+    capsys.readouterr()
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m",
+               "--n-coarse", 4, "--n-fine", 8, "--max-iters", 1000) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (
+        f"lloyd: coarse {len(fit.coarse_losses)} iterations (converged), "
+        f"fine {len(fit.fine_losses)} iterations (converged)"
+    )
+    # one iteration can never repeat an assignment, so both stages hit the cap
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "c",
+               "--n-coarse", 4, "--n-fine", 8, "--max-iters", 1) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (
+        "lloyd: coarse 1 iterations (stopped at max_iters=1), "
+        "fine 1 iterations (stopped at max_iters=1)"
+    )
+
+
 def test_fit_rejects_target_corpus(workspace, tmp_path):
     data, _, _ = workspace
     assert run("fit", "--source", data / "target.jsonl", "--out-dir", tmp_path / "m") == 2

@@ -217,6 +217,38 @@ def test_load_corpus_rejects_a_negative_label_on_file(tmp_path, label):
         ds.load_corpus(path)
 
 
+@pytest.mark.parametrize("key", ["n_channels", "length", "n_classes"])
+@pytest.mark.parametrize("value", [1.9, 2.0, "2", True, None, [2], 0, -3])
+def test_load_corpus_rejects_a_header_size_that_is_not_a_positive_integer(tmp_path, key, value):
+    path = tmp_path / "c.jsonl"
+    header = {"kind": "corpus", "role": "target", "n_channels": 1, "length": 2, "n_classes": 2}
+    header[key] = value
+    records.write_record_file(path, header, [{"id": "a", "label": None, "channels": [[0.0, 1.0]]}])
+    with pytest.raises(DataError, match=f"{key} .* is not a positive integer"):
+        ds.load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [[["1.5", 2.0]], [[1.5, True]], [[False, 2.0]], [["a", "b"]], [[1.0, None]], [[10**400, 1.0]]],
+)
+def test_load_corpus_rejects_channel_values_that_are_not_numbers(tmp_path, channels):
+    path = tmp_path / "c.jsonl"
+    header = {"kind": "corpus", "role": "target", "n_channels": 1, "length": 2, "n_classes": 2}
+    records.write_record_file(path, header, [{"id": "a", "label": None, "channels": channels}])
+    with pytest.raises(DataError, match="'a'"):
+        ds.load_corpus(path)
+
+
+def test_load_corpus_reads_integer_channel_values(tmp_path):
+    path = tmp_path / "c.jsonl"
+    header = {"kind": "corpus", "role": "target", "n_channels": 2, "length": 2, "n_classes": 2}
+    records.write_record_file(path, header, [{"id": "a", "label": None, "channels": [[1, -2], [0, 3.5]]}])
+    back = ds.load_corpus(path)
+    assert back.values.dtype == np.float64
+    assert_array_equal(back.values, [[[1.0, -2.0], [0.0, 3.5]]])
+
+
 @pytest.mark.parametrize("count", [None, "three", -4, 0, 10**12])
 def test_load_corpus_does_not_trust_the_header_instance_count(tmp_path, count):
     data = tiny_dataset()

@@ -1,0 +1,112 @@
+"""Golden artifact hashes: every file that synth, fit, label and eval write.
+
+Each case runs the whole CLI pipeline on a tiny corpus and compares the
+sha256 of every file it wrote with ``golden_hashes.json``. A change that
+moves an artifact byte fails here, so a change meant to keep the bytes
+is checked by Tier-1 rather than by hand. A change that moves bytes on
+purpose regenerates the file in the same diff and says why:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+Floats depend on numpy and its BLAS, so the file records the numpy
+version it was made with and a failure names both versions.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from codechain import cli
+
+GOLDEN = Path(__file__).with_name("golden_hashes.json")
+
+# name -> (synth flags, flags given to fit, label and eval, target file).
+# The default case pools 60 * 3 * 16 = 2880 patches, more than one block
+# of the blocked nearest-code search; both Lloyd stages of the last case
+# stop at their iteration cap.
+CASES = {
+    "defaults": (
+        ("--n-source", "60", "--n-target", "40", "--seed", "3"),
+        (),
+        "target.jsonl",
+    ),
+    "codes16-corrupt": (
+        ("--n-source", "30", "--n-target", "20", "--seed", "4", "--noise", "0.3,0.3,0",
+         "--corrupt-channel", "2", "--corrupt-magnitudes", "1.5"),
+        ("--n-coarse", "16"),
+        "target_corrupt_0.jsonl",
+    ),
+    "no-ca-prior-tau": (
+        ("--n-source", "30", "--n-target", "20", "--length", "64", "--seed", "5"),
+        ("--n-coarse", "4", "--n-fine", "8", "--no-use-ca", "--prior", "0.4,0.3,0.2,0.1",
+         "--tau", "0.5", "--r-top", "0.3"),
+        "target.jsonl",
+    ),
+    "d-dim-projection": (
+        ("--n-source", "30", "--n-target", "20", "--seed", "6"),
+        ("--d-dim", "5", "--projection-seed", "2"),
+        "target.jsonl",
+    ),
+    "raw-embed-at-cap": (
+        ("--n-source", "30", "--n-target", "20", "--seed", "7"),
+        ("--embed-mode", "raw", "--n-fine", "16", "--max-iters", "3"),
+        "target.jsonl",
+    ),
+}
+
+
+def run_case(name: str, base: Path) -> dict[str, str]:
+    """Run one case's pipeline under base; sha256 of every file written, by relative path."""
+    synth_flags, run_flags, target = CASES[name]
+    data, model, out = base / "data", base / "model", base / "out"
+    steps = (
+        ("synth", "--out-dir", data, *synth_flags),
+        ("fit", "--source", data / "source.jsonl", "--out-dir", model, *run_flags),
+        ("label", "--target", data / target, "--quantizer", model / "quantizer.jsonl",
+         "--transitions", model / "transitions.jsonl", "--out-dir", out, *run_flags),
+        ("eval", "--labels", out / "labels.jsonl", "--truth", data / "target_truth.jsonl",
+         "--subset", out / "selected.jsonl", "--out", out / "metrics.jsonl", *run_flags),
+    )
+    for argv in steps:
+        code = cli.main([str(a) for a in argv])
+        assert code == 0, f"{name}: {argv[0]} exited {code}"
+    return {
+        path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(base.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_match_golden_hashes(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_case(name, tmp_path)
+    want = golden["cases"][name]
+    moved = sorted(rel for rel in set(got) | set(want) if got.get(rel) != want.get(rel))
+    assert not moved, (
+        f"case {name!r}: artifacts differ from {GOLDEN.name}: {moved}; hashes were made "
+        f"with numpy {golden['numpy']}, this run uses numpy {np.__version__}"
+    )
+
+
+def write_golden(scratch: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cases = {name: run_case(name, scratch / name) for name in sorted(CASES)}
+    text = json.dumps({"numpy": np.__version__, "cases": cases}, indent=1, sort_keys=True)
+    GOLDEN.write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_golden(Path(tmp))
+    print(f"wrote {GOLDEN}")

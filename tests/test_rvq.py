@@ -319,3 +319,104 @@ def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
         c, f = rvq.encode(q, one)
         assert_array_equal(c, coarse_idx[n])
         assert_array_equal(f, fine_idx[n])
+
+
+# ---------------------------------------------------------------- blocked assignment
+
+def unblocked_nearest(points, codewords):
+    """The whole-array formula: |p|^2 - 2 p.c + |c|^2 in one (n, k) buffer."""
+    cn = rvq.l2_normalize(codewords, axis=1)
+    d2 = (2.0 * points) @ cn.T
+    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (cn * cn).sum(axis=1)[None, :]
+    assign = np.argmin(d2, axis=1)
+    return assign, np.maximum(d2[np.arange(len(points)), assign], 0.0)
+
+
+def oracle_points(n, d, seed):
+    """Unit rows as Lloyd sees them, with a zero row first and one in the middle.
+
+    The last row stays random: a 1-row block would go through numpy's
+    vector-matrix product, whose sums round differently for most rows.
+    """
+    rng = np.random.default_rng(seed)
+    points = rvq.l2_normalize(rng.normal(size=(n, d)), axis=1)
+    points[0] = 0.0
+    points[n // 2] = 0.0
+    return points
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, rvq._BLOCK - 1, rvq._BLOCK, rvq._BLOCK + 1, 3 * rvq._BLOCK + 5]
+)
+@pytest.mark.parametrize("k", [8, 64])
+def test_blocked_nearest_is_bitwise_the_unblocked_formula(n, k):
+    points = oracle_points(n, 8, seed=n + k)
+    codewords = np.random.default_rng(k).normal(size=(k, 8))
+    assign, err = rvq._nearest(points, codewords)
+    want_assign, want_err = unblocked_nearest(points, codewords)
+    assert assign.tobytes() == want_assign.tobytes()
+    assert err.tobytes() == want_err.tobytes()
+    sq_norms = (points * points).sum(axis=1)
+    again, again_err = rvq._nearest(points, codewords, sq_norms)
+    assert again.tobytes() == assign.tobytes() and again_err.tobytes() == err.tobytes()
+    # brute force: explicit squared differences against every codeword
+    cn = rvq.l2_normalize(codewords, axis=1)
+    scan = ((points[:, None, :] - cn[None]) ** 2).sum(axis=2)
+    assert_array_equal(assign, scan.argmin(axis=1))
+    assert_allclose(err, scan.min(axis=1), rtol=0, atol=1e-12)
+    # a zero vector goes to the normalized codeword of least rounded norm
+    c_sq = (cn * cn).sum(axis=1)
+    assert assign[0] == assign[n // 2] == np.argmin(c_sq)
+    assert err[0] == err[n // 2] == c_sq.min()
+
+
+@pytest.mark.parametrize("n", range(1, 24))
+def test_blocks_never_exceed_the_block_size_nor_leave_a_single_row(n, monkeypatch):
+    monkeypatch.setattr(rvq, "_BLOCK", 5)
+    bounds = rvq._block_bounds(n)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert sizes.max() <= 5 and len(sizes) == -(-n // 5)
+    assert n == 1 or sizes.min() >= 2
+    points = oracle_points(n, 8, seed=n)
+    codewords = np.random.default_rng(n).normal(size=(64, 8))
+    assign, err = rvq._nearest(points, codewords)
+    want_assign, want_err = unblocked_nearest(points, codewords)
+    assert assign.tobytes() == want_assign.tobytes()
+    assert err.tobytes() == want_err.tobytes()
+
+
+def test_exact_ties_across_a_block_edge_go_to_the_lowest_index():
+    d = 8
+    e = np.eye(d)
+    # codes 1 and 2 tie for any point on the e0 + e1 diagonal; codes 2 and
+    # 3 normalize to the same vector, so they tie for every point
+    codewords = np.stack([e[2], e[1], e[0], 3.0 * e[0]])
+    n = rvq._BLOCK + 7
+    points = oracle_points(n, d, seed=3)
+    edge = int(rvq._block_bounds(n)[1])
+    diagonal = (e[0] + e[1]) / math.sqrt(2.0)
+    rows = np.arange(edge - 3, edge + 3)
+    points[rows[::2]] = diagonal
+    points[rows[1::2]] = e[0]
+    points[edge + 3] = 0.0
+    assign, err = rvq._nearest(points, codewords)
+    assert_array_equal(assign[rows], [1, 2, 1, 2, 1, 2])
+    assert assign[edge + 3] == 0
+    assert err[rows[1::2]].max() == 0.0
+    want_assign, want_err = unblocked_nearest(points, codewords)
+    assert assign.tobytes() == want_assign.tobytes()
+    assert err.tobytes() == want_err.tobytes()
+
+
+@pytest.mark.parametrize("n_codes", [3, 64])
+def test_code_sums_equal_add_at_bitwise(n_codes):
+    rng = np.random.default_rng(n_codes)
+    points = rng.normal(size=(5000, 8)) * 10.0 ** rng.uniform(-8, 8, size=(5000, 1))
+    assign = rng.integers(0, n_codes - 1, size=5000)  # the last code stays empty
+    want = np.zeros((n_codes, 8))
+    np.add.at(want, assign, points)
+    got = rvq._code_sums(points.T.copy(), assign, n_codes)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
