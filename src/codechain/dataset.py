@@ -144,9 +144,7 @@ def load_corpus(path) -> DomainDataset:
         if key not in header:
             raise DataError(f"{path}: corpus header missing {key!r}")
     for key in ("n_channels", "length", "n_classes"):
-        value = header[key]
-        if type(value) is not int or value < 1:
-            raise DataError(f"{path}: corpus header {key} {value!r} is not a positive integer")
+        records.whole_number(path, f"corpus header {key}", header[key])
     shape = (header["n_channels"], header["length"])
     rows: list[np.ndarray] = []
     ids: list[str] = []
@@ -203,7 +201,10 @@ def save_truth(path, dataset: DomainDataset, config: dict | None = None) -> None
 
 
 def load_truth(path) -> tuple[dict[str, int], int]:
-    """Read a truth file; returns (id -> label, n_classes)."""
+    """Read a truth file; returns (id -> label, n_classes).
+
+    n_classes is a positive JSON integer and every label a JSON integer.
+    """
     header, recs = records.read_record_file(path, expected_kind="truth")
     if "n_classes" not in header:
         raise DataError(f"{path}: truth header missing 'n_classes'")
@@ -215,4 +216,4 @@ def load_truth(path) -> tuple[dict[str, int], int]:
         if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
         out[rid] = rec["label"]
-    return out, int(header["n_classes"])
+    return out, records.whole_number(path, "truth header n_classes", header["n_classes"])

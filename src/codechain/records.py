@@ -27,6 +27,14 @@ def dump_line(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def whole_number(path, field: str, value, least: int = 1) -> int:
+    """value when it is a JSON integer (never a bool) >= least, else DataError."""
+    if type(value) is not int or value < least:
+        sign = "positive" if least == 1 else "non-negative"
+        raise DataError(f"{path}: {field} {value!r} is not a {sign} integer")
+    return value
+
+
 def write_record_file(path, header: dict, records: Iterable[dict]) -> None:
     """Write a header line followed by record lines.
 

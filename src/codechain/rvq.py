@@ -449,7 +449,11 @@ def save_quantizer(
 
 
 def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
-    """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle."""
+    """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle.
+
+    patch_length, the header's d_dim and a set embed_d_dim are positive
+    JSON integers; seed and projection_seed are non-negative ones.
+    """
     header, recs = records.read_record_file(path, expected_kind="quantizer")
     recs = list(recs)
     if len(recs) != 1:
@@ -458,14 +462,20 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     for key in ("coarse", "fine", "embed_mode", "patch_length", "seed"):
         if key not in rec:
             raise DataError(f"{path}: quantizer record missing {key!r}")
+
+    def whole(field: str, value, least: int = 1) -> int:
+        return records.whole_number(path, f"quantizer {field}", value, least)
+
+    coarse = Codebook(np.asarray(rec["coarse"], dtype=np.float64))
     quantizer = ResidualQuantizer(
-        coarse=Codebook(np.asarray(rec["coarse"], dtype=np.float64)),
+        coarse=coarse,
         fine=Codebook(np.asarray(rec["fine"], dtype=np.float64)),
-        d_dim=int(header.get("d_dim", np.asarray(rec["coarse"]).shape[1])),
+        d_dim=whole("header d_dim", header.get("d_dim", coarse.d_dim)),
     )
+    embed_d_dim = rec.get("embed_d_dim")
     spec = EmbedSpec(
         mode=rec["embed_mode"],
-        d_dim=rec.get("embed_d_dim"),
-        projection_seed=int(rec.get("projection_seed", 0)),
+        d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
+        projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
     )
-    return quantizer, spec, int(rec["patch_length"]), int(rec["seed"])
+    return quantizer, spec, whole("patch_length", rec["patch_length"]), whole("seed", rec["seed"], 0)

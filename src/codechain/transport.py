@@ -1,17 +1,18 @@
 """Cosine cost matrices, exact EMD, and channel alignment weights.
 
 solve_emd is a classical primal transportation simplex: north-west
-corner start, MODI (u/v) pricing on the basis tree, stepping-stone
-pivots along the unique tree cycle, and Bland's smallest-index rule for
-both the entering and the leaving variable so degenerate instances
-cannot cycle. The basis is always a spanning tree over the n rows and
-n columns. Each pivot walks it once from row 0, which yields the duals
-and a parent and depth per node; the cycle the entering cell closes is
-then read off by climbing parent pointers from both of its ends. The
-marginals are perturbed internally by a tiny constant to keep the start
-nondegenerate; once an optimal basis is found, the reported plan is
-re-solved on that basis from the true marginals. A dual-feasibility
-certificate is checked before returning.
+corner start, MODI (u/v) pricing on the basis tree and stepping-stone
+pivots along the unique tree cycle. The most negative reduced cost
+enters (Dantzig); a pivot that would move no flow enters the first
+negative cell in row-major order instead, and the smallest tied cell
+leaves, so degenerate pivots follow Bland's rule and cannot cycle. The
+basis is a spanning tree over the n rows and n columns, walked once
+from row 0 for the duals and a parent and depth per node; each pivot
+re-walks only the subtree its leaving cell cuts off, and the cycle of
+an entering cell is read off by climbing parent pointers from its ends.
+The marginals are perturbed internally by a tiny constant to keep the
+start nondegenerate; the plan is re-solved on the optimal basis from
+the true marginals and certified by a fresh walk before returning.
 """
 
 from __future__ import annotations
@@ -104,15 +105,37 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return flow, in_basis
 
 
-def _spanning_tree(in_basis: np.ndarray, costs: np.ndarray):
-    """Walk the basis tree once from row 0: duals, parents and depths.
+def _walk(adjacent, costs, dual, parent, depth, edges) -> None:
+    """Hang each (parent, child) edge's child and walk the subtree below it.
 
-    Node i < n is row i and node n + j is column j. The duals satisfy
-    u_i + v_j = c_ij on every basic cell, anchored at u_0 = 0; each one
-    is the chain of subtractions along its tree path from the root,
-    whose parent is -1.
+    costs is nested lists; node i < n is row i and node n + j column j.
+    Each dual is c_ij - dual[parent], so it is the chain of subtractions
+    along its path from row 0 whichever walk reaches it. A basis with a
+    cycle raises after 2n nodes.
     """
-    n = costs.shape[0]
+    n = len(costs)
+    stack = list(edges)
+    for _ in range(2 * n):
+        if not stack:
+            return
+        up, node = stack.pop()
+        parent[node] = up
+        depth[node] = depth[up] + 1
+        cost = costs[up][node - n] if up < n else costs[node][up - n]
+        dual[node] = cost - dual[up]
+        for nxt in adjacent[node]:
+            if nxt != up:
+                stack.append((node, nxt))
+    raise InternalError("transport basis contains a cycle")
+
+
+def _spanning_tree(in_basis: np.ndarray, costs: list[list[float]]):
+    """Walk the basis tree once from row 0: adjacency, duals, parents, depths.
+
+    costs is nested lists. The duals satisfy u_i + v_j = c_ij on every
+    basic cell, anchored at u_0 = 0; the root's parent is -1.
+    """
+    n = len(costs)
     adjacent: list[list[int]] = [[] for _ in range(2 * n)]
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(in_basis))):
         adjacent[i].append(n + j)
@@ -121,20 +144,10 @@ def _spanning_tree(in_basis: np.ndarray, costs: np.ndarray):
     parent = [-1] * (2 * n)
     depth = [-1] * (2 * n)
     depth[0] = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt in adjacent[node]:
-            if depth[nxt] < 0:
-                depth[nxt] = depth[node] + 1
-                parent[nxt] = node
-                cell = (node, nxt - n) if node < n else (nxt, node - n)
-                dual[nxt] = costs[cell] - dual[node]
-                stack.append(nxt)
+    _walk(adjacent, costs, dual, parent, depth, [(0, nxt) for nxt in adjacent[0]])
     if min(depth) < 0:
         raise InternalError("transport basis is not connected")
-    dual = np.array(dual)
-    return dual[:n], dual[n:], parent, depth
+    return adjacent, dual, parent, depth
 
 
 def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int]):
@@ -231,23 +244,42 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs) -> TransportPlan:
     qq[-1] += n * _PERTURB
 
     flow, in_basis = _northwest_corner(pp, qq)
+    rows = costs.tolist()
+    adjacent, dual, parent, depth = _spanning_tree(in_basis, rows)
     for _ in range(_MAX_PIVOTS):
-        u, v, parent, depth = _spanning_tree(in_basis, costs)
-        reduced = costs - u[:, None] - v[None, :]
+        duals = np.array(dual)
+        reduced = costs - duals[:n, None] - duals[None, n:]
         candidates = np.logical_and(~in_basis, reduced < -_PRICE_TOL)
         if not candidates.any():
             break
-        flat = int(np.argmax(candidates.ravel()))  # first True in row-major order
-        entering = (flat // n, flat % n)
-        cycle = _basis_cycle(parent, depth, entering)
-        minus = cycle[1::2]
-        theta = min(flow[c] for c in minus)
+        # Dantzig's entering cell, or Bland's when Dantzig's moves no flow
+        for flat in (np.argmin(np.where(candidates, reduced, np.inf)), np.argmax(candidates)):
+            entering = divmod(int(flat), n)
+            cycle = _basis_cycle(parent, depth, entering)
+            minus = cycle[1::2]
+            theta = min(flow[c] for c in minus)
+            if theta > 0.0:
+                break
         leaving = min(c for c in minus if flow[c] == theta)
         for idx, cell in enumerate(cycle):
             flow[cell] += theta if idx % 2 == 0 else -theta
         flow[leaving] = 0.0
         in_basis[leaving] = False
         in_basis[entering] = True
+        # the leaving cell cuts off the subtree below its lower end; the
+        # entering cell re-hangs it from whichever of its ends lies outside
+        i, j = leaving
+        adjacent[i].remove(n + j)
+        adjacent[n + j].remove(i)
+        cut = n + j if parent[n + j] == i else i
+        i0, j0 = entering
+        node = n + j0
+        while depth[node] > depth[cut]:
+            node = parent[node]
+        outer, inner = (i0, n + j0) if node == cut else (n + j0, i0)
+        adjacent[outer].append(inner)
+        adjacent[inner].append(outer)
+        _walk(adjacent, rows, dual, parent, depth, [(outer, inner)])
     else:
         raise InternalError("transportation simplex failed to terminate")
 
@@ -258,8 +290,9 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs) -> TransportPlan:
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
     ):
         raise InternalError("transport plan violates its marginals")
-    # the last pricing pass priced this basis: its reduced costs certify it
-    if float(reduced.min()) < -_CERT_TOL:
+    # certify the final basis from a fresh walk, not the maintained duals
+    duals = np.array(_spanning_tree(in_basis, rows)[1])
+    if float((costs - duals[:n, None] - duals[None, n:]).min()) < -_CERT_TOL:
         raise InternalError("transport optimality certificate failed")
     return TransportPlan(plan=plan, cost=float((plan * costs).sum()))
 

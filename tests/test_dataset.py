@@ -286,6 +286,14 @@ def test_load_truth_rejects_a_boolean_label(tmp_path):
         ds.load_truth(path)
 
 
+@pytest.mark.parametrize("n_classes", [2.7, 2.0, "3", True, None, 0, -1])
+def test_load_truth_rejects_a_class_count_that_is_not_a_positive_integer(tmp_path, n_classes):
+    path = tmp_path / "truth.jsonl"
+    records.write_record_file(path, {"kind": "truth", "n_classes": n_classes}, [{"id": "a", "label": 0}])
+    with pytest.raises(DataError, match="n_classes .* is not a positive integer"):
+        ds.load_truth(path)
+
+
 def test_truth_round_trip(tmp_path):
     data = make_dataset(
         [f"t{k}" for k in range(5)], np.zeros((5, 1, 4)), [k % 3 for k in range(5)], 3, "target"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from codechain import rvq, synth
+from codechain import records, rvq, synth
 from codechain import dataset as ds
 from codechain.errors import ConfigError, DataError
 
@@ -249,6 +249,42 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
     assert back.fine.vectors.tobytes() == result.quantizer.fine.vectors.tobytes()
     assert back_spec == spec
     assert (back_m, back_seed) == (4, 3)
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("record", "patch_length", 8.9),
+        ("record", "patch_length", "4"),
+        ("record", "patch_length", True),
+        ("record", "patch_length", 0),
+        ("record", "seed", True),
+        ("record", "seed", 3.0),
+        ("record", "seed", -1),
+        ("record", "seed", None),
+        ("record", "projection_seed", "3"),
+        ("record", "projection_seed", 7.5),
+        ("record", "projection_seed", False),
+        ("record", "embed_d_dim", 4.0),
+        ("record", "embed_d_dim", "4"),
+        ("header", "d_dim", 4.0),
+        ("header", "d_dim", True),
+        ("header", "d_dim", "4"),
+    ],
+)
+def test_load_quantizer_rejects_a_field_that_is_not_an_integer(tmp_path, part, key, value):
+    latents, _ = cluster_cloud(3, 15, 4, seed=10)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
+    spec = rvq.EmbedSpec(mode="znorm", d_dim=4, projection_seed=7)
+    path = tmp_path / "q.jsonl"
+    rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
+    header, recs = records.read_record_file(path)
+    rec = next(recs)
+    recs.close()
+    (header if part == "header" else rec)[key] = value
+    records.write_record_file(path, header, [rec])
+    with pytest.raises(DataError, match=f"{key} .* is not a (positive|non-negative) integer"):
+        rvq.load_quantizer(path)
 
 
 def test_encode_dataset_shapes():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,23 +165,103 @@ def linprog_emd_cost(optimize, p, q, costs):
     return res.fun
 
 
-@pytest.mark.parametrize("n", [12, 16, 24, 32])
+def sparse_or_dense_marginals(rng, n, sparse):
+    p = rng.random(n)
+    q = rng.random(n)
+    if sparse:  # most codes carry no mass
+        p *= rng.random(n) < 0.25
+        q *= rng.random(n) < 0.25
+        p[rng.integers(n)] += 0.5
+        q[rng.integers(n)] += 0.5
+    return p / p.sum(), q / q.sum()
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 48, 64])
 def test_emd_matches_highs_beyond_enumeration(n):
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(1000 + n)
     for trial in range(4):
-        p = rng.random(n)
-        q = rng.random(n)
-        if trial % 2:  # sparse marginals: most codes carry no mass
-            p *= rng.random(n) < 0.25
-            q *= rng.random(n) < 0.25
-            p[rng.integers(n)] += 0.5
-            q[rng.integers(n)] += 0.5
-        p /= p.sum()
-        q /= q.sum()
+        p, q = sparse_or_dense_marginals(rng, n, sparse=trial % 2)
         costs = random_cost(rng, n).costs
         result = transport.solve_emd(p, q, costs)
         assert abs(result.cost - linprog_emd_cost(optimize, p, q, costs)) <= 1e-9
+
+
+def trace_pivots(monkeypatch):
+    """Snapshot the solver's state after each pivot's subtree re-walk.
+
+    The first walk of a solve comes from _spanning_tree; every later
+    _walk call comes straight from solve_emd, right after a pivot, and
+    its frame holds the basis, the maintained tree and the chosen cells.
+    """
+    pivots = []
+    walk = transport._walk
+
+    def traced(*args):
+        walk(*args)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name != "solve_emd":
+            return
+        solver = frame.f_locals
+        pivots.append(
+            {
+                "in_basis": solver["in_basis"].copy(),
+                "rows": solver["rows"],
+                "tree": (list(solver["dual"]), list(solver["parent"]), list(solver["depth"])),
+                "entering": solver["entering"],
+                "theta": solver["theta"],
+                "first_candidate": divmod(int(np.argmax(solver["candidates"])), solver["n"]),
+            }
+        )
+
+    monkeypatch.setattr(transport, "_walk", traced)
+    return pivots
+
+
+def test_maintained_tree_equals_a_fresh_walk_at_every_pivot(monkeypatch):
+    pivots = trace_pivots(monkeypatch)
+    rng = np.random.default_rng(41)
+    for n in range(2, 33):
+        for sparse in (False, True):
+            p, q = sparse_or_dense_marginals(rng, n, sparse)
+            transport.solve_emd(p, q, random_cost(rng, n).costs)
+    assert len(pivots) > 1000
+    for pivot in pivots:
+        dual, parent, depth = pivot["tree"]
+        _, fresh_dual, fresh_parent, fresh_depth = transport._spanning_tree(
+            pivot["in_basis"], pivot["rows"]
+        )
+        assert_array_equal(np.array(dual).view(np.uint64), np.array(fresh_dual).view(np.uint64))
+        assert parent == fresh_parent
+        assert depth == fresh_depth
+
+
+def degenerate_case(rng, n):
+    """Integer marginals, a permutation of them, small integer costs."""
+    counts = rng.integers(0, 4, size=n)
+    counts[rng.integers(n)] += 1
+    p = counts / counts.sum()
+    q = rng.permutation(counts) / counts.sum()
+    costs = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    costs += costs.T
+    np.fill_diagonal(costs, 0.0)
+    return p, q, costs
+
+
+def test_degenerate_pivots_follow_blands_rule_and_terminate(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(transport, "_PERTURB", 0.0)
+    pivots = trace_pivots(monkeypatch)
+    rng = np.random.default_rng(42)
+    for n in [2, 3] * 10 + list(range(4, 17)) * 15:
+        p, q, costs = degenerate_case(rng, n)
+        result = transport.solve_emd(p, q, costs)
+        oracle = enumerate_emd(p, q, costs) if n <= 3 else linprog_emd_cost(optimize, p, q, costs)
+        assert abs(result.cost - oracle) <= 1e-9
+    degenerate = [pivot for pivot in pivots if pivot["theta"] == 0.0]
+    assert len(degenerate) > 100
+    for pivot in degenerate:
+        assert pivot["entering"] == pivot["first_candidate"]
 
 
 def test_emd_rejects_bad_marginals():
