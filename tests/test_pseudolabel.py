@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import dataset as ds
-from codechain import markov, pseudolabel, rvq, synth, transport
+from codechain import markov, pseudolabel, records, rvq, synth, transport
 from codechain.errors import ConfigError, DataError
+from oracles import log_likelihood
 
 
 def disjoint_regimes():
@@ -226,7 +227,7 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     for n, pl in enumerate(labels):
         oracle = np.stack([
             pseudolabel.channel_posterior(
-                np.array([markov.log_likelihood(codes[n, d], model[k, d]) for k in range(4)]), prior
+                np.array([log_likelihood(codes[n, d], model[k, d]) for k in range(4)]), prior
             )
             for d in range(3)
         ])
@@ -313,3 +314,59 @@ def test_selection_round_trip(tmp_path):
     assert [r["index"] for r in rows] == list(chosen)
     assert [r["id"] for r in rows] == ["i0", "i3"]
     assert header["r_top"] == 0.5
+
+
+def saved_labels_with(tmp_path, key, value):
+    """A two-record labels file whose second record has rec[key] = value."""
+    path = tmp_path / "labels.jsonl"
+    pseudolabel.save_labels(path, fake_labels([0.9, 0.6]), transport.ChannelWeights.ones(1, 0.2))
+    header, recs = records.read_record_file(path)
+    recs = list(recs)
+    recs[1][key] = value
+    records.write_record_file(path, header, recs)
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("label", 2.7),
+        ("label", 1.0),
+        ("label", True),
+        ("label", "1"),
+        ("label", -1),
+        ("label", None),
+        ("confidence", True),
+        ("confidence", "0.9"),
+        ("confidence", None),
+        ("confidence", [0.9]),
+    ],
+)
+def test_load_labels_rejects_a_label_or_confidence_of_the_wrong_kind(tmp_path, key, value):
+    path = saved_labels_with(tmp_path, key, value)
+    with pytest.raises(DataError, match=f"pseudo-label {key} "):
+        pseudolabel.load_labels(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
+    path = saved_labels_with(tmp_path, "confidence", 0.25)
+    path.write_text(path.read_text().replace('"confidence":0.25', f'"confidence":{token}'))
+    with pytest.raises(DataError, match="is not a finite number"):
+        pseudolabel.load_labels(path)
+
+
+def test_load_labels_reads_an_integer_confidence(tmp_path):
+    back, _ = pseudolabel.load_labels(saved_labels_with(tmp_path, "confidence", 1))
+    assert back[1].confidence == 1.0 and type(back[1].confidence) is float
+
+
+@pytest.mark.parametrize("index", [1.0, 2.7, True, "0", -1, None])
+def test_load_selection_rejects_an_index_that_is_not_a_non_negative_integer(tmp_path, index):
+    path = tmp_path / "sel.jsonl"
+    records.write_record_file(
+        path, {"kind": "selection", "r_top": 0.5, "n_selected": 2},
+        [{"index": 0, "id": "i0"}, {"index": index, "id": "i1"}],
+    )
+    with pytest.raises(DataError, match="selection index .* is not a non-negative integer"):
+        pseudolabel.load_selection(path)

@@ -287,6 +287,30 @@ def test_load_quantizer_rejects_a_field_that_is_not_an_integer(tmp_path, part, k
         rvq.load_quantizer(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("embed_mode", "bogus", "embed mode must be one of"),
+        ("embed_mode", None, "embed mode must be one of"),
+        ("embed_d_dim", 1, "d_dim must be >= 2"),
+    ],
+    ids=["unknown-mode", "null-mode", "d-dim-1"],
+)
+def test_load_quantizer_rejects_an_embedding_spec_as_a_data_error(tmp_path, key, value, message):
+    latents, _ = cluster_cloud(3, 15, 4, seed=10)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
+    path = tmp_path / "q.jsonl"
+    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(mode="znorm"), patch_length=4, seed=3)
+    header, recs = records.read_record_file(path)
+    rec = next(recs)
+    recs.close()
+    rec[key] = value
+    records.write_record_file(path, header, [rec])
+    with pytest.raises(DataError, match=message) as exc:
+        rvq.load_quantizer(path)
+    assert str(path) in str(exc.value)
+
+
 def test_encode_dataset_shapes():
     rng = np.random.default_rng(11)
     latents = rvq.embed(ds.patchify(rng.normal(size=(4, 2, 20)), 5))

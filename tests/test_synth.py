@@ -1,5 +1,7 @@
 """Synthetic corpus generation and controlled channel corruption."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -157,6 +159,125 @@ def test_target_regime_mix_changes_transitions():
     _, b = synth.generate(mixed)
     assert a.values[0].tobytes() != b.values[0].tobytes()
 
+
+
+def per_patch_generate(cfg):
+    """Reference generator: one patch at a time, with rng.uniform for the
+    jitter, one rng.standard_normal per patch and rng.choice for the next
+    state. Returns ((values, labels), (values, labels)) for source and
+    target."""
+    regimes = cfg.resolved_regimes()
+    mix = np.broadcast_to(np.asarray(cfg.target_regime_mix, dtype=np.float64), (cfg.n_channels,))
+    mix = mix[None, :, None, None]
+    regimes_trg = (1.0 - mix) * regimes + mix * (1.0 / cfg.n_primitives)
+    scale, offset, noise = (
+        np.broadcast_to(np.asarray(v, dtype=np.float64), (cfg.n_channels,))[:, None]
+        for v in (cfg.shift_scale, cfg.shift_offset, cfg.noise)
+    )
+    p, m = cfg.n_primitives, cfg.patch_length
+    t = np.linspace(-1.0, 1.0, m)
+    cj, pj = cfg.curvature_jitter, cfg.phase_jitter
+    rng = np.random.default_rng(cfg.seed)
+
+    def patch(prim):
+        if prim == 0:
+            x = t + rng.uniform(-cj, cj) * t * t
+        elif prim == 1:
+            x = -(t + rng.uniform(-cj, cj) * t * t)
+        elif prim == 2:
+            x = np.zeros(m)
+        else:
+            phase = rng.uniform(-pj, pj)
+            x = np.sin(2.0 * math.pi * cfg.sine_freq * (t + 1.0) / 2.0 + phase)
+        return x + cfg.base_noise * rng.standard_normal(m)
+
+    def series(regimes_k):
+        channels = []
+        for d in range(cfg.n_channels):
+            state = int(rng.integers(p))
+            row = []
+            for _ in range(cfg.length // m):
+                row.append(patch(state))
+                state = int(rng.choice(p, p=regimes_k[d, state]))
+            channels.append(np.concatenate(row))
+        return np.stack(channels)
+
+    def corpus(which, n, regs, shifted):
+        counts = synth._class_counts(cfg.class_probs(which), n)
+        labels = np.repeat(np.arange(cfg.n_classes), counts)[rng.permutation(n)]
+        values = []
+        for y in labels:
+            x = series(regs[y])
+            if shifted:
+                x = scale * x + offset
+                x = x + noise * rng.standard_normal(x.shape)
+            values.append(x)
+        return np.stack(values), labels
+
+    return (
+        corpus("source", cfg.n_source, regimes, False),
+        corpus("target", cfg.n_target, regimes_trg, True),
+    )
+
+
+def random_regimes(rng, n_classes, n_channels, p):
+    """Dirichlet rows with some cells zeroed (the first one included) and
+    some rows one-hot."""
+    regimes = rng.dirichlet(np.ones(p), size=(n_classes, n_channels, p))
+    regimes[rng.random(regimes.shape) < 0.25] = 0.0
+    one_hot = rng.random(regimes.shape[:-1]) < 0.2
+    regimes[one_hot] = np.eye(p)[rng.integers(p, size=int(one_hot.sum()))]
+    empty = regimes.sum(axis=-1) == 0.0
+    regimes[empty] = np.eye(p)[rng.integers(p, size=int(empty.sum()))]
+    return regimes / regimes.sum(axis=-1, keepdims=True)
+
+
+def random_config(rng):
+    n_classes, n_channels = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    p, m = int(rng.integers(2, 5)), int(rng.integers(2, 17))
+
+    def per_channel(lo, hi):
+        if rng.random() < 0.5:
+            return float(rng.uniform(lo, hi))
+        return tuple(float(x) for x in rng.uniform(lo, hi, n_channels))
+
+    def magnitude(hi):
+        return 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, hi))
+
+    return synth.SynthConfig(
+        n_classes=n_classes,
+        n_channels=n_channels,
+        length=m * int(rng.integers(2, 7)),
+        patch_length=m,
+        n_primitives=p,
+        sine_freq=float(rng.uniform(0.5, 3.0)),
+        regime_stickiness=float(rng.uniform(0.3, 1.0)),
+        class_regimes=random_regimes(rng, n_classes, n_channels, p) if rng.random() < 0.5 else None,
+        n_source=int(rng.integers(1, 7)),
+        n_target=int(rng.integers(1, 7)),
+        shift_scale=per_channel(0.5, 2.0),
+        shift_offset=per_channel(-1.0, 1.0),
+        noise=per_channel(0.0, 0.5) if rng.random() < 0.75 else 0.0,
+        target_regime_mix=per_channel(0.0, 1.0) if rng.random() < 0.75 else 0.0,
+        base_noise=magnitude(0.2),
+        curvature_jitter=magnitude(0.5),
+        phase_jitter=magnitude(math.pi),
+        seed=int(rng.integers(2**32)),
+    )
+
+
+def test_generate_draws_the_per_patch_stream_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        cfg = random_config(rng)
+        source, target = synth.generate(cfg)
+        (src_values, src_labels), (trg_values, trg_labels) = per_patch_generate(cfg)
+        assert source.values.tobytes() == src_values.tobytes(), cfg
+        assert target.values.tobytes() == trg_values.tobytes(), cfg
+        assert_array_equal(source.labels, src_labels)
+        assert_array_equal(target.labels, trg_labels)
+        assert source.ids.tolist() == [f"src-{i:04d}" for i in range(cfg.n_source)]
+        assert target.ids.tolist() == [f"trg-{i:04d}" for i in range(cfg.n_target)]
 
 # ---------------------------------------------------------------- noise
 
