@@ -1,9 +1,11 @@
 """Command-line pipeline: synth, fit, label, eval.
 
-One JSON config file (field names mirror RunConfig, plus an optional
-"synth" sub-object) drives every stage; individual flags override
-config values. Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 internal invariant violation.
+One JSON config file (the fields of RunConfig, plus an optional "synth"
+object of synth.SynthConfig fields) drives every stage; each field's
+--field-name flag overrides it. A field's flag, config-file type check
+and header echo all derive from its dataclass annotation. Exit codes: 0
+success, 1 usage or config error, 2 data error, 3 internal invariant
+violation.
 
 All output files use the shared record envelope and are byte-identical
 across reruns with the same config; paths are deliberately left out of
@@ -15,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +64,8 @@ class RunConfig:
             raise ConfigError("r_top must lie in (0, 1]")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if not isinstance(self.prior, str) and not isinstance(self.prior, (list, tuple)):
-            raise ConfigError("prior must be 'uniform' or a probability vector")
+        if self.seed < 0 or self.projection_seed < 0:
+            raise ConfigError("seed and projection_seed must be >= 0")
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
 
@@ -81,27 +84,61 @@ class RunConfig:
             )
         return pseudolabel.LabelPrior(probs=probs, tau=self.tau)
 
-    def echo(self) -> dict:
-        return {
-            "patch_length": self.patch_length,
-            "n_coarse": self.n_coarse,
-            "n_fine": self.n_fine,
-            "embed_mode": self.embed_mode,
-            "d_dim": self.d_dim,
-            "projection_seed": self.projection_seed,
-            "epsilon": self.epsilon,
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "r_top": self.r_top,
-            "use_ca": self.use_ca,
-            "prior": self.prior if isinstance(self.prior, str) else [float(x) for x in self.prior],
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-        }
+
+# field name -> annotation, in declaration order
+_RUN_KINDS = typing.get_type_hints(RunConfig)
+_SYNTH_KINDS = typing.get_type_hints(synth.SynthConfig)
 
 
-_RUN_FIELDS = {f.name for f in fields(RunConfig)}
-_SYNTH_FIELDS = {f.name for f in fields(synth.SynthConfig)}
+def _members(kind) -> tuple:
+    """The types an annotation admits: (int, NoneType) for int | None."""
+    return typing.get_args(kind) or (kind,)
+
+
+def _is_vector(kind) -> bool:
+    return any(m in (tuple, list, np.ndarray) for m in _members(kind))
+
+
+def _numbers(values: list, nested: bool) -> bool:
+    """Every entry a JSON number (never a bool or string), or when nested a list of them."""
+    return all(
+        type(x) in (int, float) or (nested and isinstance(x, list) and _numbers(x, nested))
+        for x in values
+    )
+
+
+def _check(where, name: str, kind, value) -> None:
+    """ConfigError unless a JSON value fits its field's annotation. An int
+    fits a float field; a list of numbers (nested for an array) a vector."""
+    members = _members(kind)
+    if isinstance(value, list):
+        ok = _is_vector(kind) and _numbers(value, np.ndarray in members)
+    else:
+        ok = type(value) in members or (type(value) is int and float in members)
+    if not ok:
+        kind = getattr(kind, "__name__", kind)
+        raise ConfigError(f"{where}: {name} = {json.dumps(value)} does not fit {kind}")
+
+
+def _checked(where, kinds: dict, raw: dict) -> dict:
+    """raw, unchanged, once every key names a field and every value fits it."""
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{where}: unknown config keys {unknown}")
+    for name, value in raw.items():
+        _check(where, name, kinds[name], value)
+    return raw
+
+
+def _echo(cfg) -> dict:
+    """Header echo of a config: vector fields as float lists, the rest as given."""
+    out = {}
+    for name, kind in typing.get_type_hints(type(cfg)).items():
+        value = getattr(cfg, name)
+        if _is_vector(kind) and value is not None and not isinstance(value, str):
+            value = np.asarray(value, dtype=np.float64).tolist()
+        out[name] = value
+    return out
 
 
 def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
@@ -119,10 +156,7 @@ def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
         synth_section = raw.pop("synth", {})
         if not isinstance(synth_section, dict):
             raise ConfigError(f"{path}: 'synth' section must be an object")
-        unknown = sorted(set(raw) - _RUN_FIELDS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {unknown}")
-        data = raw
+        data = _checked(path, _RUN_KINDS, raw)
     provided = set(data)
     for key, value in overrides.items():
         if value is not None:
@@ -134,15 +168,12 @@ def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
 
 
 def _parse_vector(text: str):
-    if "," in text:
-        try:
-            return tuple(float(x) for x in text.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad vector value {text!r}") from exc
+    """A float, or a tuple of floats when text holds commas."""
     try:
-        return float(text)
+        values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value {text!r}") from exc
+    return values if "," in text else values[0]
 
 
 def _parse_prior(text: str):
@@ -150,55 +181,22 @@ def _parse_prior(text: str):
         return "uniform"
     if text.strip().startswith("["):
         try:
-            return json.loads(text)
+            prior = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad prior {text!r}") from exc
-    return list(np.atleast_1d(np.asarray(_parse_vector(text), dtype=np.float64)))
-
-
-_SYNTH_FLAGS = (
-    "n_classes",
-    "n_channels",
-    "length",
-    "n_primitives",
-    "sine_freq",
-    "regime_stickiness",
-    "n_source",
-    "n_target",
-    "base_noise",
-    "curvature_jitter",
-    "phase_jitter",
-)
-_SYNTH_VECTOR_FLAGS = (
-    "shift_scale",
-    "shift_offset",
-    "noise",
-    "target_regime_mix",
-    "class_probs_source",
-    "class_probs_target",
-)
+        _check("--prior", "prior", _RUN_KINDS["prior"], prior)
+        return prior
+    return np.atleast_1d(_parse_vector(text)).tolist()
 
 
 def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.SynthConfig:
-    merged = dict(synth_section)
-    unknown = sorted(set(merged) - _SYNTH_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown synth config keys {unknown}")
-    for name in _SYNTH_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    for name in _SYNTH_VECTOR_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            parsed = _parse_vector(value)
-            if name.startswith("class_probs"):
-                parsed = tuple(np.atleast_1d(np.asarray(parsed, dtype=np.float64)))
-            merged[name] = parsed
+    """The synth section under the synth flags; patch_length and seed default to the run's."""
+    merged = dict(_checked(f"{args.config}: synth", _SYNTH_KINDS, synth_section))
+    for name in _SYNTH_KINDS:
+        if getattr(args, name, None) is not None:
+            merged[name] = getattr(args, name)
     merged.setdefault("patch_length", cfg.patch_length)
     merged.setdefault("seed", cfg.seed)
-    if "class_regimes" in merged and merged["class_regimes"] is not None:
-        merged["class_regimes"] = np.asarray(merged["class_regimes"], dtype=np.float64)
     return synth.SynthConfig(**merged)
 
 
@@ -208,7 +206,7 @@ def cmd_synth(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source, target = synth.generate(scfg)
-    echo = {"run": cfg.echo(), "synth": scfg.echo()}
+    echo = {"run": _echo(cfg), "synth": _echo(scfg)}
     ds.save_corpus(out_dir / "source.jsonl", source, config=echo)
     ds.save_corpus(out_dir / "target.jsonl", ds.strip_labels(target), config=echo)
     ds.save_truth(out_dir / "target_truth.jsonl", target, config=echo)
@@ -218,12 +216,10 @@ def cmd_synth(args) -> None:
             raise ConfigError(
                 "--corrupt-channel and --corrupt-magnitudes must be given together"
             )
-        mags = args.corrupt_magnitudes
-        if not isinstance(mags, tuple):
-            mags = (float(mags),)
-        noise_seed = (
-            scfg.seed + 1000 if args.corrupt_seed is None else int(args.corrupt_seed)
-        )
+        mags = np.atleast_1d(args.corrupt_magnitudes)
+        noise_seed = scfg.seed + 1000 if args.corrupt_seed is None else args.corrupt_seed
+        if noise_seed < 0:
+            raise ConfigError("--corrupt-seed must be >= 0")
         for i, mag in enumerate(mags):
             noisy = synth.inject_channel_noise(
                 target, args.corrupt_channel, float(mag), noise_seed
@@ -276,7 +272,7 @@ def cmd_fit(args) -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = {"run": cfg.echo()}
+    echo = {"run": _echo(cfg)}
     rvq.save_quantizer(
         out_dir / "quantizer.jsonl",
         quantizer,
@@ -346,7 +342,7 @@ def cmd_label(args) -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = {"run": cfg.echo()}
+    echo = {"run": _echo(cfg)}
     pseudolabel.save_labels(out_dir / "labels.jsonl", labels, used, config=echo)
     pseudolabel.save_selection(
         out_dir / "selected.jsonl", labels, selected, cfg.r_top, config=echo
@@ -405,6 +401,8 @@ def cmd_eval(args) -> None:
         subset_idx = [r["index"] for r in recs]
         if any(not 0 <= i < len(labels) for i in subset_idx):
             raise DataError("selection index out of range for the label file")
+        if any(labels[r["index"]].instance_id != r["id"] for r in recs):
+            raise DataError("selection id differs from the label id at its index")
     elif "r_top" in provided:
         subset_idx = [int(i) for i in pseudolabel.top_r_select(labels, cfg.r_top)]
     if subset_idx is not None:
@@ -427,7 +425,7 @@ def cmd_eval(args) -> None:
     if args.out is not None:
         records.write_record_file(
             args.out,
-            {"kind": "metrics", "n_classes": n_classes, "config": {"run": cfg.echo()}},
+            {"kind": "metrics", "n_classes": n_classes, "config": {"run": _echo(cfg)}},
             out_records,
         )
 
@@ -438,37 +436,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run_overrides(args) -> dict:
-    out = {}
-    for name in _RUN_FIELDS:
-        value = getattr(args, f"run_{name}", None)
-        if value is not None:
-            out[name] = value
-    return out
+    given = {name: getattr(args, f"run_{name}", None) for name in _RUN_KINDS}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _add_flags(group, kinds: dict, prefix: str) -> None:
+    """One --field-name flag per field, parsed by its annotation, into dest prefix + name."""
+    for name, kind in kinds.items():
+        flag, dest = "--" + name.replace("_", "-"), prefix + name
+        if kind is bool:
+            group.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction)
+        elif _is_vector(kind):
+            parse = _parse_prior if str in _members(kind) else _parse_vector
+            group.add_argument(
+                flag, dest=dest, type=parse, help="scalar or comma-separated values"
+            )
+        else:
+            group.add_argument(flag, dest=dest, type=_members(kind)[0])
 
 
 def _add_run_flags(parser) -> None:
     g = parser.add_argument_group("pipeline configuration")
     g.add_argument("--config", default=None, help="JSON config file")
-    g.add_argument("--patch-length", dest="run_patch_length", type=int)
-    g.add_argument("--n-coarse", dest="run_n_coarse", type=int)
-    g.add_argument("--n-fine", dest="run_n_fine", type=int)
-    g.add_argument("--embed-mode", dest="run_embed_mode", choices=rvq.EMBED_MODES)
-    g.add_argument("--d-dim", dest="run_d_dim", type=int)
-    g.add_argument("--projection-seed", dest="run_projection_seed", type=int)
-    g.add_argument("--epsilon", dest="run_epsilon", type=float)
-    g.add_argument("--sigma", dest="run_sigma", type=float)
-    g.add_argument("--tau", dest="run_tau", type=float)
-    g.add_argument("--r-top", dest="run_r_top", type=float)
-    g.add_argument(
-        "--use-ca",
-        dest="run_use_ca",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="toggle channel alignment weights",
-    )
-    g.add_argument("--prior", dest="run_prior", type=_parse_prior)
-    g.add_argument("--max-iters", dest="run_max_iters", type=int)
-    g.add_argument("--seed", dest="run_seed", type=int)
+    _add_flags(g, _RUN_KINDS, "run_")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,17 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic source/target corpus pair")
     _add_run_flags(p_synth)
     p_synth.add_argument("--out-dir", required=True)
-    for name in _SYNTH_FLAGS:
-        kind = float if name in ("sine_freq", "regime_stickiness", "base_noise", "curvature_jitter", "phase_jitter") else int
-        p_synth.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
-    for name in _SYNTH_VECTOR_FLAGS:
-        p_synth.add_argument(
-            f"--{name.replace('_', '-')}",
-            dest=name,
-            type=str,
-            default=None,
-            help="scalar or comma-separated per-channel values",
-        )
+    # patch_length and seed come from the run flags; class_regimes only from a config file
+    skip = ("patch_length", "seed", "class_regimes")
+    _add_flags(p_synth, {k: v for k, v in _SYNTH_KINDS.items() if k not in skip}, "")
     p_synth.add_argument("--corrupt-channel", dest="corrupt_channel", type=int, default=None)
     p_synth.add_argument(
         "--corrupt-magnitudes",

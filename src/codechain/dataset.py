@@ -12,7 +12,7 @@ from .errors import ConfigError, DataError
 
 ROLES = ("source", "target")
 UNLABELED = -1
-_JSON_NUMBERS = frozenset((int, float))
+JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def load_corpus(path) -> DomainDataset:
         if row.shape != shape:
             raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
         # asarray would also read strings and bools as numbers
-        if not _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(channels))):
+        if not JSON_NUMBERS.issuperset(map(type, chain.from_iterable(channels))):
             raise DataError(f"instance {rid!r}: channels are not numbers")
         rows.append(row)
         ids.append(rid)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import records
-from .dataset import DomainDataset
+from .dataset import JSON_NUMBERS, DomainDataset
 from .errors import ConfigError, DataError
 from .transport import ChannelWeights
 
@@ -197,7 +198,8 @@ def save_labels(path, labels: Sequence[PseudoLabel], weights: ChannelWeights, co
 
 def load_labels(path) -> tuple[list[PseudoLabel], dict]:
     """Pseudo-labels from a file: label a non-negative JSON integer,
-    confidence a finite JSON number (never a bool)."""
+    confidence a finite JSON number (never a bool), scores a vector and
+    per_channel_posteriors a matrix of JSON numbers."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     out = []
     for rec in recs:
@@ -207,13 +209,23 @@ def load_labels(path) -> tuple[list[PseudoLabel], dict]:
         confidence = rec["confidence"]
         if type(confidence) not in (int, float) or not math.isfinite(confidence):
             raise DataError(f"{path}: pseudo-label confidence {confidence!r} is not a finite number")
+        try:
+            scores = np.asarray(rec["scores"], dtype=np.float64)
+            posteriors = np.asarray(rec["per_channel_posteriors"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: pseudo-label scores are not numbers") from exc
+        # asarray would also read strings and bools as numbers
+        if scores.ndim != 1 or posteriors.ndim != 2 or not JSON_NUMBERS.issuperset(
+            map(type, chain(rec["scores"], chain.from_iterable(rec["per_channel_posteriors"])))
+        ):
+            raise DataError(f"{path}: pseudo-label scores are not a vector and matrix of numbers")
         out.append(
             PseudoLabel(
                 instance_id=rec["id"],
-                scores=np.asarray(rec["scores"], dtype=np.float64),
+                scores=scores,
                 label=records.whole_number(path, "pseudo-label label", rec["label"], least=0),
                 confidence=float(confidence),
-                per_channel_posteriors=np.asarray(rec["per_channel_posteriors"], dtype=np.float64),
+                per_channel_posteriors=posteriors,
             )
         )
     return out, header

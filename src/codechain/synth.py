@@ -102,6 +102,8 @@ class SynthConfig:
             raise ConfigError("regime_stickiness must lie in (0, 1]")
         if self.n_source < 1 or self.n_target < 1:
             raise ConfigError("n_source and n_target must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.sine_freq > 0.0:
             raise ConfigError("sine_freq must be > 0")
         for name in ("base_noise", "curvature_jitter", "phase_jitter"):
@@ -123,7 +125,10 @@ class SynthConfig:
             return make_class_regimes(
                 self.n_classes, self.n_channels, self.n_primitives, self.regime_stickiness
             )
-        arr = np.asarray(self.class_regimes, dtype=np.float64)
+        try:
+            arr = np.asarray(self.class_regimes, dtype=np.float64)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError("class_regimes must be a nested array of numbers") from exc
         shape = (self.n_classes, self.n_channels, self.n_primitives, self.n_primitives)
         if arr.shape != shape:
             raise ConfigError(f"class_regimes must have shape {shape}, got {arr.shape}")
@@ -139,35 +144,6 @@ class SynthConfig:
         if arr.shape != (self.n_classes,) or np.any(arr < 0.0) or abs(arr.sum() - 1.0) > 1e-9:
             raise ConfigError(f"class_probs_{which} must be a length-{self.n_classes} distribution")
         return arr
-
-    def echo(self) -> dict:
-        regimes = self.class_regimes
-        return {
-            "n_classes": self.n_classes,
-            "n_channels": self.n_channels,
-            "length": self.length,
-            "patch_length": self.patch_length,
-            "n_primitives": self.n_primitives,
-            "sine_freq": self.sine_freq,
-            "regime_stickiness": self.regime_stickiness,
-            "class_regimes": None if regimes is None else np.asarray(regimes).tolist(),
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "class_probs_source": None
-            if self.class_probs_source is None
-            else list(np.asarray(self.class_probs_source, dtype=np.float64)),
-            "class_probs_target": None
-            if self.class_probs_target is None
-            else list(np.asarray(self.class_probs_target, dtype=np.float64)),
-            "shift_scale": np.asarray(self.shift_scale, dtype=np.float64).tolist(),
-            "shift_offset": np.asarray(self.shift_offset, dtype=np.float64).tolist(),
-            "noise": np.asarray(self.noise, dtype=np.float64).tolist(),
-            "target_regime_mix": np.asarray(self.target_regime_mix, dtype=np.float64).tolist(),
-            "base_noise": self.base_noise,
-            "curvature_jitter": self.curvature_jitter,
-            "phase_jitter": self.phase_jitter,
-            "seed": self.seed,
-        }
 
 
 def make_class_regimes(

@@ -1,16 +1,19 @@
 """End-to-end command behavior, exit codes, and reproducible artifacts."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from codechain import cli, records
 from codechain import dataset as ds
-from codechain import pseudolabel, rvq, transport
+from codechain import pseudolabel, rvq, synth, transport
 from codechain.errors import InternalError
 
 
@@ -282,8 +285,8 @@ def test_eval_disjoint_ids(workspace, tmp_path):
     assert run("eval", "--labels", out / "labels.jsonl", "--truth", truth_path) == 2
 
 
-@pytest.mark.parametrize("index", [True, 1.0, "1"])
-def test_eval_rejects_a_selection_index_that_is_not_an_integer(tmp_path, capsys, index):
+def eval_two_labels(tmp_path, selection):
+    """Exit code of eval --subset on two labels "a", "b" and one selection record."""
     ids = ["a", "b"]
     truth = ds.DomainDataset(
         values=np.zeros((2, 1, 4)), ids=ids, labels=[0, 1], n_classes=2, role="target"
@@ -303,12 +306,22 @@ def test_eval_rejects_a_selection_index_that_is_not_an_integer(tmp_path, capsys,
     records.write_record_file(
         tmp_path / "sel.jsonl",
         {"kind": "selection", "r_top": 0.5, "n_selected": 1},
-        [{"index": index, "id": "b"}],
+        [selection],
     )
-    code = run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl",
+    return run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl",
                "--subset", tmp_path / "sel.jsonl")
-    assert code == 2
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_eval_rejects_a_selection_index_that_is_not_an_integer(tmp_path, capsys, index):
+    assert eval_two_labels(tmp_path, {"index": index, "id": "b"}) == 2
     assert "selection index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, iid", [(1, "zzz-not-in-labels"), (0, "b")])
+def test_eval_rejects_a_selection_id_that_differs_from_its_label(tmp_path, capsys, index, iid):
+    assert eval_two_labels(tmp_path, {"index": index, "id": iid}) == 2
+    assert "selection id" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- config
@@ -343,10 +356,150 @@ def test_bad_flag_value_is_config_error(tmp_path):
     assert run("synth", "--out-dir", tmp_path / "d", "--patch-length", "eight") == 1
 
 
+SMALL_SYNTH = ("--n-source", 30, "--n-target", 20, "--length", 64)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"tau": "0.5"},
+        {"max_iters": 2.5},
+        {"synth": {"n_source": "7"}},
+        {"use_ca": "no"},
+        {"r_top": True},
+        {"seed": -3},
+        {"prior": [0.5, "0.5"]},
+        {"prior": [True, False]},
+        {"d_dim": 4.0},
+        {"synth": {"length": 32.0}},
+        {"synth": {"noise": "0.3"}},
+        {"synth": {"noise": [[0.1, 0.2, 0.3]]}},
+        {"synth": {"class_probs_source": [0.5, 0.5, 0, False]}},
+        {"synth": {"class_regimes": [[[["1"]]]]}},
+        {"synth": {"class_regimes": [[1.0], [0.5, 0.5]]}},
+    ],
+)
+def test_ill_typed_config_value_is_config_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("synth", "--out-dir", tmp_path / "d", *SMALL_SYNTH, "--config", cfg_path) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (("--seed", -1), None),
+        (("--projection-seed", -1), None),
+        ((), {"seed": -3}),
+        ((), {"projection_seed": -1}),
+        ((), {"synth": {"seed": -2}}),
+        (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5", "--corrupt-seed", -1), None),
+    ],
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, flags, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config or {}))
+    assert run("synth", "--out-dir", tmp_path / "d", *SMALL_SYNTH, *flags, "--config", cfg_path) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_values_are_echoed_as_given(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"tau": 2, "use_ca": False, "prior": [1, 0],
+                                    "synth": {"shift_scale": 2, "noise": [0, 0.5, 1]}}))
+    assert run("synth", "--out-dir", tmp_path / "d", *SMALL_SYNTH, "--config", cfg_path) == 0
+    line = (tmp_path / "d" / "source.jsonl").read_text().splitlines()[0]
+    for text in ('"tau":2,', '"use_ca":false', '"prior":[1.0,0.0]', '"shift_scale":2.0',
+                 '"noise":[0.0,0.5,1.0]'):
+        assert text in line
+
+
 def test_invalid_run_values_rejected(tmp_path):
     assert run(*synth_args(tmp_path / "d"), "--tau", "0") == 1
     assert run(*synth_args(tmp_path / "d"), "--r-top", "1.7") == 1
     assert run(*synth_args(tmp_path / "d"), "--epsilon", "-1e-8") == 1
+
+
+RUN_OPTIONS = {
+    ("-h --help", "help"),
+    ("--config", "config"),
+    ("--patch-length", "run_patch_length"),
+    ("--n-coarse", "run_n_coarse"),
+    ("--n-fine", "run_n_fine"),
+    ("--embed-mode", "run_embed_mode"),
+    ("--d-dim", "run_d_dim"),
+    ("--projection-seed", "run_projection_seed"),
+    ("--epsilon", "run_epsilon"),
+    ("--sigma", "run_sigma"),
+    ("--tau", "run_tau"),
+    ("--r-top", "run_r_top"),
+    ("--use-ca --no-use-ca", "run_use_ca"),
+    ("--prior", "run_prior"),
+    ("--max-iters", "run_max_iters"),
+    ("--seed", "run_seed"),
+}
+# (option strings, dest) of every action; callers and perfbench pass these
+OPTIONS = {
+    "synth": RUN_OPTIONS | {
+        ("--out-dir", "out_dir"),
+        ("--n-classes", "n_classes"),
+        ("--n-channels", "n_channels"),
+        ("--length", "length"),
+        ("--n-primitives", "n_primitives"),
+        ("--sine-freq", "sine_freq"),
+        ("--regime-stickiness", "regime_stickiness"),
+        ("--n-source", "n_source"),
+        ("--n-target", "n_target"),
+        ("--base-noise", "base_noise"),
+        ("--curvature-jitter", "curvature_jitter"),
+        ("--phase-jitter", "phase_jitter"),
+        ("--shift-scale", "shift_scale"),
+        ("--shift-offset", "shift_offset"),
+        ("--noise", "noise"),
+        ("--target-regime-mix", "target_regime_mix"),
+        ("--class-probs-source", "class_probs_source"),
+        ("--class-probs-target", "class_probs_target"),
+        ("--corrupt-channel", "corrupt_channel"),
+        ("--corrupt-magnitudes", "corrupt_magnitudes"),
+        ("--corrupt-seed", "corrupt_seed"),
+    },
+    "fit": RUN_OPTIONS | {("--source", "source"), ("--out-dir", "out_dir")},
+    "label": RUN_OPTIONS | {
+        ("--target", "target"),
+        ("--quantizer", "quantizer"),
+        ("--transitions", "transitions"),
+        ("--out-dir", "out_dir"),
+    },
+    "eval": RUN_OPTIONS | {
+        ("--labels", "labels"),
+        ("--truth", "truth"),
+        ("--subset", "subset"),
+        ("--out", "out"),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_option_strings_and_dests():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    for name, want in OPTIONS.items():
+        actions = sub.choices[name]._actions
+        assert {(" ".join(a.option_strings), a.dest) for a in actions} == want, name
+        assert len(actions) == len(want)
+    assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [37, 18, 20, 20]
+
+
+def test_readme_tables_name_every_config_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    first_cells = [row.split("|")[1] for row in section.splitlines() if row.startswith("| `")]
+    named = set(re.findall(r"`(\w+)`", " ".join(first_cells)))
+    for cls in (cli.RunConfig, synth.SynthConfig):
+        missing = {f.name for f in fields(cls)} - named
+        assert not missing, f"{cls.__name__} fields missing from the README tables: {missing}"
 
 
 def test_console_entrypoint_help():

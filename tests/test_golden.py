@@ -1,10 +1,11 @@
 """Golden artifact hashes: every file that synth, fit, label and eval write.
 
-Each case runs the whole CLI pipeline on a tiny corpus and compares the
-sha256 of every file it wrote with ``golden_hashes.json``. A change that
-moves an artifact byte fails here, so a change meant to keep the bytes
-is checked by Tier-1 rather than by hand. A change that moves bytes on
-purpose regenerates the file in the same diff and says why:
+Each case runs the whole CLI pipeline on a tiny corpus, driven by flags
+or by a config file, and compares the sha256 of every file it wrote
+with ``golden_hashes.json``. A change that moves an artifact byte fails
+here, so a change meant to keep the bytes is checked by Tier-1 rather
+than by hand. A change that moves bytes on purpose regenerates the file
+in the same diff and says why:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -28,8 +29,8 @@ GOLDEN = Path(__file__).with_name("golden_hashes.json")
 
 # name -> (synth flags, flags given to fit, label and eval, target file).
 # The default case pools 60 * 3 * 16 = 2880 patches, more than one block
-# of the blocked nearest-code search; both Lloyd stages of the last case
-# stop at their iteration cap.
+# of the blocked nearest-code search; both Lloyd stages of the
+# raw-embed-at-cap case stop at their iteration cap.
 CASES = {
     "defaults": (
         ("--n-source", "60", "--n-target", "40", "--seed", "3"),
@@ -58,6 +59,36 @@ CASES = {
         ("--embed-mode", "raw", "--n-fine", "16", "--max-iters", "3"),
         "target.jsonl",
     ),
+    "config-file": ((), (), "target.jsonl"),
+}
+
+# name -> the config file every stage of that case reads (written as
+# run.json, so its hash is pinned too). JSON ints stand in for floats
+# ("tau": 2, "shift_scale": 2) and for regime cells: the header echoes
+# keep a scalar as given and write a vector as floats.
+CONFIG_FILES = {
+    "config-file": {
+        "tau": 2,
+        "prior": [0.7, 0.3],
+        "n_coarse": 4,
+        "n_fine": 8,
+        "seed": 8,
+        "synth": {
+            "n_classes": 2,
+            "n_channels": 2,
+            "n_primitives": 3,
+            "length": 64,
+            "n_source": 30,
+            "n_target": 20,
+            "shift_scale": 2,
+            "noise": [0.2, 0],
+            "class_probs_target": [0.75, 0.25],
+            "class_regimes": [
+                [[[0, 1, 0], [0.5, 0, 0.5], [1, 0, 0]], [[0.2, 0.8, 0], [0, 0, 1], [1, 0, 0]]],
+                [[[0, 0, 1], [1, 0, 0], [0.5, 0.5, 0]], [[0, 1, 0], [0.1, 0.1, 0.8], [0, 0, 1]]],
+            ],
+        },
+    },
 }
 
 
@@ -65,6 +96,11 @@ def run_case(name: str, base: Path) -> dict[str, str]:
     """Run one case's pipeline under base; sha256 of every file written, by relative path."""
     synth_flags, run_flags, target = CASES[name]
     data, model, out = base / "data", base / "model", base / "out"
+    if name in CONFIG_FILES:
+        base.mkdir(parents=True, exist_ok=True)
+        (base / "run.json").write_text(json.dumps(CONFIG_FILES[name]), encoding="utf-8")
+        run_flags = ("--config", base / "run.json", *run_flags)
+        synth_flags = ("--config", base / "run.json", *synth_flags)
     steps = (
         ("synth", "--out-dir", data, *synth_flags),
         ("fit", "--source", data / "source.jsonl", "--out-dir", model, *run_flags),

@@ -348,6 +348,23 @@ def test_load_labels_rejects_a_label_or_confidence_of_the_wrong_kind(tmp_path, k
         pseudolabel.load_labels(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("scores", ["1.5", True]),
+        ("scores", [0.5, None]),
+        ("scores", 0.5),
+        ("per_channel_posteriors", [[False, "0.25"]]),
+        ("per_channel_posteriors", [[0.5, 0.5], [0.5]]),
+        ("per_channel_posteriors", [0.5, 0.5]),
+    ],
+)
+def test_load_labels_rejects_scores_that_are_not_json_numbers(tmp_path, key, value):
+    path = saved_labels_with(tmp_path, key, value)
+    with pytest.raises(DataError, match="pseudo-label scores"):
+        pseudolabel.load_labels(path)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
     path = saved_labels_with(tmp_path, "confidence", 0.25)
