@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -99,22 +100,17 @@ def _is_vector(kind) -> bool:
     return any(m in (tuple, list, np.ndarray) for m in _members(kind))
 
 
-def _numbers(values: list, nested: bool) -> bool:
-    """Every entry a JSON number (never a bool or string), or when nested a list of them."""
-    return all(
-        type(x) in (int, float) or (nested and isinstance(x, list) and _numbers(x, nested))
-        for x in values
-    )
-
-
 def _check(where, name: str, kind, value) -> None:
     """ConfigError unless a JSON value fits its field's annotation. An int
-    fits a float field; a list of numbers (nested for an array) a vector."""
+    fits a float field; a list of JSON numbers (4-D for class_regimes) a vector."""
     members = _members(kind)
+    ok = type(value) in members or (type(value) is int and float in members)
     if isinstance(value, list):
-        ok = _is_vector(kind) and _numbers(value, np.ndarray in members)
-    else:
-        ok = type(value) in members or (type(value) is int and float in members)
+        ok = _is_vector(kind)
+        try:
+            records.numbers(where, name, value, 4 if np.ndarray in members else 1)
+        except DataError:
+            ok = False
     if not ok:
         kind = getattr(kind, "__name__", kind)
         raise ConfigError(f"{where}: {name} = {json.dumps(value)} does not fit {kind}")
@@ -142,7 +138,7 @@ def _echo(cfg) -> dict:
 
 
 def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
-    """Merge config file and flag overrides; returns (cfg, synth section, provided keys)."""
+    """Merge config file and set flags; returns (cfg, synth section, provided keys)."""
     data: dict = {}
     synth_section: dict = {}
     if path is not None:
@@ -156,15 +152,12 @@ def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
         synth_section = raw.pop("synth", {})
         if not isinstance(synth_section, dict):
             raise ConfigError(f"{path}: 'synth' section must be an object")
+        _checked(f"{path}: synth", _SYNTH_KINDS, synth_section)
         data = _checked(path, _RUN_KINDS, raw)
-    provided = set(data)
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-            provided.add(key)
+    data.update(overrides)
     cfg = RunConfig(**data)
     cfg.validate()
-    return cfg, synth_section, provided
+    return cfg, synth_section, set(data)
 
 
 def _parse_vector(text: str):
@@ -191,7 +184,7 @@ def _parse_prior(text: str):
 
 def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.SynthConfig:
     """The synth section under the synth flags; patch_length and seed default to the run's."""
-    merged = dict(_checked(f"{args.config}: synth", _SYNTH_KINDS, synth_section))
+    merged = dict(synth_section)
     for name in _SYNTH_KINDS:
         if getattr(args, name, None) is not None:
             merged[name] = getattr(args, name)
@@ -203,6 +196,17 @@ def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.Synth
 def cmd_synth(args) -> None:
     cfg, synth_section, _ = load_run_config(args.config, _run_overrides(args))
     scfg = build_synth_config(cfg, synth_section, args)
+    # the corruption flags are checked before anything is generated or written
+    mags = np.atleast_1d(() if args.corrupt_magnitudes is None else args.corrupt_magnitudes)
+    if (args.corrupt_channel is None) != (args.corrupt_magnitudes is None):
+        raise ConfigError("--corrupt-channel and --corrupt-magnitudes must be given together")
+    noise_seed = scfg.seed + 1000 if args.corrupt_seed is None else args.corrupt_seed
+    if mags.size and noise_seed < 0:
+        raise ConfigError("--corrupt-seed must be >= 0")
+    if mags.size and not 0 <= args.corrupt_channel < scfg.n_channels:
+        raise DataError(f"channel {args.corrupt_channel} out of range [0, {scfg.n_channels})")
+    if (mags < 0.0).any():
+        raise ConfigError("magnitude must be >= 0")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source, target = synth.generate(scfg)
@@ -210,35 +214,20 @@ def cmd_synth(args) -> None:
     ds.save_corpus(out_dir / "source.jsonl", source, config=echo)
     ds.save_corpus(out_dir / "target.jsonl", ds.strip_labels(target), config=echo)
     ds.save_truth(out_dir / "target_truth.jsonl", target, config=echo)
-    n_variants = 0
-    if args.corrupt_channel is not None or args.corrupt_magnitudes is not None:
-        if args.corrupt_channel is None or args.corrupt_magnitudes is None:
-            raise ConfigError(
-                "--corrupt-channel and --corrupt-magnitudes must be given together"
-            )
-        mags = np.atleast_1d(args.corrupt_magnitudes)
-        noise_seed = scfg.seed + 1000 if args.corrupt_seed is None else args.corrupt_seed
-        if noise_seed < 0:
-            raise ConfigError("--corrupt-seed must be >= 0")
-        for i, mag in enumerate(mags):
-            noisy = synth.inject_channel_noise(
-                target, args.corrupt_channel, float(mag), noise_seed
-            )
-            variant_echo = dict(echo)
-            variant_echo["corrupt"] = {
-                "channel": int(args.corrupt_channel),
-                "magnitude": float(mag),
-                "seed": noise_seed,
-            }
-            ds.save_corpus(
-                out_dir / f"target_corrupt_{i}.jsonl",
-                ds.strip_labels(noisy),
-                config=variant_echo,
-            )
-        n_variants = len(mags)
+    for i, mag in enumerate(mags):
+        noisy = synth.inject_channel_noise(target, args.corrupt_channel, float(mag), noise_seed)
+        variant_echo = {
+            **echo,
+            "corrupt": {"channel": int(args.corrupt_channel), "magnitude": float(mag), "seed": noise_seed},
+        }
+        ds.save_corpus(
+            out_dir / f"target_corrupt_{i}.jsonl",
+            ds.strip_labels(noisy),
+            config=variant_echo,
+        )
     line = f"synth: wrote {len(source)} source and {len(target)} target instances to {out_dir}"
-    if n_variants:
-        line += f" plus {n_variants} corrupted target variants"
+    if mags.size:
+        line += f" plus {mags.size} corrupted target variants"
     print(line)
 
 
@@ -320,8 +309,6 @@ def cmd_label(args) -> None:
     if n_codes != quantizer.coarse.n_codes:
         raise DataError("quantizer and transition bundle disagree on n_coarse")
     epsilon = cfg.epsilon if "epsilon" in provided else bundle_eps
-    if not epsilon > 0.0:
-        raise ConfigError("epsilon must be > 0")
     ds.require_transitions(target, patch_length)
 
     embedded = rvq.embed_dataset(target, patch_length, spec)
@@ -431,6 +418,11 @@ def cmd_eval(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-8" as an option; take every negative number as a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise ConfigError(message)
 

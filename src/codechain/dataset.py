@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from . import records
 from .errors import ConfigError, DataError
+# bound by name: a traced run (perfbench/spans.py) keeps these per-record reads in load_corpus
+from .records import identifier, numbers, whole_number
 
 ROLES = ("source", "target")
 UNLABELED = -1
-JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,8 @@ def save_corpus(path, dataset: DomainDataset, config: dict | None = None) -> Non
         "length": dataset.length,
         "n_classes": dataset.n_classes,
         "n_instances": len(dataset),
+        "config": config,
     }
-    if config is not None:
-        header["config"] = config
     recs = (
         {
             "id": str(rid),
@@ -140,34 +139,24 @@ def load_corpus(path) -> DomainDataset:
     negative one is out of range.
     """
     header, recs = records.read_record_file(path, expected_kind="corpus")
-    for key in ("role", "n_channels", "length", "n_classes"):
-        if key not in header:
-            raise DataError(f"{path}: corpus header missing {key!r}")
-    for key in ("n_channels", "length", "n_classes"):
-        records.whole_number(path, f"corpus header {key}", header[key])
-    shape = (header["n_channels"], header["length"])
+    n_channels, length, n_classes = (
+        whole_number(path, f"corpus header {key}", header.get(key))
+        for key in ("n_channels", "length", "n_classes")
+    )
+    shape = (n_channels, length)
     rows: list[np.ndarray] = []
     ids: list[str] = []
     labels: list[int] = []
     for rec in recs:
-        rid = rec.get("id")
-        if not isinstance(rid, str) or not rid:
-            raise DataError(f"{path}: record without a string id")
+        rid = identifier(path, "corpus id", rec.get("id"))
         label = rec.get("label")
         if label is not None and type(label) is not int:
             raise DataError(f"instance {rid!r}: label {label!r} is not an integer")
         if label is not None and label < 0:
-            raise DataError(f"instance {rid!r}: label {label} out of range [0, {header['n_classes']})")
-        channels = rec.get("channels")
-        try:
-            row = np.asarray(channels, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"instance {rid!r}: channels are not numbers") from exc
+            raise DataError(f"instance {rid!r}: label {label} out of range [0, {n_classes})")
+        row = numbers(path, f"instance {rid!r} channels", rec.get("channels"), 2)
         if row.shape != shape:
             raise DataError(f"instance {rid!r}: channels of shape {row.shape}, expected {shape}")
-        # asarray would also read strings and bools as numbers
-        if not JSON_NUMBERS.issuperset(map(type, chain.from_iterable(channels))):
-            raise DataError(f"instance {rid!r}: channels are not numbers")
         rows.append(row)
         ids.append(rid)
         labels.append(UNLABELED if label is None else label)
@@ -175,8 +164,8 @@ def load_corpus(path) -> DomainDataset:
         values=np.stack(rows) if rows else np.empty((0, *shape)),
         ids=ids,
         labels=labels,
-        n_classes=header["n_classes"],
-        role=str(header["role"]),
+        n_classes=n_classes,
+        role=header.get("role"),
     )
 
 
@@ -190,9 +179,12 @@ def save_truth(path, dataset: DomainDataset, config: dict | None = None) -> None
     missing = dataset.ids[dataset.labels == UNLABELED]
     if missing.size:
         raise DataError(f"cannot write truth for unlabeled instances: {missing[:3].tolist()}")
-    header = {"kind": "truth", "n_classes": dataset.n_classes, "n_instances": len(dataset)}
-    if config is not None:
-        header["config"] = config
+    header = {
+        "kind": "truth",
+        "n_classes": dataset.n_classes,
+        "n_instances": len(dataset),
+        "config": config,
+    }
     records.write_record_file(
         path,
         header,
@@ -206,14 +198,12 @@ def load_truth(path) -> tuple[dict[str, int], int]:
     n_classes is a positive JSON integer and every label a JSON integer.
     """
     header, recs = records.read_record_file(path, expected_kind="truth")
-    if "n_classes" not in header:
-        raise DataError(f"{path}: truth header missing 'n_classes'")
     out: dict[str, int] = {}
     for rec in recs:
-        rid = rec.get("id")
-        if not isinstance(rid, str) or rid in out:
-            raise DataError(f"{path}: missing or duplicate id in truth record")
+        rid = identifier(path, "truth id", rec.get("id"))
+        if rid in out:
+            raise DataError(f"{path}: duplicate truth id {rid!r}")
         if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
         out[rid] = rec["label"]
-    return out, records.whole_number(path, "truth header n_classes", header["n_classes"])
+    return out, whole_number(path, "truth header n_classes", header.get("n_classes"))

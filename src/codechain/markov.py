@@ -74,20 +74,6 @@ def smooth(probs: np.ndarray, epsilon: float) -> np.ndarray:
     return (probs + epsilon) / (1.0 + probs.shape[-1] * epsilon)
 
 
-def _validate_tm(probs, ndim: int, name: str = "transition matrices") -> np.ndarray:
-    """A float array of ndim axes whose last two form square row-stochastic matrices."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != ndim or probs.shape[-1] != probs.shape[-2]:
-        raise DataError(f"{name} must be {ndim}-D stacks of square matrices, got shape {probs.shape}")
-    if probs.shape[-1] < 2:
-        raise DataError(f"{name} need at least 2 states")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-        raise DataError(f"{name} must be finite and non-negative")
-    if probs.size and np.max(np.abs(probs.sum(axis=-1) - 1.0)) > _ROW_TOL:
-        raise DataError(f"{name} rows must sum to 1")
-    return probs
-
-
 def save_transitions(
     path,
     class_tm: np.ndarray,
@@ -106,9 +92,8 @@ def save_transitions(
         "n_classes": class_tm.shape[0],
         "n_channels": class_tm.shape[1],
         "n_coarse": class_tm.shape[2],
+        "config": config,
     }
-    if config is not None:
-        header["config"] = config
     rec = {
         "epsilon": epsilon,
         "class_tms": class_tm.tolist(),
@@ -119,20 +104,24 @@ def save_transitions(
 
 
 def load_transitions(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """(class matrices, source channel matrices, epsilon), validated row-stochastic."""
-    header, recs = records.read_record_file(path, expected_kind="transitions")
-    recs = list(recs)
-    if len(recs) != 1:
-        raise DataError(f"{path}: transitions bundle must hold exactly one record")
-    rec = recs[0]
-    for key in ("epsilon", "class_tms", "channel_tms_source"):
-        if key not in rec:
-            raise DataError(f"{path}: transitions record missing {key!r}")
-    try:
-        class_tm = _validate_tm(rec["class_tms"], 4, f"{path}: class_tms")
-        channel_src = _validate_tm(rec["channel_tms_source"], 3, f"{path}: channel_tms_source")
-    except ValueError as exc:
-        raise DataError(f"{path}: transition matrices are not numeric arrays") from exc
+    """(class matrices, source channel matrices, epsilon > 0), all JSON numbers, rows stochastic."""
+    _, rec = records.read_one(path, "transitions")
+
+    def matrices(field: str, ndim: int) -> np.ndarray:
+        probs = records.numbers(path, f"transitions {field}", rec.get(field), ndim)
+        name = f"{path}: {field}"
+        if probs.shape[-1] != probs.shape[-2]:
+            raise DataError(f"{name} must be stacks of square matrices, got shape {probs.shape}")
+        if probs.shape[-1] < 2:
+            raise DataError(f"{name} need at least 2 states")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+            raise DataError(f"{name} must be finite and non-negative")
+        if np.max(np.abs(probs.sum(axis=-1) - 1.0)) > _ROW_TOL:
+            raise DataError(f"{name} rows must sum to 1")
+        return probs
+
+    class_tm, channel_src = matrices("class_tms", 4), matrices("channel_tms_source", 3)
     if class_tm.shape[1:] != channel_src.shape:
         raise DataError(f"{path}: class and channel matrices disagree on channels or codes")
-    return class_tm, channel_src, float(rec["epsilon"])
+    epsilon = records.number(path, "transitions epsilon", rec.get("epsilon"), positive=True)
+    return class_tm, channel_src, epsilon

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import records
-from .dataset import JSON_NUMBERS, DomainDataset
+from .dataset import DomainDataset
 from .errors import ConfigError, DataError
 from .transport import ChannelWeights
 
@@ -81,18 +80,20 @@ class PseudoLabel:
     per_channel_posteriors: np.ndarray
 
 
-def aggregate(posteriors: np.ndarray, weights, ids: Sequence[str] | None = None) -> list[PseudoLabel]:
+def aggregate(
+    posteriors: np.ndarray, weights: np.ndarray, ids: Sequence[str] | None = None
+) -> list[PseudoLabel]:
     """Weight-averaged class scores per instance; argmax label, ties to the lowest index.
 
-    posteriors is (n_instances, n_channels, n_classes); weights is a
-    ChannelWeights or a plain vector. Scores are
+    posteriors is (n_instances, n_channels, n_classes); weights is one
+    weight per channel. Scores are
     sum_d w_d * posterior_d / n_channels, deliberately not renormalized.
     ids name the instances in order (empty strings when not given).
     """
     post = np.asarray(posteriors, dtype=np.float64)
     if post.ndim != 3:
         raise DataError("posteriors must be 3-D (instances, channels, classes)")
-    w = weights.weights if isinstance(weights, ChannelWeights) else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != (post.shape[1],):
         raise DataError("weights do not match the posterior channel count")
     ids = [""] * len(post) if ids is None else [str(i) for i in ids]
@@ -153,7 +154,7 @@ def label_dataset(
     channel = np.arange(target.n_channels)[None, :, None]
     gathered = log_probs[channel, codes[:, :, :-1], codes[:, :, 1:]]
     logliks = gathered.sum(axis=2) / codes.shape[2]
-    return aggregate(channel_posterior(logliks, prior), weights, target.ids)
+    return aggregate(channel_posterior(logliks, prior), weights.weights, target.ids)
 
 
 def top_r_select(labels: Sequence[PseudoLabel], r_top: float) -> np.ndarray:
@@ -180,9 +181,8 @@ def save_labels(path, labels: Sequence[PseudoLabel], weights: ChannelWeights, co
         "n_instances": len(labels),
         "n_classes": int(labels[0].scores.size) if labels else 0,
         "channel_weights": [float(x) for x in weights.weights],
+        "config": config,
     }
-    if config is not None:
-        header["config"] = config
     recs = (
         {
             "id": pl.instance_id,
@@ -197,44 +197,28 @@ def save_labels(path, labels: Sequence[PseudoLabel], weights: ChannelWeights, co
 
 
 def load_labels(path) -> tuple[list[PseudoLabel], dict]:
-    """Pseudo-labels from a file: label a non-negative JSON integer,
-    confidence a finite JSON number (never a bool), scores a vector and
-    per_channel_posteriors a matrix of JSON numbers."""
+    """Pseudo-labels from a file: id a non-empty JSON string, label a
+    non-negative JSON integer, confidence a finite JSON number (never a
+    bool), scores a vector and per_channel_posteriors a matrix of JSON
+    numbers."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
-    out = []
-    for rec in recs:
-        for key in ("id", "label", "confidence", "scores", "per_channel_posteriors"):
-            if key not in rec:
-                raise DataError(f"{path}: pseudo-label record missing {key!r}")
-        confidence = rec["confidence"]
-        if type(confidence) not in (int, float) or not math.isfinite(confidence):
-            raise DataError(f"{path}: pseudo-label confidence {confidence!r} is not a finite number")
-        try:
-            scores = np.asarray(rec["scores"], dtype=np.float64)
-            posteriors = np.asarray(rec["per_channel_posteriors"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: pseudo-label scores are not numbers") from exc
-        # asarray would also read strings and bools as numbers
-        if scores.ndim != 1 or posteriors.ndim != 2 or not JSON_NUMBERS.issuperset(
-            map(type, chain(rec["scores"], chain.from_iterable(rec["per_channel_posteriors"])))
-        ):
-            raise DataError(f"{path}: pseudo-label scores are not a vector and matrix of numbers")
-        out.append(
-            PseudoLabel(
-                instance_id=rec["id"],
-                scores=scores,
-                label=records.whole_number(path, "pseudo-label label", rec["label"], least=0),
-                confidence=float(confidence),
-                per_channel_posteriors=posteriors,
-            )
+    out = [
+        PseudoLabel(
+            instance_id=records.identifier(path, "pseudo-label id", rec.get("id")),
+            label=records.whole_number(path, "pseudo-label label", rec.get("label"), least=0),
+            confidence=records.number(path, "pseudo-label confidence", rec.get("confidence")),
+            scores=records.numbers(path, "pseudo-label scores", rec.get("scores"), 1),
+            per_channel_posteriors=records.numbers(
+                path, "pseudo-label scores per channel", rec.get("per_channel_posteriors"), 2
+            ),
         )
+        for rec in recs
+    ]
     return out, header
 
 
 def save_selection(path, labels: Sequence[PseudoLabel], indices: np.ndarray, r_top: float, config: dict | None = None) -> None:
-    header = {"kind": "selection", "r_top": r_top, "n_selected": int(len(indices))}
-    if config is not None:
-        header["config"] = config
+    header = {"kind": "selection", "r_top": r_top, "n_selected": int(len(indices)), "config": config}
     recs = (
         {
             "index": int(i),
@@ -248,11 +232,10 @@ def save_selection(path, labels: Sequence[PseudoLabel], indices: np.ndarray, r_t
 
 
 def load_selection(path) -> tuple[list[dict], dict]:
-    """Selection records; each index is a non-negative JSON integer."""
+    """Selection records: id a non-empty JSON string, index a non-negative JSON integer."""
     header, recs = records.read_record_file(path, expected_kind="selection")
     recs = list(recs)
     for rec in recs:
-        if "id" not in rec or "index" not in rec:
-            raise DataError(f"{path}: selection record missing 'id' or 'index'")
-        records.whole_number(path, "selection index", rec["index"], least=0)
+        records.identifier(path, "selection id", rec.get("id"))
+        records.whole_number(path, "selection index", rec.get("index"), least=0)
     return recs, header

@@ -16,11 +16,16 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
+from itertools import chain
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
 FORMAT = "codechain.v1"
+JSON_NUMBERS = frozenset((int, float))
 
 
 def dump_line(obj: Any) -> str:
@@ -32,6 +37,39 @@ def whole_number(path, field: str, value, least: int = 1) -> int:
     if type(value) is not int or value < least:
         sign = "positive" if least == 1 else "non-negative"
         raise DataError(f"{path}: {field} {value!r} is not a {sign} integer")
+    return value
+
+
+def number(path, field: str, value, positive: bool = False) -> float:
+    """value as a float when it is a finite JSON number (never a bool), > 0 if positive."""
+    # False for NaN, the infinities and ints too large for a float
+    finite = type(value) in JSON_NUMBERS and abs(value) <= sys.float_info.max
+    if not finite or (positive and not value > 0):
+        kind = "positive finite number" if positive else "finite number"
+        raise DataError(f"{path}: {field} {value!r} is not a {kind}")
+    return float(value)
+
+
+def numbers(path, field: str, value, ndim: int) -> np.ndarray:
+    """value as a float64 array of ndim axes when it nests JSON numbers
+    (never a bool, string or null) in a regular shape, else DataError."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+        cells = value
+        for _ in range(ndim - 1):
+            cells = chain.from_iterable(cells)
+        # asarray also reads strings and bools as numbers, so check each cell's type
+        if array.ndim == ndim and JSON_NUMBERS.issuperset(map(type, cells)):
+            return array
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"{path}: {field} is not a {ndim}-D array of JSON numbers")
+
+
+def identifier(path, field: str, value) -> str:
+    """value when it is a non-empty JSON string, else DataError."""
+    if type(value) is not str or not value:
+        raise DataError(f"{path}: {field} {value!r} is not a non-empty string")
     return value
 
 
@@ -60,6 +98,15 @@ def read_record_file(path, expected_kind: str | None = None) -> tuple[dict, Iter
     """
     lines = _read(path, expected_kind)
     return next(lines), lines
+
+
+def read_one(path, kind: str) -> tuple[dict, dict]:
+    """(header, record) of a bundle of the given kind that holds exactly one record."""
+    header, recs = read_record_file(path, kind)
+    found = list(recs)
+    if len(found) != 1:
+        raise DataError(f"{path}: {kind} bundle must hold exactly one record")
+    return header, found[0]
 
 
 def _read(path, expected_kind: str | None) -> Iterator[dict]:

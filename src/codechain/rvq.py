@@ -66,9 +66,6 @@ class EmbedSpec:
         if self.d_dim is not None and self.d_dim < 2:
             raise ConfigError("d_dim must be >= 2")
 
-    def latent_dim(self, patch_length: int) -> int:
-        return patch_length if self.d_dim is None else self.d_dim
-
     def projection(self, patch_length: int) -> np.ndarray | None:
         """The (patch_length, d_dim) projection, or None when dimensions match."""
         if self.d_dim is None or self.d_dim == patch_length:
@@ -433,9 +430,8 @@ def save_quantizer(
         "d_dim": quantizer.d_dim,
         "n_coarse": quantizer.coarse.n_codes,
         "n_fine": quantizer.fine.n_codes,
+        "config": config,
     }
-    if config is not None:
-        header["config"] = config
     rec = {
         "coarse": quantizer.coarse.vectors.tolist(),
         "fine": quantizer.fine.vectors.tolist(),
@@ -451,35 +447,30 @@ def save_quantizer(
 def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle.
 
-    patch_length, the header's d_dim and a set embed_d_dim are positive
-    JSON integers; seed and projection_seed are non-negative ones. An
-    embedding the bundle describes but EmbedSpec rejects is a DataError.
+    The codebooks are matrices of JSON numbers. patch_length, the
+    header's d_dim and a set embed_d_dim are positive JSON integers;
+    seed and projection_seed are non-negative ones. An embedding the
+    bundle describes but EmbedSpec rejects is a DataError.
     """
-    header, recs = records.read_record_file(path, expected_kind="quantizer")
-    recs = list(recs)
-    if len(recs) != 1:
-        raise DataError(f"{path}: quantizer bundle must hold exactly one record")
-    rec = recs[0]
-    for key in ("coarse", "fine", "embed_mode", "patch_length", "seed"):
-        if key not in rec:
-            raise DataError(f"{path}: quantizer record missing {key!r}")
+    header, rec = records.read_one(path, "quantizer")
 
     def whole(field: str, value, least: int = 1) -> int:
         return records.whole_number(path, f"quantizer {field}", value, least)
 
-    coarse = Codebook(np.asarray(rec["coarse"], dtype=np.float64))
+    coarse = Codebook(records.numbers(path, "quantizer coarse", rec.get("coarse"), 2))
     quantizer = ResidualQuantizer(
         coarse=coarse,
-        fine=Codebook(np.asarray(rec["fine"], dtype=np.float64)),
+        fine=Codebook(records.numbers(path, "quantizer fine", rec.get("fine"), 2)),
         d_dim=whole("header d_dim", header.get("d_dim", coarse.d_dim)),
     )
     embed_d_dim = rec.get("embed_d_dim")
     try:
         spec = EmbedSpec(
-            mode=rec["embed_mode"],
+            mode=rec.get("embed_mode"),
             d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
             projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
         )
     except ConfigError as exc:
         raise DataError(f"{path}: quantizer {exc}") from exc
-    return quantizer, spec, whole("patch_length", rec["patch_length"]), whole("seed", rec["seed"], 0)
+    patch_length = whole("patch_length", rec.get("patch_length"))
+    return quantizer, spec, patch_length, whole("seed", rec.get("seed"), 0)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import ConfigError, DataError, InternalError
 from .rvq import Codebook
 
@@ -209,16 +210,14 @@ def _tree_flows(in_basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return flow
 
 
-def solve_emd(p: np.ndarray, q: np.ndarray, costs) -> TransportPlan:
+def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> TransportPlan:
     """Exact optimal transport between two discrete distributions.
 
     p and q must sum to 1 within 1e-9 with non-negative entries; costs
-    is an (n, n) non-negative matrix or a CostMatrix. The returned plan
+    is an (n, n) non-negative matrix. The returned plan
     has row sums p and column sums q within 1e-9 and globally minimal
     total cost.
     """
-    if isinstance(costs, CostMatrix):
-        costs = costs.costs
     costs = np.asarray(costs, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -358,13 +357,11 @@ def channel_weights(src: np.ndarray, trg: np.ndarray, cost: CostMatrix, sigma: f
 
 def write_alignment_report(path, weights: ChannelWeights, config: dict | None = None) -> None:
     """Tab-separated per-channel report; deterministic bytes."""
-    from . import records
-
-    lines = []
-    if config is not None:
-        lines.append("# config " + records.dump_line(config))
-    lines.append("# sigma " + repr(float(weights.sigma)))
-    lines.append("channel\tmean_cost\tweight")
+    lines = [
+        "# config " + records.dump_line(config),
+        "# sigma " + repr(float(weights.sigma)),
+        "channel\tmean_cost\tweight",
+    ]
     for d in range(weights.n_channels):
         lines.append(
             f"{d}\t{float(weights.mean_costs[d])!r}\t{float(weights.weights[d])!r}"

@@ -91,14 +91,14 @@ def test_criterion_02_transport_matches_enumeration():
         p = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         q = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         costs = transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 4))))
-        plan = transport.solve_emd(p, q, costs)
+        plan = transport.solve_emd(p, q, costs.costs)
         assert abs(plan.cost - enumerate_emd(p, q, costs.costs)) < 1e-9
     for _ in range(100):
         n = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(n) * 0.7)
         q = rng.dirichlet(np.ones(n) * 0.7)
         plan = transport.solve_emd(
-            p, q, transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 4))))
+            p, q, transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 4)))).costs
         )
         assert_allclose(plan.plan.sum(axis=1), p, atol=1e-9)
         assert_allclose(plan.plan.sum(axis=0), q, atol=1e-9)

@@ -85,6 +85,25 @@ def test_synth_corrupt_flags_must_pair(tmp_path):
     assert run(*synth_args(tmp_path / "x"), "--corrupt-channel", "1") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (("--corrupt-channel", 1), 1),
+        (("--corrupt-magnitudes", "0.5"), 1),
+        (("--corrupt-channel", 3, "--corrupt-magnitudes", "0.5"), 2),
+        (("--corrupt-channel", -1, "--corrupt-magnitudes", "0.5"), 2),
+        (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5,-0.5"), 1),
+        (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5", "--corrupt-seed", -1), 1),
+    ],
+    ids=["channel-alone", "magnitudes-alone", "channel-3-of-3", "channel-minus-1",
+         "negative-magnitude", "negative-seed"],
+)
+def test_synth_checks_corrupt_flags_before_writing_anything(tmp_path, flags, code):
+    out = tmp_path / "d"
+    assert run(*synth_args(out), *flags) == code
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fit
 
 def test_fit_writes_bundles_and_reruns_identically(tmp_path, workspace):
@@ -159,6 +178,37 @@ def test_label_without_alignment_uses_unit_weights(workspace):
     assert header["channel_weights"] == [1.0, 1.0, 1.0]
     # the report still carries the measured costs for inspection
     assert (out / "alignment_report.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, spoil",
+    [
+        ("quantizer.jsonl", "coarse", str),
+        ("quantizer.jsonl", "coarse", lambda x: True),
+        ("quantizer.jsonl", "fine", str),
+        ("transitions.jsonl", "class_tms", str),
+        ("transitions.jsonl", "channel_tms_source", str),
+        ("transitions.jsonl", "epsilon", str),
+        ("transitions.jsonl", "epsilon", lambda x: True),
+        ("transitions.jsonl", "epsilon", lambda x: -1),
+        ("transitions.jsonl", "epsilon", lambda x: 0),
+        ("transitions.jsonl", "epsilon", lambda x: float("nan")),
+    ],
+    ids=["coarse-string", "coarse-bool", "fine-string", "class-tms-string",
+         "channel-tms-string", "epsilon-string", "epsilon-bool", "epsilon-negative",
+         "epsilon-zero", "epsilon-nan"],
+)
+def test_label_rejects_a_bundle_number_of_the_wrong_kind(workspace, capsys, name, key, spoil):
+    data, model, out = workspace
+    header, (rec,) = records.read_record_file(model / name)
+    cells = rec
+    while isinstance(cells[key], list):  # down to the first cell of an array
+        cells, key = cells[key], 0
+    cells[key] = spoil(cells[key])
+    (model / name).write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
+    assert "data error:" in capsys.readouterr().err
 
 
 def test_label_channel_mismatch(workspace, tmp_path):
@@ -405,6 +455,22 @@ def test_negative_seed_is_config_error(tmp_path, capsys, flags, config):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "label", "eval"])
+@pytest.mark.parametrize("section", [{"bogus": 1}, {"n_source": "7"}])
+def test_every_stage_checks_the_config_synth_section(tmp_path, capsys, command, section):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"synth": section}))
+    absent = tmp_path / "absent.jsonl"  # the config is checked before any input is read
+    inputs = {
+        "fit": ("--source", absent, "--out-dir", tmp_path / "out"),
+        "label": ("--target", absent, "--quantizer", absent, "--transitions", absent,
+                  "--out-dir", tmp_path / "out"),
+        "eval": ("--labels", absent, "--truth", absent),
+    }
+    assert run(command, *inputs[command], "--config", cfg_path) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_file_values_are_echoed_as_given(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"tau": 2, "use_ca": False, "prior": [1, 0],
@@ -416,10 +482,18 @@ def test_config_file_values_are_echoed_as_given(tmp_path):
         assert text in line
 
 
-def test_invalid_run_values_rejected(tmp_path):
+def test_invalid_run_values_rejected(tmp_path, capsys):
     assert run(*synth_args(tmp_path / "d"), "--tau", "0") == 1
     assert run(*synth_args(tmp_path / "d"), "--r-top", "1.7") == 1
+    capsys.readouterr()
     assert run(*synth_args(tmp_path / "d"), "--epsilon", "-1e-8") == 1
+    assert "epsilon must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["-1e-8", "-2.5E+3", "-1.", "-.5", "-3"])
+def test_a_negative_number_is_read_as_a_flag_value(text):
+    args = cli.build_parser().parse_args(["synth", "--out-dir", "d", "--shift-offset", text])
+    assert args.shift_offset == float(text)
 
 
 RUN_OPTIONS = {

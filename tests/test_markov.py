@@ -290,6 +290,39 @@ def test_load_transitions_rejects_rows_that_do_not_sum_to_one(tmp_path):
             markov.load_transitions(path)
 
 
+def two_code_bundle(tmp_path):
+    """A transitions bundle whose cells are all 0.0 or 1.0, and its (header, record)."""
+    g = grid([[0, 1, 0, 1]])
+    path = tmp_path / "t.jsonl"
+    markov.save_transitions(
+        path, markov.build_class_tm([g, g], [0, 1], 2, 2), markov.build_channel_tm([g], 2), 1e-8
+    )
+    header, (rec,) = records.read_record_file(path)
+    return path, header, rec
+
+
+@pytest.mark.parametrize("key", ["class_tms", "channel_tms_source"])
+@pytest.mark.parametrize("cell", ["1.0", True])
+def test_load_transitions_rejects_cells_that_are_not_json_numbers(tmp_path, key, cell):
+    path, header, rec = two_code_bundle(tmp_path)
+    matrices = rec[key][0] if key == "class_tms" else rec[key]
+    assert matrices[0][0][1] == 1.0
+    matrices[0][0][1] = cell
+    records.write_record_file(path, header, [rec])
+    with pytest.raises(DataError, match=f"transitions {key} is not a"):
+        markov.load_transitions(path)
+
+
+@pytest.mark.parametrize("token", ['"1e-8"', "true", "-1", "0", "-0.0", "NaN", "Infinity", "null"])
+def test_load_transitions_rejects_an_epsilon_that_is_not_a_positive_number(tmp_path, token):
+    path, _, _ = two_code_bundle(tmp_path)
+    text = path.read_text()
+    assert '"epsilon":1e-08' in text
+    path.write_text(text.replace('"epsilon":1e-08', f'"epsilon":{token}'))
+    with pytest.raises(DataError, match="transitions epsilon .* is not a positive finite number"):
+        markov.load_transitions(path)
+
+
 def test_save_transitions_rejects_mismatched_shapes(tmp_path):
     g = grid([[0, 1, 0, 1], [1, 1, 0, 0]])
     ctm = markov.build_class_tm([g, g], [0, 1], 2, 2)

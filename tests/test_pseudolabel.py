@@ -365,6 +365,13 @@ def test_load_labels_rejects_scores_that_are_not_json_numbers(tmp_path, key, val
         pseudolabel.load_labels(path)
 
 
+@pytest.mark.parametrize("value", [7, True, None, "", ["i1"]])
+def test_load_labels_rejects_an_id_that_is_not_a_string(tmp_path, value):
+    path = saved_labels_with(tmp_path, "id", value)
+    with pytest.raises(DataError, match="pseudo-label id .* is not a non-empty string"):
+        pseudolabel.load_labels(path)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
     path = saved_labels_with(tmp_path, "confidence", 0.25)

@@ -311,6 +311,26 @@ def test_load_quantizer_rejects_an_embedding_spec_as_a_data_error(tmp_path, key,
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["coarse", "fine"])
+@pytest.mark.parametrize("spoil", ["string", "bool", "ragged"])
+def test_load_quantizer_rejects_codebook_cells_that_are_not_json_numbers(tmp_path, key, spoil):
+    latents, _ = cluster_cloud(3, 15, 4, seed=10)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
+    path = tmp_path / "q.jsonl"
+    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(mode="znorm"), patch_length=4, seed=3)
+    header, (rec,) = records.read_record_file(path)
+    rows = rec[key]
+    if spoil == "string":
+        rows[0][0] = str(rows[0][0])
+    elif spoil == "bool":
+        rows[0][0] = True
+    else:
+        rows[1].pop()
+    records.write_record_file(path, header, [rec])
+    with pytest.raises(DataError, match=f"quantizer {key} is not a 2-D array of JSON numbers"):
+        rvq.load_quantizer(path)
+
+
 def test_encode_dataset_shapes():
     rng = np.random.default_rng(11)
     latents = rvq.embed(ds.patchify(rng.normal(size=(4, 2, 20)), 5))

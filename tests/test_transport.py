@@ -86,7 +86,7 @@ def test_emd_equal_marginals_cost_zero():
     for _ in range(10):
         n = int(rng.integers(2, 6))
         p = rng.dirichlet(np.ones(n))
-        plan = transport.solve_emd(p, p.copy(), random_cost(rng, n))
+        plan = transport.solve_emd(p, p.copy(), random_cost(rng, n).costs)
         assert plan.cost <= 1e-12
         assert_allclose(plan.plan.sum(axis=1), p, atol=1e-9)
         assert_allclose(plan.plan.sum(axis=0), p, atol=1e-9)
@@ -94,14 +94,14 @@ def test_emd_equal_marginals_cost_zero():
 
 def test_emd_single_mass_move():
     costs = transport.CostMatrix(costs=np.array([[0.0, 0.5], [0.5, 0.0]]))
-    plan = transport.solve_emd(np.array([1.0, 0.0]), np.array([0.0, 1.0]), costs)
+    plan = transport.solve_emd(np.array([1.0, 0.0]), np.array([0.0, 1.0]), costs.costs)
     assert_allclose(plan.cost, 0.5, atol=0)
     assert_allclose(plan.plan[0, 1], 1.0, atol=1e-12)
 
 
 def test_emd_hand_worked_two_by_two():
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    plan = transport.solve_emd(np.array([0.5, 0.5]), np.array([0.25, 0.75]), costs)
+    plan = transport.solve_emd(np.array([0.5, 0.5]), np.array([0.25, 0.75]), costs.costs)
     assert_allclose(plan.cost, 0.25, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_emd_matches_basis_enumeration():
         p = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         q = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         costs = random_cost(rng, n)
-        plan = transport.solve_emd(p, q, costs)
+        plan = transport.solve_emd(p, q, costs.costs)
         assert abs(plan.cost - enumerate_emd(p, q, costs.costs)) < 1e-9
 
 
@@ -122,7 +122,7 @@ def test_emd_marginals_up_to_eight():
         n = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(n) * 0.5)
         q = rng.dirichlet(np.ones(n) * 0.5)
-        plan = transport.solve_emd(p, q, random_cost(rng, n))
+        plan = transport.solve_emd(p, q, random_cost(rng, n).costs)
         assert_allclose(plan.plan.sum(axis=1), p, atol=1e-9)
         assert_allclose(plan.plan.sum(axis=0), q, atol=1e-9)
         assert np.all(plan.plan >= 0)
@@ -135,17 +135,17 @@ def test_emd_symmetry_for_symmetric_cost():
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
         costs = random_cost(rng, n)
-        fwd = transport.solve_emd(p, q, costs)
-        bwd = transport.solve_emd(q, p, costs)
+        fwd = transport.solve_emd(p, q, costs.costs)
+        bwd = transport.solve_emd(q, p, costs.costs)
         assert abs(fwd.cost - bwd.cost) < 1e-9
 
 
 def test_emd_sparse_marginals_within_tolerance():
     # marginal sums may legitimately disagree by up to 1e-9
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    plan = transport.solve_emd(np.array([1.0, 0.0]), np.array([1.0 - 1e-9, 0.0]), costs)
+    plan = transport.solve_emd(np.array([1.0, 0.0]), np.array([1.0 - 1e-9, 0.0]), costs.costs)
     assert plan.cost < 1e-8
-    plan = transport.solve_emd(np.array([0.0, 1.0]), np.array([0.0, 1.0]), costs)
+    plan = transport.solve_emd(np.array([0.0, 1.0]), np.array([0.0, 1.0]), costs.costs)
     assert plan.cost <= 1e-12
 
 
@@ -267,9 +267,9 @@ def test_degenerate_pivots_follow_blands_rule_and_terminate(monkeypatch):
 def test_emd_rejects_bad_marginals():
     costs = transport.CostMatrix(costs=np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DataError):
-        transport.solve_emd(np.array([0.7, 0.2]), np.array([0.5, 0.5]), costs)
+        transport.solve_emd(np.array([0.7, 0.2]), np.array([0.5, 0.5]), costs.costs)
     with pytest.raises(DataError):
-        transport.solve_emd(np.array([1.5, -0.5]), np.array([0.5, 0.5]), costs)
+        transport.solve_emd(np.array([1.5, -0.5]), np.array([0.5, 0.5]), costs.costs)
 
 
 # ---------------------------------------------------------------- weights
