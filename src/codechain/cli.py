@@ -4,8 +4,8 @@ One JSON config file (the fields of RunConfig, plus an optional "synth"
 object of synth.SynthConfig fields) drives every stage; each field's
 --field-name flag overrides it. A field's flag, config-file type check
 and header echo all derive from its dataclass annotation. Exit codes: 0
-success, 1 usage or config error, 2 data error, 3 internal invariant
-violation.
+success, 1 usage or config error or a closed stdout, 2 data error, 3
+internal invariant violation.
 
 All output files use the shared record envelope and are byte-identical
 across reruns with the same config; paths are deliberately left out of
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import typing
@@ -297,35 +298,35 @@ def cmd_fit(args) -> None:
 
 def cmd_label(args) -> None:
     cfg, _, provided = load_run_config(args.config, _run_overrides(args))
-    target = ds.load_corpus(args.target)
+    # both bundles are read and cross-checked before the (larger) target corpus
     quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
     class_tm, channel_src, bundle_eps = markov.load_transitions(args.transitions)
     n_classes, n_channels, n_codes = class_tm.shape[:3]
-    if target.n_channels != n_channels:
-        raise DataError(
-            f"target has {target.n_channels} channels but the transition bundle has "
-            f"{n_channels}"
-        )
     if n_codes != quantizer.coarse.n_codes:
         raise DataError("quantizer and transition bundle disagree on n_coarse")
+    target = ds.load_corpus(args.target)
+    if target.n_channels != n_channels:
+        raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
     epsilon = cfg.epsilon if "epsilon" in provided else bundle_eps
     ds.require_transitions(target, patch_length)
 
     embedded = rvq.embed_dataset(target, patch_length, spec)
     codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
     channel_trg = markov.build_channel_tm(codes, n_codes)
-    computed = transport.channel_weights(
+    computed, mean_costs = transport.channel_weights(
         markov.smooth(channel_src, epsilon),
         markov.smooth(channel_trg, epsilon),
         transport.cosine_cost(quantizer.coarse),
         cfg.sigma,
     )
-    used = computed if cfg.use_ca else transport.ChannelWeights.ones(n_channels, cfg.sigma)
+    used = computed if cfg.use_ca else np.ones(n_channels)
+    if not used.any():
+        raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
     prior = cfg.label_prior(n_classes)
     labels = pseudolabel.label_dataset(
         target, codes, markov.smooth(class_tm, epsilon), used, prior
     )
-    selected = pseudolabel.top_r_select(labels, cfg.r_top)
+    selected = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,86 +336,70 @@ def cmd_label(args) -> None:
         out_dir / "selected.jsonl", labels, selected, cfg.r_top, config=echo
     )
     report_echo = dict(echo)
-    report_echo["weights_used"] = [float(x) for x in used.weights]
+    report_echo["weights_used"] = used.tolist()
     transport.write_alignment_report(
-        out_dir / "alignment_report.tsv", computed, config=report_echo
+        out_dir / "alignment_report.tsv", computed, mean_costs, cfg.sigma, config=report_echo
     )
-    counts = np.bincount([pl.label for pl in labels], minlength=n_classes)
-    mean_conf = float(np.mean([pl.confidence for pl in labels]))
+    counts = np.bincount(labels.label, minlength=n_classes)
     print(
-        f"label: {len(labels)} instances, mean confidence {mean_conf:.4f}, "
+        f"label: {len(labels.ids)} instances, mean confidence {float(labels.confidence.mean()):.4f}, "
         f"selected {len(selected)} (r_top={cfg.r_top})"
     )
     print("label counts: " + " ".join(f"{k}:{int(c)}" for k, c in enumerate(counts)))
     print(
         "channel weights: "
-        + " ".join(f"{float(w):.4f}" for w in used.weights)
+        + " ".join(f"{float(w):.4f}" for w in used)
         + ("" if cfg.use_ca else " (alignment disabled)")
     )
 
 
+def _metrics_record(split: str, report: diagnostics.MetricReport) -> dict:
+    return {
+        "split": split,
+        "n": report.n,
+        "accuracy": report.accuracy,
+        "macro_f1": report.macro_f1,
+        "per_class_f1": report.per_class_f1.tolist(),
+    }
+
+
 def cmd_eval(args) -> None:
     cfg, _, provided = load_run_config(args.config, _run_overrides(args))
-    labels, header = pseudolabel.load_labels(args.labels)
+    labels, _ = pseudolabel.load_labels(args.labels)
     truth, n_classes = ds.load_truth(args.truth)
-    if not labels:
-        raise DataError("label file holds no records")
-    missing = [pl.instance_id for pl in labels if pl.instance_id not in truth]
+    ids = labels.ids.tolist()
+    missing = [iid for iid in ids if iid not in truth]
     if missing:
         raise DataError(
             f"{len(missing)} labeled ids missing from the truth file, e.g. {missing[:3]}"
         )
-    pred = [pl.label for pl in labels]
-    true = [truth[pl.instance_id] for pl in labels]
-    overall = diagnostics.accuracy_mf1(pred, true, n_classes)
-    print(
-        f"eval: n={overall.n} accuracy={overall.accuracy:.4f} "
-        f"macro_f1={overall.macro_f1:.4f}"
-    )
-    print("per-class f1: " + " ".join(f"{x:.4f}" for x in overall.per_class_f1))
-
-    out_records = [
-        {
-            "split": "all",
-            "n": overall.n,
-            "accuracy": overall.accuracy,
-            "macro_f1": overall.macro_f1,
-            "per_class_f1": [float(x) for x in overall.per_class_f1],
-        }
-    ]
+    true = np.array([truth[iid] for iid in ids])
+    overall = diagnostics.accuracy_mf1(labels.label, true, n_classes)
+    out_records = [_metrics_record("all", overall)]
     subset_idx = None
     if args.subset is not None:
         recs, _ = pseudolabel.load_selection(args.subset)
-        subset_idx = [r["index"] for r in recs]
-        if any(not 0 <= i < len(labels) for i in subset_idx):
+        if any(r["index"] >= len(ids) for r in recs):
             raise DataError("selection index out of range for the label file")
-        if any(labels[r["index"]].instance_id != r["id"] for r in recs):
+        if any(ids[r["index"]] != r["id"] for r in recs):
             raise DataError("selection id differs from the label id at its index")
+        subset_idx = np.array([r["index"] for r in recs], dtype=np.int64)
     elif "r_top" in provided:
-        subset_idx = [int(i) for i in pseudolabel.top_r_select(labels, cfg.r_top)]
+        subset_idx = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
     if subset_idx is not None:
-        sub = diagnostics.accuracy_mf1(
-            [pred[i] for i in subset_idx], [true[i] for i in subset_idx], n_classes
-        )
-        print(
-            f"top-r subset: n={sub.n} accuracy={sub.accuracy:.4f} "
-            f"macro_f1={sub.macro_f1:.4f}"
-        )
-        out_records.append(
-            {
-                "split": "selected",
-                "n": sub.n,
-                "accuracy": sub.accuracy,
-                "macro_f1": sub.macro_f1,
-                "per_class_f1": [float(x) for x in sub.per_class_f1],
-            }
-        )
+        sub = diagnostics.accuracy_mf1(labels.label[subset_idx], true[subset_idx], n_classes)
+        out_records.append(_metrics_record("selected", sub))
+    # the metrics file is written before anything is printed, so a closed stdout cannot lose it
     if args.out is not None:
         records.write_record_file(
             args.out,
             {"kind": "metrics", "n_classes": n_classes, "config": {"run": _echo(cfg)}},
             out_records,
         )
+    print(f"eval: n={overall.n} accuracy={overall.accuracy:.4f} macro_f1={overall.macro_f1:.4f}")
+    print("per-class f1: " + " ".join(f"{x:.4f}" for x in overall.per_class_f1))
+    if subset_idx is not None:
+        print(f"top-r subset: n={sub.n} accuracy={sub.accuracy:.4f} macro_f1={sub.macro_f1:.4f}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -503,7 +488,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the exit-code mapping
         return 0
+    except BrokenPipeError:
+        # no input was bad; later writes, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import records
 from .dataset import DomainDataset
 from .errors import ConfigError, DataError
-from .transport import ChannelWeights
 
 _PRIOR_FLOOR = 1e-12
 
@@ -71,24 +70,26 @@ def channel_posterior(logliks: np.ndarray, prior: LabelPrior) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    instance_id: str
-    scores: np.ndarray
-    label: int
-    confidence: float
-    per_channel_posteriors: np.ndarray
+class PseudoLabels(NamedTuple):
+    """Pseudo-labels of N instances as aligned arrays, row n for instance n."""
+
+    ids: np.ndarray  # (N,) instance ids
+    label: np.ndarray  # (N,) argmax class
+    confidence: np.ndarray  # (N,) score of that class
+    scores: np.ndarray  # (N, n_classes) weighted class scores
+    per_channel_posteriors: np.ndarray  # (N, n_channels, n_classes)
 
 
 def aggregate(
     posteriors: np.ndarray, weights: np.ndarray, ids: Sequence[str] | None = None
-) -> list[PseudoLabel]:
+) -> PseudoLabels:
     """Weight-averaged class scores per instance; argmax label, ties to the lowest index.
 
     posteriors is (n_instances, n_channels, n_classes); weights is one
-    weight per channel. Scores are
-    sum_d w_d * posterior_d / n_channels, deliberately not renormalized.
-    ids name the instances in order (empty strings when not given).
+    weight per channel, and a channel of weight 0 drops out of the vote.
+    Scores are sum_d w_d * posterior_d / n_channels, deliberately not
+    renormalized. ids name the instances in order (empty strings when
+    not given).
     """
     post = np.asarray(posteriors, dtype=np.float64)
     if post.ndim != 3:
@@ -96,41 +97,32 @@ def aggregate(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (post.shape[1],):
         raise DataError("weights do not match the posterior channel count")
-    ids = [""] * len(post) if ids is None else [str(i) for i in ids]
-    if len(ids) != len(post):
+    ids = np.full(len(post), "") if ids is None else np.asarray(ids, dtype=str)
+    if ids.shape != (len(post),):
         raise DataError("ids do not match the posterior instance count")
     scores = (w[None, :, None] * post).sum(axis=1) / post.shape[1]
     labels = np.argmax(scores, axis=1)
-    confidences = scores[np.arange(len(scores)), labels]
-    return [
-        PseudoLabel(
-            instance_id=iid,
-            scores=scores[n],
-            label=int(labels[n]),
-            confidence=float(confidences[n]),
-            per_channel_posteriors=post[n],
-        )
-        for n, iid in enumerate(ids)
-    ]
+    confidence = scores[np.arange(len(scores)), labels]
+    return PseudoLabels(ids, labels, confidence, scores, post)
 
 
 def label_dataset(
     target: DomainDataset,
     codes: np.ndarray,
     model: np.ndarray,
-    weights: ChannelWeights,
+    weights: np.ndarray,
     prior: LabelPrior,
-) -> list[PseudoLabel]:
+) -> PseudoLabels:
     """Pseudo-label every target instance from its coarse codes, in one batch.
 
     codes is (n_instances, n_channels, n_patches); model holds the
     smoothed (strictly positive) (n_classes, n_channels, n_codes,
-    n_codes) class matrices. One gather takes log p(to | from) of every
-    transition under every class; the (n_instances, n_channels,
-    n_classes) log-likelihoods are sum_t ln p(s[t+1] | s[t]) / n_patches,
-    the log probability of each code sequence normalised by its length.
-    Those become per-channel posteriors, then weighted scores. Results
-    are ordered like the dataset.
+    n_codes) class matrices; weights holds one weight per channel. One
+    gather takes log p(to | from) of every transition under every class;
+    the (n_instances, n_channels, n_classes) log-likelihoods are
+    sum_t ln p(s[t+1] | s[t]) / n_patches, the log probability of each
+    code sequence normalised by its length. Those become per-channel
+    posteriors, then weighted scores. Rows are ordered like the dataset.
     """
     if target.role != "target":
         raise DataError(f"labeling expects a target dataset, got role {target.role!r}")
@@ -140,7 +132,7 @@ def label_dataset(
         raise DataError("model and prior disagree on the class count")
     if model.shape[1] != target.n_channels:
         raise DataError("model and dataset disagree on the channel count")
-    if weights.n_channels != target.n_channels:
+    if np.shape(weights) != (target.n_channels,):
         raise DataError("weights and dataset disagree on the channel count")
     if codes.ndim != 3 or codes.shape[:2] != (len(target), target.n_channels) or codes.shape[2] < 2:
         raise DataError(
@@ -154,77 +146,82 @@ def label_dataset(
     channel = np.arange(target.n_channels)[None, :, None]
     gathered = log_probs[channel, codes[:, :, :-1], codes[:, :, 1:]]
     logliks = gathered.sum(axis=2) / codes.shape[2]
-    return aggregate(channel_posterior(logliks, prior), weights.weights, target.ids)
+    return aggregate(channel_posterior(logliks, prior), weights, target.ids)
 
 
-def top_r_select(labels: Sequence[PseudoLabel], r_top: float) -> np.ndarray:
-    """Indices of the ceil(r_top * n) most confident labels, ascending.
+def top_r_select(confidence: np.ndarray, r_top: float) -> np.ndarray:
+    """Indices of the ceil(r_top * n) highest confidences, ascending.
 
     Confidence ties resolve to the lower index; the count is guarded
     against float artifacts in r_top * n.
     """
     if not 0.0 < r_top <= 1.0:
         raise ConfigError(f"r_top must lie in (0, 1], got {r_top}")
-    n = len(labels)
+    n = len(confidence)
     if n == 0:
         raise DataError("no labels to select from")
     k = int(math.ceil(r_top * n - 1e-9))
     k = max(1, min(k, n))
-    conf = np.asarray([pl.confidence for pl in labels], dtype=np.float64)
-    order = np.argsort(-conf, kind="stable")
+    order = np.argsort(-np.asarray(confidence, dtype=np.float64), kind="stable")
     return np.sort(order[:k])
 
 
-def save_labels(path, labels: Sequence[PseudoLabel], weights: ChannelWeights, config: dict | None = None) -> None:
+def save_labels(path, labels: PseudoLabels, weights: np.ndarray, config: dict | None = None) -> None:
     header = {
         "kind": "pseudo_labels",
-        "n_instances": len(labels),
-        "n_classes": int(labels[0].scores.size) if labels else 0,
-        "channel_weights": [float(x) for x in weights.weights],
+        "n_instances": len(labels.ids),
+        "n_classes": labels.scores.shape[1] if len(labels.ids) else 0,
+        "channel_weights": np.asarray(weights, dtype=np.float64).tolist(),
         "config": config,
     }
+    rows = zip(
+        labels.ids.tolist(), labels.label.tolist(), labels.confidence.tolist(),
+        labels.scores, labels.per_channel_posteriors,
+    )
+    # one row at a time: a whole-array tolist would hold every posterior as Python floats
     recs = (
-        {
-            "id": pl.instance_id,
-            "label": pl.label,
-            "confidence": pl.confidence,
-            "scores": [float(x) for x in pl.scores],
-            "per_channel_posteriors": pl.per_channel_posteriors.tolist(),
-        }
-        for pl in labels
+        {"id": i, "label": k, "confidence": c, "scores": s.tolist(), "per_channel_posteriors": p.tolist()}
+        for i, k, c, s, p in rows
     )
     records.write_record_file(path, header, recs)
 
 
-def load_labels(path) -> tuple[list[PseudoLabel], dict]:
-    """Pseudo-labels from a file: id a non-empty JSON string, label a
-    non-negative JSON integer, confidence a finite JSON number (never a
-    bool), scores a vector and per_channel_posteriors a matrix of JSON
-    numbers."""
+def load_labels(path) -> tuple[PseudoLabels, dict]:
+    """Pseudo-labels from a file of at least one record: id a non-empty
+    JSON string, label a non-negative JSON integer, confidence a finite
+    JSON number (never a bool), scores a vector and
+    per_channel_posteriors a matrix of JSON numbers, each of one shape
+    across the records."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
-    out = [
-        PseudoLabel(
-            instance_id=records.identifier(path, "pseudo-label id", rec.get("id")),
-            label=records.whole_number(path, "pseudo-label label", rec.get("label"), least=0),
-            confidence=records.number(path, "pseudo-label confidence", rec.get("confidence")),
-            scores=records.numbers(path, "pseudo-label scores", rec.get("scores"), 1),
-            per_channel_posteriors=records.numbers(
+    rows = [
+        (
+            records.identifier(path, "pseudo-label id", rec.get("id")),
+            records.whole_number(path, "pseudo-label label", rec.get("label"), least=0),
+            records.number(path, "pseudo-label confidence", rec.get("confidence")),
+            records.numbers(path, "pseudo-label scores", rec.get("scores"), 1),
+            records.numbers(
                 path, "pseudo-label scores per channel", rec.get("per_channel_posteriors"), 2
             ),
         )
         for rec in recs
     ]
-    return out, header
+    if not rows:
+        raise DataError(f"{path}: label file holds no records")
+    ids, label, confidence, scores, posteriors = zip(*rows)
+    if len({s.shape for s in scores}) > 1 or len({p.shape for p in posteriors}) > 1:
+        raise DataError(f"{path}: pseudo-label scores differ in shape between records")
+    stacked = (np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores), np.stack(posteriors))
+    return PseudoLabels(np.array(ids, dtype=object), *stacked), header
 
 
-def save_selection(path, labels: Sequence[PseudoLabel], indices: np.ndarray, r_top: float, config: dict | None = None) -> None:
+def save_selection(path, labels: PseudoLabels, indices: np.ndarray, r_top: float, config: dict | None = None) -> None:
     header = {"kind": "selection", "r_top": r_top, "n_selected": int(len(indices)), "config": config}
     recs = (
         {
             "index": int(i),
-            "id": labels[int(i)].instance_id,
-            "label": labels[int(i)].label,
-            "confidence": labels[int(i)].confidence,
+            "id": str(labels.ids[i]),
+            "label": int(labels.label[i]),
+            "confidence": float(labels.confidence[i]),
         }
         for i in indices
     )

@@ -32,35 +32,9 @@ _MARGINAL_TOL = 1e-9
 _MAX_PIVOTS = 100000
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Symmetric ground cost with zero diagonal, entries in [0, 2]."""
-
-    costs: np.ndarray
-
-    def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=np.float64)
-        if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
-            raise DataError("cost matrix must be square")
-        if not np.all(np.isfinite(costs)):
-            raise DataError("cost matrix must be finite")
-        if np.max(np.abs(costs - costs.T)) > 1e-6:
-            raise DataError("cost matrix must be symmetric")
-        if costs.min() < -1e-6 or costs.max() > 2.0 + 1e-6:
-            raise DataError("cost entries must lie in [0, 2]")
-        if np.max(np.abs(np.diag(costs))) > 1e-6:
-            raise DataError("cost diagonal must be zero")
-        costs = np.clip(0.5 * (costs + costs.T), 0.0, 2.0)
-        np.fill_diagonal(costs, 0.0)
-        object.__setattr__(self, "costs", costs)
-
-    @property
-    def n(self) -> int:
-        return self.costs.shape[0]
-
-
-def cosine_cost(coarse: Codebook) -> CostMatrix:
-    """1 - cosine similarity between coarse codewords."""
+def cosine_cost(coarse: Codebook) -> np.ndarray:
+    """(n, n) ground cost 1 - cosine similarity between coarse codewords:
+    symmetric, zero on the diagonal, entries in [0, 2]."""
     v = coarse.vectors
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
@@ -69,7 +43,7 @@ def cosine_cost(coarse: Codebook) -> CostMatrix:
     sim = np.clip(u @ u.T, -1.0, 1.0)
     costs = 1.0 - sim
     np.fill_diagonal(costs, 0.0)
-    return CostMatrix(costs=0.5 * (costs + costs.T))
+    return 0.5 * (costs + costs.T)
 
 
 @dataclass(frozen=True)
@@ -296,45 +270,17 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> TransportPlan:
     return TransportPlan(plan=plan, cost=float((plan * costs).sum()))
 
 
-@dataclass(frozen=True)
-class ChannelWeights:
-    """Per-channel alignment weights in (0, 1], with the mean transport costs."""
-
-    weights: np.ndarray
-    sigma: float
-    mean_costs: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        mean_costs = np.asarray(self.mean_costs, dtype=np.float64)
-        if weights.ndim != 1 or weights.shape != mean_costs.shape:
-            raise DataError("weights and mean_costs must be aligned 1-D vectors")
-        if np.any(weights <= 0.0) or np.any(weights > 1.0 + 1e-12):
-            raise DataError("channel weights must lie in (0, 1]")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mean_costs", mean_costs)
-
-    @property
-    def n_channels(self) -> int:
-        return self.weights.size
-
-    @classmethod
-    def ones(cls, n_channels: int, sigma: float) -> "ChannelWeights":
-        return cls(
-            weights=np.ones(n_channels),
-            sigma=sigma,
-            mean_costs=np.zeros(n_channels),
-        )
-
-
-def channel_weights(src: np.ndarray, trg: np.ndarray, cost: CostMatrix, sigma: float) -> ChannelWeights:
-    """exp(-(mean row-wise EMD / sigma)^2) per channel.
+def channel_weights(
+    src: np.ndarray, trg: np.ndarray, costs: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, mean_costs): exp(-(mean row-wise EMD / sigma)^2) per channel.
 
     src and trg are (n_channels, n_codes, n_codes) transition matrices
     over the same codes; each matrix row is transported onto its
-    counterpart row under the given ground cost, and the n_codes row
-    costs are averaged. Identical matrices give weight 1; weights shrink
-    toward 0 as the matrices drift apart.
+    counterpart row under the (n_codes, n_codes) ground cost, and the
+    n_codes row costs are averaged into mean_costs. Weights lie in
+    [0, 1]: identical matrices give 1, and weights shrink toward 0 as
+    the matrices drift apart, reaching 0 when the exponent underflows.
     """
     if not sigma > 0.0:
         raise ConfigError("sigma must be > 0")
@@ -342,29 +288,28 @@ def channel_weights(src: np.ndarray, trg: np.ndarray, cost: CostMatrix, sigma: f
     trg = np.asarray(trg, dtype=np.float64)
     if src.ndim != 3 or src.shape[0] != trg.shape[0]:
         raise DataError("source and target disagree on channel count")
-    if src.shape != trg.shape or cost.n != src.shape[-1]:
-        raise DataError("transition matrices and cost matrix disagree on n_codes")
     n_channels, n_codes = src.shape[0], src.shape[-1]
+    if src.shape != trg.shape or np.shape(costs) != (n_codes, n_codes):
+        raise DataError("transition matrices and cost matrix disagree on n_codes")
     mean_costs = np.empty(n_channels)
     for d in range(n_channels):
         total = 0.0
         for i in range(n_codes):
-            total += solve_emd(src[d, i], trg[d, i], cost.costs).cost
+            total += solve_emd(src[d, i], trg[d, i], costs).cost
         mean_costs[d] = total / n_codes
-    weights = np.exp(-((mean_costs / sigma) ** 2))
-    return ChannelWeights(weights=weights, sigma=sigma, mean_costs=mean_costs)
+    return np.exp(-((mean_costs / sigma) ** 2)), mean_costs
 
 
-def write_alignment_report(path, weights: ChannelWeights, config: dict | None = None) -> None:
+def write_alignment_report(
+    path, weights: np.ndarray, mean_costs: np.ndarray, sigma: float, config: dict | None = None
+) -> None:
     """Tab-separated per-channel report; deterministic bytes."""
     lines = [
         "# config " + records.dump_line(config),
-        "# sigma " + repr(float(weights.sigma)),
+        "# sigma " + repr(float(sigma)),
         "channel\tmean_cost\tweight",
     ]
-    for d in range(weights.n_channels):
-        lines.append(
-            f"{d}\t{float(weights.mean_costs[d])!r}\t{float(weights.weights[d])!r}"
-        )
+    for d, (cost, weight) in enumerate(zip(mean_costs, weights)):
+        lines.append(f"{d}\t{float(cost)!r}\t{float(weight)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -164,7 +165,7 @@ def test_label_writes_outputs(workspace, capsys):
     printed = capsys.readouterr().out
     assert "channel weights" in printed
     labels, header = pseudolabel.load_labels(out / "labels.jsonl")
-    assert len(labels) == 20
+    assert len(labels.ids) == 20
     assert len(header["channel_weights"]) == 3
 
 
@@ -209,6 +210,33 @@ def test_label_rejects_a_bundle_number_of_the_wrong_kind(workspace, capsys, name
     assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["coarse", "fine"])
+def test_label_rejects_a_codebook_of_zero_width_rows(workspace, capsys, key):
+    data, model, out = workspace
+    header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
+    rec[key] = [[], []]
+    records.write_record_file(model / "quantizer.jsonl", header, [rec])
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spoil", ["quantizer", "transitions", "n_coarse"])
+def test_label_checks_both_bundles_before_reading_the_target(workspace, tmp_path, monkeypatch, spoil):
+    data, model, out = workspace
+    if spoil == "n_coarse":  # a quantizer from another fit
+        assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "other",
+                   "--n-coarse", 5, "--n-fine", 8) == 0
+        (tmp_path / "other" / "quantizer.jsonl").replace(model / "quantizer.jsonl")
+    else:
+        (model / f"{spoil}.jsonl").write_text('{"format": "codechain.v1", "kind": "corpus"}\n')
+    monkeypatch.setattr(ds, "load_corpus", never_called)
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 2
 
 
 def test_label_channel_mismatch(workspace, tmp_path):
@@ -266,6 +294,48 @@ def test_internal_error_exits_3(workspace, monkeypatch, capsys):
     assert "internal error: transport basis is not connected" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def drifted(tmp_path_factory):
+    """A fit and a target whose channel 2 drifts by a mean transport cost of about 0.28."""
+    root = tmp_path_factory.mktemp("drifted")
+    assert run("synth", "--out-dir", root / "data", "--seed", 5, "--n-source", 200, "--n-target", 200,
+               "--noise", "0.3,0.3,0", "--corrupt-channel", 2, "--corrupt-magnitudes", 1.5) == 0
+    assert run("fit", "--source", root / "data" / "source.jsonl", "--out-dir", root / "model",
+               "--n-coarse", 16) == 0
+    return root
+
+
+def label_drifted(root, out, *flags):
+    return run("label", "--target", root / "data" / "target_corrupt_0.jsonl",
+               "--quantizer", root / "model" / "quantizer.jsonl",
+               "--transitions", root / "model" / "transitions.jsonl",
+               "--out-dir", out, "--n-coarse", 16, *flags)
+
+
+def test_a_channel_weight_that_underflows_drops_its_channel(drifted, tmp_path):
+    # exp(-(0.28 / 0.01)^2) is 0.0, while the other two channels keep a positive weight
+    assert label_drifted(drifted, tmp_path, "--sigma", 0.01) == 0
+    _, header = pseudolabel.load_labels(tmp_path / "labels.jsonl")
+    weights = header["channel_weights"]
+    assert weights[2] == 0.0 and weights[0] > 0.0 and weights[1] > 0.0
+    assert (tmp_path / "alignment_report.tsv").read_text().endswith("\t0.0\n")
+
+
+def test_label_with_every_used_weight_zero_is_a_config_error_naming_sigma(drifted, tmp_path, capsys):
+    assert label_drifted(drifted, tmp_path / "out", "--sigma", 0.001) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sigma" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_weights_that_are_only_reported_may_all_be_zero(drifted, tmp_path):
+    assert label_drifted(drifted, tmp_path, "--sigma", 0.001, "--no-use-ca") == 0
+    _, header = pseudolabel.load_labels(tmp_path / "labels.jsonl")
+    assert header["channel_weights"] == [1.0, 1.0, 1.0]
+    rows = (tmp_path / "alignment_report.tsv").read_text().splitlines()[3:]
+    assert [row.split("\t")[2] for row in rows] == ["0.0", "0.0", "0.0"]
+
+
 def test_label_help_has_no_threads_option(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["label", "--help"])
@@ -298,21 +368,17 @@ def test_eval_perfect_labels(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(*synth_args(data)) == 0
     truth, n_classes = ds.load_truth(data / "target_truth.jsonl")
-    labels = []
-    for iid, lab in truth.items():
-        scores = np.zeros(n_classes)
-        scores[lab] = 1.0
-        labels.append(
-            pseudolabel.PseudoLabel(
-                instance_id=iid,
-                scores=scores,
-                label=lab,
-                confidence=1.0,
-                per_channel_posteriors=scores[None, :],
-            )
-        )
+    label = np.array(list(truth.values()))
+    scores = np.eye(n_classes)[label]
+    labels = pseudolabel.PseudoLabels(
+        ids=np.array(list(truth), dtype=str),
+        label=label,
+        confidence=np.ones(len(label)),
+        scores=scores,
+        per_channel_posteriors=scores[:, None, :],
+    )
     path = tmp_path / "labels.jsonl"
-    pseudolabel.save_labels(path, labels, transport.ChannelWeights.ones(3, 0.2))
+    pseudolabel.save_labels(path, labels, np.ones(3))
     assert run("eval", "--labels", path, "--truth", data / "target_truth.jsonl") == 0
     assert "accuracy=1.0000" in capsys.readouterr().out
 
@@ -342,17 +408,14 @@ def eval_two_labels(tmp_path, selection):
         values=np.zeros((2, 1, 4)), ids=ids, labels=[0, 1], n_classes=2, role="target"
     )
     ds.save_truth(tmp_path / "truth.jsonl", truth)
-    labels = [
-        pseudolabel.PseudoLabel(
-            instance_id=iid,
-            scores=np.eye(2)[k],
-            label=k,
-            confidence=1.0,
-            per_channel_posteriors=np.eye(2)[k][None, :],
-        )
-        for k, iid in enumerate(ids)
-    ]
-    pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, transport.ChannelWeights.ones(1, 0.2))
+    labels = pseudolabel.PseudoLabels(
+        ids=np.array(ids),
+        label=np.arange(2),
+        confidence=np.ones(2),
+        scores=np.eye(2),
+        per_channel_posteriors=np.eye(2)[:, None, :],
+    )
+    pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
     records.write_record_file(
         tmp_path / "sel.jsonl",
         {"kind": "selection", "r_top": 0.5, "n_selected": 1},
@@ -375,6 +438,34 @@ def test_eval_rejects_a_selection_id_that_differs_from_its_label(tmp_path, capsy
 
 
 # ---------------------------------------------------------------- config
+
+@pytest.mark.parametrize("stage", ["label", "eval"])
+def test_a_closed_stdout_exits_1_after_writing_every_file(workspace, tmp_path, stage):
+    data, model, out = workspace
+    label = ["label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+             "--transitions", model / "transitions.jsonl", "--out-dir", out]
+    argv = label
+    if stage == "eval":
+        assert run(*label) == 0
+        argv = ["eval", "--labels", out / "labels.jsonl", "--truth", data / "target_truth.jsonl",
+                "--subset", out / "selected.jsonl", "--out", tmp_path / "metrics.jsonl"]
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "codechain.cli", *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "error" not in proc.stderr
+    written = ["metrics.jsonl"] if stage == "eval" else ["labels.jsonl", "selected.jsonl", "alignment_report.tsv"]
+    for name in written:
+        assert ((tmp_path if stage == "eval" else out) / name).stat().st_size > 0
+
 
 def test_flags_override_config_file(tmp_path):
     cfg_path = tmp_path / "run.json"

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import dataset as ds
-from codechain import markov, pseudolabel, records, rvq, synth, transport
+from codechain import markov, pseudolabel, records, rvq, synth
 from codechain.errors import ConfigError, DataError
 from oracles import log_likelihood
 
@@ -126,30 +126,30 @@ def test_posterior_monotone_in_prior():
 
 def test_aggregate_single_channel_identity():
     post = np.array([[0.3, 0.7]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0]))[0]
-    assert_allclose(out.scores, [0.3, 0.7], atol=0)
-    assert out.label == 1
-    assert out.confidence == 0.7
+    out = pseudolabel.aggregate(post[None], np.array([1.0]))
+    assert_allclose(out.scores[0], [0.3, 0.7], atol=0)
+    assert out.label[0] == 1
+    assert out.confidence[0] == 0.7
 
 
 def test_aggregate_hand_values():
     post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0, 1.0]))[0]
-    assert_allclose(out.scores, [0.7, 0.3], atol=1e-15)
-    assert out.label == 0
+    out = pseudolabel.aggregate(post[None], np.array([1.0, 1.0]))
+    assert_allclose(out.scores[0], [0.7, 0.3], atol=1e-15)
+    assert out.label[0] == 0
 
 
 def test_aggregate_zero_weight_drops_channel():
     post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0, 0.0]))[0]
-    assert_allclose(out.scores, [0.4, 0.1], atol=1e-15)
-    assert out.label == 0
+    out = pseudolabel.aggregate(post[None], np.array([1.0, 0.0]))
+    assert_allclose(out.scores[0], [0.4, 0.1], atol=1e-15)
+    assert out.label[0] == 0
 
 
 def test_aggregate_tie_breaks_low():
     post = np.array([[0.5, 0.5]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0]))[0]
-    assert out.label == 0
+    out = pseudolabel.aggregate(post[None], np.array([1.0]))
+    assert out.label[0] == 0
 
 
 def test_aggregate_argmax_invariant_to_weight_scale():
@@ -159,10 +159,10 @@ def test_aggregate_argmax_invariant_to_weight_scale():
         post = rng.dirichlet(np.ones(k), size=d)
         w = rng.uniform(0.05, 1.0, size=d)
         c = rng.uniform(0.1, 10.0)
-        a = pseudolabel.aggregate(post[None], w)[0]
-        b = pseudolabel.aggregate(post[None], c * w)[0]
-        assert a.label == b.label
-        assert_allclose(b.scores, c * a.scores, rtol=1e-12)
+        a = pseudolabel.aggregate(post[None], w)
+        b = pseudolabel.aggregate(post[None], c * w)
+        assert a.label[0] == b.label[0]
+        assert_allclose(b.scores[0], c * a.scores[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------- labeling
@@ -174,12 +174,11 @@ def test_label_recovers_source_classes(fitted):
         target,
         coarse_codes(quantizer, target),
         class_tm,
-        transport.ChannelWeights.ones(1, sigma=0.2),
+        np.ones(1),
         pseudolabel.LabelPrior.uniform(2),
     )
-    assert [pl.label for pl in labels] == source.labels.tolist()
-    for pl in labels:
-        assert_allclose(pl.per_channel_posteriors.sum(axis=1), 1.0, atol=1e-9)
+    assert labels.label.tolist() == source.labels.tolist()
+    assert_allclose(labels.per_channel_posteriors.sum(axis=2), 1.0, atol=1e-9)
 
 
 def test_label_rejects_source_role(fitted):
@@ -189,7 +188,7 @@ def test_label_rejects_source_role(fitted):
             source,
             coarse_codes(quantizer, source),
             class_tm,
-            transport.ChannelWeights.ones(1, sigma=0.2),
+            np.ones(1),
             pseudolabel.LabelPrior.uniform(2),
         )
 
@@ -205,7 +204,7 @@ def test_label_rejects_unsmoothed_model(fitted):
             target,
             coarse_codes(quantizer, target),
             raw_tm,
-            transport.ChannelWeights.ones(1, sigma=0.2),
+            np.ones(1),
             pseudolabel.LabelPrior.uniform(2),
         )
 
@@ -220,94 +219,84 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     weights = np.array([0.9, 0.5, 0.2])
     target = ds.strip_labels(target)
     codes = coarse_codes(fit.quantizer, target)
-    labels = pseudolabel.label_dataset(
-        target, codes, model, transport.ChannelWeights(weights, 0.2, np.zeros(3)), prior
-    )
-    assert [pl.instance_id for pl in labels] == target.ids.tolist()
-    for n, pl in enumerate(labels):
+    labels = pseudolabel.label_dataset(target, codes, model, weights, prior)
+    assert labels.ids.tolist() == target.ids.tolist()
+    for n in range(len(target)):
         oracle = np.stack([
             pseudolabel.channel_posterior(
                 np.array([log_likelihood(codes[n, d], model[k, d]) for k in range(4)]), prior
             )
             for d in range(3)
         ])
-        assert_allclose(pl.per_channel_posteriors, oracle, rtol=0, atol=1e-12)
-        assert_allclose(pl.scores, (weights[:, None] * oracle).sum(axis=0) / 3, rtol=0, atol=1e-12)
+        assert_allclose(labels.per_channel_posteriors[n], oracle, rtol=0, atol=1e-12)
+        assert_allclose(labels.scores[n], (weights[:, None] * oracle).sum(axis=0) / 3, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- selection
 
 def fake_labels(confidences):
-    out = []
-    for i, c in enumerate(confidences):
-        scores = np.array([c, 1.0 - c])
-        out.append(
-            pseudolabel.PseudoLabel(
-                instance_id=f"i{i}",
-                scores=scores,
-                label=int(np.argmax(scores)),
-                confidence=float(max(scores)),
-                per_channel_posteriors=scores[None, :],
-            )
-        )
-    return out
+    scores = np.array([[c, 1.0 - c] for c in confidences]).reshape(-1, 2)
+    return pseudolabel.PseudoLabels(
+        ids=np.array([f"i{i}" for i in range(len(confidences))], dtype=str),
+        label=np.argmax(scores, axis=1),
+        confidence=scores.max(axis=1),
+        scores=scores,
+        per_channel_posteriors=scores[:, None, :],
+    )
 
 
 def test_top_r_picks_highest_confidence():
     labels = fake_labels([0.9, 0.6, 0.99, 0.7, 0.8, 0.65, 0.72, 0.88, 0.61, 0.95])
-    chosen = pseudolabel.top_r_select(labels, 0.2)
+    chosen = pseudolabel.top_r_select(labels.confidence, 0.2)
     assert_array_equal(chosen, [2, 9])
 
 
 def test_top_r_full_fraction_keeps_all():
     labels = fake_labels([0.9, 0.6, 0.7])
-    assert_array_equal(pseudolabel.top_r_select(labels, 1.0), [0, 1, 2])
+    assert_array_equal(pseudolabel.top_r_select(labels.confidence, 1.0), [0, 1, 2])
 
 
 def test_top_r_rounds_up():
     labels = fake_labels([0.9, 0.8, 0.7, 0.6, 0.95])
-    assert len(pseudolabel.top_r_select(labels, 0.5)) == 3
+    assert len(pseudolabel.top_r_select(labels.confidence, 0.5)) == 3
 
 
 def test_top_r_exact_product_not_inflated():
     labels = fake_labels([0.9] * 10)
-    assert len(pseudolabel.top_r_select(labels, 0.2)) == 2
+    assert len(pseudolabel.top_r_select(labels.confidence, 0.2)) == 2
 
 
 def test_top_r_ties_prefer_lower_index():
     labels = fake_labels([0.9, 0.9, 0.9, 0.9])
-    assert_array_equal(pseudolabel.top_r_select(labels, 0.5), [0, 1])
+    assert_array_equal(pseudolabel.top_r_select(labels.confidence, 0.5), [0, 1])
 
 
 def test_top_r_validates_fraction():
     labels = fake_labels([0.9, 0.8])
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ConfigError):
-            pseudolabel.top_r_select(labels, bad)
+            pseudolabel.top_r_select(labels.confidence, bad)
     with pytest.raises(DataError):
-        pseudolabel.top_r_select([], 0.5)
+        pseudolabel.top_r_select(np.array([]), 0.5)
 
 
 # ---------------------------------------------------------------- io
 
 def test_labels_round_trip(tmp_path):
     labels = fake_labels([0.9, 0.6, 0.75])
-    weights = transport.ChannelWeights(
-        weights=np.array([0.8]), sigma=0.2, mean_costs=np.array([0.09])
-    )
     path = tmp_path / "labels.jsonl"
-    pseudolabel.save_labels(path, labels, weights)
+    pseudolabel.save_labels(path, labels, np.array([0.8]))
     back, header = pseudolabel.load_labels(path)
-    assert [b.label for b in back] == [a.label for a in labels]
-    for a, b in zip(labels, back):
-        assert b.scores.tobytes() == a.scores.tobytes()
-        assert b.per_channel_posteriors.tobytes() == a.per_channel_posteriors.tobytes()
+    assert back.label.tolist() == labels.label.tolist()
+    for n in range(len(labels.ids)):
+        assert back.scores[n].tobytes() == labels.scores[n].tobytes()
+        assert back.per_channel_posteriors[n].tobytes() == labels.per_channel_posteriors[n].tobytes()
     assert header["channel_weights"] == [0.8]
 
 
 def test_selection_round_trip(tmp_path):
     labels = fake_labels([0.9, 0.6, 0.75, 0.95])
-    chosen = pseudolabel.top_r_select(labels, 0.5)
+    chosen = pseudolabel.top_r_select(labels.confidence, 0.5)
     path = tmp_path / "sel.jsonl"
     pseudolabel.save_selection(path, labels, chosen, 0.5)
     rows, header = pseudolabel.load_selection(path)
@@ -319,7 +308,7 @@ def test_selection_round_trip(tmp_path):
 def saved_labels_with(tmp_path, key, value):
     """A two-record labels file whose second record has rec[key] = value."""
     path = tmp_path / "labels.jsonl"
-    pseudolabel.save_labels(path, fake_labels([0.9, 0.6]), transport.ChannelWeights.ones(1, 0.2))
+    pseudolabel.save_labels(path, fake_labels([0.9, 0.6]), np.ones(1))
     header, recs = records.read_record_file(path)
     recs = list(recs)
     recs[1][key] = value
@@ -365,11 +354,27 @@ def test_load_labels_rejects_scores_that_are_not_json_numbers(tmp_path, key, val
         pseudolabel.load_labels(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("scores", [0.5, 0.3, 0.2]), ("per_channel_posteriors", [[0.6, 0.4], [0.6, 0.4]])],
+)
+def test_load_labels_rejects_scores_whose_shape_differs_between_records(tmp_path, key, value):
+    path = saved_labels_with(tmp_path, key, value)
+    with pytest.raises(DataError, match="pseudo-label scores differ in shape"):
+        pseudolabel.load_labels(path)
+
+
 @pytest.mark.parametrize("value", [7, True, None, "", ["i1"]])
 def test_load_labels_rejects_an_id_that_is_not_a_string(tmp_path, value):
     path = saved_labels_with(tmp_path, "id", value)
     with pytest.raises(DataError, match="pseudo-label id .* is not a non-empty string"):
         pseudolabel.load_labels(path)
+
+
+@pytest.mark.parametrize("value", ["i1\u0000", "\u0000"])
+def test_load_labels_keeps_an_id_as_written(tmp_path, value):
+    back, _ = pseudolabel.load_labels(saved_labels_with(tmp_path, "id", value))
+    assert back.ids.tolist() == ["i0", value]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -382,7 +387,7 @@ def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
 
 def test_load_labels_reads_an_integer_confidence(tmp_path):
     back, _ = pseudolabel.load_labels(saved_labels_with(tmp_path, "confidence", 1))
-    assert back[1].confidence == 1.0 and type(back[1].confidence) is float
+    assert back.confidence[1] == 1.0 and back.confidence.dtype == np.float64
 
 
 @pytest.mark.parametrize("index", [1.0, 2.7, True, "0", -1, None])

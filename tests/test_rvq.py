@@ -135,6 +135,14 @@ def test_encode_zero_latent_ties_to_lowest_index():
     assert fine_idx[0, 0] == 2
 
 
+@pytest.mark.parametrize(
+    "rows", [[[1.0, 2.0], [0.0, 1.0], [1.0, 2.0]], [[0.0, 1.0], [-0.0, 1.0]], [[3.0, 1.0], [1.0, 3.0], [3.0, 1.0]]]
+)
+def test_codebook_rejects_a_duplicate_vector_wherever_it_sits(rows):
+    with pytest.raises(DataError, match="duplicate vectors"):
+        rvq.Codebook(vectors=np.array(rows))
+
+
 def test_encode_tie_on_duplicate_direction_prefers_lower():
     coarse = rvq.Codebook(vectors=np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
     fine = rvq.Codebook(vectors=np.array([[0.5, 0.5], [-0.5, 0.5]]))
