@@ -70,21 +70,13 @@ class RunConfig:
             raise ConfigError("seed and projection_seed must be >= 0")
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
+        if not isinstance(self.prior, str):
+            pseudolabel.log_prior(self.prior, self.tau)
 
     def embed_spec(self) -> rvq.EmbedSpec:
         return rvq.EmbedSpec(
             mode=self.embed_mode, d_dim=self.d_dim, projection_seed=self.projection_seed
         )
-
-    def label_prior(self, n_classes: int) -> pseudolabel.LabelPrior:
-        if isinstance(self.prior, str):
-            return pseudolabel.LabelPrior.uniform(n_classes, tau=self.tau)
-        probs = np.asarray(self.prior, dtype=np.float64)
-        if probs.shape != (n_classes,):
-            raise ConfigError(
-                f"prior needs {n_classes} entries, got {probs.shape}"
-            )
-        return pseudolabel.LabelPrior(probs=probs, tau=self.tau)
 
 
 # field name -> annotation, in declaration order
@@ -250,6 +242,9 @@ def cmd_fit(args) -> None:
     if source.role != "source":
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
     ds.require_transitions(source, cfg.patch_length)
+    empty = np.flatnonzero(np.bincount(source.labels, minlength=source.n_classes) == 0)
+    if empty.size:
+        raise DataError(f"source class {empty[0]} of {source.n_classes} has no instances")
     spec = cfg.embed_spec()
     embedded = rvq.embed_dataset(source, cfg.patch_length, spec)
     fit_result = rvq.fit(
@@ -304,6 +299,12 @@ def cmd_label(args) -> None:
     n_classes, n_channels, n_codes = class_tm.shape[:3]
     if n_codes != quantizer.coarse.n_codes:
         raise DataError("quantizer and transition bundle disagree on n_coarse")
+    if n_classes < 2:
+        raise DataError(f"the transition bundle holds {n_classes} class; labeling needs >= 2")
+    probs = np.full(n_classes, 1.0 / n_classes) if cfg.prior == "uniform" else np.asarray(cfg.prior)
+    if probs.shape != (n_classes,):
+        raise ConfigError(f"prior needs {n_classes} entries, got {probs.size}")
+    prior = pseudolabel.log_prior(probs, cfg.tau)
     target = ds.load_corpus(args.target)
     if target.n_channels != n_channels:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
@@ -316,13 +317,12 @@ def cmd_label(args) -> None:
     computed, mean_costs = transport.channel_weights(
         markov.smooth(channel_src, epsilon),
         markov.smooth(channel_trg, epsilon),
-        transport.cosine_cost(quantizer.coarse),
+        transport.cosine_cost(quantizer.coarse.vectors),
         cfg.sigma,
     )
     used = computed if cfg.use_ca else np.ones(n_channels)
     if not used.any():
         raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
-    prior = cfg.label_prior(n_classes)
     labels = pseudolabel.label_dataset(
         target, codes, markov.smooth(class_tm, epsilon), used, prior
     )
@@ -405,8 +405,9 @@ def cmd_eval(args) -> None:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e-8" as an option; take every negative number as a value
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse reads "-1e-8" and "-1,2" as options; take negative numbers and their lists as values
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
 
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise ConfigError(message)

@@ -33,7 +33,8 @@ class DomainDataset:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        ids = np.asarray(self.ids, dtype=str)
+        # an object array keeps each id as written; a str array drops trailing NULs
+        ids = np.asarray(self.ids, dtype=object)
         labels = np.asarray(self.labels, dtype=np.int64)
         if self.role not in ROLES:
             raise DataError(f"role must be one of {ROLES}, got {self.role!r}")
@@ -46,8 +47,8 @@ class DomainDataset:
         finite = np.isfinite(values).all(axis=(1, 2))
         if not finite.all():
             raise DataError(f"instance {ids[np.argmin(finite)]!r}: non-finite values")
-        if (ids == "").any():
-            raise DataError("instance ids must be non-empty")
+        if not all(isinstance(i, str) and i for i in ids):
+            raise DataError("instance ids must be non-empty strings")
         unique, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise DataError(f"duplicate instance id {unique[np.argmax(counts)]!r}")

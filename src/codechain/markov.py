@@ -98,7 +98,6 @@ def save_transitions(
         "epsilon": epsilon,
         "class_tms": class_tm.tolist(),
         "channel_tms_source": channel_src.tolist(),
-        "channel_tms_target": None,
     }
     records.write_record_file(path, header, [rec])
 

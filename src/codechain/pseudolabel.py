@@ -11,7 +11,6 @@ and how much total weight the channels carried.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,51 +19,39 @@ from . import records
 from .dataset import DomainDataset
 from .errors import ConfigError, DataError
 
-_PRIOR_FLOOR = 1e-12
+
+def log_prior(probs, tau: float) -> np.ndarray:
+    """The (n_classes,) prior term log(p / p.sum()) / tau of every posterior.
+
+    probs holds at least 2 finite, non-negative entries summing to 1
+    within 1e-9, floored at 1e-12 before the log; tau must be > 0.
+    Anything else is a ConfigError.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or p.size < 2:
+        raise ConfigError("prior must be a 1-D vector with >= 2 classes")
+    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+        raise ConfigError("prior entries must be finite and non-negative")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ConfigError("prior must sum to 1 within 1e-9")
+    if not tau > 0.0:
+        raise ConfigError("tau must be > 0")
+    p = np.maximum(p, 1e-12)
+    return np.log(p / p.sum()) / tau
 
 
-@dataclass(frozen=True)
-class LabelPrior:
-    """Class prior with temperature tau; entries floored at 1e-12."""
+def channel_posterior(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """softmax over the last (class) axis of loglik + prior.
 
-    probs: np.ndarray
-    tau: float = 1.0
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 2:
-            raise DataError("prior must be a 1-D vector with >= 2 classes")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise DataError("prior entries must be finite and non-negative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise DataError("prior must sum to 1 within 1e-9")
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be > 0")
-        probs = np.maximum(probs, _PRIOR_FLOOR)
-        probs = probs / probs.sum()
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.size
-
-    @classmethod
-    def uniform(cls, n_classes: int, tau: float = 1.0) -> "LabelPrior":
-        return cls(probs=np.full(n_classes, 1.0 / n_classes), tau=tau)
-
-
-def channel_posterior(logliks: np.ndarray, prior: LabelPrior) -> np.ndarray:
-    """softmax over the last (class) axis of loglik + log(prior)/tau.
-
-    logliks is (..., n_classes); every class vector of the result sums
-    to 1.
+    logliks is (..., n_classes) and prior the log_prior vector; every
+    class vector of the result sums to 1.
     """
     logliks = np.asarray(logliks, dtype=np.float64)
-    if logliks.ndim < 1 or logliks.shape[-1] != prior.n_classes:
+    if logliks.ndim < 1 or logliks.shape[-1:] != np.shape(prior):
         raise DataError("log-likelihoods do not match the prior's class count")
     if not np.all(np.isfinite(logliks)):
         raise DataError("log-likelihoods must be finite")
-    logits = logliks + np.log(prior.probs) / prior.tau
+    logits = logliks + prior
     logits = logits - logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
     return w / w.sum(axis=-1, keepdims=True)
@@ -97,7 +84,8 @@ def aggregate(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (post.shape[1],):
         raise DataError("weights do not match the posterior channel count")
-    ids = np.full(len(post), "") if ids is None else np.asarray(ids, dtype=str)
+    # an object array keeps each id as written; a str array drops trailing NULs
+    ids = np.full(len(post), "", dtype=object) if ids is None else np.asarray(ids, dtype=object)
     if ids.shape != (len(post),):
         raise DataError("ids do not match the posterior instance count")
     scores = (w[None, :, None] * post).sum(axis=1) / post.shape[1]
@@ -111,24 +99,25 @@ def label_dataset(
     codes: np.ndarray,
     model: np.ndarray,
     weights: np.ndarray,
-    prior: LabelPrior,
+    prior: np.ndarray,
 ) -> PseudoLabels:
     """Pseudo-label every target instance from its coarse codes, in one batch.
 
     codes is (n_instances, n_channels, n_patches); model holds the
     smoothed (strictly positive) (n_classes, n_channels, n_codes,
-    n_codes) class matrices; weights holds one weight per channel. One
-    gather takes log p(to | from) of every transition under every class;
-    the (n_instances, n_channels, n_classes) log-likelihoods are
-    sum_t ln p(s[t+1] | s[t]) / n_patches, the log probability of each
-    code sequence normalised by its length. Those become per-channel
-    posteriors, then weighted scores. Rows are ordered like the dataset.
+    n_codes) class matrices; weights holds one weight per channel and
+    prior is the log_prior vector. One gather takes log p(to | from) of
+    every transition under every class; the (n_instances, n_channels,
+    n_classes) log-likelihoods are sum_t ln p(s[t+1] | s[t]) / n_patches,
+    the log probability of each code sequence normalised by its length.
+    Those become per-channel posteriors, then weighted scores. Rows are
+    ordered like the dataset.
     """
     if target.role != "target":
         raise DataError(f"labeling expects a target dataset, got role {target.role!r}")
     model = np.asarray(model, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
-    if model.ndim != 4 or model.shape[0] != prior.n_classes:
+    if model.ndim != 4 or model.shape[0] != len(prior):
         raise DataError("model and prior disagree on the class count")
     if model.shape[1] != target.n_channels:
         raise DataError("model and dataset disagree on the channel count")
@@ -188,10 +177,10 @@ def save_labels(path, labels: PseudoLabels, weights: np.ndarray, config: dict | 
 
 def load_labels(path) -> tuple[PseudoLabels, dict]:
     """Pseudo-labels from a file of at least one record: id a non-empty
-    JSON string, label a non-negative JSON integer, confidence a finite
-    JSON number (never a bool), scores a vector and
-    per_channel_posteriors a matrix of JSON numbers, each of one shape
-    across the records."""
+    JSON string, label a non-negative JSON integer below the score
+    count, confidence a finite JSON number (never a bool), scores a
+    vector and per_channel_posteriors a matrix of JSON numbers, each of
+    one shape across the records."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     rows = [
         (
@@ -210,6 +199,8 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
     ids, label, confidence, scores, posteriors = zip(*rows)
     if len({s.shape for s in scores}) > 1 or len({p.shape for p in posteriors}) > 1:
         raise DataError(f"{path}: pseudo-label scores differ in shape between records")
+    if max(label) >= len(scores[0]):
+        raise DataError(f"{path}: pseudo-label label {max(label)} is not below its {len(scores[0])} scores")
     stacked = (np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores), np.stack(posteriors))
     return PseudoLabels(np.array(ids, dtype=object), *stacked), header
 

@@ -17,13 +17,10 @@ the true marginals and certified by a fresh walk before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import records
 from .errors import ConfigError, DataError, InternalError
-from .rvq import Codebook
 
 _PERTURB = 1e-12
 _PRICE_TOL = 1e-12
@@ -32,10 +29,10 @@ _MARGINAL_TOL = 1e-9
 _MAX_PIVOTS = 100000
 
 
-def cosine_cost(coarse: Codebook) -> np.ndarray:
-    """(n, n) ground cost 1 - cosine similarity between coarse codewords:
-    symmetric, zero on the diagonal, entries in [0, 2]."""
-    v = coarse.vectors
+def cosine_cost(vectors: np.ndarray) -> np.ndarray:
+    """(n, n) ground cost 1 - cosine similarity between the rows of an
+    (n, d) codeword array: symmetric, zero on the diagonal, entries in [0, 2]."""
+    v = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise DataError("cosine cost undefined for a zero-norm codeword")
@@ -44,12 +41,6 @@ def cosine_cost(coarse: Codebook) -> np.ndarray:
     costs = 1.0 - sim
     np.fill_diagonal(costs, 0.0)
     return 0.5 * (costs + costs.T)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    plan: np.ndarray
-    cost: float
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
@@ -184,13 +175,12 @@ def _tree_flows(in_basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return flow
 
 
-def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> TransportPlan:
-    """Exact optimal transport between two discrete distributions.
+def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(plan, cost): exact optimal transport between two discrete distributions.
 
     p and q must sum to 1 within 1e-9 with non-negative entries; costs
-    is an (n, n) non-negative matrix. The returned plan
-    has row sums p and column sums q within 1e-9 and globally minimal
-    total cost.
+    is an (n, n) non-negative matrix. The plan has row sums p and column
+    sums q within 1e-9 and globally minimal total cost.
     """
     costs = np.asarray(costs, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -209,7 +199,7 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> TransportPlan:
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)
     if n == 1:
-        return TransportPlan(plan=np.array([[1.0]]), cost=float(costs[0, 0]))
+        return np.array([[1.0]]), float(costs[0, 0])
 
     # perturbed marginals keep every basic flow strictly positive
     pp = p + _PERTURB
@@ -267,7 +257,7 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> TransportPlan:
     duals = np.array(_spanning_tree(in_basis, rows)[1])
     if float((costs - duals[:n, None] - duals[None, n:]).min()) < -_CERT_TOL:
         raise InternalError("transport optimality certificate failed")
-    return TransportPlan(plan=plan, cost=float((plan * costs).sum()))
+    return plan, float((plan * costs).sum())
 
 
 def channel_weights(
@@ -295,7 +285,7 @@ def channel_weights(
     for d in range(n_channels):
         total = 0.0
         for i in range(n_codes):
-            total += solve_emd(src[d, i], trg[d, i], costs).cost
+            total += solve_emd(src[d, i], trg[d, i], costs)[1]
         mean_costs[d] = total / n_codes
     return np.exp(-((mean_costs / sigma) ** 2)), mean_costs
 

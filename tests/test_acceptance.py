@@ -41,14 +41,12 @@ def label_target(target, quantizer, class_tm, channel_src, m=8, use_ca=True,
     weights, _ = transport.channel_weights(
         markov.smooth(channel_src, eps),
         markov.smooth(channel_trg, eps),
-        transport.cosine_cost(quantizer.coarse),
+        transport.cosine_cost(quantizer.coarse.vectors),
         sigma,
     )
     used = weights if use_ca else np.ones(target.n_channels)
-    if prior is None:
-        label_prior = pseudolabel.LabelPrior.uniform(class_tm.shape[0], tau=tau)
-    else:
-        label_prior = pseudolabel.LabelPrior(probs=np.asarray(prior), tau=tau)
+    k = class_tm.shape[0]
+    label_prior = pseudolabel.log_prior(np.full(k, 1.0 / k) if prior is None else prior, tau)
     labels = pseudolabel.label_dataset(
         stripped, codes_trg, markov.smooth(class_tm, eps), used, label_prior
     )
@@ -90,18 +88,16 @@ def test_criterion_02_transport_matches_enumeration():
         n = int(rng.integers(2, 4))
         p = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         q = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
-        costs = transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 4))))
-        plan = transport.solve_emd(p, q, costs)
-        assert abs(plan.cost - enumerate_emd(p, q, costs)) < 1e-9
+        costs = transport.cosine_cost(rng.normal(size=(n, 4)))
+        _, cost = transport.solve_emd(p, q, costs)
+        assert abs(cost - enumerate_emd(p, q, costs)) < 1e-9
     for _ in range(100):
         n = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(n) * 0.7)
         q = rng.dirichlet(np.ones(n) * 0.7)
-        plan = transport.solve_emd(
-            p, q, transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 4))))
-        )
-        assert_allclose(plan.plan.sum(axis=1), p, atol=1e-9)
-        assert_allclose(plan.plan.sum(axis=0), q, atol=1e-9)
+        plan, _ = transport.solve_emd(p, q, transport.cosine_cost(rng.normal(size=(n, 4))))
+        assert_allclose(plan.sum(axis=1), p, atol=1e-9)
+        assert_allclose(plan.sum(axis=0), q, atol=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(2, f"500 enumerated solves within 1e-9, {elapsed:.2f}s")
@@ -124,7 +120,7 @@ def test_criterion_03_noise_ladder_degrades_corrupted_channel_rank():
         )
         source, target = synth.generate(cfg)
         fit, _, _, channel_src = fit_source(source, seed=seed)
-        cost = transport.cosine_cost(fit.quantizer.coarse)
+        cost = transport.cosine_cost(fit.quantizer.coarse.vectors)
         ranks = []
         for mag in magnitudes:
             noisy = synth.inject_channel_noise(target, 2, mag, seed=1000 + seed)
@@ -320,9 +316,9 @@ def test_criterion_10b_posteriors_live_on_the_simplex():
         logliks = rng.uniform(-60.0, 0.0, size=k)
         if rng.random() < 0.1:
             logliks[rng.integers(0, k)] = -1e5
-        prior = pseudolabel.LabelPrior(
-            probs=rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0)),
-            tau=10.0 ** rng.uniform(-2, 1),
+        prior = pseudolabel.log_prior(
+            rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0)),
+            10.0 ** rng.uniform(-2, 1),
         )
         post = pseudolabel.channel_posterior(logliks, prior)
         assert np.all(post >= 0.0)
@@ -336,7 +332,7 @@ def test_criterion_10c_channel_weights_stay_in_unit_interval():
         n = int(rng.integers(2, 4))
         src = rng.dirichlet(np.ones(n), size=(1, n))
         trg = rng.dirichlet(np.ones(n), size=(1, n))
-        costs = transport.cosine_cost(rvq.Codebook(vectors=rng.normal(size=(n, 3))))
+        costs = transport.cosine_cost(rng.normal(size=(n, 3)))
         sigma = rng.uniform(0.05, 1.0)
         w, _ = transport.channel_weights(src, trg, costs, sigma)
         assert np.all(w > 0.0)

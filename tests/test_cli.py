@@ -239,6 +239,37 @@ def test_label_checks_both_bundles_before_reading_the_target(workspace, tmp_path
                "--out-dir", out) == 2
 
 
+def test_label_checks_the_prior_length_before_reading_the_target(workspace, monkeypatch, capsys):
+    data, model, out = workspace
+    monkeypatch.setattr(ds, "load_corpus", never_called)
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out, "--prior", "0.5,0.5") == 1
+    assert "config error: prior needs 4 entries" in capsys.readouterr().err
+
+
+def rename_first_record(path, new_id):
+    header, recs = records.read_record_file(path)
+    recs = list(recs)
+    recs[0]["id"] = new_id
+    records.write_record_file(path, header, recs)
+
+
+def test_an_id_ending_in_nul_is_labelled_and_scored_as_written(workspace):
+    data, model, out = workspace
+    rename_first_record(data / "target.jsonl", "trg-0000\u0000")
+    rename_first_record(data / "target_truth.jsonl", "trg-0000\u0000")
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 0
+    assert run("eval", "--labels", out / "labels.jsonl",
+               "--truth", data / "target_truth.jsonl", "--subset", out / "selected.jsonl") == 0
+    _, recs = records.read_record_file(out / "labels.jsonl")
+    assert next(recs)["id"] == "trg-0000\u0000"
+
+
 def test_label_channel_mismatch(workspace, tmp_path):
     data, model, out = workspace
     other = tmp_path / "other"
@@ -278,6 +309,16 @@ def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
     monkeypatch.setattr(rvq, "fit", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
+
+
+def test_fit_rejects_a_source_class_with_no_instances_before_embedding(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert run(*synth_args(data), "--class-probs-source", "0.5,0.5,0,0") == 0
+    monkeypatch.setattr(rvq, "embed", never_called)
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m") == 2
+    assert "data error: source class 2 of 4 has no instances" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_internal_error_exits_3(workspace, monkeypatch, capsys):
@@ -437,6 +478,29 @@ def test_eval_rejects_a_selection_id_that_differs_from_its_label(tmp_path, capsy
     assert "selection id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [10**30, 2], ids=["10**30", "the-score-count"])
+def test_eval_rejects_a_label_not_below_its_score_count(tmp_path, capsys, label):
+    # three truth classes, so only the two scores make label 2 out of range
+    truth = ds.DomainDataset(
+        values=np.zeros((2, 1, 4)), ids=["a", "b"], labels=[0, 2], n_classes=3, role="target"
+    )
+    ds.save_truth(tmp_path / "truth.jsonl", truth)
+    labels = pseudolabel.PseudoLabels(
+        ids=np.array(["a", "b"]),
+        label=np.arange(2),
+        confidence=np.ones(2),
+        scores=np.eye(2),
+        per_channel_posteriors=np.eye(2)[:, None, :],
+    )
+    pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
+    header, recs = records.read_record_file(tmp_path / "labels.jsonl")
+    recs = list(recs)
+    recs[1]["label"] = label
+    records.write_record_file(tmp_path / "labels.jsonl", header, recs)
+    assert run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl") == 2
+    assert f"label {label} is not below its 2 scores" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config
 
 @pytest.mark.parametrize("stage", ["label", "eval"])
@@ -546,20 +610,35 @@ def test_negative_seed_is_config_error(tmp_path, capsys, flags, config):
     assert "config error" in capsys.readouterr().err
 
 
+def absent_inputs(command, tmp_path):
+    """The input flags of a stage, each naming a file that does not exist."""
+    absent = tmp_path / "absent.jsonl"
+    return {
+        "fit": ("--source", absent, "--out-dir", tmp_path / "out"),
+        "label": ("--target", absent, "--quantizer", absent, "--transitions", absent,
+                  "--out-dir", tmp_path / "out"),
+        "eval": ("--labels", absent, "--truth", absent),
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["fit", "label", "eval"])
 @pytest.mark.parametrize("section", [{"bogus": 1}, {"n_source": "7"}])
 def test_every_stage_checks_the_config_synth_section(tmp_path, capsys, command, section):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"synth": section}))
-    absent = tmp_path / "absent.jsonl"  # the config is checked before any input is read
-    inputs = {
-        "fit": ("--source", absent, "--out-dir", tmp_path / "out"),
-        "label": ("--target", absent, "--quantizer", absent, "--transitions", absent,
-                  "--out-dir", tmp_path / "out"),
-        "eval": ("--labels", absent, "--truth", absent),
-    }
-    assert run(command, *inputs[command], "--config", cfg_path) == 1
+    # the config is checked before any input is read
+    assert run(command, *absent_inputs(command, tmp_path), "--config", cfg_path) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "label", "eval"])
+@pytest.mark.parametrize(
+    "prior", ["0.3,0.3,0.3,0.3", "1.2,-0.2", "1", "[0.5, 0.6]"],
+    ids=["sum-0.9", "negative", "one-entry", "json-sum-1.1"],
+)
+def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsys, command, prior):
+    assert run(command, *absent_inputs(command, tmp_path), "--prior", prior) == 1
+    assert "config error: prior" in capsys.readouterr().err
 
 
 def test_config_file_values_are_echoed_as_given(tmp_path):
@@ -585,6 +664,17 @@ def test_invalid_run_values_rejected(tmp_path, capsys):
 def test_a_negative_number_is_read_as_a_flag_value(text):
     args = cli.build_parser().parse_args(["synth", "--out-dir", "d", "--shift-offset", text])
     assert args.shift_offset == float(text)
+
+
+def test_a_negative_comma_list_is_read_as_a_flag_value(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(*synth_args(spaced), "--shift-offset", "-1,0.5,2") == 0
+    assert run(*synth_args(joined), "--shift-offset=-1,0.5,2") == 0
+    for name in ("source.jsonl", "target.jsonl", "target_truth.jsonl"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    capsys.readouterr()
+    assert run(*synth_args(tmp_path / "bad"), "--shift-offset", "-1,-x") == 1
+    assert "expected one argument" in capsys.readouterr().err
 
 
 RUN_OPTIONS = {

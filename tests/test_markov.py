@@ -275,8 +275,11 @@ def test_transitions_round_trip_without_target(tmp_path):
     markov.save_transitions(path, ctm, ch, 1e-6)
     _, _, eps = markov.load_transitions(path)
     assert eps == 1e-6
-    _, (rec,) = records.read_record_file(path, expected_kind="transitions")
-    assert rec["channel_tms_target"] is None
+    header, (rec,) = records.read_record_file(path, expected_kind="transitions")
+    assert "channel_tms_target" not in rec
+    # a bundle written with the old null field still loads
+    records.write_record_file(path, header, [{**rec, "channel_tms_target": None}])
+    assert markov.load_transitions(path)[2] == 1e-6
 
 
 def test_load_transitions_rejects_rows_that_do_not_sum_to_one(tmp_path):

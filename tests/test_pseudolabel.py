@@ -54,54 +54,75 @@ def coarse_codes(quantizer, dataset, patch_length=8):
     return codes
 
 
+def uniform(n_classes, tau=1.0):
+    """The log prior of the uniform class prior."""
+    return pseudolabel.log_prior(np.full(n_classes, 1.0 / n_classes), tau)
+
+
 # ---------------------------------------------------------------- prior
 
 def test_prior_floors_and_renormalizes():
-    prior = pseudolabel.LabelPrior(probs=np.array([1.0, 0.0]), tau=1.0)
-    assert np.all(prior.probs > 0)
-    assert_allclose(prior.probs.sum(), 1.0, atol=1e-12)
+    probs = np.exp(pseudolabel.log_prior(np.array([1.0, 0.0]), 1.0))
+    assert np.all(probs > 0)
+    assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
 
 def test_prior_rejects_bad_tau():
     with pytest.raises(ConfigError):
-        pseudolabel.LabelPrior(probs=np.array([0.5, 0.5]), tau=0.0)
+        pseudolabel.log_prior(np.array([0.5, 0.5]), 0.0)
 
 
 def test_uniform_prior():
-    prior = pseudolabel.LabelPrior.uniform(4, tau=2.0)
-    assert_allclose(prior.probs, 0.25, atol=1e-15)
-    assert prior.tau == 2.0
+    prior = uniform(4, tau=2.0)
+    assert_allclose(np.exp(2.0 * prior), 0.25, atol=1e-15)
+    assert_allclose(prior, np.log(0.25) / 2.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[1.0], [0.6, 0.6], [1.2, -0.2], [0.5, np.nan], [0.5, np.inf], [[0.5, 0.5]]],
+    ids=["one-entry", "sum-above-1", "negative", "nan", "inf", "2-D"],
+)
+def test_log_prior_rejects_a_bad_prior_as_a_config_error(probs):
+    with pytest.raises(ConfigError):
+        pseudolabel.log_prior(probs, 1.0)
+
+
+def test_log_prior_takes_the_floored_log_scaled_by_tau():
+    prior = pseudolabel.log_prior([0.75, 0.25, 0.0], 0.5)
+    p = np.maximum(np.array([0.75, 0.25, 0.0]), 1e-12)
+    assert_array_equal(prior, np.log(p / p.sum()) / 0.5)
 
 
 # ---------------------------------------------------------------- posterior
 
 def test_posterior_symmetry():
-    prior = pseudolabel.LabelPrior.uniform(3)
+    prior = uniform(3)
     post = pseudolabel.channel_posterior(np.array([-1.2, -1.2, -1.2]), prior)
     assert_allclose(post, 1.0 / 3.0, atol=1e-15)
 
 
 def test_posterior_bayes_evaluation():
-    prior = pseudolabel.LabelPrior.uniform(2)
+    prior = uniform(2)
     post = pseudolabel.channel_posterior(np.log(np.array([0.9, 0.1])), prior)
     assert_allclose(post, [0.9, 0.1], atol=1e-12)
 
 
 def test_posterior_small_tau_follows_prior():
-    prior = pseudolabel.LabelPrior(probs=np.array([0.9, 0.1]), tau=0.001)
+    prior = pseudolabel.log_prior(np.array([0.9, 0.1]), 0.001)
     post = pseudolabel.channel_posterior(np.log(np.array([0.01, 0.99])), prior)
     assert int(np.argmax(post)) == 0
 
 
 def test_posterior_uniform_prior_tau_cancels():
     logliks = np.array([-3.0, -1.5, -2.2])
-    a = pseudolabel.channel_posterior(logliks, pseudolabel.LabelPrior.uniform(3, tau=1.0))
-    b = pseudolabel.channel_posterior(logliks, pseudolabel.LabelPrior.uniform(3, tau=7.0))
+    a = pseudolabel.channel_posterior(logliks, uniform(3, tau=1.0))
+    b = pseudolabel.channel_posterior(logliks, uniform(3, tau=7.0))
     assert_allclose(a, b, atol=1e-12)
 
 
 def test_posterior_stable_at_extreme_logliks():
-    prior = pseudolabel.LabelPrior.uniform(2)
+    prior = uniform(2)
     post = pseudolabel.channel_posterior(np.array([-1e6, -1e6 + 1]), prior)
     assert np.all(np.isfinite(post))
     assert_allclose(post.sum(), 1.0, atol=1e-9)
@@ -117,8 +138,8 @@ def test_posterior_monotone_in_prior():
         boosted = base.copy()
         boosted[target] *= 3.0
         boosted /= boosted.sum()
-        post_base = pseudolabel.channel_posterior(logliks, pseudolabel.LabelPrior(probs=base))
-        post_boost = pseudolabel.channel_posterior(logliks, pseudolabel.LabelPrior(probs=boosted))
+        post_base = pseudolabel.channel_posterior(logliks, pseudolabel.log_prior(base, 1.0))
+        post_boost = pseudolabel.channel_posterior(logliks, pseudolabel.log_prior(boosted, 1.0))
         assert post_boost[target] >= post_base[target] - 1e-12
 
 
@@ -175,7 +196,7 @@ def test_label_recovers_source_classes(fitted):
         coarse_codes(quantizer, target),
         class_tm,
         np.ones(1),
-        pseudolabel.LabelPrior.uniform(2),
+        uniform(2),
     )
     assert labels.label.tolist() == source.labels.tolist()
     assert_allclose(labels.per_channel_posteriors.sum(axis=2), 1.0, atol=1e-9)
@@ -189,7 +210,7 @@ def test_label_rejects_source_role(fitted):
             coarse_codes(quantizer, source),
             class_tm,
             np.ones(1),
-            pseudolabel.LabelPrior.uniform(2),
+            uniform(2),
         )
 
 
@@ -205,7 +226,7 @@ def test_label_rejects_unsmoothed_model(fitted):
             coarse_codes(quantizer, target),
             raw_tm,
             np.ones(1),
-            pseudolabel.LabelPrior.uniform(2),
+            uniform(2),
         )
 
 
@@ -215,7 +236,7 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     latents = rvq.embed(ds.patchify(source.values, 8))
     fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=16, max_iters=50, seed=0)
     model = markov.smooth(markov.build_class_tm(fit.coarse_idx, source.labels, 4, 8), 1e-8)
-    prior = pseudolabel.LabelPrior(probs=np.array([0.4, 0.3, 0.2, 0.1]), tau=0.7)
+    prior = pseudolabel.log_prior(np.array([0.4, 0.3, 0.2, 0.1]), 0.7)
     weights = np.array([0.9, 0.5, 0.2])
     target = ds.strip_labels(target)
     codes = coarse_codes(fit.quantizer, target)
