@@ -52,10 +52,6 @@ class RunConfig:
             raise ConfigError("patch_length must be >= 2")
         if self.n_coarse < 2 or self.n_fine < 2:
             raise ConfigError("n_coarse and n_fine must be >= 2")
-        if self.embed_mode not in rvq.EMBED_MODES:
-            raise ConfigError(f"embed_mode must be one of {rvq.EMBED_MODES}")
-        if self.d_dim is not None and self.d_dim < 2:
-            raise ConfigError("d_dim must be >= 2 when set")
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be > 0")
         if not self.sigma > 0.0:
@@ -68,6 +64,7 @@ class RunConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.seed < 0 or self.projection_seed < 0:
             raise ConfigError("seed and projection_seed must be >= 0")
+        self.embed_spec()
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
         if not isinstance(self.prior, str):
@@ -245,6 +242,9 @@ def cmd_fit(args) -> None:
     empty = np.flatnonzero(np.bincount(source.labels, minlength=source.n_classes) == 0)
     if empty.size:
         raise DataError(f"source class {empty[0]} of {source.n_classes} has no instances")
+    flat = np.flatnonzero(np.ptp(source.values, axis=(0, 2)) == 0.0)
+    if flat.size:
+        raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")
     spec = cfg.embed_spec()
     embedded = rvq.embed_dataset(source, cfg.patch_length, spec)
     fit_result = rvq.fit(
@@ -275,9 +275,9 @@ def cmd_fit(args) -> None:
     stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
     print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
     print(
-        f"coarse codes: {int((stats.coarse_counts == 0).sum())}/{quantizer.coarse.n_codes} dead "
+        f"coarse codes: {int((stats.coarse_counts == 0).sum())}/{len(quantizer.coarse)} dead "
         f"({stats.coarse_dead_pct:.1f}%), fine codes: {int((stats.fine_counts == 0).sum())}/"
-        f"{quantizer.fine.n_codes} dead ({stats.fine_dead_pct:.1f}%)"
+        f"{len(quantizer.fine)} dead ({stats.fine_dead_pct:.1f}%)"
     )
     print(
         f"recon mse: coarse {stats.mse_coarse_only:.6f}, "
@@ -297,10 +297,11 @@ def cmd_label(args) -> None:
     quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
     class_tm, channel_src, bundle_eps = markov.load_transitions(args.transitions)
     n_classes, n_channels, n_codes = class_tm.shape[:3]
-    if n_codes != quantizer.coarse.n_codes:
+    if n_codes != len(quantizer.coarse):
         raise DataError("quantizer and transition bundle disagree on n_coarse")
     if n_classes < 2:
         raise DataError(f"the transition bundle holds {n_classes} class; labeling needs >= 2")
+    costs = transport.cosine_cost(quantizer.coarse)
     probs = np.full(n_classes, 1.0 / n_classes) if cfg.prior == "uniform" else np.asarray(cfg.prior)
     if probs.shape != (n_classes,):
         raise ConfigError(f"prior needs {n_classes} entries, got {probs.size}")
@@ -317,7 +318,7 @@ def cmd_label(args) -> None:
     computed, mean_costs = transport.channel_weights(
         markov.smooth(channel_src, epsilon),
         markov.smooth(channel_trg, epsilon),
-        transport.cosine_cost(quantizer.coarse.vectors),
+        costs,
         cfg.sigma,
     )
     used = computed if cfg.use_ca else np.ones(n_channels)

@@ -111,8 +111,8 @@ def pe_report(
     if coarse_idx.size == 0:
         raise DataError("no codes given")
     n_series = coarse_idx.shape[0] * coarse_idx.shape[1]
-    coarse_series = quantizer.coarse.vectors[coarse_idx].reshape(n_series, -1)
-    fine_series = quantizer.fine.vectors[fine_idx].reshape(n_series, -1)
+    coarse_series = quantizer.coarse[coarse_idx].reshape(n_series, -1)
+    fine_series = quantizer.fine[fine_idx].reshape(n_series, -1)
     coarse_pe = [permutation_entropy(x, order, delay) for x in coarse_series]
     fine_pe = [permutation_entropy(x, order, delay) for x in fine_series]
     return float(np.mean(coarse_pe)), float(np.mean(fine_pe))

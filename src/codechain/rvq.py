@@ -116,39 +116,31 @@ def embed_dataset(
 
 
 @dataclass(frozen=True)
-class Codebook:
-    vectors: np.ndarray
+class ResidualQuantizer:
+    """Coarse and fine codebooks: (n_codes, d_dim) float64 arrays of the
+    same width, each of at least 2 distinct finite rows."""
+
+    coarse: np.ndarray
+    fine: np.ndarray
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise DataError("codebook vectors must be 2-D (n_codes, d_dim)")
-        if vectors.shape[0] < 2:
-            raise DataError("codebook needs at least 2 codes")
-        if not np.all(np.isfinite(vectors)):
-            raise DataError("codebook contains non-finite vectors")
-        if len(np.unique(vectors, axis=0)) != len(vectors):
-            raise DataError("codebook contains duplicate vectors")
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def n_codes(self) -> int:
-        return self.vectors.shape[0]
+        for name in ("coarse", "fine"):
+            vectors = np.asarray(getattr(self, name), dtype=np.float64)
+            if vectors.ndim != 2:
+                raise DataError("codebook vectors must be 2-D (n_codes, d_dim)")
+            if vectors.shape[0] < 2:
+                raise DataError("codebook needs at least 2 codes")
+            if not np.all(np.isfinite(vectors)):
+                raise DataError("codebook contains non-finite vectors")
+            if len(np.unique(vectors, axis=0)) != len(vectors):
+                raise DataError("codebook contains duplicate vectors")
+            object.__setattr__(self, name, vectors)
+        if self.coarse.shape[1] != self.fine.shape[1]:
+            raise DataError("coarse and fine codebooks differ in width")
 
     @property
     def d_dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class ResidualQuantizer:
-    coarse: Codebook
-    fine: Codebook
-    d_dim: int
-
-    def __post_init__(self):
-        if self.coarse.d_dim != self.d_dim or self.fine.d_dim != self.d_dim:
-            raise DataError("codebook dimensions do not match quantizer d_dim")
+        return self.coarse.shape[1]
 
 
 class Codes(NamedTuple):
@@ -319,9 +311,7 @@ def fit(
     residuals = zn - l2_normalize(coarse_vecs, axis=1)[coarse_assign]
     fine_vecs, _, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
 
-    quantizer = ResidualQuantizer(
-        coarse=Codebook(coarse_vecs), fine=Codebook(fine_vecs), d_dim=d_dim
-    )
+    quantizer = ResidualQuantizer(coarse=coarse_vecs, fine=fine_vecs)
     codes = encode(quantizer, latents)
     return QuantizerFit(
         quantizer=quantizer,
@@ -343,11 +333,11 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
             f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}"
         )
     zn = l2_normalize(lat.reshape(-1, quantizer.d_dim), axis=1)
-    coarse_idx, _ = _nearest(zn, quantizer.coarse.vectors)
+    coarse_idx, _ = _nearest(zn, quantizer.coarse)
     if not fine:
         return Codes(coarse_idx.reshape(lat.shape[:-1]), None)
-    residual = zn - l2_normalize(quantizer.coarse.vectors, axis=1)[coarse_idx]
-    fine_idx, _ = _nearest(residual, quantizer.fine.vectors)
+    residual = zn - l2_normalize(quantizer.coarse, axis=1)[coarse_idx]
+    fine_idx, _ = _nearest(residual, quantizer.fine)
     return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]))
 
 
@@ -359,16 +349,16 @@ def reconstruct(
     Without fine indices, only the coarse vectors are summed.
     """
     coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
-    if coarse_idx.min() < 0 or coarse_idx.max() >= quantizer.coarse.n_codes:
+    if coarse_idx.min() < 0 or coarse_idx.max() >= len(quantizer.coarse):
         raise DataError("coarse index out of range for this quantizer")
-    out = quantizer.coarse.vectors[coarse_idx]
+    out = quantizer.coarse[coarse_idx]
     if fine_idx is not None:
         fine_idx = np.asarray(fine_idx, dtype=np.int64)
         if fine_idx.shape != coarse_idx.shape:
             raise DataError("coarse and fine indices must share a shape")
-        if fine_idx.min() < 0 or fine_idx.max() >= quantizer.fine.n_codes:
+        if fine_idx.min() < 0 or fine_idx.max() >= len(quantizer.fine):
             raise DataError("fine index out of range for this quantizer")
-        out = out + quantizer.fine.vectors[fine_idx]
+        out = out + quantizer.fine[fine_idx]
     return out
 
 
@@ -403,14 +393,14 @@ def code_stats(
     zn = l2_normalize(latents, axis=-1)
     rec_c = reconstruct(quantizer, coarse_idx)
     rec_cf = reconstruct(quantizer, coarse_idx, fine_idx)
-    coarse_counts = np.bincount(coarse_idx.ravel(), minlength=quantizer.coarse.n_codes)
-    fine_counts = np.bincount(np.ravel(fine_idx), minlength=quantizer.fine.n_codes)
+    coarse_counts = np.bincount(coarse_idx.ravel(), minlength=len(quantizer.coarse))
+    fine_counts = np.bincount(np.ravel(fine_idx), minlength=len(quantizer.fine))
     denom = coarse_idx.size * quantizer.d_dim
     return CodeUsageReport(
         coarse_counts=coarse_counts,
         fine_counts=fine_counts,
-        coarse_dead_pct=100.0 * float((coarse_counts == 0).sum()) / quantizer.coarse.n_codes,
-        fine_dead_pct=100.0 * float((fine_counts == 0).sum()) / quantizer.fine.n_codes,
+        coarse_dead_pct=100.0 * float((coarse_counts == 0).sum()) / len(quantizer.coarse),
+        fine_dead_pct=100.0 * float((fine_counts == 0).sum()) / len(quantizer.fine),
         mse_coarse_only=float(((zn - rec_c) ** 2).sum()) / denom,
         mse_coarse_fine=float(((zn - rec_cf) ** 2).sum()) / denom,
         n_patches=int(coarse_idx.size),
@@ -428,13 +418,13 @@ def save_quantizer(
     header = {
         "kind": "quantizer",
         "d_dim": quantizer.d_dim,
-        "n_coarse": quantizer.coarse.n_codes,
-        "n_fine": quantizer.fine.n_codes,
+        "n_coarse": len(quantizer.coarse),
+        "n_fine": len(quantizer.fine),
         "config": config,
     }
     rec = {
-        "coarse": quantizer.coarse.vectors.tolist(),
-        "fine": quantizer.fine.vectors.tolist(),
+        "coarse": quantizer.coarse.tolist(),
+        "fine": quantizer.fine.tolist(),
         "embed_mode": embed_spec.mode,
         "embed_d_dim": embed_spec.d_dim,
         "projection_seed": embed_spec.projection_seed,
@@ -457,12 +447,15 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     def whole(field: str, value, least: int = 1) -> int:
         return records.whole_number(path, f"quantizer {field}", value, least)
 
-    coarse = Codebook(records.numbers(path, "quantizer coarse", rec.get("coarse"), 2))
     quantizer = ResidualQuantizer(
-        coarse=coarse,
-        fine=Codebook(records.numbers(path, "quantizer fine", rec.get("fine"), 2)),
-        d_dim=whole("header d_dim", header.get("d_dim", coarse.d_dim)),
+        coarse=records.numbers(path, "quantizer coarse", rec.get("coarse"), 2),
+        fine=records.numbers(path, "quantizer fine", rec.get("fine"), 2),
     )
+    d_dim = whole("header d_dim", header.get("d_dim", quantizer.d_dim))
+    if d_dim != quantizer.d_dim:
+        raise DataError(
+            f"{path}: quantizer header d_dim {d_dim} differs from its codebook width {quantizer.d_dim}"
+        )
     embed_d_dim = rec.get("embed_d_dim")
     try:
         spec = EmbedSpec(

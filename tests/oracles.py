@@ -29,3 +29,19 @@ def log_likelihood(
         )
     denom = seq.size - 1 if per_transition else seq.size
     return float(np.log(p).sum() / denom)
+
+
+def linprog_emd_cost(optimize, p, q, costs):
+    """Optimal transport cost as a plain LP, solved by HiGHS."""
+    n = p.size
+    rows = np.kron(np.eye(n), np.ones((1, n)))  # sum_j x_ij = p_i
+    cols = np.kron(np.ones((1, n)), np.eye(n))  # sum_i x_ij = q_j
+    res = optimize.linprog(
+        costs.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([p, q]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun

@@ -37,11 +37,11 @@ def label_target(target, quantizer, class_tm, channel_src, m=8, use_ca=True,
                  prior=None, tau=1.0, sigma=0.2, eps=1e-8):
     stripped = ds.strip_labels(target)
     codes_trg, _ = rvq.encode(quantizer, embed_corpus(stripped, m), fine=False)
-    channel_trg = markov.build_channel_tm(codes_trg, quantizer.coarse.n_codes)
+    channel_trg = markov.build_channel_tm(codes_trg, len(quantizer.coarse))
     weights, _ = transport.channel_weights(
         markov.smooth(channel_src, eps),
         markov.smooth(channel_trg, eps),
-        transport.cosine_cost(quantizer.coarse.vectors),
+        transport.cosine_cost(quantizer.coarse),
         sigma,
     )
     used = weights if use_ca else np.ones(target.n_channels)
@@ -120,7 +120,7 @@ def test_criterion_03_noise_ladder_degrades_corrupted_channel_rank():
         )
         source, target = synth.generate(cfg)
         fit, _, _, channel_src = fit_source(source, seed=seed)
-        cost = transport.cosine_cost(fit.quantizer.coarse.vectors)
+        cost = transport.cosine_cost(fit.quantizer.coarse)
         ranks = []
         for mag in magnitudes:
             noisy = synth.inject_channel_noise(target, 2, mag, seed=1000 + seed)

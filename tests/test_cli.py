@@ -239,6 +239,19 @@ def test_label_checks_both_bundles_before_reading_the_target(workspace, tmp_path
                "--out-dir", out) == 2
 
 
+def test_label_rejects_a_zero_norm_coarse_codeword_before_reading_the_target(workspace, monkeypatch, capsys):
+    data, model, out = workspace
+    header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
+    rec["coarse"][1] = [0.0] * len(rec["coarse"][1])
+    records.write_record_file(model / "quantizer.jsonl", header, [rec])
+    monkeypatch.setattr(ds, "load_corpus", never_called)
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 2
+    assert "zero-norm codeword" in capsys.readouterr().err
+
+
 def test_label_checks_the_prior_length_before_reading_the_target(workspace, monkeypatch, capsys):
     data, model, out = workspace
     monkeypatch.setattr(ds, "load_corpus", never_called)
@@ -309,6 +322,25 @@ def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
     monkeypatch.setattr(rvq, "fit", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
+
+
+def test_fit_rejects_an_all_constant_source_channel_before_embedding(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert run(*synth_args(data)) == 0
+    source = ds.load_corpus(data / "source.jsonl")
+    values = source.values.copy()
+    values[:, 1] = 0.25
+    ds.save_corpus(data / "flat.jsonl", replace(source, values=values))
+    monkeypatch.setattr(rvq, "embed", never_called)
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
+    assert run("fit", "--source", data / "flat.jsonl", "--out-dir", tmp_path / "m") == 2
+    assert "data error: source channel 1 of 3 holds a single value throughout" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    values[0, 1, 0] = 0.5  # one differing value makes the channel usable
+    ds.save_corpus(data / "flat.jsonl", replace(source, values=values))
+    monkeypatch.undo()
+    assert run("fit", "--source", data / "flat.jsonl", "--out-dir", tmp_path / "m",
+               "--n-coarse", 4, "--n-fine", 8) == 0
 
 
 def test_fit_rejects_a_source_class_with_no_instances_before_embedding(tmp_path, monkeypatch, capsys):
@@ -639,6 +671,17 @@ def test_every_stage_checks_the_config_synth_section(tmp_path, capsys, command, 
 def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsys, command, prior):
     assert run(command, *absent_inputs(command, tmp_path), "--prior", prior) == 1
     assert "config error: prior" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "label", "eval"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--embed-mode", "bogus", "embed mode must be one of"), ("--d-dim", "1", "d_dim must be >= 2")],
+    ids=["embed-mode", "d-dim"],
+)
+def test_every_stage_rejects_a_bad_embedding_before_reading_any_file(tmp_path, capsys, command, flag, value, message):
+    assert run(command, *absent_inputs(command, tmp_path), flag, value) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_config_file_values_are_echoed_as_given(tmp_path):

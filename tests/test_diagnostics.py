@@ -117,9 +117,9 @@ def test_pe_delay_subsamples():
 # ---------------------------------------------------------------- pe report
 
 def constant_code_quantizer():
-    coarse = rvq.Codebook(vectors=np.array([[0.3, 0.3, 0.3], [1.0, 0.0, -1.0]]))
-    fine = rvq.Codebook(vectors=np.array([[0.1, 0.1, 0.1], [0.0, 0.5, 0.0]]))
-    return rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=3)
+    coarse = np.array([[0.3, 0.3, 0.3], [1.0, 0.0, -1.0]])
+    fine = np.array([[0.1, 0.1, 0.1], [0.0, 0.5, 0.0]])
+    return rvq.ResidualQuantizer(coarse=coarse, fine=fine)
 
 
 def test_pe_report_constant_code_is_zero():
@@ -132,9 +132,9 @@ def test_pe_report_constant_code_is_zero():
 
 def test_pe_report_deterministic_and_ordered_inputs():
     rng = np.random.default_rng(55)
-    coarse = rvq.Codebook(vectors=rng.normal(size=(3, 4)))
-    fine = rvq.Codebook(vectors=rng.normal(size=(5, 4)))
-    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=4)
+    coarse = rng.normal(size=(3, 4))
+    fine = rng.normal(size=(5, 4))
+    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine)
     pairs = [
         (rng.integers(0, 3, size=(2, 6)), rng.integers(0, 5, size=(2, 6)))
         for _ in range(3)
@@ -149,12 +149,12 @@ def test_pe_report_deterministic_and_ordered_inputs():
 
 def test_pe_report_single_instance_matches_direct():
     rng = np.random.default_rng(56)
-    coarse = rvq.Codebook(vectors=rng.normal(size=(2, 3)))
-    fine = rvq.Codebook(vectors=rng.normal(size=(2, 3)))
-    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=3)
+    coarse = rng.normal(size=(2, 3))
+    fine = rng.normal(size=(2, 3))
+    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine)
     idx = np.array([[0, 1, 1, 0, 1]], dtype=np.int64)
     coarse_pe, fine_pe = diagnostics.pe_report(q, idx[None], idx[None].copy())
-    series_c = coarse.vectors[idx[0]].reshape(-1)
-    series_f = fine.vectors[idx[0]].reshape(-1)
+    series_c = coarse[idx[0]].reshape(-1)
+    series_f = fine[idx[0]].reshape(-1)
     assert_allclose(coarse_pe, diagnostics.permutation_entropy(series_c), atol=0)
     assert_allclose(fine_pe, diagnostics.permutation_entropy(series_f), atol=0)

@@ -4,12 +4,15 @@ Every test runs at most 50 derandomized examples, so the suite stays
 fast and gives the same result on every run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import dataset as ds
-from codechain import markov, pseudolabel
+from codechain import markov, pseudolabel, rvq, transport
+from oracles import linprog_emd_cost
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -77,3 +80,61 @@ def test_a_corpus_file_round_trips_exactly(tmp_path_factory, corpus):
     assert back.labels.tolist() == labels
     # bytes, not values: -0.0 == 0.0 would hide a lost sign
     assert back.values.tobytes() == values.tobytes()
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # instances, channels, classes, codes, patches
+    shape=st.tuples(*(st.integers(lo, hi) for lo, hi in ((1, 6), (1, 4), (1, 4), (2, 6), (2, 9)))),
+    eps=st.floats(1e-12, 1.0),
+)
+def test_smoothed_class_matrices_are_positive_and_stochastic(seed, shape, eps):
+    n, d, k, c, t = shape
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, c, size=(n, d, t))
+    labels = rng.integers(0, k, size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a class with no instances gets uniform rows and a warning
+        tm = markov.smooth(markov.build_class_tm(codes, labels, k, c), eps)
+    assert (tm > 0.0).all()
+    assert_allclose(tm.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def marginal(draw, n):
+    """A distribution over n codes in which any entry may be exactly 0."""
+    w = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] += 0.5
+    return w / w.sum()
+
+
+@BOUNDED
+@given(n=st.integers(2, 12), data=st.data())
+def test_emd_cost_equals_the_linear_program_optimum(n, data):
+    optimize = pytest.importorskip("scipy.optimize")
+    p, q = data.draw(marginal(n)), data.draw(marginal(n))
+    costs = data.draw(hnp.arrays(np.float64, (n, n), elements=st.just(0.0) | st.floats(0.0, 2.0)))
+    _, cost = transport.solve_emd(p, q, costs)
+    assert abs(cost - linprog_emd_cost(optimize, p, q, costs)) <= 1e-9
+
+
+def codebook(d):
+    """2 to 5 rows of width d, distinct as np.unique sees them (-0.0 equals 0.0)."""
+    return st.lists(
+        st.tuples(*[FLOATS] * d), min_size=2, max_size=5, unique_by=lambda row: tuple(x + 0.0 for x in row)
+    ).map(np.array)
+
+
+@BOUNDED
+@given(books=st.integers(1, 4).flatmap(lambda d: st.tuples(codebook(d), codebook(d))))
+@example(books=(np.array([[-0.0, 5e-324], [1e308, -1e308]]), np.array([[0.0, -2.5e-310], [-0.0, 1e-300]])))
+def test_a_quantizer_file_round_trips_exactly(tmp_path_factory, books):
+    written = rvq.ResidualQuantizer(coarse=books[0], fine=books[1])
+    path = tmp_path_factory.getbasetemp() / "quantizer.jsonl"
+    rvq.save_quantizer(path, written, rvq.EmbedSpec(), patch_length=8, seed=0)
+    back, _, _, _ = rvq.load_quantizer(path)
+    assert back.coarse.shape == written.coarse.shape and back.fine.shape == written.fine.shape
+    # bytes, not values: -0.0 == 0.0 would hide a lost sign
+    assert back.coarse.tobytes() == written.coarse.tobytes()
+    assert back.fine.tobytes() == written.fine.tobytes()

@@ -82,13 +82,29 @@ def test_projected_embedding_shape():
 
 # ---------------------------------------------------------------- codebooks
 
+def with_each_book(bad):
+    """Quantizer arguments that put a bad book first as coarse, then as fine."""
+    good = np.array([[1.0, 0.0], [0.0, 1.0]])
+    return [{"coarse": bad, "fine": good}, {"coarse": good, "fine": bad}]
+
+
 def test_codebook_needs_two_distinct_finite_rows():
-    with pytest.raises(DataError):
-        rvq.Codebook(vectors=np.array([[1.0, 0.0]]))
-    with pytest.raises(DataError):
-        rvq.Codebook(vectors=np.array([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(DataError):
-        rvq.Codebook(vectors=np.array([[1.0, 0.0], [np.inf, 0.0]]))
+    for bad, message in [
+        (np.array([1.0, 0.0]), "must be 2-D"),
+        (np.array([[1.0, 0.0]]), "at least 2 codes"),
+        (np.array([[1.0, 0.0], [1.0, 0.0]]), "duplicate vectors"),
+        (np.array([[1.0, 0.0], [np.inf, 0.0]]), "non-finite"),
+    ]:
+        for books in with_each_book(bad):
+            with pytest.raises(DataError, match=message):
+                rvq.ResidualQuantizer(**books)
+
+
+def test_quantizer_rejects_books_of_different_widths():
+    with pytest.raises(DataError, match="differ in width"):
+        rvq.ResidualQuantizer(coarse=np.eye(2), fine=np.eye(3))
+    q = rvq.ResidualQuantizer(coarse=[[1, 0, 0], [0, 1, 0]], fine=np.eye(3))
+    assert q.d_dim == 3 and q.coarse.dtype == np.float64
 
 
 def test_l2_normalize_zero_stays_zero():
@@ -100,11 +116,9 @@ def test_l2_normalize_zero_stays_zero():
 # ---------------------------------------------------------------- encode
 
 def axis_quantizer():
-    coarse = rvq.Codebook(vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    fine = rvq.Codebook(
-        vectors=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    )
-    return rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=2)
+    coarse = np.array([[1.0, 0.0], [0.0, 1.0]])
+    fine = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return rvq.ResidualQuantizer(coarse=coarse, fine=fine)
 
 
 def test_encode_axis_example():
@@ -118,9 +132,7 @@ def test_encode_axis_example():
 def test_encode_parallel_latent_picks_that_code():
     rng = np.random.default_rng(4)
     vectors = rng.normal(size=(6, 5))
-    coarse = rvq.Codebook(vectors=vectors)
-    fine = rvq.Codebook(vectors=rng.normal(size=(4, 5)))
-    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=5)
+    q = rvq.ResidualQuantizer(coarse=vectors, fine=rng.normal(size=(4, 5)))
     z = 2.5 * vectors[3]
     coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
     assert coarse_idx[0, 0] == 3
@@ -139,14 +151,15 @@ def test_encode_zero_latent_ties_to_lowest_index():
     "rows", [[[1.0, 2.0], [0.0, 1.0], [1.0, 2.0]], [[0.0, 1.0], [-0.0, 1.0]], [[3.0, 1.0], [1.0, 3.0], [3.0, 1.0]]]
 )
 def test_codebook_rejects_a_duplicate_vector_wherever_it_sits(rows):
-    with pytest.raises(DataError, match="duplicate vectors"):
-        rvq.Codebook(vectors=np.array(rows))
+    for books in with_each_book(np.array(rows)):
+        with pytest.raises(DataError, match="duplicate vectors"):
+            rvq.ResidualQuantizer(**books)
 
 
 def test_encode_tie_on_duplicate_direction_prefers_lower():
-    coarse = rvq.Codebook(vectors=np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-    fine = rvq.Codebook(vectors=np.array([[0.5, 0.5], [-0.5, 0.5]]))
-    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=2)
+    coarse = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    fine = np.array([[0.5, 0.5], [-0.5, 0.5]])
+    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine)
     coarse_idx, fine_idx = rvq.encode(q, latent_from([[3.0, 0.2]]))
     assert coarse_idx[0, 0] == 0
 
@@ -155,17 +168,17 @@ def test_encode_matches_exhaustive_scan():
     rng = np.random.default_rng(5)
     for _ in range(200):
         nc, nf, d = rng.integers(2, 9), rng.integers(2, 9), rng.integers(2, 6)
-        coarse = rvq.Codebook(vectors=rng.normal(size=(nc, d)))
-        fine = rvq.Codebook(vectors=rng.normal(size=(nf, d)))
-        q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=int(d))
+        coarse = rng.normal(size=(nc, d))
+        fine = rng.normal(size=(nf, d))
+        q = rvq.ResidualQuantizer(coarse=coarse, fine=fine)
         z = rng.normal(size=d)
         coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
         zn = rvq.l2_normalize(z)
-        cd = [np.sum((zn - rvq.l2_normalize(v)) ** 2) for v in coarse.vectors]
+        cd = [np.sum((zn - rvq.l2_normalize(v)) ** 2) for v in coarse]
         c_best = int(np.argmin(cd))
         assert coarse_idx[0, 0] == c_best
-        r = zn - rvq.l2_normalize(coarse.vectors[c_best])
-        fd = [np.sum((r - rvq.l2_normalize(v)) ** 2) for v in fine.vectors]
+        r = zn - rvq.l2_normalize(coarse[c_best])
+        fd = [np.sum((r - rvq.l2_normalize(v)) ** 2) for v in fine]
         assert fine_idx[0, 0] == int(np.argmin(fd))
 
 
@@ -192,8 +205,8 @@ def test_fit_is_deterministic():
     latents, _ = cluster_cloud(4, 20, 3, seed=8)
     a = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=30, seed=5)
     b = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=30, seed=5)
-    assert a.quantizer.coarse.vectors.tobytes() == b.quantizer.coarse.vectors.tobytes()
-    assert a.quantizer.fine.vectors.tobytes() == b.quantizer.fine.vectors.tobytes()
+    assert a.quantizer.coarse.tobytes() == b.quantizer.coarse.tobytes()
+    assert a.quantizer.fine.tobytes() == b.quantizer.fine.tobytes()
     assert a.coarse_losses == b.coarse_losses
 
 
@@ -212,10 +225,10 @@ def test_reconstruct_exact_on_codebook_sums():
     # norm again, so normalized assignment recovers both indices exactly
     c0 = np.array([1.0, 0.0])
     f0 = np.array([-0.5, math.sqrt(3.0) / 2.0])
-    coarse = rvq.Codebook(vectors=np.stack([c0, np.array([0.0, -1.0])]))
-    fine = rvq.Codebook(vectors=np.stack([f0, np.array([0.6, -0.8])]))
-    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine, d_dim=2)
-    z = coarse.vectors[0] + fine.vectors[0]
+    coarse = np.stack([c0, np.array([0.0, -1.0])])
+    fine = np.stack([f0, np.array([0.6, -0.8])])
+    q = rvq.ResidualQuantizer(coarse=coarse, fine=fine)
+    z = coarse[0] + fine[0]
     coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
     assert coarse_idx[0, 0] == 0 and fine_idx[0, 0] == 0
     recon = rvq.reconstruct(q, coarse_idx, fine_idx)[0, 0]
@@ -228,8 +241,8 @@ def test_reconstruct_coarse_only():
     fine_idx = np.array([[2, 3]], dtype=np.int64)
     both = rvq.reconstruct(q, coarse_idx, fine_idx)
     coarse_only = rvq.reconstruct(q, coarse_idx)
-    assert_array_equal(coarse_only[0], q.coarse.vectors[[0, 1]])
-    assert_array_equal(both[0], q.coarse.vectors[[0, 1]] + q.fine.vectors[[2, 3]])
+    assert_array_equal(coarse_only[0], q.coarse[[0, 1]])
+    assert_array_equal(both[0], q.coarse[[0, 1]] + q.fine[[2, 3]])
 
 
 # ---------------------------------------------------------------- stats, io
@@ -253,8 +266,8 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
     path = tmp_path / "q.jsonl"
     rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
     back, back_spec, back_m, back_seed = rvq.load_quantizer(path)
-    assert back.coarse.vectors.tobytes() == result.quantizer.coarse.vectors.tobytes()
-    assert back.fine.vectors.tobytes() == result.quantizer.fine.vectors.tobytes()
+    assert back.coarse.tobytes() == result.quantizer.coarse.tobytes()
+    assert back.fine.tobytes() == result.quantizer.fine.tobytes()
     assert back_spec == spec
     assert (back_m, back_seed) == (4, 3)
 
@@ -292,6 +305,20 @@ def test_load_quantizer_rejects_a_field_that_is_not_an_integer(tmp_path, part, k
     (header if part == "header" else rec)[key] = value
     records.write_record_file(path, header, [rec])
     with pytest.raises(DataError, match=f"{key} .* is not a (positive|non-negative) integer"):
+        rvq.load_quantizer(path)
+
+
+def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(tmp_path):
+    latents, _ = cluster_cloud(3, 15, 4, seed=10)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
+    path = tmp_path / "q.jsonl"
+    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(), patch_length=4, seed=3)
+    header, recs = records.read_record_file(path)
+    rec = next(recs)
+    recs.close()
+    header["d_dim"] = 5
+    records.write_record_file(path, header, [rec])
+    with pytest.raises(DataError, match="header d_dim 5 differs from its codebook width 4"):
         rvq.load_quantizer(path)
 
 
@@ -360,8 +387,8 @@ def test_fit_assignments_equal_a_fresh_encode_of_the_training_latents():
     assert_array_equal(result.fine_idx, fine_idx)
     # exhaustive scan over both books, by explicit squared differences
     zn = rvq.l2_normalize(latents.reshape(-1, latents.shape[-1]))
-    cn = rvq.l2_normalize(result.quantizer.coarse.vectors)
-    fn = rvq.l2_normalize(result.quantizer.fine.vectors)
+    cn = rvq.l2_normalize(result.quantizer.coarse)
+    fn = rvq.l2_normalize(result.quantizer.fine)
     c_best = ((zn[:, None, :] - cn[None]) ** 2).sum(axis=2).argmin(axis=1)
     r = zn - cn[c_best]
     f_best = ((r[:, None, :] - fn[None]) ** 2).sum(axis=2).argmin(axis=1)
@@ -376,7 +403,7 @@ def test_fit_pools_corpora_along_the_instance_axis():
     pooled = rvq.fit([rvq.CorpusLatents(a), rvq.CorpusLatents(b)], n_coarse=3, n_fine=4, seed=1)
     joined = rvq.fit([rvq.CorpusLatents(np.concatenate([a, b]))], n_coarse=3, n_fine=4, seed=1)
     assert pooled.coarse_idx.shape == (8, 2, 4)
-    assert_array_equal(pooled.quantizer.coarse.vectors, joined.quantizer.coarse.vectors)
+    assert_array_equal(pooled.quantizer.coarse, joined.quantizer.coarse)
     assert_array_equal(pooled.fine_idx, joined.fine_idx)
     with pytest.raises(DataError):
         rvq.fit([rvq.CorpusLatents(a), rvq.CorpusLatents(a[:, :1])], n_coarse=3, n_fine=4)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import transport
 from codechain.errors import DataError
+from oracles import linprog_emd_cost
 
 
 def enumerate_emd(p, q, costs):
@@ -143,22 +144,6 @@ def test_emd_sparse_marginals_within_tolerance():
     assert cost < 1e-8
     _, cost = transport.solve_emd(np.array([0.0, 1.0]), np.array([0.0, 1.0]), costs)
     assert cost <= 1e-12
-
-
-def linprog_emd_cost(optimize, p, q, costs):
-    """Optimal transport cost as a plain LP, solved by HiGHS."""
-    n = p.size
-    rows = np.kron(np.eye(n), np.ones((1, n)))  # sum_j x_ij = p_i
-    cols = np.kron(np.ones((1, n)), np.eye(n))  # sum_i x_ij = q_j
-    res = optimize.linprog(
-        costs.ravel(),
-        A_eq=np.vstack([rows, cols]),
-        b_eq=np.concatenate([p, q]),
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.status == 0, res.message
-    return res.fun
 
 
 def sparse_or_dense_marginals(rng, n, sparse):
