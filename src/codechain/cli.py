@@ -48,16 +48,14 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        records.require_finite(self)
         if self.patch_length < 2:
             raise ConfigError("patch_length must be >= 2")
         if self.n_coarse < 2 or self.n_fine < 2:
             raise ConfigError("n_coarse and n_fine must be >= 2")
-        if not self.epsilon > 0.0:
-            raise ConfigError("epsilon must be > 0")
-        if not self.sigma > 0.0:
-            raise ConfigError("sigma must be > 0")
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be > 0")
+        for name in ("epsilon", "sigma", "tau"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0")
         if not 0.0 < self.r_top <= 1.0:
             raise ConfigError("r_top must lie in (0, 1]")
         if self.max_iters < 1:
@@ -195,8 +193,8 @@ def cmd_synth(args) -> None:
         raise ConfigError("--corrupt-seed must be >= 0")
     if mags.size and not 0 <= args.corrupt_channel < scfg.n_channels:
         raise DataError(f"channel {args.corrupt_channel} out of range [0, {scfg.n_channels})")
-    if (mags < 0.0).any():
-        raise ConfigError("magnitude must be >= 0")
+    if not (np.isfinite(mags) & (mags >= 0.0)).all():
+        raise ConfigError("magnitude must be finite and >= 0")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source, target = synth.generate(scfg)
@@ -270,19 +268,14 @@ def cmd_fit(args) -> None:
         out_dir / "transitions.jsonl", class_tm, channel_src, cfg.epsilon, config=echo
     )
 
+    # (coarse counts, fine counts, coarse mse, coarse+fine mse)
     stats = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
-    print(f"fit: {len(source)} instances, {stats.n_patches} patches, d_dim={quantizer.d_dim}")
+    print(f"fit: {len(source)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
     stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
     print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
-    print(
-        f"coarse codes: {int((stats.coarse_counts == 0).sum())}/{len(quantizer.coarse)} dead "
-        f"({stats.coarse_dead_pct:.1f}%), fine codes: {int((stats.fine_counts == 0).sum())}/"
-        f"{len(quantizer.fine)} dead ({stats.fine_dead_pct:.1f}%)"
-    )
-    print(
-        f"recon mse: coarse {stats.mse_coarse_only:.6f}, "
-        f"coarse+fine {stats.mse_coarse_fine:.6f}"
-    )
+    dead = [(name, int((c == 0).sum()), c.size) for name, c in zip(("coarse", "fine"), stats[:2])]
+    print(", ".join(f"{name} codes: {n}/{k} dead ({100.0 * n / k:.1f}%)" for name, n, k in dead))
+    print("recon mse: coarse {2:.6f}, coarse+fine {3:.6f}".format(*stats))
     for k, mean_tm in enumerate(class_tm.mean(axis=1)):
         i, j = np.unravel_index(int(np.argmax(mean_tm)), mean_tm.shape)
         print(
@@ -354,16 +347,6 @@ def cmd_label(args) -> None:
     )
 
 
-def _metrics_record(split: str, report: diagnostics.MetricReport) -> dict:
-    return {
-        "split": split,
-        "n": report.n,
-        "accuracy": report.accuracy,
-        "macro_f1": report.macro_f1,
-        "per_class_f1": report.per_class_f1.tolist(),
-    }
-
-
 def cmd_eval(args) -> None:
     cfg, _, provided = load_run_config(args.config, _run_overrides(args))
     labels, _ = pseudolabel.load_labels(args.labels)
@@ -376,7 +359,7 @@ def cmd_eval(args) -> None:
         )
     true = np.array([truth[iid] for iid in ids])
     overall = diagnostics.accuracy_mf1(labels.label, true, n_classes)
-    out_records = [_metrics_record("all", overall)]
+    out_records = [{"split": "all", **overall}]
     subset_idx = None
     if args.subset is not None:
         recs, _ = pseudolabel.load_selection(args.subset)
@@ -389,7 +372,7 @@ def cmd_eval(args) -> None:
         subset_idx = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
     if subset_idx is not None:
         sub = diagnostics.accuracy_mf1(labels.label[subset_idx], true[subset_idx], n_classes)
-        out_records.append(_metrics_record("selected", sub))
+        out_records.append({"split": "selected", **sub})
     # the metrics file is written before anything is printed, so a closed stdout cannot lose it
     if args.out is not None:
         records.write_record_file(
@@ -397,10 +380,11 @@ def cmd_eval(args) -> None:
             {"kind": "metrics", "n_classes": n_classes, "config": {"run": _echo(cfg)}},
             out_records,
         )
-    print(f"eval: n={overall.n} accuracy={overall.accuracy:.4f} macro_f1={overall.macro_f1:.4f}")
-    print("per-class f1: " + " ".join(f"{x:.4f}" for x in overall.per_class_f1))
+    line = "n={n} accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
+    print("eval: " + line.format_map(overall))
+    print("per-class f1: " + " ".join(f"{x:.4f}" for x in overall["per_class_f1"]))
     if subset_idx is not None:
-        print(f"top-r subset: n={sub.n} accuracy={sub.accuracy:.4f} macro_f1={sub.macro_f1:.4f}")
+        print("top-r subset: " + line.format_map(sub))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -12,16 +11,9 @@ from .errors import ConfigError, DataError
 from .rvq import ResidualQuantizer
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    accuracy: float
-    macro_f1: float
-    per_class_f1: np.ndarray
-    n: int
-
-
-def accuracy_mf1(pred: Sequence[int], truth: Sequence[int], n_classes: int) -> MetricReport:
-    """Accuracy and macro-F1 over all n_classes classes.
+def accuracy_mf1(pred: Sequence[int], truth: Sequence[int], n_classes: int) -> dict:
+    """The metrics record that eval writes: n, accuracy, macro_f1, and
+    per_class_f1 as a list of n_classes floats.
 
     A class with zero precision+recall contributes an F1 of 0, and
     classes absent from both pred and truth still count in the macro
@@ -41,18 +33,14 @@ def accuracy_mf1(pred: Sequence[int], truth: Sequence[int], n_classes: int) -> M
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (truth, pred), 1)
     tp = np.diag(confusion).astype(np.float64)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
-    f1 = np.zeros(n_classes)
-    denom = 2.0 * tp + fp + fn
-    nz = denom > 0
-    f1[nz] = 2.0 * tp[nz] / denom[nz]
-    return MetricReport(
-        accuracy=float(tp.sum() / pred.size),
-        macro_f1=float(f1.mean()),
-        per_class_f1=f1,
-        n=int(pred.size),
-    )
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)  # 2 tp + fp + fn
+    f1 = np.divide(2.0 * tp, denom, out=np.zeros(n_classes), where=denom > 0)
+    return {
+        "n": int(pred.size),
+        "accuracy": float(tp.sum() / pred.size),
+        "macro_f1": float(f1.mean()),
+        "per_class_f1": f1.tolist(),
+    }
 
 
 def permutation_entropy(series: np.ndarray, order: int = 3, delay: int = 1) -> float:

@@ -15,6 +15,7 @@ so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from itertools import chain
@@ -22,7 +23,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 FORMAT = "codechain.v1"
 JSON_NUMBERS = frozenset((int, float))
@@ -30,6 +31,22 @@ JSON_NUMBERS = frozenset((int, float))
 
 def dump_line(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def require_finite(config) -> None:
+    """ConfigError naming the first field of a config dataclass that holds a
+    NaN, an infinity or an int too large for a float, alone or in a vector
+    (configs are echoed into record headers, which hold finite numbers only)."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+        except OverflowError:
+            finite = False
+        except (TypeError, ValueError):  # not numbers: the field's own rule judges it
+            finite = True
+        if not (finite or value is None or isinstance(value, str)):
+            raise ConfigError(f"{field.name} must be finite")
 
 
 def whole_number(path, field: str, value, least: int = 1) -> int:

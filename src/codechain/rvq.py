@@ -362,27 +362,17 @@ def reconstruct(
     return out
 
 
-@dataclass(frozen=True)
-class CodeUsageReport:
-    coarse_counts: np.ndarray
-    fine_counts: np.ndarray
-    coarse_dead_pct: float
-    fine_dead_pct: float
-    mse_coarse_only: float
-    mse_coarse_fine: float
-    n_patches: int
-
-
 def code_stats(
     quantizer: ResidualQuantizer,
     latents: np.ndarray,
     coarse_idx: np.ndarray,
     fine_idx: np.ndarray,
-) -> CodeUsageReport:
-    """Usage counts, dead-code percentages, and reconstruction MSE.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(coarse_counts, fine_counts, mse_coarse, mse_coarse_fine).
 
-    MSE compares the raw code-vector sums against the L2-normalized
-    latents the assignment actually quantizes.
+    The counts are the uses of each coarse and fine code. Each MSE
+    compares the raw code-vector sums against the L2-normalized latents
+    the assignment actually quantizes.
     """
     latents = np.asarray(latents, dtype=np.float64)
     coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
@@ -393,17 +383,12 @@ def code_stats(
     zn = l2_normalize(latents, axis=-1)
     rec_c = reconstruct(quantizer, coarse_idx)
     rec_cf = reconstruct(quantizer, coarse_idx, fine_idx)
-    coarse_counts = np.bincount(coarse_idx.ravel(), minlength=len(quantizer.coarse))
-    fine_counts = np.bincount(np.ravel(fine_idx), minlength=len(quantizer.fine))
     denom = coarse_idx.size * quantizer.d_dim
-    return CodeUsageReport(
-        coarse_counts=coarse_counts,
-        fine_counts=fine_counts,
-        coarse_dead_pct=100.0 * float((coarse_counts == 0).sum()) / len(quantizer.coarse),
-        fine_dead_pct=100.0 * float((fine_counts == 0).sum()) / len(quantizer.fine),
-        mse_coarse_only=float(((zn - rec_c) ** 2).sum()) / denom,
-        mse_coarse_fine=float(((zn - rec_cf) ** 2).sum()) / denom,
-        n_patches=int(coarse_idx.size),
+    return (
+        np.bincount(coarse_idx.ravel(), minlength=len(quantizer.coarse)),
+        np.bincount(np.ravel(fine_idx), minlength=len(quantizer.fine)),
+        float(((zn - rec_c) ** 2).sum()) / denom,
+        float(((zn - rec_cf) ** 2).sum()) / denom,
     )
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import records
 from .dataset import DomainDataset
 from .errors import ConfigError, DataError
 
@@ -46,8 +47,6 @@ def _per_channel(value, n_channels: int, name: str) -> np.ndarray:
         arr = np.full(n_channels, float(arr))
     if arr.shape != (n_channels,):
         raise ConfigError(f"{name} must be a scalar or a length-{n_channels} vector")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be finite")
     return arr
 
 
@@ -86,6 +85,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        records.require_finite(self)
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
         if self.n_channels < 1:
@@ -264,8 +264,10 @@ def inject_channel_noise(
     """
     if not 0 <= channel < dataset.n_channels:
         raise DataError(f"channel {channel} out of range [0, {dataset.n_channels})")
-    if magnitude < 0.0:
-        raise ConfigError("magnitude must be >= 0")
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
+        raise ConfigError("magnitude must be finite and >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal((len(dataset), dataset.length))
     values = dataset.values.copy()

@@ -192,8 +192,8 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         raise DataError("empty marginals")
     if not np.all(np.isfinite(costs)) or costs.min() < 0.0:
         raise DataError("costs must be finite and non-negative")
-    if p.min() < -1e-12 or q.min() < -1e-12:
-        raise DataError("marginals must be non-negative")
+    if not (p.min() >= -1e-12 and q.min() >= -1e-12):  # False for a NaN entry
+        raise DataError("marginals must be non-negative numbers")
     if abs(p.sum() - 1.0) > _MARGINAL_TOL or abs(q.sum() - 1.0) > _MARGINAL_TOL:
         raise DataError("marginals must sum to 1 within 1e-9")
     p = np.maximum(p, 0.0)

@@ -142,6 +142,20 @@ def test_fit_reports_how_each_lloyd_stage_ended(workspace, tmp_path, capsys):
     )
 
 
+def test_fit_reports_dead_codes_from_the_usage_counts(workspace, tmp_path, monkeypatch, capsys):
+    data, _, _ = workspace
+    counts = (np.array([3, 0, 2, 0]), np.array([0, 0, 0, 5, 5, 5, 5, 5]), 0.25, 0.125)
+    monkeypatch.setattr(rvq, "code_stats", lambda *args: counts)
+    capsys.readouterr()
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m",
+               "--n-coarse", 4, "--n-fine", 8) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [
+        "coarse codes: 2/4 dead (50.0%), fine codes: 3/8 dead (37.5%)",
+        "recon mse: coarse 0.250000, coarse+fine 0.125000",
+    ]
+
+
 def test_fit_rejects_target_corpus(workspace, tmp_path):
     data, _, _ = workspace
     assert run("fit", "--source", data / "target.jsonl", "--out-dir", tmp_path / "m") == 2
@@ -682,6 +696,61 @@ def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsy
 def test_every_stage_rejects_a_bad_embedding_before_reading_any_file(tmp_path, capsys, command, flag, value, message):
     assert run(command, *absent_inputs(command, tmp_path), flag, value) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "label", "eval"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_every_stage_refuses_a_non_finite_run_number_before_any_file(tmp_path, capsys, command, given):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"tau": Infinity}')
+    number = ("--sigma", "inf") if given == "flag" else ("--config", cfg_path)
+    out = tmp_path / "out"
+    # absent inputs: reading one would be a data error, exit 2
+    inputs = ("--out-dir", out) if command == "synth" else absent_inputs(command, tmp_path)
+    if command == "eval":
+        inputs += ("--out", out)
+    assert run(command, *inputs, *number) == 1
+    name = "sigma" if given == "flag" else "tau"
+    assert f"config error: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_non_finite_fit_number_leaves_the_old_bundle_whole(workspace, capsys):
+    data, model, _ = workspace
+    before = {path.name: path.read_bytes() for path in model.iterdir()}
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model, "--epsilon", "inf") == 1
+    assert "config error: epsilon must be finite" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in model.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (("--class-probs-source", "nan,0.5,0.5,0"), "class_probs_source"),
+        (("--base-noise", "nan"), "base_noise"),
+        (("--curvature-jitter", "nan"), "curvature_jitter"),
+        (("--phase-jitter", "inf"), "phase_jitter"),
+        (("--sine-freq", "inf"), "sine_freq"),
+        (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5,inf"), "magnitude"),
+    ],
+)
+def test_synth_refuses_a_non_finite_parameter_before_writing_anything(tmp_path, capsys, flags, name):
+    out = tmp_path / "d"
+    assert run("synth", "--out-dir", out, *SMALL_SYNTH, *flags) == 1
+    assert f"config error: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_refuses_a_nan_regime_cell_in_a_config_file(tmp_path, capsys):
+    regimes = synth.make_class_regimes(2, 1, 2).tolist()
+    regimes[0][0][0][0] = float("nan")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"synth": {"n_classes": 2, "n_channels": 1, "n_primitives": 2, "class_regimes": regimes}}
+    ))
+    assert run("synth", "--out-dir", tmp_path / "d", *SMALL_SYNTH, "--config", cfg_path) == 1
+    assert "config error: class_regimes must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_file_values_are_echoed_as_given(tmp_path):

@@ -14,28 +14,28 @@ from codechain.errors import ConfigError, DataError
 
 def test_perfect_predictions():
     rep = diagnostics.accuracy_mf1([0, 1, 2, 1], [0, 1, 2, 1], 3)
-    assert rep.accuracy == 1.0
-    assert rep.macro_f1 == 1.0
-    assert rep.n == 4
+    assert rep["accuracy"] == 1.0
+    assert rep["macro_f1"] == 1.0
+    assert rep["n"] == 4
 
 
 def test_all_wrong_binary():
     rep = diagnostics.accuracy_mf1([1, 0], [0, 1], 2)
-    assert rep.accuracy == 0.0
-    assert rep.macro_f1 == 0.0
+    assert rep["accuracy"] == 0.0
+    assert rep["macro_f1"] == 0.0
 
 
 def test_hand_confusion_matrix():
     rep = diagnostics.accuracy_mf1([0, 1, 1, 1], [0, 0, 1, 1], 2)
-    assert rep.accuracy == 0.75
-    assert_allclose(rep.per_class_f1, [2.0 / 3.0, 0.8], atol=1e-15)
-    assert_allclose(rep.macro_f1, 11.0 / 15.0, atol=1e-15)
+    assert rep["accuracy"] == 0.75
+    assert_allclose(rep["per_class_f1"], [2.0 / 3.0, 0.8], atol=1e-15)
+    assert_allclose(rep["macro_f1"], 11.0 / 15.0, atol=1e-15)
 
 
 def test_zero_support_class_counts_as_zero():
     rep = diagnostics.accuracy_mf1([0, 1], [0, 1], 3)
-    assert rep.per_class_f1[2] == 0.0
-    assert_allclose(rep.macro_f1, 2.0 / 3.0, atol=1e-15)
+    assert rep["per_class_f1"][2] == 0.0
+    assert_allclose(rep["macro_f1"], 2.0 / 3.0, atol=1e-15)
 
 
 def test_metrics_validation():
@@ -55,8 +55,8 @@ def test_macro_f1_invariant_to_relabeling():
         perm = rng.permutation(k)
         a = diagnostics.accuracy_mf1(pred, truth, k)
         b = diagnostics.accuracy_mf1(perm[pred], perm[truth], k)
-        assert_allclose(a.macro_f1, b.macro_f1, atol=1e-12)
-        assert a.accuracy == b.accuracy
+        assert_allclose(a["macro_f1"], b["macro_f1"], atol=1e-12)
+        assert a["accuracy"] == b["accuracy"]
 
 
 def test_accuracy_is_one_minus_hamming():
@@ -64,7 +64,7 @@ def test_accuracy_is_one_minus_hamming():
     truth = rng.integers(0, 3, size=50)
     pred = rng.integers(0, 3, size=50)
     rep = diagnostics.accuracy_mf1(pred, truth, 3)
-    assert_allclose(rep.accuracy, 1.0 - np.mean(pred != truth), atol=0)
+    assert_allclose(rep["accuracy"], 1.0 - np.mean(pred != truth), atol=0)
 
 
 # ---------------------------------------------------------------- entropy

@@ -131,6 +131,36 @@ def test_artifacts_match_golden_hashes(name, tmp_path):
     )
 
 
+# Everything fit, label and eval print for one case, line for line; the
+# first line, synth's, names the temporary directory and is left out.
+# `--write` does not touch these: a change that moves them on purpose
+# edits them here and says why.
+STDOUT_CASE = "no-ca-prior-tau"
+STDOUT = """\
+fit: 30 instances, 720 patches, d_dim=8
+lloyd: coarse 11 iterations (converged), fine 15 iterations (converged)
+coarse codes: 0/4 dead (0.0%), fine codes: 0/8 dead (0.0%)
+recon mse: coarse 0.047117, coarse+fine 0.030130
+class 0: mean self-transition 0.196, top transition 0->3 p=0.496
+class 1: mean self-transition 0.229, top transition 1->0 p=0.510
+class 2: mean self-transition 0.287, top transition 1->0 p=0.548
+class 3: mean self-transition 0.225, top transition 2->0 p=0.656
+label: 20 instances, mean confidence 0.5338, selected 6 (r_top=0.3)
+label counts: 0:9 1:11 2:0 3:0
+channel weights: 1.0000 1.0000 1.0000 (alignment disabled)
+eval: n=20 accuracy=0.4000 macro_f1=0.2679
+per-class f1: 0.5714 0.5000 0.0000 0.0000
+top-r subset: n=6 accuracy=0.5000 macro_f1=0.2143
+"""
+
+
+def test_stage_stdout_matches_its_pinned_lines(tmp_path, capsys):
+    run_case(STDOUT_CASE, tmp_path)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("synth: wrote 30 source and 20 target instances to ")
+    assert printed[1:] == STDOUT.splitlines()
+
+
 def write_golden(scratch: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         cases = {name: run_case(name, scratch / name) for name in sorted(CASES)}

@@ -251,12 +251,14 @@ def test_code_stats_counts_and_mse():
     latents, _ = cluster_cloud(4, 30, 5, seed=9, spread=0.4)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=50, seed=2)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
-    stats = rvq.code_stats(result.quantizer, latents, coarse_idx, fine_idx)
-    assert stats.coarse_counts.sum() == latents.shape[0] * latents.shape[1]
-    assert stats.fine_counts.sum() == stats.coarse_counts.sum()
-    assert stats.mse_coarse_fine <= stats.mse_coarse_only + 1e-9
-    if np.all(stats.coarse_counts > 0):
-        assert stats.coarse_dead_pct == 0.0
+    coarse_counts, fine_counts, mse_coarse, mse_coarse_fine = rvq.code_stats(
+        result.quantizer, latents, coarse_idx, fine_idx
+    )
+    assert coarse_counts.sum() == latents.shape[0] * latents.shape[1]
+    assert fine_counts.sum() == coarse_counts.sum()
+    assert mse_coarse_fine <= mse_coarse + 1e-9
+    assert coarse_counts.shape == (len(result.quantizer.coarse),)
+    assert fine_counts.shape == (len(result.quantizer.fine),)
 
 
 def test_quantizer_round_trip_bit_exact(tmp_path):

@@ -52,6 +52,32 @@ def test_config_validation():
         small_cfg(target_regime_mix=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_probs_source", (math.nan, 1.0)),
+        ("base_noise", math.nan),
+        ("curvature_jitter", math.nan),
+        ("phase_jitter", math.inf),
+        ("sine_freq", math.inf),
+        ("noise", (0.0, -math.inf)),
+        ("shift_offset", 10**400),
+    ],
+    ids=["class-probs-nan", "base-noise-nan", "curvature-jitter-nan", "phase-jitter-inf",
+         "sine-freq-inf", "noise-minus-inf", "shift-offset-10**400"],
+)
+def test_a_non_finite_parameter_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        small_cfg(**{field: value})
+
+
+def test_a_nan_regime_cell_is_a_config_error():
+    regimes = synth.make_class_regimes(2, 2, 4)
+    regimes[1, 1, 0, 0] = math.nan
+    with pytest.raises(ConfigError, match="class_regimes must be finite"):
+        small_cfg(class_regimes=regimes)
+
+
 # ---------------------------------------------------------------- generate
 
 def test_generate_shapes_roles_and_labels():
@@ -325,3 +351,8 @@ def test_inject_validation():
         synth.inject_channel_noise(target, 5, 0.1, seed=0)
     with pytest.raises(ConfigError):
         synth.inject_channel_noise(target, 0, -0.1, seed=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        synth.inject_channel_noise(target, 0, 0.1, seed=-1)
+    for magnitude in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="magnitude must be finite"):
+            synth.inject_channel_noise(target, 0, magnitude, seed=0)

@@ -253,6 +253,16 @@ def test_emd_rejects_bad_marginals():
         transport.solve_emd(np.array([1.5, -0.5]), np.array([0.5, 0.5]), costs)
 
 
+@pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0, 1.0]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_emd_rejects_a_non_finite_marginal_as_data_error(p):
+    costs = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(DataError):
+        transport.solve_emd(np.array(p), np.full(3, 1.0 / 3.0), costs)
+    with pytest.raises(DataError):
+        transport.solve_emd(np.full(3, 1.0 / 3.0), np.array(p), costs)
+
+
 # ---------------------------------------------------------------- weights
 
 def test_identical_tms_give_weight_one():
