@@ -125,8 +125,8 @@ def _echo(cfg) -> dict:
     return out
 
 
-def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
-    """Merge config file and set flags; returns (cfg, synth section, provided keys)."""
+def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict]:
+    """Merge config file and set flags; returns (cfg, synth section)."""
     data: dict = {}
     synth_section: dict = {}
     if path is not None:
@@ -145,7 +145,7 @@ def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict, set]:
     data.update(overrides)
     cfg = RunConfig(**data)
     cfg.validate()
-    return cfg, synth_section, set(data)
+    return cfg, synth_section
 
 
 def _parse_vector(text: str):
@@ -182,7 +182,7 @@ def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.Synth
 
 
 def cmd_synth(args) -> None:
-    cfg, synth_section, _ = load_run_config(args.config, _run_overrides(args))
+    cfg, synth_section = load_run_config(args.config, _run_overrides(args))
     scfg = build_synth_config(cfg, synth_section, args)
     # the corruption flags are checked before anything is generated or written
     mags = np.atleast_1d(() if args.corrupt_magnitudes is None else args.corrupt_magnitudes)
@@ -222,9 +222,9 @@ def cmd_synth(args) -> None:
 def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
     """Iterations of a Lloyd stage and whether it converged or hit its cap.
 
-    The loss trace holds one loss per iteration, plus a re-sync loss when
-    the stage stopped at its cap, so it converged exactly when the trace
-    is no longer than max_iters.
+    The loss trace holds one loss per iteration, plus the loss of the
+    pass after the last update when the stage stopped at its cap, so it
+    converged exactly when the trace is no longer than max_iters.
     """
     if len(losses) <= max_iters:
         return f"{stage} {len(losses)} iterations (converged)"
@@ -232,7 +232,7 @@ def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
 
 
 def cmd_fit(args) -> None:
-    cfg, _, _ = load_run_config(args.config, _run_overrides(args))
+    cfg, _ = load_run_config(args.config, _run_overrides(args))
     source = ds.load_corpus(args.source)
     if source.role != "source":
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
@@ -264,9 +264,7 @@ def cmd_fit(args) -> None:
         cfg.seed,
         config=echo,
     )
-    markov.save_transitions(
-        out_dir / "transitions.jsonl", class_tm, channel_src, cfg.epsilon, config=echo
-    )
+    markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
     # (coarse counts, fine counts, coarse mse, coarse+fine mse)
     stats = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
@@ -283,10 +281,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_label(args) -> None:
-    cfg, _, provided = load_run_config(args.config, _run_overrides(args))
+    cfg, _ = load_run_config(args.config, _run_overrides(args))
     # both bundles are read and cross-checked before the (larger) target corpus
     quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
-    class_tm, channel_src, bundle_eps = markov.load_transitions(args.transitions)
+    class_tm, channel_src = markov.load_transitions(args.transitions)
     n_classes, n_channels, n_codes = class_tm.shape[:3]
     if n_codes != len(quantizer.coarse):
         raise DataError("quantizer and transition bundle disagree on n_coarse")
@@ -300,15 +298,14 @@ def cmd_label(args) -> None:
     target = ds.load_corpus(args.target)
     if target.n_channels != n_channels:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
-    epsilon = cfg.epsilon if "epsilon" in provided else bundle_eps
     ds.require_transitions(target, patch_length)
 
     embedded = rvq.embed_dataset(target, patch_length, spec)
     codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed, mean_costs = transport.channel_weights(
-        markov.smooth(channel_src, epsilon),
-        markov.smooth(channel_trg, epsilon),
+        markov.smooth(channel_src, cfg.epsilon),
+        markov.smooth(channel_trg, cfg.epsilon),
         costs,
         cfg.sigma,
     )
@@ -316,7 +313,7 @@ def cmd_label(args) -> None:
     if not used.any():
         raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
     labels = pseudolabel.label_dataset(
-        target, codes, markov.smooth(class_tm, epsilon), used, prior
+        target, codes, markov.smooth(class_tm, cfg.epsilon), used, prior
     )
     selected = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
 
@@ -346,7 +343,7 @@ def cmd_label(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    cfg, _, provided = load_run_config(args.config, _run_overrides(args))
+    cfg, _ = load_run_config(args.config, _run_overrides(args))
     labels, _ = pseudolabel.load_labels(args.labels)
     truth, n_classes = ds.load_truth(args.truth)
     ids = labels.ids.tolist()
@@ -358,7 +355,6 @@ def cmd_eval(args) -> None:
     true = np.array([truth[iid] for iid in ids])
     overall = diagnostics.accuracy_mf1(labels.label, true, n_classes)
     out_records = [{"split": "all", **overall}]
-    subset_idx = None
     if args.subset is not None:
         recs, _ = pseudolabel.load_selection(args.subset)
         if any(r["index"] >= len(ids) for r in recs):
@@ -366,9 +362,6 @@ def cmd_eval(args) -> None:
         if any(ids[r["index"]] != r["id"] for r in recs):
             raise DataError("selection id differs from the label id at its index")
         subset_idx = np.array([r["index"] for r in recs], dtype=np.int64)
-    elif "r_top" in provided:
-        subset_idx = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
-    if subset_idx is not None:
         sub = diagnostics.accuracy_mf1(labels.label[subset_idx], true[subset_idx], n_classes)
         out_records.append({"split": "selected", **sub})
     # the metrics file is written before anything is printed, so a closed stdout cannot lose it
@@ -381,7 +374,7 @@ def cmd_eval(args) -> None:
     line = "n={n} accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"
     print("eval: " + line.format_map(overall))
     print("per-class f1: " + " ".join(f"{x:.4f}" for x in overall["per_class_f1"]))
-    if subset_idx is not None:
+    if args.subset is not None:
         print("top-r subset: " + line.format_map(sub))
 
 

@@ -78,10 +78,9 @@ def save_transitions(
     path,
     class_tm: np.ndarray,
     channel_src: np.ndarray,
-    epsilon: float,
     config: dict | None = None,
 ) -> None:
-    """Bundle of raw (unsmoothed) matrices; epsilon travels alongside."""
+    """Bundle of raw (unsmoothed) matrices; label smooths them with its own epsilon."""
     if class_tm.shape[1:] != channel_src.shape:
         raise DataError(
             f"class matrices {class_tm.shape} and channel matrices {channel_src.shape} "
@@ -94,16 +93,14 @@ def save_transitions(
         "n_coarse": class_tm.shape[2],
         "config": config,
     }
-    rec = {
-        "epsilon": epsilon,
-        "class_tms": class_tm.tolist(),
-        "channel_tms_source": channel_src.tolist(),
-    }
+    rec = {"class_tms": class_tm.tolist(), "channel_tms_source": channel_src.tolist()}
     records.write_record_file(path, header, [rec])
 
 
-def load_transitions(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """(class matrices, source channel matrices, epsilon > 0), all JSON numbers, rows stochastic."""
+def load_transitions(path) -> tuple[np.ndarray, np.ndarray]:
+    """(class matrices, source channel matrices), all JSON numbers, rows stochastic.
+
+    The epsilon key that older bundles carry is ignored."""
     _, rec = records.read_one(path, "transitions")
 
     def matrices(field: str, ndim: int) -> np.ndarray:
@@ -122,5 +119,4 @@ def load_transitions(path) -> tuple[np.ndarray, np.ndarray, float]:
     class_tm, channel_src = matrices("class_tms", 4), matrices("channel_tms_source", 3)
     if class_tm.shape[1:] != channel_src.shape:
         raise DataError(f"{path}: class and channel matrices disagree on channels or codes")
-    epsilon = records.number(path, "transitions epsilon", rec.get("epsilon"), positive=True)
-    return class_tm, channel_src, epsilon
+    return class_tm, channel_src

@@ -177,10 +177,10 @@ def save_labels(path, labels: PseudoLabels, weights: np.ndarray, config: dict | 
 
 def load_labels(path) -> tuple[PseudoLabels, dict]:
     """Pseudo-labels from a file of at least one record: id a non-empty
-    JSON string, label a non-negative JSON integer below the score
-    count, confidence a finite JSON number (never a bool), scores a
-    vector and per_channel_posteriors a matrix of JSON numbers, each of
-    one shape across the records."""
+    JSON string that no other record repeats, label a non-negative JSON
+    integer below the score count, confidence a finite JSON number
+    (never a bool), scores a vector and per_channel_posteriors a matrix
+    of JSON numbers, each of one shape across the records."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     rows = [
         (
@@ -197,12 +197,17 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
     if not rows:
         raise DataError(f"{path}: label file holds no records")
     ids, label, confidence, scores, posteriors = zip(*rows)
+    # an object array keeps each id as written; a str array drops trailing NULs
+    ids = np.array(ids, dtype=object)
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise DataError(f"{path}: duplicate pseudo-label id {unique[np.argmax(counts)]!r}")
     if len({s.shape for s in scores}) > 1 or len({p.shape for p in posteriors}) > 1:
         raise DataError(f"{path}: pseudo-label scores differ in shape between records")
     if max(label) >= len(scores[0]):
         raise DataError(f"{path}: pseudo-label label {max(label)} is not below its {len(scores[0])} scores")
     stacked = (np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores), np.stack(posteriors))
-    return PseudoLabels(np.array(ids, dtype=object), *stacked), header
+    return PseudoLabels(ids, *stacked), header
 
 
 def save_selection(path, labels: PseudoLabels, indices: np.ndarray, r_top: float, config: dict | None = None) -> None:
@@ -220,10 +225,15 @@ def save_selection(path, labels: PseudoLabels, indices: np.ndarray, r_top: float
 
 
 def load_selection(path) -> tuple[list[dict], dict]:
-    """Selection records: id a non-empty JSON string, index a non-negative JSON integer."""
+    """Selection records: id a non-empty JSON string, index a non-negative
+    JSON integer that no other record repeats."""
     header, recs = records.read_record_file(path, expected_kind="selection")
     recs = list(recs)
+    seen: set[int] = set()
     for rec in recs:
         records.identifier(path, "selection id", rec.get("id"))
-        records.whole_number(path, "selection index", rec.get("index"), least=0)
+        index = records.whole_number(path, "selection index", rec.get("index"), least=0)
+        if index in seen:
+            raise DataError(f"{path}: duplicate selection index {index}")
+        seen.add(index)
     return recs, header

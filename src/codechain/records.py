@@ -57,13 +57,11 @@ def whole_number(path, field: str, value, least: int = 1) -> int:
     return value
 
 
-def number(path, field: str, value, positive: bool = False) -> float:
-    """value as a float when it is a finite JSON number (never a bool), > 0 if positive."""
+def number(path, field: str, value) -> float:
+    """value as a float when it is a finite JSON number (never a bool)."""
     # False for NaN, the infinities and ints too large for a float
-    finite = type(value) in JSON_NUMBERS and abs(value) <= sys.float_info.max
-    if not finite or (positive and not value > 0):
-        kind = "positive finite number" if positive else "finite number"
-        raise DataError(f"{path}: {field} {value!r} is not a {kind}")
+    if not (type(value) in JSON_NUMBERS and abs(value) <= sys.float_info.max):
+        raise DataError(f"{path}: {field} {value!r} is not a finite number")
     return float(value)
 
 

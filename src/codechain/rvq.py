@@ -240,11 +240,12 @@ def _lloyd(points, n_codes, max_iters, rng):
     """Lloyd iterations under the normalized-codeword metric.
 
     Initial codewords are drawn without replacement from the distinct
-    rows of the pool. Per iteration: assign, re-seed empties, record the
-    mean error, stop when assignments repeat, update means. The recorded
-    trace is non-increasing. It holds one loss per iteration when the
-    assignments repeated within max_iters, and max_iters + 1 (the last
-    from a re-sync after the final update) when the stage hit its cap.
+    rows of the pool. Each of at most max_iters + 1 passes assigns,
+    re-seeds empties and records the mean error, then stops when the
+    assignments repeat or the passes run out, else updates the means.
+    The recorded trace is non-increasing. It holds at most max_iters
+    losses when the assignments repeated, and max_iters + 1 when the
+    stage hit its cap.
     """
     distinct = np.unique(points, axis=0)
     if len(distinct) < n_codes:
@@ -256,21 +257,16 @@ def _lloyd(points, n_codes, max_iters, rng):
     columns = points.T.copy()
     losses: list[float] = []
     prev = None
-    for _ in range(max_iters):
+    for it in range(max_iters + 1):
         assign, err = _nearest(points, centroids, sq_norms)
         centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
         losses.append(float(err.mean()))
-        if prev is not None and np.array_equal(assign, prev):
+        if it == max_iters or (prev is not None and np.array_equal(assign, prev)):
             break
         prev = assign
         sums = _code_sums(columns, assign, n_codes)
         counts = np.bincount(assign, minlength=n_codes).astype(np.float64)
         centroids = sums / counts[:, None]
-    else:
-        # ran out of iterations after an update: re-sync assignments
-        assign, err = _nearest(points, centroids, sq_norms)
-        centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
-        losses.append(float(err.mean()))
     return centroids, assign, losses
 
 

@@ -116,6 +116,7 @@ class SynthConfig:
             raise ConfigError("shift_scale must be > 0")
         if np.any(_per_channel(self.noise, self.n_channels, "noise") < 0.0):
             raise ConfigError("noise must be >= 0")
+        _per_channel(self.shift_offset, self.n_channels, "shift_offset")
         self.class_probs("source")
         self.class_probs("target")
         self.resolved_regimes()

@@ -201,15 +201,9 @@ def test_label_without_alignment_uses_unit_weights(workspace):
         ("quantizer.jsonl", "fine", str),
         ("transitions.jsonl", "class_tms", str),
         ("transitions.jsonl", "channel_tms_source", str),
-        ("transitions.jsonl", "epsilon", str),
-        ("transitions.jsonl", "epsilon", lambda x: True),
-        ("transitions.jsonl", "epsilon", lambda x: -1),
-        ("transitions.jsonl", "epsilon", lambda x: 0),
-        ("transitions.jsonl", "epsilon", lambda x: float("nan")),
     ],
     ids=["coarse-string", "coarse-bool", "fine-string", "class-tms-string",
-         "channel-tms-string", "epsilon-string", "epsilon-bool", "epsilon-negative",
-         "epsilon-zero", "epsilon-nan"],
+         "channel-tms-string"],
 )
 def test_label_rejects_a_bundle_number_of_the_wrong_kind(workspace, capsys, name, key, spoil):
     data, model, out = workspace
@@ -441,6 +435,19 @@ def test_label_help_has_no_threads_option(capsys):
     assert "--threads" not in capsys.readouterr().out
 
 
+def test_label_smooths_with_its_own_epsilon_not_the_fit_one(workspace, tmp_path):
+    data, _, _ = workspace
+    model = tmp_path / "model_eps"
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model,
+               "--n-coarse", 4, "--n-fine", 8, "--epsilon", 0.01) == 0
+    argv = ("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+            "--transitions", model / "transitions.jsonl")
+    assert run(*argv, "--out-dir", tmp_path / "default") == 0
+    assert run(*argv, "--out-dir", tmp_path / "typed", "--epsilon", 1e-8) == 0
+    for name in ("labels.jsonl", "selected.jsonl", "alignment_report.tsv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "typed" / name).read_bytes()
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_reports_metrics(workspace, tmp_path, capsys):
@@ -461,6 +468,22 @@ def test_eval_reports_metrics(workspace, tmp_path, capsys):
     rows = list(rows)
     assert [r["split"] for r in rows] == ["all", "selected"]
     assert 0.0 <= rows[0]["accuracy"] <= 1.0
+
+
+def test_eval_scores_a_selected_split_only_from_subset(workspace, tmp_path, capsys):
+    data, model, out = workspace
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 0
+    capsys.readouterr()
+    printed = []
+    for name, flags in (("plain", ()), ("typed", ("--r-top", 0.5))):
+        assert run("eval", "--labels", out / "labels.jsonl", "--truth", data / "target_truth.jsonl",
+                   "--out", tmp_path / f"{name}.jsonl", *flags) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "top-r subset" not in printed[0]
+    assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "typed.jsonl").read_bytes()
 
 
 def test_eval_perfect_labels(tmp_path, capsys):
@@ -637,6 +660,7 @@ SMALL_SYNTH = ("--n-source", 30, "--n-target", 20, "--length", 64)
         {"synth": {"length": 32.0}},
         {"synth": {"noise": "0.3"}},
         {"synth": {"noise": [[0.1, 0.2, 0.3]]}},
+        {"synth": {"shift_offset": [1, 2]}},
         {"synth": {"class_probs_source": [0.5, 0.5, 0, False]}},
         {"synth": {"class_regimes": [[[["1"]]]]}},
         {"synth": {"class_regimes": [[1.0], [0.5, 0.5]]}},

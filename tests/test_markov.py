@@ -256,9 +256,8 @@ def test_transitions_round_trip(tmp_path):
     ctm = markov.build_class_tm(grids, labels, 2, 3)
     ch_src = markov.build_channel_tm(grids[:3], 3)
     path = tmp_path / "t.jsonl"
-    markov.save_transitions(path, ctm, ch_src, 1e-8)
-    back_ctm, back_src, eps = markov.load_transitions(path)
-    assert eps == 1e-8
+    markov.save_transitions(path, ctm, ch_src)
+    back_ctm, back_src = markov.load_transitions(path)
     for k in range(2):
         for d in range(2):
             assert back_ctm[k, d].tobytes() == ctm[k, d].tobytes()
@@ -272,14 +271,12 @@ def test_transitions_round_trip_without_target(tmp_path):
         ctm = markov.build_class_tm([g], [0], 2, 2)
     ch = markov.build_channel_tm([g], 2)
     path = tmp_path / "t.jsonl"
-    markov.save_transitions(path, ctm, ch, 1e-6)
-    _, _, eps = markov.load_transitions(path)
-    assert eps == 1e-6
+    markov.save_transitions(path, ctm, ch)
     header, (rec,) = records.read_record_file(path, expected_kind="transitions")
     assert "channel_tms_target" not in rec
     # a bundle written with the old null field still loads
     records.write_record_file(path, header, [{**rec, "channel_tms_target": None}])
-    assert markov.load_transitions(path)[2] == 1e-6
+    assert markov.load_transitions(path)[1].tobytes() == ch.tobytes()
 
 
 def test_load_transitions_rejects_rows_that_do_not_sum_to_one(tmp_path):
@@ -288,7 +285,7 @@ def test_load_transitions_rejects_rows_that_do_not_sum_to_one(tmp_path):
     ch = markov.build_channel_tm([g], 2)
     for bad_class, bad_channel in ((0.5 * ctm, ch), (ctm, -ch)):
         path = tmp_path / "t.jsonl"
-        markov.save_transitions(path, bad_class, bad_channel, 1e-8)
+        markov.save_transitions(path, bad_class, bad_channel)
         with pytest.raises(DataError):
             markov.load_transitions(path)
 
@@ -298,7 +295,7 @@ def two_code_bundle(tmp_path):
     g = grid([[0, 1, 0, 1]])
     path = tmp_path / "t.jsonl"
     markov.save_transitions(
-        path, markov.build_class_tm([g, g], [0, 1], 2, 2), markov.build_channel_tm([g], 2), 1e-8
+        path, markov.build_class_tm([g, g], [0, 1], 2, 2), markov.build_channel_tm([g], 2)
     )
     header, (rec,) = records.read_record_file(path)
     return path, header, rec
@@ -317,17 +314,18 @@ def test_load_transitions_rejects_cells_that_are_not_json_numbers(tmp_path, key,
 
 
 @pytest.mark.parametrize("token", ['"1e-8"', "true", "-1", "0", "-0.0", "NaN", "Infinity", "null"])
-def test_load_transitions_rejects_an_epsilon_that_is_not_a_positive_number(tmp_path, token):
+def test_load_transitions_ignores_the_epsilon_of_an_older_bundle(tmp_path, token):
     path, _, _ = two_code_bundle(tmp_path)
-    text = path.read_text()
-    assert '"epsilon":1e-08' in text
-    path.write_text(text.replace('"epsilon":1e-08', f'"epsilon":{token}'))
-    with pytest.raises(DataError, match="transitions epsilon .* is not a positive finite number"):
-        markov.load_transitions(path)
+    want = markov.load_transitions(path)
+    header_line, rec_line = path.read_text().splitlines()
+    assert '"epsilon"' not in rec_line
+    path.write_text(f'{header_line}\n{{"epsilon":{token},{rec_line[1:]}\n')
+    got = markov.load_transitions(path)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_save_transitions_rejects_mismatched_shapes(tmp_path):
     g = grid([[0, 1, 0, 1], [1, 1, 0, 0]])
     ctm = markov.build_class_tm([g, g], [0, 1], 2, 2)
     with pytest.raises(DataError):
-        markov.save_transitions(tmp_path / "t.jsonl", ctm, markov.build_channel_tm([g[:1]], 2), 1e-8)
+        markov.save_transitions(tmp_path / "t.jsonl", ctm, markov.build_channel_tm([g[:1]], 2))

@@ -398,6 +398,11 @@ def test_load_labels_keeps_an_id_as_written(tmp_path, value):
     assert back.ids.tolist() == ["i0", value]
 
 
+def test_load_labels_rejects_a_repeated_id(tmp_path):
+    with pytest.raises(DataError, match="duplicate pseudo-label id 'i0'"):
+        pseudolabel.load_labels(saved_labels_with(tmp_path, "id", "i0"))
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
     path = saved_labels_with(tmp_path, "confidence", 0.25)
@@ -419,4 +424,14 @@ def test_load_selection_rejects_an_index_that_is_not_a_non_negative_integer(tmp_
         [{"index": 0, "id": "i0"}, {"index": index, "id": "i1"}],
     )
     with pytest.raises(DataError, match="selection index .* is not a non-negative integer"):
+        pseudolabel.load_selection(path)
+
+
+def test_load_selection_rejects_a_repeated_index(tmp_path):
+    path = tmp_path / "sel.jsonl"
+    records.write_record_file(
+        path, {"kind": "selection", "r_top": 0.5, "n_selected": 2},
+        [{"index": 1, "id": "i1"}, {"index": 1, "id": "i1"}],
+    )
+    with pytest.raises(DataError, match="duplicate selection index 1"):
         pseudolabel.load_selection(path)

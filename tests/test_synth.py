@@ -50,6 +50,8 @@ def test_config_validation():
         small_cfg(class_probs_source=(0.5, 0.2))
     with pytest.raises(ConfigError):
         small_cfg(target_regime_mix=1.5)
+    with pytest.raises(ConfigError, match="shift_offset must be a scalar or a length-2 vector"):
+        small_cfg(shift_offset=(1.0, 2.0, 3.0))
 
 
 @pytest.mark.parametrize(
