@@ -114,10 +114,13 @@ def _checked(where, kinds: dict, raw: dict) -> dict:
     return raw
 
 
-def _echo(cfg) -> dict:
-    """Header echo of a config: vector fields as float lists, the rest as given."""
+def _echo(cfg, names=None) -> dict:
+    """Header echo of a config's fields, or of the named ones only: vector
+    fields as float lists, the rest as given."""
     out = {}
     for name, kind in typing.get_type_hints(type(cfg)).items():
+        if names is not None and name not in names:
+            continue
         value = getattr(cfg, name)
         if _is_vector(kind) and value is not None and not isinstance(value, str):
             value = np.asarray(value, dtype=np.float64).tolist()
@@ -231,6 +234,12 @@ def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
     return f"{stage} {max_iters} iterations (stopped at max_iters={max_iters})"
 
 
+# the RunConfig fields that fit reads, and so the only ones its bundles echo
+_FIT_FIELDS = (
+    "patch_length", "n_coarse", "n_fine", "embed_mode", "d_dim", "projection_seed", "max_iters", "seed"
+)
+
+
 def cmd_fit(args) -> None:
     cfg, _ = load_run_config(args.config, _run_overrides(args))
     source = ds.load_corpus(args.source)
@@ -255,7 +264,7 @@ def cmd_fit(args) -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = {"run": _echo(cfg)}
+    echo = {"run": _echo(cfg, _FIT_FIELDS)}
     rvq.save_quantizer(
         out_dir / "quantizer.jsonl",
         quantizer,
@@ -343,7 +352,7 @@ def cmd_label(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    cfg, _ = load_run_config(args.config, _run_overrides(args))
+    load_run_config(args.config, _run_overrides(args))  # checked like every stage's, then unused
     labels, _ = pseudolabel.load_labels(args.labels)
     truth, n_classes = ds.load_truth(args.truth)
     ids = labels.ids.tolist()
@@ -368,7 +377,8 @@ def cmd_eval(args) -> None:
     if args.out is not None:
         records.write_record_file(
             args.out,
-            {"kind": "metrics", "n_classes": n_classes, "config": {"run": _echo(cfg)}},
+            # eval reads no RunConfig field, so it echoes none
+            {"kind": "metrics", "n_classes": n_classes, "config": {"run": {}}},
             out_records,
         )
     line = "n={n} accuracy={accuracy:.4f} macro_f1={macro_f1:.4f}"

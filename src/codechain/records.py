@@ -10,13 +10,17 @@ record.
 Serialization is deterministic: keys are sorted, separators are fixed,
 and floats go through json's repr-based encoder, which round-trips
 IEEE doubles exactly. Nothing time- or host-dependent is ever written,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files. A file is written
+under a temporary name and renamed into place, so it is never seen
+half-written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from itertools import chain
 from typing import Any, Iterable, Iterator
@@ -97,10 +101,34 @@ def write_record_file(path, header: dict, records: Iterable[dict]) -> None:
         raise DataError("record file header needs a 'kind'")
     full = dict(header)
     full["format"] = FORMAT
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(dump_line(full) + "\n")
         for rec in records:
             fh.write(dump_line(rec) + "\n")
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text handle whose bytes replace the file at path only once the block ends cleanly.
+
+    It writes a temporary file beside path and renames it over path with
+    os.replace, so a writer that fails midway leaves the old file whole
+    and no temporary file behind. A path that exists but is not a
+    regular file, such as a pipe or /dev/stdout, is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)  # a symlinked destination keeps its link
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def read_record_file(path, expected_kind: str | None = None) -> tuple[dict, Iterator[dict]]:

@@ -12,7 +12,10 @@ Codebooks are fit with Lloyd iterations rather than gradient descent.
 For both stages the assignment metric and the mean update form a
 monotone descent pair, and empty codes are re-seeded from the point
 with the largest current quantization error, so a fit on the training
-pool terminates with every code in use.
+pool terminates with every code in use. A stage stops when its
+assignments repeat, when a pass lowers the mean error by no more than
+_LOSS_TOL of the pass before (the same rule for both stages), or at its
+cap of max_iters updates, whichever comes first.
 
 The nearest-code search evaluates |p|^2 - 2 p.c + |c|^2 over row
 blocks of at most _BLOCK points, each in one (block, k) buffer that
@@ -39,6 +42,7 @@ from .errors import ConfigError, DataError
 EMBED_MODES = ("znorm", "raw")
 _STD_FLOOR = 1e-8
 _BLOCK = 2048  # points per block of the nearest-code search
+_LOSS_TOL = 1e-4  # a Lloyd stage stops once a pass lowers its loss by at most this fraction
 
 
 def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -132,7 +136,8 @@ class ResidualQuantizer:
                 raise DataError("codebook needs at least 2 codes")
             if not np.all(np.isfinite(vectors)):
                 raise DataError("codebook contains non-finite vectors")
-            if len(np.unique(vectors, axis=0)) != len(vectors):
+            # a set of row tuples sees -0.0 as 0.0, like np.unique, without importing numpy.ma
+            if len(set(map(tuple, vectors.tolist()))) != len(vectors):
                 raise DataError("codebook contains duplicate vectors")
             object.__setattr__(self, name, vectors)
         if self.coarse.shape[1] != self.fine.shape[1]:
@@ -242,10 +247,11 @@ def _lloyd(points, n_codes, max_iters, rng):
     Initial codewords are drawn without replacement from the distinct
     rows of the pool. Each of at most max_iters + 1 passes assigns,
     re-seeds empties and records the mean error, then stops when the
-    assignments repeat or the passes run out, else updates the means.
-    The recorded trace is non-increasing. It holds at most max_iters
-    losses when the assignments repeated, and max_iters + 1 when the
-    stage hit its cap.
+    passes run out, when the assignments repeat, or when the loss fell
+    by at most _LOSS_TOL of the previous pass's loss; else it updates
+    the means. The recorded trace is non-increasing. It holds at most
+    max_iters losses when the stage converged (by either rule), and
+    max_iters + 1 when the stage hit its cap.
     """
     distinct = np.unique(points, axis=0)
     if len(distinct) < n_codes:
@@ -261,7 +267,11 @@ def _lloyd(points, n_codes, max_iters, rng):
         assign, err = _nearest(points, centroids, sq_norms)
         centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
         losses.append(float(err.mean()))
-        if it == max_iters or (prev is not None and np.array_equal(assign, prev)):
+        if it == max_iters:
+            break
+        if prev is not None and (
+            np.array_equal(assign, prev) or losses[-2] - losses[-1] <= _LOSS_TOL * losses[-2]
+        ):
             break
         prev = assign
         sums = _code_sums(columns, assign, n_codes)

@@ -301,5 +301,5 @@ def write_alignment_report(
     ]
     for d, (cost, weight) in enumerate(zip(mean_costs, weights)):
         lines.append(f"{d}\t{float(cost)!r}\t{float(weight)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with records.replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -142,6 +142,20 @@ def test_fit_reports_how_each_lloyd_stage_ended(workspace, tmp_path, capsys):
     )
 
 
+def test_fit_reports_a_stage_stopped_by_its_loss_rule_as_converged(workspace, tmp_path, monkeypatch, capsys):
+    data, _, _ = workspace
+    latents = rvq.embed_dataset(ds.load_corpus(data / "source.jsonl"), 8)
+    fine = rvq.fit([latents], 4, 8, max_iters=50, seed=0).fine_losses
+    assert fine[-2] - fine[-1] <= rvq._LOSS_TOL * fine[-2]
+    capsys.readouterr()
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m",
+               "--n-coarse", 4, "--n-fine", 8) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(f", fine {len(fine)} iterations (converged)")
+    # without the loss rule the same stage runs on, so the rule is what stopped it
+    monkeypatch.setattr(rvq, "_LOSS_TOL", -np.inf)
+    assert len(rvq.fit([latents], 4, 8, max_iters=50, seed=0).fine_losses) > len(fine)
+
+
 def test_fit_reports_the_recon_mse_from_code_stats(workspace, tmp_path, monkeypatch, capsys):
     data, _, _ = workspace
     counts = (np.array([3, 0, 2, 0]), np.array([0, 0, 0, 5, 5, 5, 5, 5]), 0.25, 0.125)
@@ -925,6 +939,20 @@ def test_cli_imports_numpy_but_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_label_runs_without_importing_numpy_ma(workspace):
+    # np.unique(..., axis=0) imports numpy.ma on its first call, which costs label tens of ms
+    data, model, out = workspace
+    argv = ["label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+            "--transitions", model / "transitions.jsonl", "--out-dir", out]
+    script = (
+        "import sys; from codechain import cli; "
+        f"code = cli.main({[str(a) for a in argv]!r}); print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------- pipeline

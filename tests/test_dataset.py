@@ -108,6 +108,51 @@ def test_record_file_reads_through_a_pipe(tmp_path):
     assert back.ids.tolist() == ["i0", "i1", "i2"]
 
 
+def test_a_record_writer_that_fails_midway_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "r.jsonl"
+    records.write_record_file(path, {"kind": "corpus"}, [{"id": "old"}])
+    before = path.read_bytes()
+
+    def failing():
+        yield {"id": "new"}
+        raise RuntimeError("writer died")
+
+    with pytest.raises(RuntimeError, match="writer died"):
+        records.write_record_file(path, {"kind": "corpus", "n": 2}, failing())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.jsonl"]
+
+
+def test_a_record_file_replaces_its_symlink_target_and_keeps_the_link(tmp_path):
+    target, link = tmp_path / "r.jsonl", tmp_path / "link.jsonl"
+    records.write_record_file(target, {"kind": "corpus"}, [])
+    link.symlink_to(target)
+    records.write_record_file(link, {"kind": "corpus"}, [{"id": "a"}])
+    assert link.is_symlink()
+    assert list(records.read_record_file(target)[1]) == [{"id": "a"}]
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "r.jsonl"]
+
+
+def test_a_record_file_is_written_in_place_into_a_pipe(tmp_path):
+    fifo = tmp_path / "r.fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        records.write_record_file(fifo, {"kind": "corpus"}, [{"id": "a"}])
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b'{"format":"codechain.v1","kind":"corpus"}\n{"id":"a"}\n']
+    assert os.listdir(tmp_path) == ["r.fifo"]
+
+
 # ---------------------------------------------------------------- types
 
 def test_instance_requires_2d_finite():

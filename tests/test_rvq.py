@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import records, rvq, synth
@@ -199,6 +201,41 @@ def test_fit_losses_non_increasing():
         arr = np.asarray(trace)
         assert arr.size >= 1 and np.all(np.isfinite(arr))
         assert np.all(np.diff(arr) <= 1e-12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # points, width, codes
+    shape=st.tuples(st.integers(4, 60), st.integers(2, 4), st.integers(2, 5)),
+    max_iters=st.integers(1, 30),
+    on_grid=st.booleans(),
+)
+# without the loss rule this stage runs to its cap, its loss flat for most of the way
+@example(seed=4, shape=(60, 4, 5), max_iters=30, on_grid=True)
+def test_a_lloyd_stage_stops_at_its_cap_a_repeat_or_a_small_loss_drop(seed, shape, max_iters, on_grid):
+    n, d, k = shape
+    rng = np.random.default_rng(seed)
+    # unit rows from a small integer grid, like the coarse stage's pool, repeat and tie often;
+    # Gaussian rows stand in for the fine stage's residuals
+    if on_grid:
+        points = rvq.l2_normalize(rng.integers(-2, 3, size=(n, d)).astype(np.float64))
+    else:
+        points = rng.normal(size=(n, d))
+    assume(len(set(map(tuple, points.tolist()))) >= k)
+    centroids, assign, losses = rvq._lloyd(points, k, max_iters, rng)
+    losses = np.asarray(losses)
+    drops = losses[:-1] - losses[1:]
+    assert 2 <= len(losses) <= max_iters + 1
+    assert np.all(drops >= -1e-12 * losses[:-1])
+    # the loss rule can only have ended the stage on its last pass
+    assert np.all(drops[:-1] > rvq._LOSS_TOL * losses[:-2])
+    capped = len(losses) == max_iters + 1
+    # repeated assignments leave each codeword the mean of its members
+    counts = np.bincount(assign, minlength=k).astype(np.float64)
+    repeated = np.array_equal(rvq._code_sums(points.T, assign, k) / counts[:, None], centroids)
+    small_drop = drops[-1] <= rvq._LOSS_TOL * losses[-2]
+    assert capped or repeated or small_drop
 
 
 def test_fit_is_deterministic():
