@@ -1,18 +1,17 @@
 """Cosine cost matrices, exact EMD, and channel alignment weights.
 
-solve_emd is a classical primal transportation simplex: north-west
-corner start, MODI (u/v) pricing on the basis tree and stepping-stone
-pivots along the unique tree cycle. The most negative reduced cost
-enters (Dantzig); a pivot that would move no flow enters the first
-negative cell in row-major order instead, and the smallest tied cell
-leaves, so degenerate pivots follow Bland's rule and cannot cycle. The
-basis is a spanning tree over the n rows and n columns, walked once
-from row 0 for the duals and a parent and depth per node; each pivot
-re-walks only the subtree its leaving cell cuts off, and the cycle of
-an entering cell is read off by climbing parent pointers from its ends.
+solve_emd is a classical primal transportation simplex: least-cost
+start, MODI (u/v) pricing on the basis tree and stepping-stone pivots
+along the unique tree cycle. The most negative reduced cost enters
+(Dantzig); a pivot that would move no flow enters the first negative
+cell in row-major order instead, and the smallest tied cell leaves, so
+degenerate pivots follow Bland's rule and cannot cycle. The basis is a
+spanning tree over the n rows and n columns, walked once from row 0 per
+pivot for the duals and a parent and depth per node; the cycle of an
+entering cell is read off by climbing parent pointers from its ends.
 The marginals are perturbed internally by a tiny constant to keep the
 start nondegenerate; the plan is re-solved on the optimal basis from
-the true marginals and certified by a fresh walk before returning.
+the true marginals and certified on that basis's walk before returning.
 """
 
 from __future__ import annotations
@@ -43,63 +42,52 @@ def cosine_cost(vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (costs + costs.T)
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic solution; always exactly 2n-1 basic cells."""
+def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
+    """Initial basic solution by the least-cost rule; always exactly 2n-1 cells.
+
+    Cells are taken in the stable argsort of costs (ties to the lowest
+    flat index), skipping any whose row or column is crossed out. Each
+    taken cell crosses out exactly one line, its row once the row's
+    supply is spent, else its column, and both at the last cell. The
+    last open row or column is never crossed out before that cell, so
+    the start stays a spanning tree even when the marginal sums disagree
+    at the 1e-9 tolerance.
+    """
     n = a.size
     flow = np.zeros((n, n))
     in_basis = np.zeros((n, n), dtype=bool)
     a = a.copy()
     b = b.copy()
-    i = j = 0
-    while True:
+    row_open = [True] * n
+    col_open = [True] * n
+    rows_left = cols_left = n
+    for flat in np.argsort(costs, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if not (row_open[i] and col_open[j]):
+            continue
         t = min(a[i], b[j])
         flow[i, j] = t
         in_basis[i, j] = True
         a[i] -= t
         b[j] -= t
-        if i == n - 1 and j == n - 1:
+        if rows_left == 1 and cols_left == 1:
             break
-        # advance exactly one pointer per step: 2n-2 steps, 2n-1 cells,
-        # and neither pointer can run past its last index even when the
-        # marginal sums disagree at the 1e-9 tolerance
-        if a[i] == 0.0 and i < n - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
+        if cols_left == 1 or (rows_left > 1 and a[i] == 0.0):
+            row_open[i] = False
+            rows_left -= 1
         else:
-            i += 1
+            col_open[j] = False
+            cols_left -= 1
     return flow, in_basis
 
 
-def _walk(adjacent, costs, dual, parent, depth, edges) -> None:
-    """Hang each (parent, child) edge's child and walk the subtree below it.
+def _spanning_tree(in_basis: np.ndarray, costs: list[list[float]]):
+    """Walk the basis tree once from row 0: duals, parents, depths.
 
     costs is nested lists; node i < n is row i and node n + j column j.
-    Each dual is c_ij - dual[parent], so it is the chain of subtractions
-    along its path from row 0 whichever walk reaches it. A basis with a
-    cycle raises after 2n nodes.
-    """
-    n = len(costs)
-    stack = list(edges)
-    for _ in range(2 * n):
-        if not stack:
-            return
-        up, node = stack.pop()
-        parent[node] = up
-        depth[node] = depth[up] + 1
-        cost = costs[up][node - n] if up < n else costs[node][up - n]
-        dual[node] = cost - dual[up]
-        for nxt in adjacent[node]:
-            if nxt != up:
-                stack.append((node, nxt))
-    raise InternalError("transport basis contains a cycle")
-
-
-def _spanning_tree(in_basis: np.ndarray, costs: list[list[float]]):
-    """Walk the basis tree once from row 0: adjacency, duals, parents, depths.
-
-    costs is nested lists. The duals satisfy u_i + v_j = c_ij on every
-    basic cell, anchored at u_0 = 0; the root's parent is -1.
+    The duals satisfy u_i + v_j = c_ij on every basic cell, anchored at
+    u_0 = 0; the root's parent is -1. A basis with a cycle raises after
+    2n nodes, one that leaves a node unreached raises after the walk.
     """
     n = len(costs)
     adjacent: list[list[int]] = [[] for _ in range(2 * n)]
@@ -110,10 +98,23 @@ def _spanning_tree(in_basis: np.ndarray, costs: list[list[float]]):
     parent = [-1] * (2 * n)
     depth = [-1] * (2 * n)
     depth[0] = 0
-    _walk(adjacent, costs, dual, parent, depth, [(0, nxt) for nxt in adjacent[0]])
+    stack = [(0, nxt) for nxt in adjacent[0]]
+    for _ in range(2 * n):
+        if not stack:
+            break
+        up, node = stack.pop()
+        parent[node] = up
+        depth[node] = depth[up] + 1
+        cost = costs[up][node - n] if up < n else costs[node][up - n]
+        dual[node] = cost - dual[up]
+        for nxt in adjacent[node]:
+            if nxt != up:
+                stack.append((node, nxt))
+    else:
+        raise InternalError("transport basis contains a cycle")
     if min(depth) < 0:
         raise InternalError("transport basis is not connected")
-    return adjacent, dual, parent, depth
+    return dual, parent, depth
 
 
 def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int]):
@@ -206,10 +207,10 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
     qq = q.copy()
     qq[-1] += n * _PERTURB
 
-    flow, in_basis = _northwest_corner(pp, qq)
+    flow, in_basis = _least_cost_start(pp, qq, costs)
     rows = costs.tolist()
-    adjacent, dual, parent, depth = _spanning_tree(in_basis, rows)
     for _ in range(_MAX_PIVOTS):
+        dual, parent, depth = _spanning_tree(in_basis, rows)
         duals = np.array(dual)
         reduced = costs - duals[:n, None] - duals[None, n:]
         candidates = np.logical_and(~in_basis, reduced < -_PRICE_TOL)
@@ -229,20 +230,6 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         flow[leaving] = 0.0
         in_basis[leaving] = False
         in_basis[entering] = True
-        # the leaving cell cuts off the subtree below its lower end; the
-        # entering cell re-hangs it from whichever of its ends lies outside
-        i, j = leaving
-        adjacent[i].remove(n + j)
-        adjacent[n + j].remove(i)
-        cut = n + j if parent[n + j] == i else i
-        i0, j0 = entering
-        node = n + j0
-        while depth[node] > depth[cut]:
-            node = parent[node]
-        outer, inner = (i0, n + j0) if node == cut else (n + j0, i0)
-        adjacent[outer].append(inner)
-        adjacent[inner].append(outer)
-        _walk(adjacent, rows, dual, parent, depth, [(outer, inner)])
     else:
         raise InternalError("transportation simplex failed to terminate")
 
@@ -253,9 +240,8 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
     ):
         raise InternalError("transport plan violates its marginals")
-    # certify the final basis from a fresh walk, not the maintained duals
-    duals = np.array(_spanning_tree(in_basis, rows)[1])
-    if float((costs - duals[:n, None] - duals[None, n:]).min()) < -_CERT_TOL:
+    # certify the final basis: every cell, basic ones too, priced by its walk
+    if float(reduced.min()) < -_CERT_TOL:
         raise InternalError("transport optimality certificate failed")
     return plan, float((plan * costs).sum())
 

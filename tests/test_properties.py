@@ -119,6 +119,22 @@ def test_emd_cost_equals_the_linear_program_optimum(n, data):
     assert abs(cost - linprog_emd_cost(optimize, p, q, costs)) <= 1e-9
 
 
+@BOUNDED
+@given(n=st.integers(2, 16), gap=st.floats(-1e-9, 1e-9), data=st.data())
+def test_the_least_cost_start_is_a_feasible_spanning_tree(n, gap, data):
+    a, b = data.draw(marginal(n)), data.draw(marginal(n)) * (1.0 + gap)
+    # a few distinct values, so many costs tie
+    costs = data.draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    flow, in_basis = transport._least_cost_start(a, b, costs)
+    assert in_basis.sum() == 2 * n - 1
+    transport._spanning_tree(in_basis, costs.tolist())  # raises on a cycle or an unreached node
+    assert (flow >= 0.0).all() and (flow[~in_basis] == 0.0).all()
+    # only the last row or column to stay open can be left short, by the gap between the sums
+    tol = abs(a.sum() - b.sum()) + 1e-15
+    assert np.abs(flow.sum(axis=1) - a).max() <= tol
+    assert np.abs(flow.sum(axis=0) - b).max() <= tol
+
+
 def codebook(d):
     """2 to 5 rows of width d, distinct as np.unique sees them (-0.0 equals 0.0)."""
     return st.lists(

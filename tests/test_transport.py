@@ -169,52 +169,29 @@ def test_emd_matches_highs_beyond_enumeration(n):
 
 
 def trace_pivots(monkeypatch):
-    """Snapshot the solver's state after each pivot's subtree re-walk.
+    """Snapshot the solver's state at each walk that follows a pivot.
 
-    The first walk of a solve comes from _spanning_tree; every later
-    _walk call comes straight from solve_emd, right after a pivot, and
-    its frame holds the basis, the maintained tree and the chosen cells.
+    solve_emd walks its basis with _spanning_tree at the start and again
+    after every pivot; once a pivot is made, the solver's frame holds the
+    entering cell, the flow it moved and the candidates it was chosen from.
     """
     pivots = []
-    walk = transport._walk
+    walk = transport._spanning_tree
 
     def traced(*args):
-        walk(*args)
-        frame = sys._getframe(1)
-        if frame.f_code.co_name != "solve_emd":
-            return
-        solver = frame.f_locals
-        pivots.append(
-            {
-                "in_basis": solver["in_basis"].copy(),
-                "rows": solver["rows"],
-                "tree": (list(solver["dual"]), list(solver["parent"]), list(solver["depth"])),
-                "entering": solver["entering"],
-                "theta": solver["theta"],
-                "first_candidate": divmod(int(np.argmax(solver["candidates"])), solver["n"]),
-            }
-        )
+        solver = sys._getframe(1).f_locals
+        if "entering" in solver:
+            pivots.append(
+                {
+                    "entering": solver["entering"],
+                    "theta": solver["theta"],
+                    "first_candidate": divmod(int(np.argmax(solver["candidates"])), solver["n"]),
+                }
+            )
+        return walk(*args)
 
-    monkeypatch.setattr(transport, "_walk", traced)
+    monkeypatch.setattr(transport, "_spanning_tree", traced)
     return pivots
-
-
-def test_maintained_tree_equals_a_fresh_walk_at_every_pivot(monkeypatch):
-    pivots = trace_pivots(monkeypatch)
-    rng = np.random.default_rng(41)
-    for n in range(2, 33):
-        for sparse in (False, True):
-            p, q = sparse_or_dense_marginals(rng, n, sparse)
-            transport.solve_emd(p, q, random_cost(rng, n))
-    assert len(pivots) > 1000
-    for pivot in pivots:
-        dual, parent, depth = pivot["tree"]
-        _, fresh_dual, fresh_parent, fresh_depth = transport._spanning_tree(
-            pivot["in_basis"], pivot["rows"]
-        )
-        assert_array_equal(np.array(dual).view(np.uint64), np.array(fresh_dual).view(np.uint64))
-        assert parent == fresh_parent
-        assert depth == fresh_depth
 
 
 def degenerate_case(rng, n):
