@@ -114,12 +114,12 @@ def _checked(where, kinds: dict, raw: dict) -> dict:
     return raw
 
 
-def _echo(cfg, names=None) -> dict:
-    """Header echo of a config's fields, or of the named ones only: vector
-    fields as float lists, the rest as given."""
+def _echo(cfg, names) -> dict:
+    """Header echo of the named fields of a config, the ones its stage
+    reads, in declaration order: vector fields as float lists, the rest as given."""
     out = {}
     for name, kind in typing.get_type_hints(type(cfg)).items():
-        if names is not None and name not in names:
+        if name not in names:
             continue
         value = getattr(cfg, name)
         if _is_vector(kind) and value is not None and not isinstance(value, str):
@@ -201,7 +201,8 @@ def cmd_synth(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source, target = synth.generate(scfg)
-    echo = {"run": _echo(cfg), "synth": _echo(scfg)}
+    # the run fields synth reads, patch_length and seed, are echoed resolved in scfg
+    echo = {"run": _echo(cfg, ()), "synth": _echo(scfg, _SYNTH_KINDS)}
     ds.save_corpus(out_dir / "source.jsonl", source, config=echo)
     ds.save_corpus(out_dir / "target.jsonl", ds.strip_labels(target), config=echo)
     ds.save_truth(out_dir / "target_truth.jsonl", target, config=echo)
@@ -234,10 +235,11 @@ def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
     return f"{stage} {max_iters} iterations (stopped at max_iters={max_iters})"
 
 
-# the RunConfig fields that fit reads, and so the only ones its bundles echo
+# the RunConfig fields that fit and label read, and so the only ones their outputs echo
 _FIT_FIELDS = (
     "patch_length", "n_coarse", "n_fine", "embed_mode", "d_dim", "projection_seed", "max_iters", "seed"
 )
+_LABEL_FIELDS = ("epsilon", "sigma", "tau", "r_top", "use_ca", "prior")
 
 
 def cmd_fit(args) -> None:
@@ -275,12 +277,11 @@ def cmd_fit(args) -> None:
     )
     markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
-    # (coarse counts, fine counts, coarse mse, coarse+fine mse)
-    stats = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
+    mse = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
     print(f"fit: {len(source)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
     stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
     print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
-    print("recon mse: coarse {2:.6f}, coarse+fine {3:.6f}".format(*stats))
+    print("recon mse: coarse {:.6f}, coarse+fine {:.6f}".format(*mse))
     for k, mean_tm in enumerate(class_tm.mean(axis=1)):
         i, j = np.unravel_index(int(np.argmax(mean_tm)), mean_tm.shape)
         print(
@@ -328,7 +329,7 @@ def cmd_label(args) -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = {"run": _echo(cfg)}
+    echo = {"run": _echo(cfg, _LABEL_FIELDS)}
     pseudolabel.save_labels(out_dir / "labels.jsonl", labels, used, config=echo)
     pseudolabel.save_selection(
         out_dir / "selected.jsonl", labels, selected, cfg.r_top, config=echo

@@ -373,12 +373,11 @@ def code_stats(
     latents: np.ndarray,
     coarse_idx: np.ndarray,
     fine_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(coarse_counts, fine_counts, mse_coarse, mse_coarse_fine).
+) -> tuple[float, float]:
+    """(mse_coarse, mse_coarse_fine) of the reconstructions.
 
-    The counts are the uses of each coarse and fine code. Each MSE
-    compares the raw code-vector sums against the L2-normalized latents
-    the assignment actually quantizes.
+    Each MSE compares the raw code-vector sums against the L2-normalized
+    latents the assignment actually quantizes.
     """
     latents = np.asarray(latents, dtype=np.float64)
     coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
@@ -391,8 +390,6 @@ def code_stats(
     rec_cf = reconstruct(quantizer, coarse_idx, fine_idx)
     denom = coarse_idx.size * quantizer.d_dim
     return (
-        np.bincount(coarse_idx.ravel(), minlength=len(quantizer.coarse)),
-        np.bincount(np.ravel(fine_idx), minlength=len(quantizer.fine)),
         float(((zn - rec_c) ** 2).sum()) / denom,
         float(((zn - rec_cf) ** 2).sum()) / denom,
     )

@@ -236,9 +236,8 @@ def test_criterion_07_no_dead_coarse_codes_and_residual_gain():
     latents = embed_corpus(source)
     fit = rvq.fit([rvq.CorpusLatents(latents)], 8, 64, max_iters=50, seed=0)
     coarse_idx, fine_idx = rvq.encode(fit.quantizer, latents)
-    coarse_counts, _, mse_coarse, mse_coarse_fine = rvq.code_stats(
-        fit.quantizer, latents, coarse_idx, fine_idx
-    )
+    coarse_counts = np.bincount(fit.coarse_idx.ravel(), minlength=len(fit.quantizer.coarse))
+    mse_coarse, mse_coarse_fine = rvq.code_stats(fit.quantizer, latents, coarse_idx, fine_idx)
     coarse_dead_pct = 100.0 * (coarse_counts == 0).sum() / coarse_counts.size
     assert coarse_dead_pct == 0.0
     assert mse_coarse_fine <= mse_coarse + 1e-9

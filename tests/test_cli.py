@@ -158,8 +158,7 @@ def test_fit_reports_a_stage_stopped_by_its_loss_rule_as_converged(workspace, tm
 
 def test_fit_reports_the_recon_mse_from_code_stats(workspace, tmp_path, monkeypatch, capsys):
     data, _, _ = workspace
-    counts = (np.array([3, 0, 2, 0]), np.array([0, 0, 0, 5, 5, 5, 5, 5]), 0.25, 0.125)
-    monkeypatch.setattr(rvq, "code_stats", lambda *args: counts)
+    monkeypatch.setattr(rvq, "code_stats", lambda *args: (0.25, 0.125))
     capsys.readouterr()
     assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m",
                "--n-coarse", 4, "--n-fine", 8) == 0
@@ -626,12 +625,14 @@ def test_a_closed_stdout_exits_1_after_writing_every_file(workspace, tmp_path, s
         assert ((tmp_path if stage == "eval" else out) / name).stat().st_size > 0
 
 
-def test_flags_override_config_file(tmp_path):
+def test_flags_override_config_file(workspace, tmp_path):
+    data, model, out = workspace
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"tau": 2.0, "sigma": 0.1}))
-    out = tmp_path / "d"
-    assert run(*synth_args(out), "--config", cfg_path, "--tau", "0.5") == 0
-    header, _ = records.read_record_file(out / "source.jsonl", expected_kind="corpus")
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out,
+               "--config", cfg_path, "--tau", "0.5") == 0
+    _, header = pseudolabel.load_labels(out / "labels.jsonl")
     assert header["config"]["run"]["tau"] == 0.5
     assert header["config"]["run"]["sigma"] == 0.1
 
@@ -806,12 +807,46 @@ def test_synth_refuses_a_nan_regime_cell_in_a_config_file(tmp_path, capsys):
 def test_config_file_values_are_echoed_as_given(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"tau": 2, "use_ca": False, "prior": [1, 0],
-                                    "synth": {"shift_scale": 2, "noise": [0, 0.5, 1]}}))
-    assert run("synth", "--out-dir", tmp_path / "d", *SMALL_SYNTH, "--config", cfg_path) == 0
-    line = (tmp_path / "d" / "source.jsonl").read_text().splitlines()[0]
-    for text in ('"tau":2,', '"use_ca":false', '"prior":[1.0,0.0]', '"shift_scale":2.0',
-                 '"noise":[0.0,0.5,1.0]'):
+                                    "synth": {"n_classes": 2, "shift_scale": 2, "noise": [0, 0.5, 1]}}))
+    data, model, out = tmp_path / "d", tmp_path / "m", tmp_path / "o"
+    assert run("synth", "--out-dir", data, *SMALL_SYNTH, "--config", cfg_path) == 0
+    line = (data / "source.jsonl").read_text().splitlines()[0]
+    for text in ('"shift_scale":2.0', '"noise":[0.0,0.5,1.0]'):
         assert text in line
+    # the run fields are echoed by label, the stage that reads them
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model,
+               "--n-coarse", 4, "--n-fine", 8, "--config", cfg_path) == 0
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out, "--config", cfg_path) == 0
+    line = (out / "labels.jsonl").read_text().splitlines()[0]
+    for text in ('"tau":2,', '"use_ca":false', '"prior":[1.0,0.0]'):
+        assert text in line
+
+
+def test_synth_echoes_no_run_field_and_its_resolved_patch_length(tmp_path):
+    out = tmp_path / "d"
+    assert run(*synth_args(out), "--tau", 5, "--n-coarse", 99, "--patch-length", 16,
+               "--corrupt-channel", 1, "--corrupt-magnitudes", "0.5") == 0
+    names = ["source.jsonl", "target.jsonl", "target_truth.jsonl", "target_corrupt_0.jsonl"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    for name in names:
+        header, _ = records.read_record_file(out / name)
+        assert header["config"]["run"] == {}
+        assert header["config"]["synth"]["patch_length"] == 16
+
+
+def test_label_echoes_only_the_run_fields_it_reads(workspace):
+    data, model, out = workspace
+    # the bundles decide n_coarse, patch_length and the embedding; label reads none of these flags
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out,
+               "--n-coarse", 16, "--patch-length", 32, "--embed-mode", "raw", "--tau", 3) == 0
+    want = {"epsilon": 1e-8, "sigma": 0.2, "tau": 3.0, "r_top": 0.5, "use_ca": True, "prior": "uniform"}
+    for name in ("labels.jsonl", "selected.jsonl"):
+        header, _ = records.read_record_file(out / name)
+        assert header["config"]["run"] == want
+    first = (out / "alignment_report.tsv").read_text().splitlines()[0]
+    assert json.loads(first.removeprefix("# config "))["run"] == want
 
 
 def test_invalid_run_values_rejected(tmp_path, capsys):

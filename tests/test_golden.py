@@ -5,7 +5,8 @@ or by a config file, and compares the sha256 of every file it wrote
 with ``golden_hashes.json``. A change that moves an artifact byte fails
 here, so a change meant to keep the bytes is checked by Tier-1 rather
 than by hand. A change that moves bytes on purpose regenerates the file
-in the same diff and says why:
+in the same diff and says why; the script prints each case/path whose
+hash moved:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -160,11 +161,19 @@ def test_stage_stdout_matches_its_pinned_lines(tmp_path, capsys):
     assert printed[1:] == STDOUT.splitlines()
 
 
-def write_golden(scratch: Path) -> None:
+def write_golden(scratch: Path) -> list[str]:
+    """Rewrite the hash file; the case/path of every hash that moved, was added or went."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"] if GOLDEN.exists() else {}
     with contextlib.redirect_stdout(io.StringIO()):
         cases = {name: run_case(name, scratch / name) for name in sorted(CASES)}
     text = json.dumps({"numpy": np.__version__, "cases": cases}, indent=1, sort_keys=True)
     GOLDEN.write_text(text + "\n", encoding="utf-8")
+    return [
+        f"{name}/{rel}"
+        for name in sorted(set(cases) | set(old))
+        for rel in sorted(set(cases.get(name, {})) | set(old.get(name, {})))
+        if cases.get(name, {}).get(rel) != old.get(name, {}).get(rel)
+    ]
 
 
 if __name__ == "__main__":
@@ -173,5 +182,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        write_golden(Path(tmp))
-    print(f"wrote {GOLDEN}")
+        moved = write_golden(Path(tmp))
+    print(f"wrote {GOLDEN}; {len(moved)} hashes moved")
+    for rel in moved:
+        print(f"  {rel}")

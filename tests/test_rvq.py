@@ -284,18 +284,18 @@ def test_reconstruct_coarse_only():
 
 # ---------------------------------------------------------------- stats, io
 
-def test_code_stats_counts_and_mse():
+def test_code_stats_mse_matches_a_direct_reconstruction():
     latents, _ = cluster_cloud(4, 30, 5, seed=9, spread=0.4)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=50, seed=2)
-    coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
-    coarse_counts, fine_counts, mse_coarse, mse_coarse_fine = rvq.code_stats(
-        result.quantizer, latents, coarse_idx, fine_idx
+    q = result.quantizer
+    coarse_idx, fine_idx = rvq.encode(q, latents)
+    mse_coarse, mse_coarse_fine = rvq.code_stats(q, latents, coarse_idx, fine_idx)
+    zn = latents / np.linalg.norm(latents, axis=-1, keepdims=True)
+    assert_allclose(mse_coarse, ((zn - q.coarse[coarse_idx]) ** 2).mean(), rtol=1e-12)
+    assert_allclose(
+        mse_coarse_fine, ((zn - q.coarse[coarse_idx] - q.fine[fine_idx]) ** 2).mean(), rtol=1e-12
     )
-    assert coarse_counts.sum() == latents.shape[0] * latents.shape[1]
-    assert fine_counts.sum() == coarse_counts.sum()
     assert mse_coarse_fine <= mse_coarse + 1e-9
-    assert coarse_counts.shape == (len(result.quantizer.coarse),)
-    assert fine_counts.shape == (len(result.quantizer.fine),)
 
 
 def test_quantizer_round_trip_bit_exact(tmp_path):
