@@ -47,7 +47,7 @@ class RunConfig:
     max_iters: int = 50
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         records.require_finite(self)
         if self.patch_length < 2:
             raise ConfigError("patch_length must be >= 2")
@@ -62,7 +62,7 @@ class RunConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.seed < 0 or self.projection_seed < 0:
             raise ConfigError("seed and projection_seed must be >= 0")
-        self.embed_spec()
+        self.embed_spec().projection(self.patch_length)
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
         if not isinstance(self.prior, str):
@@ -128,10 +128,9 @@ def _echo(cfg, names) -> dict:
     return out
 
 
-def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict]:
-    """Merge config file and set flags; returns (cfg, synth section)."""
-    data: dict = {}
-    synth_section: dict = {}
+def load_run_config(args) -> tuple[RunConfig, dict]:
+    """The --config file under the set run flags; returns (cfg, synth section)."""
+    path, raw = args.config, {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -140,15 +139,12 @@ def load_run_config(path, overrides: dict) -> tuple[RunConfig, dict]:
             raise ConfigError(f"{path}: config is not valid JSON: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        synth_section = raw.pop("synth", {})
-        if not isinstance(synth_section, dict):
-            raise ConfigError(f"{path}: 'synth' section must be an object")
-        _checked(f"{path}: synth", _SYNTH_KINDS, synth_section)
-        data = _checked(path, _RUN_KINDS, raw)
-    data.update(overrides)
-    cfg = RunConfig(**data)
-    cfg.validate()
-    return cfg, synth_section
+    synth_section = raw.pop("synth", {})
+    if not isinstance(synth_section, dict):
+        raise ConfigError(f"{path}: 'synth' section must be an object")
+    _checked(f"{path}: synth", _SYNTH_KINDS, synth_section)
+    data = {**_checked(path, _RUN_KINDS, raw), **_set_flags(args, _RUN_KINDS, "run_")}
+    return RunConfig(**data), synth_section
 
 
 def _parse_vector(text: str):
@@ -161,31 +157,20 @@ def _parse_vector(text: str):
 
 
 def _parse_prior(text: str):
-    if text == "uniform":
-        return "uniform"
-    if text.strip().startswith("["):
-        try:
-            prior = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad prior {text!r}") from exc
-        _check("--prior", "prior", _RUN_KINDS["prior"], prior)
-        return prior
-    return np.atleast_1d(_parse_vector(text)).tolist()
+    """"uniform", or the values of a vector flag."""
+    return "uniform" if text == "uniform" else _parse_vector(text)
 
 
 def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.SynthConfig:
     """The synth section under the synth flags; patch_length and seed default to the run's."""
-    merged = dict(synth_section)
-    for name in _SYNTH_KINDS:
-        if getattr(args, name, None) is not None:
-            merged[name] = getattr(args, name)
+    merged = {**synth_section, **_set_flags(args, _SYNTH_KINDS, "")}
     merged.setdefault("patch_length", cfg.patch_length)
     merged.setdefault("seed", cfg.seed)
     return synth.SynthConfig(**merged)
 
 
 def cmd_synth(args) -> None:
-    cfg, synth_section = load_run_config(args.config, _run_overrides(args))
+    cfg, synth_section = load_run_config(args)
     scfg = build_synth_config(cfg, synth_section, args)
     # the corruption flags are checked before anything is generated or written
     mags = np.atleast_1d(() if args.corrupt_magnitudes is None else args.corrupt_magnitudes)
@@ -243,7 +228,7 @@ _LABEL_FIELDS = ("epsilon", "sigma", "tau", "r_top", "use_ca", "prior")
 
 
 def cmd_fit(args) -> None:
-    cfg, _ = load_run_config(args.config, _run_overrides(args))
+    cfg, _ = load_run_config(args)
     source = ds.load_corpus(args.source)
     if source.role != "source":
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
@@ -291,7 +276,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_label(args) -> None:
-    cfg, _ = load_run_config(args.config, _run_overrides(args))
+    cfg, _ = load_run_config(args)
     # both bundles are read and cross-checked before the (larger) target corpus
     quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
     class_tm, channel_src = markov.load_transitions(args.transitions)
@@ -305,6 +290,8 @@ def cmd_label(args) -> None:
     if probs.shape != (n_classes,):
         raise ConfigError(f"prior needs {n_classes} entries, got {probs.size}")
     prior = pseudolabel.log_prior(probs, cfg.tau)
+    # smoothed before the target is read, so an epsilon that overflows fails first
+    class_tm, channel_src = (markov.smooth(tm, cfg.epsilon) for tm in (class_tm, channel_src))
     target = ds.load_corpus(args.target)
     if target.n_channels != n_channels:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
@@ -314,17 +301,12 @@ def cmd_label(args) -> None:
     codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed, mean_costs = transport.channel_weights(
-        markov.smooth(channel_src, cfg.epsilon),
-        markov.smooth(channel_trg, cfg.epsilon),
-        costs,
-        cfg.sigma,
+        channel_src, markov.smooth(channel_trg, cfg.epsilon), costs, cfg.sigma
     )
     used = computed if cfg.use_ca else np.ones(n_channels)
     if not used.any():
         raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
-    labels = pseudolabel.label_dataset(
-        target, codes, markov.smooth(class_tm, cfg.epsilon), used, prior
-    )
+    labels = pseudolabel.label_dataset(target, codes, class_tm, used, prior)
     selected = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
 
     out_dir = Path(args.out_dir)
@@ -353,7 +335,7 @@ def cmd_label(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    load_run_config(args.config, _run_overrides(args))  # checked like every stage's, then unused
+    load_run_config(args)  # checked like every stage's, then unused
     labels, _ = pseudolabel.load_labels(args.labels)
     truth, n_classes = ds.load_truth(args.truth)
     ids = labels.ids.tolist()
@@ -400,8 +382,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _run_overrides(args) -> dict:
-    given = {name: getattr(args, f"run_{name}", None) for name in _RUN_KINDS}
+def _set_flags(args, kinds: dict, prefix: str) -> dict:
+    """The fields whose --field-name flag was given, read from dest prefix + name."""
+    given = {name: getattr(args, prefix + name, None) for name in kinds}
     return {name: value for name, value in given.items() if value is not None}
 
 

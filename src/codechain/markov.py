@@ -71,7 +71,10 @@ def smooth(probs: np.ndarray, epsilon: float) -> np.ndarray:
     if not epsilon > 0.0:
         raise ConfigError("epsilon must be > 0")
     probs = np.asarray(probs, dtype=np.float64)
-    return (probs + epsilon) / (1.0 + probs.shape[-1] * epsilon)
+    total = 1.0 + probs.shape[-1] * float(epsilon)
+    if not np.isfinite(total):
+        raise ConfigError(f"epsilon = {epsilon} is too large: 1 + n * epsilon overflows")
+    return (probs + epsilon) / total
 
 
 def save_transitions(

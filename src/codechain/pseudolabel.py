@@ -24,8 +24,9 @@ def log_prior(probs, tau: float) -> np.ndarray:
     """The (n_classes,) prior term log(p / p.sum()) / tau of every posterior.
 
     probs holds at least 2 finite, non-negative entries summing to 1
-    within 1e-9, floored at 1e-12 before the log; tau must be > 0.
-    Anything else is a ConfigError.
+    within 1e-9, floored at 1e-12 before the log; tau must be > 0 and
+    large enough that every term stays finite. Anything else is a
+    ConfigError.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
@@ -37,7 +38,11 @@ def log_prior(probs, tau: float) -> np.ndarray:
     if not tau > 0.0:
         raise ConfigError("tau must be > 0")
     p = np.maximum(p, 1e-12)
-    return np.log(p / p.sum()) / tau
+    with np.errstate(over="ignore"):
+        terms = np.log(p / p.sum()) / tau
+    if not np.isfinite(terms).all():
+        raise ConfigError(f"tau = {tau} is too small: a prior term log(p) / tau overflows")
+    return terms
 
 
 def channel_posterior(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray:

@@ -428,7 +428,8 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
     The codebooks are matrices of JSON numbers. patch_length, the
     header's d_dim and a set embed_d_dim are positive JSON integers;
     seed and projection_seed are non-negative ones. An embedding the
-    bundle describes but EmbedSpec rejects is a DataError.
+    bundle describes but EmbedSpec rejects, or cannot project from
+    patch_length, is a DataError.
     """
     header, rec = records.read_one(path, "quantizer")
 
@@ -445,13 +446,14 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
             f"{path}: quantizer header d_dim {d_dim} differs from its codebook width {quantizer.d_dim}"
         )
     embed_d_dim = rec.get("embed_d_dim")
+    patch_length = whole("patch_length", rec.get("patch_length"))
     try:
         spec = EmbedSpec(
             mode=rec.get("embed_mode"),
             d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
             projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
         )
+        spec.projection(patch_length)
     except ConfigError as exc:
         raise DataError(f"{path}: quantizer {exc}") from exc
-    patch_length = whole("patch_length", rec.get("patch_length"))
     return quantizer, spec, patch_length, whole("seed", rec.get("seed"), 0)

@@ -192,6 +192,19 @@ def test_smooth_requires_positive_epsilon():
         markov.smooth(tm, 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [1e308, np.float64(3e307)])
+def test_smooth_refuses_an_epsilon_whose_row_sum_overflows_without_a_warning(epsilon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="epsilon = .* is too large"):
+            markov.smooth(np.eye(8), epsilon)
+
+
+def test_smooth_takes_a_huge_epsilon_whose_row_sum_stays_finite():
+    out = markov.smooth(np.eye(2), 8e307)
+    assert np.isfinite(out).all() and np.all(out > 0)
+
+
 # ---------------------------------------------------------------- likelihood
 
 def test_log_likelihood_hand_value():

@@ -1,6 +1,7 @@
 """Posteriors, weighted aggregation, labeling, and confident selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ def test_uniform_prior():
 def test_log_prior_rejects_a_bad_prior_as_a_config_error(probs):
     with pytest.raises(ConfigError):
         pseudolabel.log_prior(probs, 1.0)
+
+
+@pytest.mark.parametrize("probs", [[0.25] * 4, [1.0, 0.0]], ids=["uniform", "floored"])
+def test_log_prior_refuses_a_tau_whose_terms_overflow_without_a_warning(probs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="tau = 1e-310 is too small"):
+            pseudolabel.log_prior(probs, 1e-310)
 
 
 def test_log_prior_takes_the_floored_log_scaled_by_tau():
