@@ -293,6 +293,8 @@ def cmd_label(args) -> None:
     # smoothed before the target is read, so an epsilon that overflows fails first
     class_tm, channel_src = (markov.smooth(tm, cfg.epsilon) for tm in (class_tm, channel_src))
     target = ds.load_corpus(args.target)
+    if target.role != "target":
+        raise DataError(f"label needs a target-role corpus, got role {target.role!r}")
     if target.n_channels != n_channels:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
     ds.require_transitions(target, patch_length)

@@ -213,9 +213,12 @@ def save_truth(path, dataset: DomainDataset, config: dict | None = None) -> None
 def load_truth(path) -> tuple[dict[str, int], int]:
     """Read a truth file; returns (id -> label, n_classes).
 
-    n_classes is a positive JSON integer and every label a JSON integer.
+    n_classes is a JSON integer of at least 2 and every label a JSON integer.
     """
     header, recs = records.read_record_file(path, expected_kind="truth")
+    n_classes = whole_number(path, "truth header n_classes", header.get("n_classes"))
+    if n_classes < 2:
+        raise DataError(f"{path}: truth header n_classes {n_classes} is below 2, too few to score")
     out: dict[str, int] = {}
     for rec in recs:
         rid = identifier(path, "truth id", rec.get("id"))
@@ -224,4 +227,4 @@ def load_truth(path) -> tuple[dict[str, int], int]:
         if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
         out[rid] = rec["label"]
-    return out, whole_number(path, "truth header n_classes", header.get("n_classes"))
+    return out, n_classes

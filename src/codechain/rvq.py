@@ -347,52 +347,28 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
     return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]))
 
 
-def reconstruct(
-    quantizer: ResidualQuantizer, coarse_idx: np.ndarray, fine_idx: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum of the raw (un-normalized) code vectors for each patch.
-
-    Without fine indices, only the coarse vectors are summed.
-    """
-    coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
-    if coarse_idx.min() < 0 or coarse_idx.max() >= len(quantizer.coarse):
-        raise DataError("coarse index out of range for this quantizer")
-    out = quantizer.coarse[coarse_idx]
-    if fine_idx is not None:
-        fine_idx = np.asarray(fine_idx, dtype=np.int64)
-        if fine_idx.shape != coarse_idx.shape:
-            raise DataError("coarse and fine indices must share a shape")
-        if fine_idx.min() < 0 or fine_idx.max() >= len(quantizer.fine):
-            raise DataError("fine index out of range for this quantizer")
-        out = out + quantizer.fine[fine_idx]
-    return out
-
-
 def code_stats(
     quantizer: ResidualQuantizer,
     latents: np.ndarray,
     coarse_idx: np.ndarray,
     fine_idx: np.ndarray,
 ) -> tuple[float, float]:
-    """(mse_coarse, mse_coarse_fine) of the reconstructions.
-
-    Each MSE compares the raw code-vector sums against the L2-normalized
-    latents the assignment actually quantizes.
+    """(mse_coarse, mse_coarse_fine): the mean squared error of coarse[c] and
+    of coarse[c] + fine[f] against the L2-normalized latents the assignment
+    quantizes. Each index array is shaped like the latents without their last
+    axis, non-empty, and in [0, len(book)): numpy would wrap a negative index.
     """
     latents = np.asarray(latents, dtype=np.float64)
-    coarse_idx = np.asarray(coarse_idx, dtype=np.int64)
-    if latents.shape[:-1] != coarse_idx.shape:
-        raise DataError("code indices and latents must align")
-    if coarse_idx.size == 0:
-        raise DataError("no codes given")
+    c, f = (np.asarray(i, dtype=np.int64) for i in (coarse_idx, fine_idx))
+    for name, i, book in (("coarse", c, quantizer.coarse), ("fine", f, quantizer.fine)):
+        if i.shape + book.shape[1:] != latents.shape or i.size == 0:
+            raise DataError(f"{name} indices {i.shape} are empty or misaligned with latents {latents.shape}")
+        if i.min() < 0 or i.max() >= len(book):
+            raise DataError(f"{name} index out of range [0, {len(book)}) for this quantizer")
     zn = l2_normalize(latents, axis=-1)
-    rec_c = reconstruct(quantizer, coarse_idx)
-    rec_cf = reconstruct(quantizer, coarse_idx, fine_idx)
-    denom = coarse_idx.size * quantizer.d_dim
-    return (
-        float(((zn - rec_c) ** 2).sum()) / denom,
-        float(((zn - rec_cf) ** 2).sum()) / denom,
-    )
+    rec_c = quantizer.coarse[c]
+    rec_cf = rec_c + quantizer.fine[f]
+    return tuple(float(((zn - rec) ** 2).sum()) / zn.size for rec in (rec_c, rec_cf))
 
 
 def save_quantizer(

@@ -256,7 +256,7 @@ def channel_weights(
     counterpart row under the (n_codes, n_codes) ground cost, and the
     n_codes row costs are averaged into mean_costs. Weights lie in
     [0, 1]: identical matrices give 1, and weights shrink toward 0 as
-    the matrices drift apart, reaching 0 when the exponent underflows.
+    the matrices drift apart, reaching 0 once the exponent underflows or overflows.
     """
     if not sigma > 0.0:
         raise ConfigError("sigma must be > 0")
@@ -273,7 +273,8 @@ def channel_weights(
         for i in range(n_codes):
             total += solve_emd(src[d, i], trg[d, i], costs)[1]
         mean_costs[d] = total / n_codes
-    return np.exp(-((mean_costs / sigma) ** 2)), mean_costs
+    with np.errstate(over="ignore"):
+        return np.exp(-((mean_costs / sigma) ** 2)), mean_costs
 
 
 def write_alignment_report(

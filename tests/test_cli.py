@@ -3,10 +3,9 @@
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +329,15 @@ def never_called(*args, **kwargs):
     raise AssertionError("called on a corpus that cannot be scored")
 
 
+def test_label_refuses_a_source_role_corpus_before_embedding_it(workspace, monkeypatch, capsys):
+    data, model, out = workspace
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
+    assert run("label", "--target", data / "source.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
+    assert "data error: label needs a target-role corpus, got role 'source'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_label_single_patch_corpus_fails_before_encoding(tmp_path, monkeypatch):
     data, model = tmp_path / "data", tmp_path / "model"
     assert run(*synth_args(data, length=16)) == 0
@@ -431,6 +439,14 @@ def test_label_with_every_used_weight_zero_is_a_config_error_naming_sigma(drifte
     assert label_drifted(drifted, tmp_path / "out", "--sigma", 0.001) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sigma" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sigma_whose_ratio_overflows_is_a_config_error_and_nothing_else(drifted, tmp_path, capsys):
+    # mean_cost / 5e-324 overflows to inf, whose weight exp(-inf) is 0, without a numpy warning
+    assert label_drifted(drifted, tmp_path / "out", "--sigma", "5e-324") == 1
+    err = capsys.readouterr().err
+    assert err == "config error: sigma = 5e-324 is too small: every channel weight underflows to 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -593,6 +609,24 @@ def test_eval_rejects_a_label_not_below_its_score_count(tmp_path, capsys, label)
     records.write_record_file(tmp_path / "labels.jsonl", header, recs)
     assert run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl") == 2
     assert f"label {label} is not below its 2 scores" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_one_class_truth_file_as_a_data_error(tmp_path, capsys):
+    truth = ds.DomainDataset(
+        values=np.zeros((2, 1, 4)), ids=["a", "b"], labels=[0, 0], n_classes=1, role="target"
+    )
+    ds.save_truth(tmp_path / "truth.jsonl", truth)
+    labels = pseudolabel.PseudoLabels(
+        ids=np.array(["a", "b"]),
+        label=np.zeros(2, dtype=np.int64),
+        confidence=np.ones(2),
+        scores=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        per_channel_posteriors=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
+    )
+    pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
+    assert run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl") == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {tmp_path / 'truth.jsonl'}: truth header n_classes 1 is below 2, too few to score\n"
 
 
 # ---------------------------------------------------------------- config
@@ -1001,16 +1035,6 @@ def test_every_subcommand_keeps_its_option_strings_and_dests():
         assert {(" ".join(a.option_strings), a.dest) for a in actions} == want, name
         assert len(actions) == len(want)
     assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [37, 18, 20, 20]
-
-
-def test_readme_tables_name_every_config_field():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    first_cells = [row.split("|")[1] for row in section.splitlines() if row.startswith("| `")]
-    named = set(re.findall(r"`(\w+)`", " ".join(first_cells)))
-    for cls in (cli.RunConfig, synth.SynthConfig):
-        missing = {f.name for f in fields(cls)} - named
-        assert not missing, f"{cls.__name__} fields missing from the README tables: {missing}"
 
 
 def test_console_entrypoint_help():

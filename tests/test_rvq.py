@@ -255,9 +255,9 @@ def test_fit_insufficient_data():
         rvq.fit([rvq.CorpusLatents(latents)], n_coarse=2, n_fine=10)
 
 
-# ---------------------------------------------------------------- reconstruct
+# ---------------------------------------------------------------- codebook sums
 
-def test_reconstruct_exact_on_codebook_sums():
+def test_codebook_sums_rebuild_a_latent_whose_indices_encode_recovers():
     # unit coarse and fine codes 120 degrees apart: their sum is unit
     # norm again, so normalized assignment recovers both indices exactly
     c0 = np.array([1.0, 0.0])
@@ -268,18 +268,7 @@ def test_reconstruct_exact_on_codebook_sums():
     z = coarse[0] + fine[0]
     coarse_idx, fine_idx = rvq.encode(q, latent_from([z]))
     assert coarse_idx[0, 0] == 0 and fine_idx[0, 0] == 0
-    recon = rvq.reconstruct(q, coarse_idx, fine_idx)[0, 0]
-    assert_array_equal(recon, z)
-
-
-def test_reconstruct_coarse_only():
-    q = axis_quantizer()
-    coarse_idx = np.array([[0, 1]], dtype=np.int64)
-    fine_idx = np.array([[2, 3]], dtype=np.int64)
-    both = rvq.reconstruct(q, coarse_idx, fine_idx)
-    coarse_only = rvq.reconstruct(q, coarse_idx)
-    assert_array_equal(coarse_only[0], q.coarse[[0, 1]])
-    assert_array_equal(both[0], q.coarse[[0, 1]] + q.fine[[2, 3]])
+    assert_array_equal(q.coarse[coarse_idx] + q.fine[fine_idx], latent_from([z]))
 
 
 # ---------------------------------------------------------------- stats, io
@@ -296,6 +285,27 @@ def test_code_stats_mse_matches_a_direct_reconstruction():
         mse_coarse_fine, ((zn - q.coarse[coarse_idx] - q.fine[fine_idx]) ** 2).mean(), rtol=1e-12
     )
     assert mse_coarse_fine <= mse_coarse + 1e-9
+
+
+@pytest.mark.parametrize("book", ["coarse", "fine"])
+@pytest.mark.parametrize("case", ["misaligned", "negative", "too-large"])
+def test_code_stats_refuses_indices_that_do_not_fit_their_book(book, case):
+    q = axis_quantizer()  # 2 coarse codes, 4 fine codes
+    idx = {"coarse": np.array([[0, 1]]), "fine": np.array([[2, 3]])}
+    idx[book] = {
+        "misaligned": np.array([[0]]),
+        "negative": np.array([[0, -1]]),  # numpy indexing would wrap it to the last code
+        "too-large": np.array([[0, len(getattr(q, book))]]),
+    }[case]
+    match = "indices .* misaligned" if case == "misaligned" else "index out of range"
+    with pytest.raises(DataError, match=f"{book} {match}"):
+        rvq.code_stats(q, np.ones((1, 2, 2)), idx["coarse"], idx["fine"])
+
+
+def test_code_stats_refuses_empty_indices():
+    empty = np.zeros((1, 0), dtype=np.int64)
+    with pytest.raises(DataError, match="coarse indices .* are empty"):
+        rvq.code_stats(axis_quantizer(), np.ones((1, 0, 2)), empty, empty)
 
 
 def test_quantizer_round_trip_bit_exact(tmp_path):
