@@ -176,8 +176,10 @@ def cmd_synth(args) -> None:
     mags = np.atleast_1d(() if args.corrupt_magnitudes is None else args.corrupt_magnitudes)
     if (args.corrupt_channel is None) != (args.corrupt_magnitudes is None):
         raise ConfigError("--corrupt-channel and --corrupt-magnitudes must be given together")
+    if args.corrupt_seed is not None and args.corrupt_magnitudes is None:
+        raise ConfigError("--corrupt-seed needs --corrupt-channel and --corrupt-magnitudes")
     noise_seed = scfg.seed + 1000 if args.corrupt_seed is None else args.corrupt_seed
-    if mags.size and noise_seed < 0:
+    if noise_seed < 0:
         raise ConfigError("--corrupt-seed must be >= 0")
     if mags.size and not 0 <= args.corrupt_channel < scfg.n_channels:
         raise DataError(f"channel {args.corrupt_channel} out of range [0, {scfg.n_channels})")
@@ -308,7 +310,7 @@ def cmd_label(args) -> None:
     used = computed if cfg.use_ca else np.ones(n_channels)
     if not used.any():
         raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
-    labels = pseudolabel.label_dataset(target, codes, class_tm, used, prior)
+    labels = pseudolabel.label_dataset(codes, class_tm, used, prior, target.ids)
     selected = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
 
     out_dir = Path(args.out_dir)
@@ -346,6 +348,9 @@ def cmd_eval(args) -> None:
         raise DataError(
             f"{len(missing)} labeled ids missing from the truth file, e.g. {missing[:3]}"
         )
+    # the labeled ids are distinct and all in the truth, so equal counts mean equal sets
+    if len(ids) < len(truth):
+        raise DataError(f"the labels cover {len(ids)} of the {len(truth)} truth ids")
     true = np.array([truth[iid] for iid in ids])
     overall = diagnostics.accuracy_mf1(labels.label, true, n_classes)
     out_records = [{"split": "all", **overall}]

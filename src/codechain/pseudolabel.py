@@ -1,11 +1,11 @@
-"""Channel-wise Bayesian posteriors and weighted pseudo-label aggregation.
+"""Bayesian pseudo-labels from code transitions, and confident selection.
 
-Each channel scores every class by the likelihood of its coarse-code
-sequence under that class's transition matrix, combined with a label
-prior whose influence is tempered by tau. Channel posteriors are then
-averaged with the alignment weights; the aggregate scores are reported
-as-is (not renormalized), so confidence reflects both class preference
-and how much total weight the channels carried.
+label_dataset scores each channel's coarse-code sequence under every
+class's transition matrix, adds a label prior tempered by tau, and takes
+a softmax over classes as the channel posterior. The posteriors are
+averaged with the alignment weights and reported as-is (not
+renormalized), so confidence reflects both class preference and how
+much total weight the channels carried.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import records
-from .dataset import DomainDataset
 from .errors import ConfigError, DataError
 
 
@@ -45,23 +44,6 @@ def log_prior(probs, tau: float) -> np.ndarray:
     return terms
 
 
-def channel_posterior(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """softmax over the last (class) axis of loglik + prior.
-
-    logliks is (..., n_classes) and prior the log_prior vector; every
-    class vector of the result sums to 1.
-    """
-    logliks = np.asarray(logliks, dtype=np.float64)
-    if logliks.ndim < 1 or logliks.shape[-1:] != np.shape(prior):
-        raise DataError("log-likelihoods do not match the prior's class count")
-    if not np.all(np.isfinite(logliks)):
-        raise DataError("log-likelihoods must be finite")
-    logits = logliks + prior
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 class PseudoLabels(NamedTuple):
     """Pseudo-labels of N instances as aligned arrays, row n for instance n."""
 
@@ -72,75 +54,50 @@ class PseudoLabels(NamedTuple):
     per_channel_posteriors: np.ndarray  # (N, n_channels, n_classes)
 
 
-def aggregate(
-    posteriors: np.ndarray, weights: np.ndarray, ids: Sequence[str] | None = None
-) -> PseudoLabels:
-    """Weight-averaged class scores per instance; argmax label, ties to the lowest index.
-
-    posteriors is (n_instances, n_channels, n_classes); weights is one
-    weight per channel, and a channel of weight 0 drops out of the vote.
-    Scores are sum_d w_d * posterior_d / n_channels, deliberately not
-    renormalized. ids name the instances in order (empty strings when
-    not given).
-    """
-    post = np.asarray(posteriors, dtype=np.float64)
-    if post.ndim != 3:
-        raise DataError("posteriors must be 3-D (instances, channels, classes)")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (post.shape[1],):
-        raise DataError("weights do not match the posterior channel count")
-    # an object array keeps each id as written; a str array drops trailing NULs
-    ids = np.full(len(post), "", dtype=object) if ids is None else np.asarray(ids, dtype=object)
-    if ids.shape != (len(post),):
-        raise DataError("ids do not match the posterior instance count")
-    scores = (w[None, :, None] * post).sum(axis=1) / post.shape[1]
-    labels = np.argmax(scores, axis=1)
-    confidence = scores[np.arange(len(scores)), labels]
-    return PseudoLabels(ids, labels, confidence, scores, post)
-
-
 def label_dataset(
-    target: DomainDataset,
-    codes: np.ndarray,
-    model: np.ndarray,
-    weights: np.ndarray,
-    prior: np.ndarray,
+    codes: np.ndarray, model: np.ndarray, weights: np.ndarray, prior: np.ndarray, ids: Sequence[str]
 ) -> PseudoLabels:
-    """Pseudo-label every target instance from its coarse codes, in one batch.
+    """Pseudo-label every instance from its coarse codes, in one batch.
 
-    codes is (n_instances, n_channels, n_patches); model holds the
-    smoothed (strictly positive) (n_classes, n_channels, n_codes,
-    n_codes) class matrices; weights holds one weight per channel and
-    prior is the log_prior vector. One gather takes log p(to | from) of
-    every transition under every class; the (n_instances, n_channels,
-    n_classes) log-likelihoods are sum_t ln p(s[t+1] | s[t]) / n_patches,
-    the log probability of each code sequence normalised by its length.
-    Those become per-channel posteriors, then weighted scores. Rows are
-    ordered like the dataset.
+    codes is (n_instances, n_channels, n_patches >= 2); model holds the
+    smoothed, finite and positive (n_classes, n_channels, n_codes,
+    n_codes) class matrices; weights has one entry per channel, prior is
+    the log_prior vector and ids name the instances. A channel's
+    log-likelihood under a class is sum_t ln p(s[t+1] | s[t]) / n_patches,
+    from one gather over every transition; its posterior is the softmax
+    over classes of log-likelihood + prior. Scores are sum_d w_d *
+    posterior_d / n_channels, not renormalized, so a channel of weight 0
+    drops out; the label is the argmax score, ties to the lowest class.
     """
-    if target.role != "target":
-        raise DataError(f"labeling expects a target dataset, got role {target.role!r}")
     model = np.asarray(model, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
-    if model.ndim != 4 or model.shape[0] != len(prior):
+    weights = np.asarray(weights, dtype=np.float64)
+    # an object array keeps each id as written; a str array drops trailing NULs
+    ids = np.asarray(ids, dtype=object)
+    if model.ndim != 4 or np.shape(prior) != model.shape[:1]:
         raise DataError("model and prior disagree on the class count")
-    if model.shape[1] != target.n_channels:
-        raise DataError("model and dataset disagree on the channel count")
-    if np.shape(weights) != (target.n_channels,):
-        raise DataError("weights and dataset disagree on the channel count")
-    if codes.ndim != 3 or codes.shape[:2] != (len(target), target.n_channels) or codes.shape[2] < 2:
-        raise DataError(
-            f"codes of shape {codes.shape} are not (instances, channels, >= 2 patches) of the dataset"
-        )
+    n_channels = model.shape[1]
+    if codes.ndim != 3 or codes.shape[1] != n_channels or codes.shape[2] < 2:
+        raise DataError(f"codes of shape {codes.shape} are not (instances, {n_channels} channels, >= 2 patches)")
+    if weights.shape != (n_channels,):
+        raise DataError(f"{weights.size} weights do not match the {n_channels} channels")
+    if ids.shape != codes.shape[:1]:
+        raise DataError(f"{ids.size} ids do not match the {len(codes)} instances")
     if codes.size and (codes.min() < 0 or codes.max() >= model.shape[-1]):
         raise DataError(f"code out of range [0, {model.shape[-1]})")
-    if np.any(model <= 0.0):
-        raise DataError("model has zero transition probabilities; smooth it first")
+    if not (np.isfinite(model) & (model > 0.0)).all():
+        raise DataError("model must be finite and above 0; smooth it first")
     log_probs = np.moveaxis(np.log(model), 0, -1)  # (channels, from, to, classes)
-    channel = np.arange(target.n_channels)[None, :, None]
+    channel = np.arange(n_channels)[None, :, None]
     gathered = log_probs[channel, codes[:, :, :-1], codes[:, :, 1:]]
-    logliks = gathered.sum(axis=2) / codes.shape[2]
-    return aggregate(channel_posterior(logliks, prior), weights, target.ids)
+    logits = gathered.sum(axis=2) / codes.shape[2] + prior
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    posteriors = e / e.sum(axis=-1, keepdims=True)
+    scores = (weights[None, :, None] * posteriors).sum(axis=1) / n_channels
+    labels = np.argmax(scores, axis=1)
+    confidence = scores[np.arange(len(scores)), labels]
+    return PseudoLabels(ids, labels, confidence, scores, posteriors)
 
 
 def top_r_select(confidence: np.ndarray, r_top: float) -> np.ndarray:

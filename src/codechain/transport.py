@@ -11,7 +11,9 @@ pivot for the duals and a parent and depth per node; the cycle of an
 entering cell is read off by climbing parent pointers from its ends.
 The marginals are perturbed internally by a tiny constant to keep the
 start nondegenerate; the plan is re-solved on the optimal basis from
-the true marginals and certified on that basis's walk before returning.
+the true marginals and certified before returning: the final walk's
+duals must price no cell below 0 and give a dual objective equal to the
+plan's cost, which by weak duality proves the plan optimal.
 """
 
 from __future__ import annotations
@@ -240,10 +242,13 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
     ):
         raise InternalError("transport plan violates its marginals")
-    # certify the final basis: every cell, basic ones too, priced by its walk
-    if float(reduced.min()) < -_CERT_TOL:
+    # certify the final basis: its walk's duals leave no cell, basic ones too,
+    # a reduced cost below 0, and by weak duality a dual objective equal to
+    # the plan's cost then proves the plan optimal however the duals were found
+    cost = float((plan * costs).sum())
+    if float(reduced.min()) < -_CERT_TOL or abs(cost - (duals[:n] @ p + duals[n:] @ q)) > _CERT_TOL:
         raise InternalError("transport optimality certificate failed")
-    return plan, float((plan * costs).sum())
+    return plan, cost
 
 
 def channel_weights(

@@ -35,6 +35,12 @@ def log_likelihood(
     return float(np.log(p).sum() / denom)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """exp(x) / sum(exp(x)) of one vector, shifted by its max so no term overflows."""
+    e = np.exp(np.asarray(logits, dtype=np.float64) - np.max(logits))
+    return e / e.sum()
+
+
 def linprog_emd_cost(optimize, p, q, costs):
     """Optimal transport cost as a plain LP, solved by HiGHS."""
     n = p.size

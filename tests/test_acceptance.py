@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from codechain import cli, diagnostics, markov, pseudolabel, rvq, synth, transport
 from codechain import dataset as ds
 from oracles import pe_report
+from test_pseudolabel import vote
 from test_transport import enumerate_emd
 
 
@@ -49,7 +50,7 @@ def label_target(target, quantizer, class_tm, channel_src, m=8, use_ca=True,
     k = class_tm.shape[0]
     label_prior = pseudolabel.log_prior(np.full(k, 1.0 / k) if prior is None else prior, tau)
     labels = pseudolabel.label_dataset(
-        stripped, codes_trg, markov.smooth(class_tm, eps), used, label_prior
+        codes_trg, markov.smooth(class_tm, eps), used, label_prior, stripped.ids
     )
     return labels, weights
 
@@ -316,14 +317,15 @@ def test_criterion_10b_posteriors_live_on_the_simplex():
     rng = np.random.default_rng(111)
     for _ in range(1000):
         k = int(rng.integers(2, 6))
-        logliks = rng.uniform(-60.0, 0.0, size=k)
+        # log-likelihoods ln(p) / 2 in [-60, 0], now and then one at the least positive double
+        probs = np.exp(2.0 * rng.uniform(-60.0, 0.0, size=(1, 1, k)))
         if rng.random() < 0.1:
-            logliks[rng.integers(0, k)] = -1e5
+            probs[0, 0, rng.integers(0, k)] = 5e-324
         prior = pseudolabel.log_prior(
             rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0)),
             10.0 ** rng.uniform(-2, 1),
         )
-        post = pseudolabel.channel_posterior(logliks, prior)
+        post = vote(probs, np.ones(1), prior).per_channel_posteriors
         assert np.all(post >= 0.0)
         assert abs(post.sum() - 1.0) <= 1e-9
     report("10b", "1000 posteriors nonnegative and normalized")
@@ -349,12 +351,11 @@ def test_criterion_10d_labels_invariant_to_weight_rescaling():
         d = int(rng.integers(1, 5))
         k = int(rng.integers(2, 6))
         n = int(rng.integers(3, 8))
-        posts = rng.dirichlet(np.ones(k), size=(n, d))
+        probs = rng.dirichlet(np.ones(k), size=(n, d))
         w = rng.uniform(0.05, 1.0, size=d)
         c = 10.0 ** rng.uniform(-2, 2)
-        ids = [str(i) for i in range(n)]
-        base = pseudolabel.aggregate(posts, w, ids)
-        scaled = pseudolabel.aggregate(posts, c * w, ids)
+        base = vote(probs, w)
+        scaled = vote(probs, c * w)
         assert base.label.tolist() == scaled.label.tolist()
         r = rng.uniform(0.2, 1.0)
         assert_array_equal(

@@ -94,9 +94,11 @@ def test_synth_corrupt_flags_must_pair(tmp_path):
         (("--corrupt-channel", -1, "--corrupt-magnitudes", "0.5"), 2),
         (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5,-0.5"), 1),
         (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5", "--corrupt-seed", -1), 1),
+        (("--corrupt-seed", 5), 1),
+        (("--corrupt-seed", -1), 1),
     ],
     ids=["channel-alone", "magnitudes-alone", "channel-3-of-3", "channel-minus-1",
-         "negative-magnitude", "negative-seed"],
+         "negative-magnitude", "negative-seed", "seed-alone", "negative-seed-alone"],
 )
 def test_synth_checks_corrupt_flags_before_writing_anything(tmp_path, flags, code):
     out = tmp_path / "d"
@@ -329,6 +331,16 @@ def never_called(*args, **kwargs):
     raise AssertionError("called on a corpus that cannot be scored")
 
 
+def test_label_refuses_a_one_class_transitions_bundle_before_reading_the_target(workspace, monkeypatch, capsys):
+    data, model, out = workspace
+    header, (rec,) = records.read_record_file(model / "transitions.jsonl")
+    records.write_record_file(model / "transitions.jsonl", header, [{**rec, "class_tms": rec["class_tms"][:1]}])
+    monkeypatch.setattr(ds, "load_corpus", never_called)
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
+    assert "holds 1 class; labeling needs >= 2" in capsys.readouterr().err
+
+
 def test_label_refuses_a_source_role_corpus_before_embedding_it(workspace, monkeypatch, capsys):
     data, model, out = workspace
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
@@ -552,6 +564,21 @@ def test_eval_disjoint_ids(workspace, tmp_path):
     assert run("eval", "--labels", out / "labels.jsonl", "--truth", truth_path) == 2
 
 
+def test_eval_refuses_labels_that_cover_only_some_truth_ids(workspace, tmp_path, capsys):
+    data, model, out = workspace
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 0
+    header, recs = records.read_record_file(out / "labels.jsonl")
+    records.write_record_file(tmp_path / "first5.jsonl", header, list(recs)[:5])
+    capsys.readouterr()
+    assert run("eval", "--labels", tmp_path / "first5.jsonl", "--truth", data / "target_truth.jsonl",
+               "--out", tmp_path / "metrics.jsonl") == 2
+    assert capsys.readouterr().err == "data error: the labels cover 5 of the 20 truth ids\n"
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
 def eval_two_labels(tmp_path, selection):
     """Exit code of eval --subset on two labels "a", "b" and one selection record."""
     ids = ["a", "b"]
@@ -580,6 +607,11 @@ def eval_two_labels(tmp_path, selection):
 def test_eval_rejects_a_selection_index_that_is_not_an_integer(tmp_path, capsys, index):
     assert eval_two_labels(tmp_path, {"index": index, "id": "b"}) == 2
     assert "selection index" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_selection_index_past_the_last_label(tmp_path, capsys):
+    assert eval_two_labels(tmp_path, {"index": 2, "id": "b"}) == 2
+    assert "selection index out of range for the label file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index, iid", [(1, "zzz-not-in-labels"), (0, "b")])
@@ -685,6 +717,23 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"tau": 1.0, "bogus": 3}))
     assert run(*synth_args(tmp_path / "d"), "--config", cfg_path) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{tau: 1}", "config is not valid JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"synth": [1]}', "'synth' section must be an object"),
+    ],
+    ids=["not-json", "a-list", "synth-a-list"],
+)
+def test_a_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    assert run(*synth_args(tmp_path / "d"), "--config", cfg_path) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_bad_flag_value_is_config_error(tmp_path):

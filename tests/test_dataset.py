@@ -88,6 +88,34 @@ def test_record_file_reports_bad_line_number(tmp_path):
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "text, line_no, reason",
+    [
+        ("", 1, "missing header line"),
+        ("\n" + '{"id":"a"}\n', 1, "missing header line"),
+        ('{"format":"codechain.v0","kind":"corpus"}\n', 1, "unrecognized format 'codechain.v0'"),
+        ('{"kind":"corpus"}\n', 1, "unrecognized format None"),
+        ("[1, 2]\n", 1, "each line must be a JSON object"),
+        ('{"format":"codechain.v1","kind":"corpus"}\n"a"\n', 2, "each line must be a JSON object"),
+    ],
+    ids=["empty", "blank-first-line", "unknown-format", "no-format", "header-a-list", "record-a-string"],
+)
+def test_record_file_refuses_a_bad_envelope_with_its_line_number(tmp_path, text, line_no, reason):
+    path = tmp_path / "r.jsonl"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        list(records.read_record_file(path, "corpus")[1])
+    assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
+
+
+@pytest.mark.parametrize("n_records", [0, 2])
+def test_a_bundle_must_hold_exactly_one_record(tmp_path, n_records):
+    path = tmp_path / "q.jsonl"
+    records.write_record_file(path, {"kind": "quantizer"}, [{"x": i} for i in range(n_records)])
+    with pytest.raises(DataError, match="quantizer bundle must hold exactly one record"):
+        records.read_one(path, "quantizer")
+
+
 def test_record_file_reads_through_a_pipe(tmp_path):
     source = tmp_path / "c.jsonl"
     ds.save_corpus(source, tiny_dataset())
@@ -402,6 +430,15 @@ def test_load_truth_rejects_a_class_count_that_is_not_a_positive_integer(tmp_pat
     path = tmp_path / "truth.jsonl"
     records.write_record_file(path, {"kind": "truth", "n_classes": n_classes}, [{"id": "a", "label": 0}])
     with pytest.raises(DataError, match="n_classes .* is not a positive integer"):
+        ds.load_truth(path)
+
+
+def test_load_truth_rejects_a_duplicate_id(tmp_path):
+    path = tmp_path / "truth.jsonl"
+    records.write_record_file(
+        path, {"kind": "truth", "n_classes": 2}, [{"id": "a", "label": 0}, {"id": "a", "label": 1}]
+    )
+    with pytest.raises(DataError, match="duplicate truth id 'a'"):
         ds.load_truth(path)
 
 

@@ -326,6 +326,22 @@ def test_load_transitions_rejects_cells_that_are_not_json_numbers(tmp_path, key,
         markov.load_transitions(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("class_tms", np.full((2, 1, 2, 3), 1 / 3).tolist(), r"class_tms must be stacks of square matrices"),
+        ("channel_tms_source", [[[1.0]]], "channel_tms_source need at least 2 states"),
+        ("class_tms", np.full((2, 1, 4, 4), 0.25).tolist(), "class and channel matrices disagree"),
+    ],
+    ids=["not-square", "one-state", "class-shape-differs"],
+)
+def test_load_transitions_rejects_matrices_of_the_wrong_shape(tmp_path, key, value, message):
+    path, header, rec = two_code_bundle(tmp_path)
+    records.write_record_file(path, header, [{**rec, key: value}])
+    with pytest.raises(DataError, match=message):
+        markov.load_transitions(path)
+
+
 @pytest.mark.parametrize("token", ['"1e-8"', "true", "-1", "0", "-0.0", "NaN", "Infinity", "null"])
 def test_load_transitions_ignores_the_epsilon_of_an_older_bundle(tmp_path, token):
     path, _, _ = two_code_bundle(tmp_path)

@@ -42,12 +42,9 @@ def test_permuting_channels_with_their_model_and_weights_keeps_the_scores(seed, 
     model = markov.smooth(rng.dirichlet(np.ones(c), size=(k, d, c)), 1e-8)
     weights = rng.uniform(0.0, 1.0, size=d)
     prior = pseudolabel.log_prior(rng.dirichlet(np.ones(k)), rng.uniform(0.1, 5.0))
-    target = ds.DomainDataset(
-        values=np.zeros((n, d, 1)), ids=[f"t{i}" for i in range(n)],
-        labels=np.full(n, ds.UNLABELED), n_classes=k, role="target",
-    )
-    base = pseudolabel.label_dataset(target, codes, model, weights, prior)
-    permuted = pseudolabel.label_dataset(target, codes[:, perm], model[:, perm], weights[perm], prior)
+    ids = [f"t{i}" for i in range(n)]
+    base = pseudolabel.label_dataset(codes, model, weights, prior, ids)
+    permuted = pseudolabel.label_dataset(codes[:, perm], model[:, perm], weights[perm], prior, ids)
     assert_allclose(permuted.scores, base.scores, rtol=0, atol=1e-12)
     assert_array_equal(permuted.per_channel_posteriors, base.per_channel_posteriors[:, perm])
 

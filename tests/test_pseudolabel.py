@@ -1,4 +1,4 @@
-"""Posteriors, weighted aggregation, labeling, and confident selection."""
+"""Posteriors, the weighted vote, labeling, and confident selection."""
 
 import math
 import warnings
@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from codechain import dataset as ds
 from codechain import markov, pseudolabel, records, rvq, synth
 from codechain.errors import ConfigError, DataError
-from oracles import log_likelihood
+from oracles import log_likelihood, softmax
 
 
 def disjoint_regimes():
@@ -105,92 +105,112 @@ def test_log_prior_takes_the_floored_log_scaled_by_tau():
 
 # ---------------------------------------------------------------- posterior
 
+def vote(probs, weights=None, prior=None):
+    """label_dataset on a chosen (N, D, K) array of transition probabilities.
+
+    Channel d of instance n is the code sequence [n, n]: its one
+    transition n -> n has probability probs[n, d, k] under class k, so
+    its log-likelihood is ln(probs[n, d, k]) / 2. Every other transition
+    has probability 1. weights default to 1 and the prior to uniform.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    n, d, k = probs.shape
+    model = np.ones((k, d, n, n))
+    model[:, :, np.arange(n), np.arange(n)] = probs.transpose(2, 1, 0)
+    codes = np.repeat(np.arange(n), 2 * d).reshape(n, d, 2)
+    weights = np.ones(d) if weights is None else weights
+    prior = uniform(k) if prior is None else prior
+    return pseudolabel.label_dataset(codes, model, weights, prior, [f"i{i}" for i in range(n)])
+
+
 def test_posterior_symmetry():
-    prior = uniform(3)
-    post = pseudolabel.channel_posterior(np.array([-1.2, -1.2, -1.2]), prior)
+    post = vote([[[0.3, 0.3, 0.3]]], prior=uniform(3)).per_channel_posteriors
     assert_allclose(post, 1.0 / 3.0, atol=1e-15)
 
 
 def test_posterior_bayes_evaluation():
-    prior = uniform(2)
-    post = pseudolabel.channel_posterior(np.log(np.array([0.9, 0.1])), prior)
-    assert_allclose(post, [0.9, 0.1], atol=1e-12)
+    # log-likelihoods ln(0.9) and ln(0.1): a uniform prior leaves them as they are
+    post = vote([[[0.81, 0.01]]]).per_channel_posteriors
+    assert_allclose(post[0, 0], [0.9, 0.1], atol=1e-12)
 
 
 def test_posterior_small_tau_follows_prior():
     prior = pseudolabel.log_prior(np.array([0.9, 0.1]), 0.001)
-    post = pseudolabel.channel_posterior(np.log(np.array([0.01, 0.99])), prior)
-    assert int(np.argmax(post)) == 0
+    post = vote([[[0.01**2, 0.99**2]]], prior=prior).per_channel_posteriors
+    assert int(np.argmax(post[0, 0])) == 0
 
 
 def test_posterior_uniform_prior_tau_cancels():
-    logliks = np.array([-3.0, -1.5, -2.2])
-    a = pseudolabel.channel_posterior(logliks, uniform(3, tau=1.0))
-    b = pseudolabel.channel_posterior(logliks, uniform(3, tau=7.0))
+    probs = np.exp(2.0 * np.array([[[-3.0, -1.5, -2.2]]]))
+    a = vote(probs, prior=uniform(3, tau=1.0)).per_channel_posteriors
+    b = vote(probs, prior=uniform(3, tau=7.0)).per_channel_posteriors
     assert_allclose(a, b, atol=1e-12)
 
 
 def test_posterior_stable_at_extreme_logliks():
-    prior = uniform(2)
-    post = pseudolabel.channel_posterior(np.array([-1e6, -1e6 + 1]), prior)
+    # each logit is near -1040, so exp without the max shift underflows to 0 / 0
+    probs = np.array([[[1e-304, 1e-303]]])
+    post = vote(probs, prior=uniform(2, tau=1e-3)).per_channel_posteriors
     assert np.all(np.isfinite(post))
     assert_allclose(post.sum(), 1.0, atol=1e-9)
+    assert_allclose(post[0, 0], softmax(np.log(probs[0, 0]) / 2), rtol=0, atol=1e-12)
 
 
 def test_posterior_monotone_in_prior():
     rng = np.random.default_rng(41)
     for _ in range(50):
         k = int(rng.integers(2, 5))
-        logliks = rng.uniform(-5, 0, size=k)
+        probs = np.exp(2.0 * rng.uniform(-5, 0, size=(1, 1, k)))
         base = rng.dirichlet(np.ones(k))
         target = int(rng.integers(0, k))
         boosted = base.copy()
         boosted[target] *= 3.0
         boosted /= boosted.sum()
-        post_base = pseudolabel.channel_posterior(logliks, pseudolabel.log_prior(base, 1.0))
-        post_boost = pseudolabel.channel_posterior(logliks, pseudolabel.log_prior(boosted, 1.0))
-        assert post_boost[target] >= post_base[target] - 1e-12
+        post_base = vote(probs, prior=pseudolabel.log_prior(base, 1.0)).per_channel_posteriors
+        post_boost = vote(probs, prior=pseudolabel.log_prior(boosted, 1.0)).per_channel_posteriors
+        assert post_boost[0, 0, target] >= post_base[0, 0, target] - 1e-12
 
 
-# ---------------------------------------------------------------- aggregate
+# ---------------------------------------------------------------- vote
 
-def test_aggregate_single_channel_identity():
-    post = np.array([[0.3, 0.7]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0]))
-    assert_allclose(out.scores[0], [0.3, 0.7], atol=0)
+def test_vote_single_channel_identity():
+    out = vote([[[0.09, 0.49]]], np.array([1.0]))
+    assert_array_equal(out.scores, out.per_channel_posteriors[:, 0])
+    assert_allclose(out.scores[0], [0.3, 0.7], atol=1e-15)
     assert out.label[0] == 1
-    assert out.confidence[0] == 0.7
+    assert out.confidence[0] == out.scores[0, 1]
 
 
-def test_aggregate_hand_values():
-    post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0, 1.0]))
+def test_vote_hand_values():
+    out = vote([[[0.64, 0.04], [0.36, 0.16]]], np.array([1.0, 1.0]))
+    post = out.per_channel_posteriors
+    assert_array_equal(out.scores, (post[:, 0] + post[:, 1]) / 2)
     assert_allclose(out.scores[0], [0.7, 0.3], atol=1e-15)
     assert out.label[0] == 0
 
 
-def test_aggregate_zero_weight_drops_channel():
-    post = np.array([[0.8, 0.2], [0.6, 0.4]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0, 0.0]))
+def test_vote_zero_weight_drops_channel():
+    out = vote([[[0.64, 0.04], [0.36, 0.16]]], np.array([1.0, 0.0]))
+    assert_array_equal(out.scores, out.per_channel_posteriors[:, 0] / 2)
     assert_allclose(out.scores[0], [0.4, 0.1], atol=1e-15)
     assert out.label[0] == 0
 
 
-def test_aggregate_tie_breaks_low():
-    post = np.array([[0.5, 0.5]])
-    out = pseudolabel.aggregate(post[None], np.array([1.0]))
+def test_vote_tie_breaks_low():
+    out = vote([[[0.25, 0.25]]], np.array([1.0]))
+    assert_array_equal(out.scores[0], [0.5, 0.5])
     assert out.label[0] == 0
 
 
-def test_aggregate_argmax_invariant_to_weight_scale():
+def test_vote_argmax_invariant_to_weight_scale():
     rng = np.random.default_rng(42)
     for _ in range(100):
         d, k = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-        post = rng.dirichlet(np.ones(k), size=d)
+        probs = rng.dirichlet(np.ones(k), size=(1, d))
         w = rng.uniform(0.05, 1.0, size=d)
         c = rng.uniform(0.1, 10.0)
-        a = pseudolabel.aggregate(post[None], w)
-        b = pseudolabel.aggregate(post[None], c * w)
+        a = vote(probs, w)
+        b = vote(probs, c * w)
         assert a.label[0] == b.label[0]
         assert_allclose(b.scores[0], c * a.scores[0], rtol=1e-12)
 
@@ -199,28 +219,12 @@ def test_aggregate_argmax_invariant_to_weight_scale():
 
 def test_label_recovers_source_classes(fitted):
     source, quantizer, class_tm = fitted
-    target = ds.strip_labels(source)
     labels = pseudolabel.label_dataset(
-        target,
-        coarse_codes(quantizer, target),
-        class_tm,
-        np.ones(1),
-        uniform(2),
+        coarse_codes(quantizer, source), class_tm, np.ones(1), uniform(2), source.ids
     )
     assert labels.label.tolist() == source.labels.tolist()
+    assert labels.ids.tolist() == source.ids.tolist()
     assert_allclose(labels.per_channel_posteriors.sum(axis=2), 1.0, atol=1e-9)
-
-
-def test_label_rejects_source_role(fitted):
-    source, quantizer, class_tm = fitted
-    with pytest.raises(DataError):
-        pseudolabel.label_dataset(
-            source,
-            coarse_codes(quantizer, source),
-            class_tm,
-            np.ones(1),
-            uniform(2),
-        )
 
 
 def test_label_rejects_unsmoothed_model(fitted):
@@ -228,15 +232,46 @@ def test_label_rejects_unsmoothed_model(fitted):
     latents = rvq.embed(ds.patchify(source.values, 8))
     codes, _ = rvq.encode(quantizer, latents)
     raw_tm = markov.build_class_tm(codes, source.labels, 2, 3)
-    target = ds.strip_labels(source)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="smooth it first"):
         pseudolabel.label_dataset(
-            target,
-            coarse_codes(quantizer, target),
-            raw_tm,
-            np.ones(1),
-            uniform(2),
+            coarse_codes(quantizer, source), raw_tm, np.ones(1), uniform(2), source.ids
         )
+
+
+@pytest.mark.parametrize("cell", [(1, 0, 1, 1), (0, 0, 0, 1)], ids=["on-a-transition", "off-every-transition"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_label_rejects_a_model_holding_inf_or_nan(cell, value):
+    codes = np.array([[[1, 1, 1]]])
+    model = np.full((2, 1, 2, 2), 0.5)
+    model[cell] = value
+    with pytest.raises(DataError, match="model must be finite"):
+        pseudolabel.label_dataset(codes, model, np.ones(1), uniform(2), ["i0"])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"prior": uniform(3)}, "model and prior disagree on the class count"),
+        ({"prior": uniform(2)[:, None]}, "model and prior disagree on the class count"),
+        ({"model": np.full((2, 2, 2), 0.5)}, "model and prior disagree on the class count"),
+        ({"codes": np.zeros((1, 3), dtype=int)}, r"codes of shape \(1, 3\) are not"),
+        ({"codes": np.zeros((1, 2, 3), dtype=int)}, r"codes of shape \(1, 2, 3\) are not"),
+        ({"codes": np.zeros((1, 1, 1), dtype=int)}, r"codes of shape \(1, 1, 1\) are not"),
+        ({"weights": np.ones(2)}, "2 weights do not match the 1 channels"),
+        ({"ids": ["i0", "i1"]}, "2 ids do not match the 1 instances"),
+        ({"codes": np.array([[[0, -1, 0]]])}, r"code out of range \[0, 2\)"),
+        ({"codes": np.array([[[0, 2, 0]]])}, r"code out of range \[0, 2\)"),
+    ],
+    ids=["prior-3-classes", "prior-2-D", "model-3-D", "codes-2-D", "codes-2-channels", "codes-1-patch",
+         "weights-2", "ids-2", "code-minus-1", "code-2-of-2"],
+)
+def test_label_refuses_inputs_that_disagree(change, message):
+    args = {
+        "codes": np.zeros((1, 1, 3), dtype=int), "model": np.full((2, 1, 2, 2), 0.5),
+        "weights": np.ones(1), "prior": uniform(2), "ids": ["i0"],
+    }
+    with pytest.raises(DataError, match=message):
+        pseudolabel.label_dataset(**{**args, **change})
 
 
 def test_batched_posteriors_match_the_log_likelihood_oracle():
@@ -247,15 +282,12 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     model = markov.smooth(markov.build_class_tm(fit.coarse_idx, source.labels, 4, 8), 1e-8)
     prior = pseudolabel.log_prior(np.array([0.4, 0.3, 0.2, 0.1]), 0.7)
     weights = np.array([0.9, 0.5, 0.2])
-    target = ds.strip_labels(target)
     codes = coarse_codes(fit.quantizer, target)
-    labels = pseudolabel.label_dataset(target, codes, model, weights, prior)
+    labels = pseudolabel.label_dataset(codes, model, weights, prior, target.ids)
     assert labels.ids.tolist() == target.ids.tolist()
     for n in range(len(target)):
         oracle = np.stack([
-            pseudolabel.channel_posterior(
-                np.array([log_likelihood(codes[n, d], model[k, d]) for k in range(4)]), prior
-            )
+            softmax(np.array([log_likelihood(codes[n, d], model[k, d]) for k in range(4)]) + prior)
             for d in range(3)
         ])
         assert_allclose(labels.per_channel_posteriors[n], oracle, rtol=0, atol=1e-12)
@@ -417,6 +449,13 @@ def test_load_labels_rejects_a_non_finite_confidence(tmp_path, token):
     path = saved_labels_with(tmp_path, "confidence", 0.25)
     path.write_text(path.read_text().replace('"confidence":0.25', f'"confidence":{token}'))
     with pytest.raises(DataError, match="is not a finite number"):
+        pseudolabel.load_labels(path)
+
+
+def test_load_labels_rejects_a_file_of_no_records(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    pseudolabel.save_labels(path, fake_labels([]), np.ones(1))
+    with pytest.raises(DataError, match="label file holds no records"):
         pseudolabel.load_labels(path)
 
 

@@ -584,3 +584,17 @@ def test_code_sums_equal_add_at_bitwise(n_codes):
     got = rvq._code_sums(points.T.copy(), assign, n_codes)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_an_empty_code_is_reseeded_at_the_worst_quantized_point():
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-1.0, 0.0]])
+    # code 2 duplicates code 0, so ties to the lower index leave it empty
+    centroids = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    sq_norms = (points * points).sum(axis=1)
+    assign, err = rvq._nearest(points, centroids, sq_norms)
+    assert np.bincount(assign, minlength=3)[2] == 0 and int(np.argmax(err)) == 3
+    new, assign, _ = rvq._reseed_empty(points, sq_norms, centroids, assign, err, 3)
+    assert_array_equal(new, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    assert_array_equal(centroids[2], [1.0, 0.0])  # the caller's array is left as it was
+    assert_array_equal(assign, [0, 1, 1, 2])
+    assert (np.bincount(assign, minlength=3) > 0).all()

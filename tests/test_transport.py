@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import transport
-from codechain.errors import DataError
+from codechain.errors import DataError, InternalError
 from oracles import linprog_emd_cost
 
 
@@ -220,6 +220,25 @@ def test_degenerate_pivots_follow_blands_rule_and_terminate(monkeypatch):
     assert len(degenerate) > 100
     for pivot in degenerate:
         assert pivot["entering"] == pivot["first_candidate"]
+
+
+def test_a_walk_whose_duals_do_not_price_the_plan_fails_the_certificate(monkeypatch):
+    rng = np.random.default_rng(0)
+    p, q = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+    costs = transport.cosine_cost(rng.normal(size=(8, 4)))
+    _, optimum = transport.solve_emd(p, q, costs)
+    start, _ = transport._least_cost_start(p, q, costs)
+    assert (start * costs).sum() > optimum + 0.01
+    walk = transport._spanning_tree
+
+    def zero_duals(*args):
+        # every reduced cost is then a cost, so no cell enters and the simplex stops at its start
+        dual, parent, depth = walk(*args)
+        return [0.0] * len(dual), parent, depth
+
+    monkeypatch.setattr(transport, "_spanning_tree", zero_duals)
+    with pytest.raises(InternalError, match="optimality certificate failed"):
+        transport.solve_emd(p, q, costs)
 
 
 def test_emd_rejects_bad_marginals():
