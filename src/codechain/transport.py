@@ -6,17 +6,23 @@ along the unique tree cycle. The most negative reduced cost enters
 (Dantzig); a pivot that would move no flow enters the first negative
 cell in row-major order instead, and the smallest tied cell leaves, so
 degenerate pivots follow Bland's rule and cannot cycle. The basis is a
-spanning tree over the n rows and n columns, walked once from row 0 per
-pivot for the duals and a parent and depth per node; the cycle of an
-entering cell is read off by climbing parent pointers from its ends.
-The marginals are perturbed internally by a tiny constant to keep the
-start nondegenerate; the plan is re-solved on the optimal basis from
-the true marginals and certified before returning: the final walk's
-duals must price no cell below 0 and give a dual objective equal to the
-plan's cost, which by weak duality proves the plan optimal.
+spanning tree over the n rows and n columns, kept as adjacency lists:
+built once from the start, then each pivot removes the leaving cell and
+appends the entering one, so no pivot rebuilds the tree from the n x n
+basis mask. The tree is walked once from row 0 per pivot for the duals
+and a parent and depth per node; the cycle of an entering cell is read
+off by climbing parent pointers from its ends. The marginals are
+perturbed internally by a tiny constant to keep the start
+nondegenerate; the plan is re-solved on the optimal basis from the true
+marginals by stripping leaves off the same lists, and certified before
+returning: the final walk's duals must price no cell below 0 and give a
+dual objective equal to the plan's cost, which by weak duality proves
+the plan optimal.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -58,13 +64,13 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
     n = a.size
     flow = np.zeros((n, n))
     in_basis = np.zeros((n, n), dtype=bool)
-    a = a.copy()
-    b = b.copy()
+    a = a.tolist()
+    b = b.tolist()
     row_open = [True] * n
     col_open = [True] * n
     rows_left = cols_left = n
-    for flat in np.argsort(costs, axis=None, kind="stable").tolist():
-        i, j = divmod(flat, n)
+    order = np.divmod(np.argsort(costs, axis=None, kind="stable"), n)
+    for i, j in zip(*(idx.tolist() for idx in order)):
         if not (row_open[i] and col_open[j]):
             continue
         t = min(a[i], b[j])
@@ -83,19 +89,26 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
     return flow, in_basis
 
 
-def _spanning_tree(in_basis: np.ndarray, costs: list[list[float]]):
-    """Walk the basis tree once from row 0: duals, parents, depths.
-
-    costs is nested lists; node i < n is row i and node n + j column j.
-    The duals satisfy u_i + v_j = c_ij on every basic cell, anchored at
-    u_0 = 0; the root's parent is -1. A basis with a cycle raises after
-    2n nodes, one that leaves a node unreached raises after the walk.
-    """
-    n = len(costs)
+def _adjacency(in_basis: np.ndarray) -> list[list[int]]:
+    """The basis tree as adjacency lists: node i < n is row i, n + j column j."""
+    n = len(in_basis)
     adjacent: list[list[int]] = [[] for _ in range(2 * n)]
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(in_basis))):
         adjacent[i].append(n + j)
         adjacent[n + j].append(i)
+    return adjacent
+
+
+def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
+    """Walk the basis tree once from row 0: duals, parents, depths.
+
+    adjacent lists each node's neighbours, as _adjacency builds them, and
+    costs is nested lists. The duals satisfy u_i + v_j = c_ij on every
+    basic cell, anchored at u_0 = 0; the root's parent is -1. A basis
+    with a cycle raises after 2n nodes, one that leaves a node unreached
+    raises after the walk.
+    """
+    n = len(costs)
     dual = [0.0] * (2 * n)
     parent = [-1] * (2 * n)
     depth = [-1] * (2 * n)
@@ -147,34 +160,35 @@ def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int])
     return [entering] + from_col + from_row[::-1]
 
 
-def _tree_flows(in_basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve the basic flows on a spanning-tree basis by leaf stripping."""
+def _tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve the basic flows on a spanning-tree basis by leaf stripping.
+
+    Each step strips the lowest-index row of degree 1, else the
+    lowest-index column of degree 1: its one cell carries the leaf's
+    leftover mass, which comes off the other end. A degree only falls,
+    so a node joins its heap once, on reaching degree 1, and is skipped
+    there once stripped to 0.
+    """
     n = p.size
+    remaining = [list(nodes) for nodes in adjacent]
+    rows = [v for v in range(n) if len(remaining[v]) == 1]
+    cols = [v for v in range(n, 2 * n) if len(remaining[v]) == 1]
+    mass = p.tolist() + q.tolist()
     flow = np.zeros((n, n))
-    remaining = in_basis.copy()
-    supply = p.astype(np.float64).copy()
-    demand = q.astype(np.float64).copy()
-    row_deg = remaining.sum(axis=1)
-    col_deg = remaining.sum(axis=0)
-    for _ in range(int(in_basis.sum())):
-        rows = np.flatnonzero(row_deg == 1)
-        if rows.size:
-            i = int(rows[0])
-            j = int(np.flatnonzero(remaining[i])[0])
-            f = supply[i]
-        else:
-            cols = np.flatnonzero(col_deg == 1)
-            if cols.size == 0:
-                raise InternalError("transport basis contains a cycle")
-            j = int(cols[0])
-            i = int(np.flatnonzero(remaining[:, j])[0])
-            f = demand[j]
-        flow[i, j] = f
-        supply[i] -= f
-        demand[j] -= f
-        remaining[i, j] = False
-        row_deg[i] -= 1
-        col_deg[j] -= 1
+    for _ in range(sum(map(len, remaining[:n]))):
+        for heap in (rows, cols):
+            while heap and len(remaining[heap[0]]) != 1:
+                heapq.heappop(heap)
+        if not (rows or cols):
+            raise InternalError("transport basis contains a cycle")
+        leaf = heapq.heappop(rows or cols)
+        other = remaining[leaf].pop()
+        remaining[other].remove(leaf)
+        i, j = (leaf, other - n) if leaf < n else (other, leaf - n)
+        flow[i, j] = mass[leaf]
+        mass[other] -= mass[leaf]
+        if len(remaining[other]) == 1:
+            heapq.heappush(rows if other < n else cols, other)
     return flow
 
 
@@ -210,9 +224,10 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
     qq[-1] += n * _PERTURB
 
     flow, in_basis = _least_cost_start(pp, qq, costs)
+    adjacent = _adjacency(in_basis)
     rows = costs.tolist()
     for _ in range(_MAX_PIVOTS):
-        dual, parent, depth = _spanning_tree(in_basis, rows)
+        dual, parent, depth = _spanning_tree(adjacent, rows)
         duals = np.array(dual)
         reduced = costs - duals[:n, None] - duals[None, n:]
         candidates = np.logical_and(~in_basis, reduced < -_PRICE_TOL)
@@ -232,11 +247,15 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         flow[leaving] = 0.0
         in_basis[leaving] = False
         in_basis[entering] = True
+        adjacent[leaving[0]].remove(n + leaving[1])
+        adjacent[n + leaving[1]].remove(leaving[0])
+        adjacent[entering[0]].append(n + entering[1])
+        adjacent[n + entering[1]].append(entering[0])
     else:
         raise InternalError("transportation simplex failed to terminate")
 
     # re-solve the optimal basis on the true marginals
-    plan = np.maximum(_tree_flows(in_basis, p, q), 0.0)
+    plan = np.maximum(_tree_flows(adjacent, p, q), 0.0)
     if (
         np.max(np.abs(plan.sum(axis=1) - p)) > _MARGINAL_TOL
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
@@ -270,8 +289,9 @@ def channel_weights(
     if src.ndim != 3 or src.shape[0] != trg.shape[0]:
         raise DataError("source and target disagree on channel count")
     n_channels, n_codes = src.shape[0], src.shape[-1]
-    if src.shape != trg.shape or np.shape(costs) != (n_codes, n_codes):
-        raise DataError("transition matrices and cost matrix disagree on n_codes")
+    shape = (n_channels, n_codes, n_codes)
+    if src.shape != shape or trg.shape != shape or np.shape(costs) != (n_codes, n_codes):
+        raise DataError("transition matrices must be (n_channels, n_codes, n_codes) over the costs' n_codes")
     mean_costs = np.empty(n_channels)
     for d in range(n_channels):
         total = 0.0

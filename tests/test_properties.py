@@ -4,7 +4,10 @@ Every test runs at most 50 derandomized examples, so the suite stays
 fast and gives the same result on every run.
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +127,7 @@ def test_the_least_cost_start_is_a_feasible_spanning_tree(n, gap, data):
     costs = data.draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
     flow, in_basis = transport._least_cost_start(a, b, costs)
     assert in_basis.sum() == 2 * n - 1
-    transport._spanning_tree(in_basis, costs.tolist())  # raises on a cycle or an unreached node
+    transport._spanning_tree(transport._adjacency(in_basis), costs.tolist())  # raises on a cycle or an unreached node
     assert (flow >= 0.0).all() and (flow[~in_basis] == 0.0).all()
     # only the last row or column to stay open can be left short, by the gap between the sums
     tol = abs(a.sum() - b.sum()) + 1e-15
@@ -151,3 +154,35 @@ def test_a_quantizer_file_round_trips_exactly(tmp_path_factory, books):
     # bytes, not values: -0.0 == 0.0 would hide a lost sign
     assert back.coarse.tobytes() == written.coarse.tobytes()
     assert back.fine.tobytes() == written.fine.tobytes()
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_fails_alone_under_the_suite_warning_filters(tmp_path):
+    # a warning raised while hypothesis reports a failure must not abort the run
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    filters = tomllib.loads(pyproject.read_text())["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    before = sorted(path.name for path in pyproject.parent.iterdir())
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out and proc.returncode == 1, out
+    assert "1 failed, 1 passed" in out, out
+    assert sorted(path.name for path in pyproject.parent.iterdir()) == before

@@ -1,5 +1,6 @@
 """Cosine costs, exact transport solving, and channel alignment weights."""
 
+import hashlib
 import itertools
 import math
 import sys
@@ -241,6 +242,38 @@ def test_a_walk_whose_duals_do_not_price_the_plan_fails_the_certificate(monkeypa
         transport.solve_emd(p, q, costs)
 
 
+def pinned_batch():
+    """Dense and sparse marginals at 2 to 64 codes, then degenerate integer cases.
+
+    The costs are symmetric uniform draws, not cosine costs, so no BLAS
+    product enters the inputs and the pinned bytes depend only on the solver.
+    """
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 8, 16, 32, 64):
+        for trial in range(4):
+            p, q = sparse_or_dense_marginals(rng, n, sparse=trial % 2)
+            costs = rng.random((n, n))
+            costs += costs.T
+            np.fill_diagonal(costs, 0.0)
+            yield p, q, costs
+    for n in [2, 3] * 5 + list(range(4, 17)) * 2:
+        yield degenerate_case(rng, n)
+
+
+# sha256 of every plan's bytes and cost's repr over pinned_batch; a change
+# that moves a plan under tied optima, or reorders a float sum, moves it
+PINNED_EMD_SHA256 = "be3f91d316c99b15fe26b3c2e17f49af92288eae8794a8c079a15c43637000c8"
+
+
+def test_emd_plans_and_costs_keep_their_bytes():
+    digest = hashlib.sha256()
+    for p, q, costs in pinned_batch():
+        plan, cost = transport.solve_emd(p, q, costs)
+        digest.update(plan.tobytes())
+        digest.update(repr(cost).encode())
+    assert digest.hexdigest() == PINNED_EMD_SHA256
+
+
 def test_emd_rejects_bad_marginals():
     costs = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DataError):
@@ -299,6 +332,15 @@ def test_a_weight_that_underflows_is_zero_not_an_error():
     weights, mean_costs = transport.channel_weights(ident, far, costs, sigma=0.01)
     assert_allclose(mean_costs, [0.9, 0.0], atol=1e-12)
     assert_array_equal(weights, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rows", [6, 3], ids=["extra-rows", "missing-rows"])
+def test_non_square_transition_matrices_are_a_data_error(rows):
+    rng = np.random.default_rng(37)
+    src = rng.dirichlet(np.ones(4), size=(2, rows))
+    trg = rng.dirichlet(np.ones(4), size=(2, rows))
+    with pytest.raises(DataError, match="n_codes, n_codes"):
+        transport.channel_weights(src, trg, random_cost(rng, 4), sigma=0.2)
 
 
 def test_weights_permutation_equivariant():
