@@ -342,6 +342,8 @@ def cmd_eval(args) -> None:
     load_run_config(args)  # checked like every stage's, then unused
     labels, _ = pseudolabel.load_labels(args.labels)
     truth, n_classes = ds.load_truth(args.truth)
+    if labels.scores.shape[1] != n_classes:
+        raise DataError(f"{args.labels}: {labels.scores.shape[1]} class scores, the truth has {n_classes} classes")
     ids = labels.ids.tolist()
     missing = [iid for iid in ids if iid not in truth]
     if missing:

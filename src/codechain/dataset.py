@@ -137,7 +137,8 @@ def load_corpus(path) -> DomainDataset:
     """Load a corpus file into one array, parsing one record at a time.
 
     The header's channels_encoding is CHANNELS_ENCODING, and its
-    n_channels, length and n_classes are positive JSON integers. Every
+    n_channels, length, n_classes and n_instances are positive JSON
+    integers; the file holds exactly n_instances records. Every
     record's channels is a strict base64 string of exactly
     n_channels * length little-endian float64 values. A label on file is
     null ("unlabeled") or a JSON integer, never a float, string or bool;
@@ -149,9 +150,9 @@ def load_corpus(path) -> DomainDataset:
         raise DataError(
             f"{path}: corpus header channels_encoding {encoding!r} is not {CHANNELS_ENCODING!r}"
         )
-    n_channels, length, n_classes = (
+    n_channels, length, n_classes, n_instances = (
         whole_number(path, f"corpus header {key}", header.get(key))
-        for key in ("n_channels", "length", "n_classes")
+        for key in ("n_channels", "length", "n_classes", "n_instances")
     )
     size = n_channels * length * 8
     rows: list[bytes] = []
@@ -176,6 +177,8 @@ def load_corpus(path) -> DomainDataset:
         rows.append(row)
         ids.append(rid)
         labels.append(UNLABELED if label is None else label)
+    if len(rows) != n_instances:
+        raise DataError(f"{path}: corpus header n_instances is {n_instances}, the file holds {len(rows)} records")
     # a bytearray buffer keeps the array writable without another copy
     values = np.frombuffer(bytearray().join(rows), "<f8").reshape(len(rows), n_channels, length)
     return DomainDataset(

@@ -3,21 +3,21 @@
 solve_emd is a classical primal transportation simplex: least-cost
 start, MODI (u/v) pricing on the basis tree and stepping-stone pivots
 along the unique tree cycle. The most negative reduced cost enters
-(Dantzig); a pivot that would move no flow enters the first negative
-cell in row-major order instead, and the smallest tied cell leaves, so
-degenerate pivots follow Bland's rule and cannot cycle. The basis is a
-spanning tree over the n rows and n columns, kept as adjacency lists:
-built once from the start, then each pivot removes the leaving cell and
-appends the entering one, so no pivot rebuilds the tree from the n x n
-basis mask. The tree is walked once from row 0 per pivot for the duals
-and a parent and depth per node; the cycle of an entering cell is read
-off by climbing parent pointers from its ends. The marginals are
-perturbed internally by a tiny constant to keep the start
-nondegenerate; the plan is re-solved on the optimal basis from the true
-marginals by stripping leaves off the same lists, and certified before
-returning: the final walk's duals must price no cell below 0 and give a
-dual objective equal to the plan's cost, which by weak duality proves
-the plan optimal.
+(Dantzig); only when that pivot would move no flow is the first
+negative cell in row-major order scanned for, and it enters instead,
+while the smallest tied cell leaves, so degenerate pivots follow
+Bland's rule and cannot cycle. The basis is a spanning tree over the n
+rows and n columns, held once: adjacency lists plus one flow per basic
+cell, both built by the start; each pivot moves flow around the cycle,
+drops the leaving cell and adds the entering one. The tree is walked
+once from row 0 per pivot for the duals and a parent and depth per
+node; the cycle of an entering cell is read off by climbing parent
+pointers from its ends. The marginals are perturbed internally by a
+tiny constant to keep the start nondegenerate; the plan is re-solved
+on the optimal basis from the true marginals by stripping leaves off
+the same lists, and certified before returning: the final walk's duals
+must price no cell below 0 and give a dual objective equal to the
+plan's cost, which by weak duality proves the plan optimal.
 """
 
 from __future__ import annotations
@@ -51,19 +51,21 @@ def cosine_cost(vectors: np.ndarray) -> np.ndarray:
 
 
 def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
-    """Initial basic solution by the least-cost rule; always exactly 2n-1 cells.
+    """Initial basis by the least-cost rule: (flows, adjacent).
 
-    Cells are taken in the stable argsort of costs (ties to the lowest
-    flat index), skipping any whose row or column is crossed out. Each
-    taken cell crosses out exactly one line, its row once the row's
-    supply is spent, else its column, and both at the last cell. The
-    last open row or column is never crossed out before that cell, so
-    the start stays a spanning tree even when the marginal sums disagree
-    at the 1e-9 tolerance.
+    flows maps each of the exactly 2n - 1 basic cells (i, j) to its
+    flow; adjacent lists each node's neighbours in the basis tree, node
+    i < n being row i and n + j column j. Cells are taken in the stable
+    argsort of costs (ties to the lowest flat index), skipping any whose
+    row or column is crossed out. Each taken cell crosses out exactly
+    one line, its row once the row's supply is spent, else its column,
+    and both at the last cell. The last open row or column is never
+    crossed out before that cell, so the start stays a spanning tree
+    even when the marginal sums disagree at the 1e-9 tolerance.
     """
     n = a.size
-    flow = np.zeros((n, n))
-    in_basis = np.zeros((n, n), dtype=bool)
+    flows: dict[tuple[int, int], float] = {}
+    adjacent: list[list[int]] = [[] for _ in range(2 * n)]
     a = a.tolist()
     b = b.tolist()
     row_open = [True] * n
@@ -74,8 +76,9 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
         if not (row_open[i] and col_open[j]):
             continue
         t = min(a[i], b[j])
-        flow[i, j] = t
-        in_basis[i, j] = True
+        flows[i, j] = t
+        adjacent[i].append(n + j)
+        adjacent[n + j].append(i)
         a[i] -= t
         b[j] -= t
         if rows_left == 1 and cols_left == 1:
@@ -86,27 +89,17 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
         else:
             col_open[j] = False
             cols_left -= 1
-    return flow, in_basis
-
-
-def _adjacency(in_basis: np.ndarray) -> list[list[int]]:
-    """The basis tree as adjacency lists: node i < n is row i, n + j column j."""
-    n = len(in_basis)
-    adjacent: list[list[int]] = [[] for _ in range(2 * n)]
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(in_basis))):
-        adjacent[i].append(n + j)
-        adjacent[n + j].append(i)
-    return adjacent
+    return flows, adjacent
 
 
 def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
     """Walk the basis tree once from row 0: duals, parents, depths.
 
-    adjacent lists each node's neighbours, as _adjacency builds them, and
-    costs is nested lists. The duals satisfy u_i + v_j = c_ij on every
-    basic cell, anchored at u_0 = 0; the root's parent is -1. A basis
-    with a cycle raises after 2n nodes, one that leaves a node unreached
-    raises after the walk.
+    adjacent lists each node's neighbours, as _least_cost_start builds
+    them, and costs is nested lists. The duals satisfy u_i + v_j = c_ij
+    on every basic cell, anchored at u_0 = 0; the root's parent is -1. A
+    basis with a cycle raises after 2n nodes, one that leaves a node
+    unreached raises after the walk.
     """
     n = len(costs)
     dual = [0.0] * (2 * n)
@@ -223,30 +216,27 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
     qq = q.copy()
     qq[-1] += n * _PERTURB
 
-    flow, in_basis = _least_cost_start(pp, qq, costs)
-    adjacent = _adjacency(in_basis)
+    flows, adjacent = _least_cost_start(pp, qq, costs)
     rows = costs.tolist()
     for _ in range(_MAX_PIVOTS):
         dual, parent, depth = _spanning_tree(adjacent, rows)
         duals = np.array(dual)
+        # a basic cell prices at 0 up to rounding, far above -_PRICE_TOL, so it never enters
         reduced = costs - duals[:n, None] - duals[None, n:]
-        candidates = np.logical_and(~in_basis, reduced < -_PRICE_TOL)
-        if not candidates.any():
+        entering = divmod(int(np.argmin(reduced)), n)
+        if not reduced[entering] < -_PRICE_TOL:
             break
-        # Dantzig's entering cell, or Bland's when Dantzig's moves no flow
-        for flat in (np.argmin(np.where(candidates, reduced, np.inf)), np.argmax(candidates)):
-            entering = divmod(int(flat), n)
+        cycle = _basis_cycle(parent, depth, entering)
+        theta = min(flows[c] for c in cycle[1::2])
+        if not theta > 0.0:  # Dantzig's cell moves no flow: Bland's, the first negative cell, enters
+            entering = divmod(int(np.argmax(reduced < -_PRICE_TOL)), n)
             cycle = _basis_cycle(parent, depth, entering)
-            minus = cycle[1::2]
-            theta = min(flow[c] for c in minus)
-            if theta > 0.0:
-                break
-        leaving = min(c for c in minus if flow[c] == theta)
+            theta = min(flows[c] for c in cycle[1::2])
+        leaving = min(c for c in cycle[1::2] if flows[c] == theta)
+        flows[entering] = 0.0
         for idx, cell in enumerate(cycle):
-            flow[cell] += theta if idx % 2 == 0 else -theta
-        flow[leaving] = 0.0
-        in_basis[leaving] = False
-        in_basis[entering] = True
+            flows[cell] += theta if idx % 2 == 0 else -theta
+        del flows[leaving]
         adjacent[leaving[0]].remove(n + leaving[1])
         adjacent[n + leaving[1]].remove(leaving[0])
         adjacent[entering[0]].append(n + entering[1])

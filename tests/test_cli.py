@@ -261,8 +261,9 @@ def test_label_checks_both_bundles_before_reading_the_target(workspace, tmp_path
 
 def test_label_rejects_a_corpus_with_json_list_channels(workspace, tmp_path, capsys):
     data, model, out = workspace
-    header = {"kind": "corpus", "role": "target", "n_channels": 3, "length": 64, "n_classes": 4}
     values = ds.load_corpus(data / "target.jsonl").values
+    header = {"kind": "corpus", "role": "target", "n_channels": 3, "length": 64, "n_classes": 4,
+              "n_instances": len(values)}
     recs = [{"id": f"t{i}", "label": None, "channels": v.tolist()} for i, v in enumerate(values)]
     records.write_record_file(tmp_path / "old.jsonl", header, recs)
     assert run("label", "--target", tmp_path / "old.jsonl",
@@ -270,6 +271,25 @@ def test_label_rejects_a_corpus_with_json_list_channels(workspace, tmp_path, cap
                "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
     err = capsys.readouterr().err
     assert "data error:" in err and "channels_encoding None is not 'base64-float64le'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["fit", "label"])
+def test_a_truncated_corpus_is_a_data_error_that_writes_nothing(workspace, tmp_path, capsys, stage):
+    data, model, out = workspace
+    name = "source.jsonl" if stage == "fit" else "target.jsonl"
+    lines = (data / name).read_text().splitlines(keepends=True)
+    short = tmp_path / name
+    short.write_text("".join(lines[:15]))  # the header and the first 14 records
+    argv = (["fit", "--source", short, "--out-dir", out] if stage == "fit" else
+            ["label", "--target", short, "--quantizer", model / "quantizer.jsonl",
+             "--transitions", model / "transitions.jsonl", "--out-dir", out])
+    capsys.readouterr()
+    assert run(*argv) == 2
+    total = len(lines) - 1
+    assert capsys.readouterr().err == (
+        f"data error: {short}: corpus header n_instances is {total}, the file holds 14 records\n"
+    )
     assert not out.exists()
 
 
@@ -659,6 +679,26 @@ def test_eval_refuses_a_one_class_truth_file_as_a_data_error(tmp_path, capsys):
     assert run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl") == 2
     err = capsys.readouterr().err
     assert err == f"data error: {tmp_path / 'truth.jsonl'}: truth header n_classes 1 is below 2, too few to score\n"
+
+
+def test_eval_refuses_labels_whose_class_count_differs_from_the_truth(workspace, tmp_path, capsys):
+    data, model, out = workspace
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 0
+    header, recs = records.read_record_file(data / "target_truth.jsonl")
+    n_classes = header["n_classes"]
+    header["n_classes"] = n_classes + 1
+    records.write_record_file(tmp_path / "truth.jsonl", header, list(recs))
+    capsys.readouterr()
+    assert run("eval", "--labels", out / "labels.jsonl", "--truth", tmp_path / "truth.jsonl",
+               "--out", tmp_path / "metrics.jsonl") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'labels.jsonl'}: {n_classes} class scores, "
+        f"the truth has {n_classes + 1} classes\n"
+    )
+    assert not (tmp_path / "metrics.jsonl").exists()
 
 
 # ---------------------------------------------------------------- config

@@ -36,7 +36,7 @@ def write_corpus(path, recs, **header):
     Header entries given override the defaults; an entry of ``...`` drops its key.
     """
     full = {"kind": "corpus", "role": "target", "n_channels": 1, "length": 2, "n_classes": 2,
-            "channels_encoding": ds.CHANNELS_ENCODING}
+            "n_instances": len(recs), "channels_encoding": ds.CHANNELS_ENCODING}
     full.update(header)
     records.write_record_file(path, {k: v for k, v in full.items() if v is not ...}, recs)
 
@@ -304,8 +304,8 @@ def test_load_corpus_rejects_a_negative_label_on_file(tmp_path, label):
         ds.load_corpus(path)
 
 
-@pytest.mark.parametrize("key", ["n_channels", "length", "n_classes"])
-@pytest.mark.parametrize("value", [1.9, 2.0, "2", True, None, [2], 0, -3])
+@pytest.mark.parametrize("key", ["n_channels", "length", "n_classes", "n_instances"])
+@pytest.mark.parametrize("value", [1.9, 2.0, "2", True, None, [2], 0, -3, ...])
 def test_load_corpus_rejects_a_header_size_that_is_not_a_positive_integer(tmp_path, key, value):
     path = tmp_path / "c.jsonl"
     write_corpus(path, [{"id": "a", "label": None, "channels": encode([[0.0, 1.0]])}], **{key: value})
@@ -388,8 +388,10 @@ def test_load_corpus_rejects_encoded_non_finite_values(tmp_path, bad):
         ds.load_corpus(path)
 
 
-@pytest.mark.parametrize("count", [None, "three", -4, 0, 10**12])
+@pytest.mark.parametrize("count", [None, "three", -4, 0, 10**12, 2, 4])
 def test_load_corpus_does_not_trust_the_header_instance_count(tmp_path, count):
+    # the 3 records are counted: a header count that is no count or another one
+    # (2 and 4 find one record too many and one too few) is refused
     data = tiny_dataset()
     path = tmp_path / "c.jsonl"
     ds.save_corpus(path, data)
@@ -397,9 +399,12 @@ def test_load_corpus_does_not_trust_the_header_instance_count(tmp_path, count):
     header = json.loads(lines[0])
     header["n_instances"] = count
     path.write_text(records.dump_line(header) + "\n" + "".join(lines[1:]))
-    back = ds.load_corpus(path)
-    assert back.values.shape == data.values.shape
-    assert_array_equal(back.values, data.values)
+    expected = (
+        f"{path.name}: corpus header n_instances is {count}, the file holds 3 records"
+        if type(count) is int and count > 0 else f"n_instances {count!r} is not a positive integer"
+    )
+    with pytest.raises(DataError, match=expected):
+        ds.load_corpus(path)
 
 
 def test_load_corpus_missing_label_for_source(tmp_path):

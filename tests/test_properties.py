@@ -125,10 +125,16 @@ def test_the_least_cost_start_is_a_feasible_spanning_tree(n, gap, data):
     a, b = data.draw(marginal(n)), data.draw(marginal(n)) * (1.0 + gap)
     # a few distinct values, so many costs tie
     costs = data.draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
-    flow, in_basis = transport._least_cost_start(a, b, costs)
-    assert in_basis.sum() == 2 * n - 1
-    transport._spanning_tree(transport._adjacency(in_basis), costs.tolist())  # raises on a cycle or an unreached node
-    assert (flow >= 0.0).all() and (flow[~in_basis] == 0.0).all()
+    flows, adjacent = transport._least_cost_start(a, b, costs)
+    assert len(flows) == 2 * n - 1
+    # the adjacency lists hold the flows' cells, once from each end
+    assert sorted((i, v - n) for i in range(n) for v in adjacent[i]) == sorted(flows)
+    assert sorted((v, j) for j in range(n) for v in adjacent[n + j]) == sorted(flows)
+    transport._spanning_tree(adjacent, costs.tolist())  # raises on a cycle or an unreached node
+    assert min(flows.values()) >= 0.0
+    flow = np.zeros((n, n))
+    for cell, t in flows.items():
+        flow[cell] = t
     # only the last row or column to stay open can be left short, by the gap between the sums
     tol = abs(a.sum() - b.sum()) + 1e-15
     assert np.abs(flow.sum(axis=1) - a).max() <= tol

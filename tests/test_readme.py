@@ -67,7 +67,7 @@ def test_the_data_format_line_writes_channels_that_load_bit_for_bit(tmp_path):
     scope = {"base64": base64, "np": np, "x": x}
     exec(compile(snippet("Data format"), str(ROOT / "README.md"), "exec"), scope)
     header = {"kind": "corpus", "role": "target", "n_channels": 2, "length": 4, "n_classes": 2,
-              "channels_encoding": "base64-float64le"}
+              "n_instances": 1, "channels_encoding": "base64-float64le"}
     path = tmp_path / "c.jsonl"
     records.write_record_file(path, header, [{"id": "a", "label": None, "channels": scope["channels"]}])
     back = ds.load_corpus(path)

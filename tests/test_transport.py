@@ -174,7 +174,7 @@ def trace_pivots(monkeypatch):
 
     solve_emd walks its basis with _spanning_tree at the start and again
     after every pivot; once a pivot is made, the solver's frame holds the
-    entering cell, the flow it moved and the candidates it was chosen from.
+    entering cell, the flow it moved and the reduced costs it was chosen from.
     """
     pivots = []
     walk = transport._spanning_tree
@@ -186,7 +186,9 @@ def trace_pivots(monkeypatch):
                 {
                     "entering": solver["entering"],
                     "theta": solver["theta"],
-                    "first_candidate": divmod(int(np.argmax(solver["candidates"])), solver["n"]),
+                    "first_candidate": divmod(
+                        int(np.argmax(solver["reduced"] < -transport._PRICE_TOL)), solver["n"]
+                    ),
                 }
             )
         return walk(*args)
@@ -207,13 +209,19 @@ def degenerate_case(rng, n):
     return p, q, costs
 
 
+def degenerate_batch():
+    """215 degenerate cases at 2 to 16 codes."""
+    rng = np.random.default_rng(42)
+    for n in [2, 3] * 10 + list(range(4, 17)) * 15:
+        yield degenerate_case(rng, n)
+
+
 def test_degenerate_pivots_follow_blands_rule_and_terminate(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     monkeypatch.setattr(transport, "_PERTURB", 0.0)
     pivots = trace_pivots(monkeypatch)
-    rng = np.random.default_rng(42)
-    for n in [2, 3] * 10 + list(range(4, 17)) * 15:
-        p, q, costs = degenerate_case(rng, n)
+    for p, q, costs in degenerate_batch():
+        n = len(p)
         _, cost = transport.solve_emd(p, q, costs)
         oracle = enumerate_emd(p, q, costs) if n <= 3 else linprog_emd_cost(optimize, p, q, costs)
         assert abs(cost - oracle) <= 1e-9
@@ -229,7 +237,7 @@ def test_a_walk_whose_duals_do_not_price_the_plan_fails_the_certificate(monkeypa
     costs = transport.cosine_cost(rng.normal(size=(8, 4)))
     _, optimum = transport.solve_emd(p, q, costs)
     start, _ = transport._least_cost_start(p, q, costs)
-    assert (start * costs).sum() > optimum + 0.01
+    assert sum(flow * costs[cell] for cell, flow in start.items()) > optimum + 0.01
     walk = transport._spanning_tree
 
     def zero_duals(*args):
@@ -272,6 +280,41 @@ def test_emd_plans_and_costs_keep_their_bytes():
         digest.update(plan.tobytes())
         digest.update(repr(cost).encode())
     assert digest.hexdigest() == PINNED_EMD_SHA256
+
+
+@pytest.mark.parametrize(
+    "batch, perturb",
+    [(pinned_batch, transport._PERTURB), (degenerate_batch, 0.0)],
+    ids=["pinned", "degenerate-unperturbed"],
+)
+def test_basic_cells_price_at_zero_so_the_entering_cell_is_never_basic(monkeypatch, batch, perturb):
+    """solve_emd takes the argmin of the reduced costs over every cell,
+    basic ones too; that is the non-basic Dantzig cell only because each
+    walk prices every basic cell at 0 up to rounding, far above -1e-12."""
+    monkeypatch.setattr(transport, "_PERTURB", perturb)
+    walk = transport._spanning_tree
+    previous: set = set()
+    pivots = 0
+
+    def traced(adjacent, costs):
+        nonlocal previous, pivots
+        solver = sys._getframe(1).f_locals
+        n = len(costs)
+        if "entering" in solver:  # the walk after a pivot
+            assert solver["entering"] not in previous
+            pivots += 1
+        basis = {(i, v - n) for i in range(n) for v in adjacent[i]}
+        assert basis == set(solver["flows"])  # the two halves of the basis agree
+        dual, parent, depth = walk(adjacent, costs)
+        for i, j in basis:
+            assert abs(costs[i][j] - dual[i] - dual[n + j]) <= 1e-13
+        previous = basis
+        return dual, parent, depth
+
+    monkeypatch.setattr(transport, "_spanning_tree", traced)
+    for p, q, costs in batch():
+        transport.solve_emd(p, q, costs)
+    assert pivots > 500
 
 
 def test_emd_rejects_bad_marginals():
