@@ -172,38 +172,26 @@ def build_synth_config(cfg: RunConfig, synth_section: dict, args) -> synth.Synth
 def cmd_synth(args) -> None:
     cfg, synth_section = load_run_config(args)
     scfg = build_synth_config(cfg, synth_section, args)
-    # the corruption flags are checked before anything is generated or written
     mags = np.atleast_1d(() if args.corrupt_magnitudes is None else args.corrupt_magnitudes)
     if (args.corrupt_channel is None) != (args.corrupt_magnitudes is None):
         raise ConfigError("--corrupt-channel and --corrupt-magnitudes must be given together")
     if args.corrupt_seed is not None and args.corrupt_magnitudes is None:
         raise ConfigError("--corrupt-seed needs --corrupt-channel and --corrupt-magnitudes")
     noise_seed = scfg.seed + 1000 if args.corrupt_seed is None else args.corrupt_seed
-    if noise_seed < 0:
-        raise ConfigError("--corrupt-seed must be >= 0")
-    if mags.size and not 0 <= args.corrupt_channel < scfg.n_channels:
-        raise DataError(f"channel {args.corrupt_channel} out of range [0, {scfg.n_channels})")
-    if not (np.isfinite(mags) & (mags >= 0.0)).all():
-        raise ConfigError("magnitude must be finite and >= 0")
+    source, target = synth.generate(scfg)
+    unlabeled = ds.strip_labels(target)
+    # inject_channel_noise checks the channel, each magnitude and the seed, before anything is written
+    variants = [synth.inject_channel_noise(unlabeled, args.corrupt_channel, float(m), noise_seed) for m in mags]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    source, target = synth.generate(scfg)
     # the run fields synth reads, patch_length and seed, are echoed resolved in scfg
     echo = {"run": _echo(cfg, ()), "synth": _echo(scfg, _SYNTH_KINDS)}
     ds.save_corpus(out_dir / "source.jsonl", source, config=echo)
-    ds.save_corpus(out_dir / "target.jsonl", ds.strip_labels(target), config=echo)
+    ds.save_corpus(out_dir / "target.jsonl", unlabeled, config=echo)
     ds.save_truth(out_dir / "target_truth.jsonl", target, config=echo)
-    for i, mag in enumerate(mags):
-        noisy = synth.inject_channel_noise(target, args.corrupt_channel, float(mag), noise_seed)
-        variant_echo = {
-            **echo,
-            "corrupt": {"channel": int(args.corrupt_channel), "magnitude": float(mag), "seed": noise_seed},
-        }
-        ds.save_corpus(
-            out_dir / f"target_corrupt_{i}.jsonl",
-            ds.strip_labels(noisy),
-            config=variant_echo,
-        )
+    for i, (mag, noisy) in enumerate(zip(mags, variants)):
+        corrupt = {"channel": int(args.corrupt_channel), "magnitude": float(mag), "seed": noise_seed}
+        ds.save_corpus(out_dir / f"target_corrupt_{i}.jsonl", noisy, config={**echo, "corrupt": corrupt})
     line = f"synth: wrote {len(source)} source and {len(target)} target instances to {out_dir}"
     if mags.size:
         line += f" plus {mags.size} corrupted target variants"

@@ -150,9 +150,9 @@ def load_corpus(path) -> DomainDataset:
         raise DataError(
             f"{path}: corpus header channels_encoding {encoding!r} is not {CHANNELS_ENCODING!r}"
         )
-    n_channels, length, n_classes, n_instances = (
+    n_channels, length, n_classes = (
         whole_number(path, f"corpus header {key}", header.get(key))
-        for key in ("n_channels", "length", "n_classes", "n_instances")
+        for key in ("n_channels", "length", "n_classes")
     )
     size = n_channels * length * 8
     rows: list[bytes] = []
@@ -177,8 +177,7 @@ def load_corpus(path) -> DomainDataset:
         rows.append(row)
         ids.append(rid)
         labels.append(UNLABELED if label is None else label)
-    if len(rows) != n_instances:
-        raise DataError(f"{path}: corpus header n_instances is {n_instances}, the file holds {len(rows)} records")
+    records.require_count(path, header, "n_instances", len(rows))
     # a bytearray buffer keeps the array writable without another copy
     values = np.frombuffer(bytearray().join(rows), "<f8").reshape(len(rows), n_channels, length)
     return DomainDataset(
@@ -216,7 +215,8 @@ def save_truth(path, dataset: DomainDataset, config: dict | None = None) -> None
 def load_truth(path) -> tuple[dict[str, int], int]:
     """Read a truth file; returns (id -> label, n_classes).
 
-    n_classes is a JSON integer of at least 2 and every label a JSON integer.
+    n_classes is a JSON integer of at least 2, n_instances the record
+    count and every label a JSON integer.
     """
     header, recs = records.read_record_file(path, expected_kind="truth")
     n_classes = whole_number(path, "truth header n_classes", header.get("n_classes"))
@@ -230,4 +230,5 @@ def load_truth(path) -> tuple[dict[str, int], int]:
         if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
         out[rid] = rec["label"]
+    records.require_count(path, header, "n_instances", len(out))
     return out, n_classes

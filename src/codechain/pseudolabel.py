@@ -142,7 +142,8 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
     JSON string that no other record repeats, label a non-negative JSON
     integer below the score count, confidence a finite JSON number
     (never a bool), scores a vector and per_channel_posteriors a matrix
-    of JSON numbers, each of one shape across the records."""
+    of JSON numbers, each of one shape across the records. The header's
+    n_instances is the record count and n_classes the score count."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     rows = [
         (
@@ -166,6 +167,8 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
         raise DataError(f"{path}: duplicate pseudo-label id {unique[np.argmax(counts)]!r}")
     if len({s.shape for s in scores}) > 1 or len({p.shape for p in posteriors}) > 1:
         raise DataError(f"{path}: pseudo-label scores differ in shape between records")
+    records.require_count(path, header, "n_instances", len(rows))
+    records.require_count(path, header, "n_classes", len(scores[0]), "scores per record")
     if max(label) >= len(scores[0]):
         raise DataError(f"{path}: pseudo-label label {max(label)} is not below its {len(scores[0])} scores")
     stacked = (np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores), np.stack(posteriors))
@@ -188,7 +191,8 @@ def save_selection(path, labels: PseudoLabels, indices: np.ndarray, r_top: float
 
 def load_selection(path) -> tuple[list[dict], dict]:
     """Selection records: id a non-empty JSON string, index a non-negative
-    JSON integer that no other record repeats."""
+    JSON integer that no other record repeats; the header's n_selected is
+    the record count."""
     header, recs = records.read_record_file(path, expected_kind="selection")
     recs = list(recs)
     seen: set[int] = set()
@@ -198,4 +202,5 @@ def load_selection(path) -> tuple[list[dict], dict]:
         if index in seen:
             raise DataError(f"{path}: duplicate selection index {index}")
         seen.add(index)
+    records.require_count(path, header, "n_selected", len(recs))
     return recs, header

@@ -61,6 +61,14 @@ def whole_number(path, field: str, value, least: int = 1) -> int:
     return value
 
 
+def require_count(path, header: dict, key: str, held: int, what: str = "records") -> None:
+    """DataError unless header[key] is a positive JSON integer equal to
+    held, the number of what the file holds."""
+    field = f"{header['kind']} header {key}"
+    if whole_number(path, field, header.get(key)) != held:
+        raise DataError(f"{path}: {field} is {header[key]}, the file holds {held} {what}")
+
+
 def number(path, field: str, value) -> float:
     """value as a float when it is a finite JSON number (never a bool)."""
     # False for NaN, the infinities and ints too large for a float

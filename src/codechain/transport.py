@@ -156,32 +156,30 @@ def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int])
 def _tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve the basic flows on a spanning-tree basis by leaf stripping.
 
-    Each step strips the lowest-index row of degree 1, else the
-    lowest-index column of degree 1: its one cell carries the leaf's
-    leftover mass, which comes off the other end. A degree only falls,
-    so a node joins its heap once, on reaching degree 1, and is skipped
-    there once stripped to 0.
+    Each step strips the lowest-numbered node of degree 1 (rows, nodes
+    0..n-1, before columns, nodes n..2n-1): its one cell carries the
+    leaf's leftover mass, which comes off the other end. A degree only
+    falls, so a node joins the heap once, on reaching degree 1, and is
+    skipped there once stripped to 0.
     """
     n = p.size
     remaining = [list(nodes) for nodes in adjacent]
-    rows = [v for v in range(n) if len(remaining[v]) == 1]
-    cols = [v for v in range(n, 2 * n) if len(remaining[v]) == 1]
+    leaves = [v for v in range(2 * n) if len(remaining[v]) == 1]
     mass = p.tolist() + q.tolist()
     flow = np.zeros((n, n))
     for _ in range(sum(map(len, remaining[:n]))):
-        for heap in (rows, cols):
-            while heap and len(remaining[heap[0]]) != 1:
-                heapq.heappop(heap)
-        if not (rows or cols):
+        while leaves and len(remaining[leaves[0]]) != 1:
+            heapq.heappop(leaves)
+        if not leaves:
             raise InternalError("transport basis contains a cycle")
-        leaf = heapq.heappop(rows or cols)
+        leaf = heapq.heappop(leaves)
         other = remaining[leaf].pop()
         remaining[other].remove(leaf)
         i, j = (leaf, other - n) if leaf < n else (other, leaf - n)
         flow[i, j] = mass[leaf]
         mass[other] -= mass[leaf]
         if len(remaining[other]) == 1:
-            heapq.heappush(rows if other < n else cols, other)
+            heapq.heappush(leaves, other)
     return flow
 
 

@@ -1,11 +1,12 @@
 """Reference implementations that tests compare the program against,
 and the permutation-entropy measure that only tests take."""
 
+import heapq
 import math
 
 import numpy as np
 
-from codechain.errors import ConfigError, DataError
+from codechain.errors import ConfigError, DataError, InternalError
 from codechain.rvq import ResidualQuantizer
 
 
@@ -55,6 +56,36 @@ def linprog_emd_cost(optimize, p, q, costs):
     )
     assert res.status == 0, res.message
     return res.fun
+
+
+def two_heap_tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Basic flows on a spanning-tree basis by leaf stripping, from two heaps.
+
+    The leaf order that transport._tree_flows must keep: each step strips
+    the lowest-index row of degree 1, else the lowest-index column of
+    degree 1, row i being node i and column j node n + j.
+    """
+    n = p.size
+    remaining = [list(nodes) for nodes in adjacent]
+    rows = [v for v in range(n) if len(remaining[v]) == 1]
+    cols = [v for v in range(n, 2 * n) if len(remaining[v]) == 1]
+    mass = p.tolist() + q.tolist()
+    flow = np.zeros((n, n))
+    for _ in range(sum(map(len, remaining[:n]))):
+        for heap in (rows, cols):
+            while heap and len(remaining[heap[0]]) != 1:
+                heapq.heappop(heap)
+        if not (rows or cols):
+            raise InternalError("transport basis contains a cycle")
+        leaf = heapq.heappop(rows or cols)
+        other = remaining[leaf].pop()
+        remaining[other].remove(leaf)
+        i, j = (leaf, other - n) if leaf < n else (other, leaf - n)
+        flow[i, j] = mass[leaf]
+        mass[other] -= mass[leaf]
+        if len(remaining[other]) == 1:
+            heapq.heappush(rows if other < n else cols, other)
+    return flow
 
 
 def permutation_entropy(series: np.ndarray, order: int = 3, delay: int = 1) -> float:

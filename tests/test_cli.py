@@ -591,7 +591,7 @@ def test_eval_refuses_labels_that_cover_only_some_truth_ids(workspace, tmp_path,
                "--transitions", model / "transitions.jsonl",
                "--out-dir", out) == 0
     header, recs = records.read_record_file(out / "labels.jsonl")
-    records.write_record_file(tmp_path / "first5.jsonl", header, list(recs)[:5])
+    records.write_record_file(tmp_path / "first5.jsonl", {**header, "n_instances": 5}, list(recs)[:5])
     capsys.readouterr()
     assert run("eval", "--labels", tmp_path / "first5.jsonl", "--truth", data / "target_truth.jsonl",
                "--out", tmp_path / "metrics.jsonl") == 2
@@ -698,6 +698,34 @@ def test_eval_refuses_labels_whose_class_count_differs_from_the_truth(workspace,
         f"data error: {out / 'labels.jsonl'}: {n_classes} class scores, "
         f"the truth has {n_classes + 1} classes\n"
     )
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "name, changes, message",
+    [
+        ("labels", {"n_classes": 7, "n_instances": 3}, "pseudo_labels header n_instances is 3, the file holds 20 records"),
+        ("labels", {"n_classes": 7}, "pseudo_labels header n_classes is 7, the file holds 4 scores per record"),
+        ("selected", {"n_selected": 99}, "selection header n_selected is 99, the file holds 10 records"),
+        ("truth", {"n_instances": 5}, "truth header n_instances is 5, the file holds 20 records"),
+    ],
+    ids=["labels", "labels-n-classes", "selection", "truth"],
+)
+def test_eval_refuses_a_header_count_that_differs_from_the_file(workspace, tmp_path, capsys, name, changes, message):
+    data, model, out = workspace
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 0
+    files = {"labels": out / "labels.jsonl", "selected": out / "selected.jsonl",
+             "truth": data / "target_truth.jsonl"}
+    header, recs = records.read_record_file(files[name])
+    files[name] = tmp_path / f"{name}.jsonl"
+    records.write_record_file(files[name], {**header, **changes}, list(recs))
+    capsys.readouterr()
+    assert run("eval", "--labels", files["labels"], "--truth", files["truth"],
+               "--subset", files["selected"], "--out", tmp_path / "metrics.jsonl") == 2
+    assert capsys.readouterr().err == f"data error: {files[name]}: {message}\n"
     assert not (tmp_path / "metrics.jsonl").exists()
 
 

@@ -447,6 +447,16 @@ def test_load_truth_rejects_a_duplicate_id(tmp_path):
         ds.load_truth(path)
 
 
+@pytest.mark.parametrize("count", [..., True, 0], ids=["missing", "bool", "zero"])
+def test_load_truth_requires_a_positive_integer_instance_count(tmp_path, count):
+    path = tmp_path / "truth.jsonl"
+    header = {"kind": "truth", "n_classes": 2, "n_instances": count}
+    records.write_record_file(path, {k: v for k, v in header.items() if v is not ...}, [{"id": "a", "label": 0}])
+    shown = None if count is ... else count
+    with pytest.raises(DataError, match=f"truth header n_instances {shown!r} is not a positive integer"):
+        ds.load_truth(path)
+
+
 def test_truth_round_trip(tmp_path):
     data = make_dataset(
         [f"t{k}" for k in range(5)], np.zeros((5, 1, 4)), [k % 3 for k in range(5)], 3, "target"

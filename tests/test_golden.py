@@ -44,6 +44,12 @@ CASES = {
         ("--n-coarse", "16"),
         "target_corrupt_0.jsonl",
     ),
+    "corrupt-ladder": (
+        ("--n-source", "30", "--n-target", "20", "--length", "64", "--seed", "3",
+         "--corrupt-channel", "1", "--corrupt-magnitudes", "1.5,0,3", "--corrupt-seed", "9"),
+        ("--n-coarse", "4", "--n-fine", "8"),
+        "target_corrupt_2.jsonl",
+    ),
     "no-ca-prior-tau": (
         ("--n-source", "30", "--n-target", "20", "--length", "64", "--seed", "5"),
         ("--n-coarse", "4", "--n-fine", "8", "--no-use-ca", "--prior", "0.4,0.3,0.2,0.1",

@@ -464,6 +464,34 @@ def test_load_labels_reads_an_integer_confidence(tmp_path):
     assert back.confidence[1] == 1.0 and back.confidence.dtype == np.float64
 
 
+def with_header(path, key, value):
+    """Rewrite a record file with header[key] = value; a value of ``...`` drops the key."""
+    header, recs = records.read_record_file(path)
+    header = {k: v for k, v in {**header, key: value}.items() if v is not ...}
+    records.write_record_file(path, header, list(recs))
+    return path
+
+
+@pytest.mark.parametrize("count", [..., True, 0], ids=["missing", "bool", "zero"])
+@pytest.mark.parametrize("key", ["n_instances", "n_classes"])
+def test_load_labels_requires_positive_integer_header_counts(tmp_path, key, count):
+    path = tmp_path / "labels.jsonl"
+    pseudolabel.save_labels(path, fake_labels([0.9, 0.6]), np.ones(1))
+    shown = None if count is ... else count
+    with pytest.raises(DataError, match=f"pseudo_labels header {key} {shown!r} is not a positive integer"):
+        pseudolabel.load_labels(with_header(path, key, count))
+
+
+@pytest.mark.parametrize("count", [..., True, 0], ids=["missing", "bool", "zero"])
+def test_load_selection_requires_a_positive_integer_header_count(tmp_path, count):
+    labels = fake_labels([0.9, 0.6, 0.75, 0.95])
+    path = tmp_path / "sel.jsonl"
+    pseudolabel.save_selection(path, labels, np.array([0, 3]), 0.5)
+    shown = None if count is ... else count
+    with pytest.raises(DataError, match=f"selection header n_selected {shown!r} is not a positive integer"):
+        pseudolabel.load_selection(with_header(path, "n_selected", count))
+
+
 @pytest.mark.parametrize("index", [1.0, 2.7, True, "0", -1, None])
 def test_load_selection_rejects_an_index_that_is_not_a_non_negative_integer(tmp_path, index):
     path = tmp_path / "sel.jsonl"

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import transport
 from codechain.errors import DataError, InternalError
-from oracles import linprog_emd_cost
+from oracles import linprog_emd_cost, two_heap_tree_flows
 
 
 def enumerate_emd(p, q, costs):
@@ -315,6 +315,40 @@ def test_basic_cells_price_at_zero_so_the_entering_cell_is_never_basic(monkeypat
     for p, q, costs in batch():
         transport.solve_emd(p, q, costs)
     assert pivots > 500
+
+
+@pytest.mark.parametrize(
+    "batch, perturb",
+    [(pinned_batch, transport._PERTURB), (degenerate_batch, 0.0)],
+    ids=["pinned", "degenerate-unperturbed"],
+)
+def test_leaf_stripping_keeps_the_two_heap_order(monkeypatch, batch, perturb):
+    """One heap of nodes yields the lowest row, else the lowest column, as
+    two heaps did: every basis solve_emd re-solves gets the same flow bytes."""
+    monkeypatch.setattr(transport, "_PERTURB", perturb)
+    strip = transport._tree_flows
+    calls = 0
+
+    def checked(adjacent, p, q):
+        nonlocal calls
+        calls += 1
+        flow = strip(adjacent, p, q)
+        assert flow.tobytes() == two_heap_tree_flows(adjacent, p, q).tobytes()
+        return flow
+
+    monkeypatch.setattr(transport, "_tree_flows", checked)
+    cases = list(batch())
+    for p, q, costs in cases:
+        transport.solve_emd(p, q, costs)
+    assert calls == len(cases)
+
+
+def test_leaf_stripping_refuses_a_basis_with_a_cycle():
+    # rows 0, 1 and columns 2, 3 joined in one 4-cycle: no node has degree 1
+    adjacent = [[2, 3], [2, 3], [0, 1], [0, 1]]
+    p = q = np.array([0.5, 0.5])
+    with pytest.raises(InternalError, match="basis contains a cycle"):
+        transport._tree_flows(adjacent, p, q)
 
 
 def test_emd_rejects_bad_marginals():
