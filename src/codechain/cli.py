@@ -36,8 +36,6 @@ class RunConfig:
     n_coarse: int = 8
     n_fine: int = 64
     embed_mode: str = "znorm"
-    d_dim: int | None = None
-    projection_seed: int = 0
     epsilon: float = 1e-8
     sigma: float = 0.2
     tau: float = 1.0
@@ -60,18 +58,14 @@ class RunConfig:
             raise ConfigError("r_top must lie in (0, 1]")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.seed < 0 or self.projection_seed < 0:
-            raise ConfigError("seed and projection_seed must be >= 0")
-        self.embed_spec().projection(self.patch_length)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.embed_mode not in rvq.EMBED_MODES:
+            raise ConfigError(f"embed mode must be one of {rvq.EMBED_MODES}, got {self.embed_mode!r}")
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
         if not isinstance(self.prior, str):
             pseudolabel.log_prior(self.prior, self.tau)
-
-    def embed_spec(self) -> rvq.EmbedSpec:
-        return rvq.EmbedSpec(
-            mode=self.embed_mode, d_dim=self.d_dim, projection_seed=self.projection_seed
-        )
 
 
 # field name -> annotation, in declaration order
@@ -211,9 +205,7 @@ def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
 
 
 # the RunConfig fields that fit and label read, and so the only ones their outputs echo
-_FIT_FIELDS = (
-    "patch_length", "n_coarse", "n_fine", "embed_mode", "d_dim", "projection_seed", "max_iters", "seed"
-)
+_FIT_FIELDS = ("patch_length", "n_coarse", "n_fine", "embed_mode", "max_iters", "seed")
 _LABEL_FIELDS = ("epsilon", "sigma", "tau", "r_top", "use_ca", "prior")
 
 
@@ -229,8 +221,7 @@ def cmd_fit(args) -> None:
     flat = np.flatnonzero(np.ptp(source.values, axis=(0, 2)) == 0.0)
     if flat.size:
         raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")
-    spec = cfg.embed_spec()
-    embedded = rvq.embed_dataset(source, cfg.patch_length, spec)
+    embedded = rvq.embed_dataset(source, cfg.patch_length, cfg.embed_mode)
     fit_result = rvq.fit(
         [embedded], cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
@@ -243,12 +234,7 @@ def cmd_fit(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {"run": _echo(cfg, _FIT_FIELDS)}
     rvq.save_quantizer(
-        out_dir / "quantizer.jsonl",
-        quantizer,
-        spec,
-        cfg.patch_length,
-        cfg.seed,
-        config=echo,
+        out_dir / "quantizer.jsonl", quantizer, cfg.embed_mode, cfg.patch_length, cfg.seed, config=echo
     )
     markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
@@ -268,7 +254,7 @@ def cmd_fit(args) -> None:
 def cmd_label(args) -> None:
     cfg, _ = load_run_config(args)
     # both bundles are read and cross-checked before the (larger) target corpus
-    quantizer, spec, patch_length, _ = rvq.load_quantizer(args.quantizer)
+    quantizer, embed_mode, patch_length, _ = rvq.load_quantizer(args.quantizer)
     class_tm, channel_src = markov.load_transitions(args.transitions)
     n_classes, n_channels, n_codes = class_tm.shape[:3]
     if n_codes != len(quantizer.coarse):
@@ -289,7 +275,7 @@ def cmd_label(args) -> None:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
     ds.require_transitions(target, patch_length)
 
-    embedded = rvq.embed_dataset(target, patch_length, spec)
+    embedded = rvq.embed_dataset(target, patch_length, embed_mode)
     codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed, mean_costs = transport.channel_weights(

@@ -2,8 +2,8 @@
 
 Patches are embedded by per-patch standardization (mean removed, scaled
 by the standard deviation with a small floor, so constant patches map to
-the zero vector), optionally followed by a fixed random orthogonal
-projection. Quantization is a two-stage residual scheme with cosine
+the zero vector), or passed through raw, so a latent is as wide as its
+patch. Quantization is a two-stage residual scheme with cosine
 geometry: both the latent and the codewords are L2-normalized before
 the nearest-neighbor search, first against the coarse book, then the
 residual against the fine book. Stored codewords stay un-normalized.
@@ -20,12 +20,16 @@ cap of max_iters updates, whichever comes first.
 The nearest-code search evaluates |p|^2 - 2 p.c + |c|^2 over row
 blocks of at most _BLOCK points, each in one (block, k) buffer that
 stays in cache, instead of one (n, k) array. The blocks are near-equal,
-so none holds a single row, and every float operation is the one the
-whole-array formula would do: assignments and errors are bitwise the
-same. A Lloyd stage sums |p|^2 once, not once per call. The mean update
-sums each code's members with one np.bincount per latent dimension,
-which adds in point order exactly as np.add.at would, at a fraction of
-its cost.
+so none holds a single row and each goes through the matrix-matrix
+product the whole array would. Whether a block's product rounds each row
+as the whole array's does is up to the BLAS kernel. Under OpenBLAS's
+SkylakeX, Cooperlake and Sandybridge kernels, assignments and errors are
+bitwise those of the whole-array formula. Under its Haswell, Zen,
+Nehalem and Prescott kernels some errors differ in their last bits,
+while the assignments agreed in every case tested. A Lloyd stage sums
+|p|^2 once, not once per call. The mean update sums each code's members
+with one np.bincount per latent dimension, which adds in point order
+exactly as np.add.at would, at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -51,58 +55,20 @@ def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
-@dataclass(frozen=True)
-class EmbedSpec:
-    """How raw patches become latent vectors.
+def embed(patches: np.ndarray, mode: str = "znorm") -> np.ndarray:
+    """Map patches (..., patch_length) to latent vectors of the same shape.
 
-    mode "znorm" standardizes each patch; "raw" passes values through.
-    d_dim, when set below the patch length, applies a fixed random
-    orthogonal projection drawn from projection_seed.
-    """
-
-    mode: str = "znorm"
-    d_dim: int | None = None
-    projection_seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in EMBED_MODES:
-            raise ConfigError(f"embed mode must be one of {EMBED_MODES}, got {self.mode!r}")
-        if self.d_dim is not None and self.d_dim < 2:
-            raise ConfigError("d_dim must be >= 2")
-
-    def projection(self, patch_length: int) -> np.ndarray | None:
-        """The (patch_length, d_dim) projection, or None when dimensions match."""
-        if self.d_dim is None or self.d_dim == patch_length:
-            return None
-        if self.d_dim > patch_length:
-            raise ConfigError(
-                f"d_dim {self.d_dim} exceeds patch_length {patch_length}; projection cannot raise dimension"
-            )
-        rng = np.random.default_rng(self.projection_seed)
-        g = rng.standard_normal((patch_length, self.d_dim))
-        q, r = np.linalg.qr(g)
-        # canonical column signs so the projection is unique
-        return q * np.sign(np.diag(r))[None, :]
-
-
-def embed(patches: np.ndarray, spec: EmbedSpec = EmbedSpec()) -> np.ndarray:
-    """Map patches (..., patch_length) to latent vectors (..., latent_dim).
-
-    Standardization uses the population std with a 1e-8 floor; an exactly
-    constant patch becomes the zero vector, which downstream assignment
-    resolves to code 0 by the lowest-index tie rule.
+    mode "znorm" standardizes each patch with the population std and a
+    1e-8 floor; an exactly constant patch becomes the zero vector, which
+    downstream assignment resolves to code 0 by the lowest-index tie
+    rule. mode "raw" passes the values through.
     """
     patches = np.asarray(patches, dtype=np.float64)
-    if spec.mode == "znorm":
-        mean = patches.mean(axis=-1, keepdims=True)
-        std = patches.std(axis=-1, keepdims=True)
-        lat = (patches - mean) / (std + _STD_FLOOR)
-    else:
-        lat = patches.copy()
-    proj = spec.projection(patches.shape[-1])
-    if proj is not None:
-        lat = lat @ proj
-    return lat
+    if mode == "raw":
+        return patches.copy()
+    mean = patches.mean(axis=-1, keepdims=True)
+    std = patches.std(axis=-1, keepdims=True)
+    return (patches - mean) / (std + _STD_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -112,11 +78,9 @@ class CorpusLatents:
     latents: np.ndarray
 
 
-def embed_dataset(
-    dataset: DomainDataset, patch_length: int, spec: EmbedSpec = EmbedSpec()
-) -> CorpusLatents:
+def embed_dataset(dataset: DomainDataset, patch_length: int, mode: str = "znorm") -> CorpusLatents:
     """Patchify and embed every series of a corpus in one call."""
-    return CorpusLatents(embed(patchify(dataset.values, patch_length), spec))
+    return CorpusLatents(embed(patchify(dataset.values, patch_length), mode))
 
 
 @dataclass(frozen=True)
@@ -374,7 +338,7 @@ def code_stats(
 def save_quantizer(
     path,
     quantizer: ResidualQuantizer,
-    embed_spec: EmbedSpec,
+    embed_mode: str,
     patch_length: int,
     seed: int,
     config: dict | None = None,
@@ -389,23 +353,21 @@ def save_quantizer(
     rec = {
         "coarse": quantizer.coarse.tolist(),
         "fine": quantizer.fine.tolist(),
-        "embed_mode": embed_spec.mode,
-        "embed_d_dim": embed_spec.d_dim,
-        "projection_seed": embed_spec.projection_seed,
+        "embed_mode": embed_mode,
         "patch_length": patch_length,
         "seed": seed,
     }
     records.write_record_file(path, header, [rec])
 
 
-def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
-    """Load (quantizer, embed_spec, patch_length, fit seed) from a bundle.
+def load_quantizer(path) -> tuple[ResidualQuantizer, str, int, int]:
+    """Load (quantizer, embed_mode, patch_length, fit seed) from a bundle.
 
-    The codebooks are matrices of JSON numbers. patch_length, the
-    header's d_dim and a set embed_d_dim are positive JSON integers;
-    seed and projection_seed are non-negative ones. An embedding the
-    bundle describes but EmbedSpec rejects, or cannot project from
-    patch_length, is a DataError.
+    The codebooks are matrices of JSON numbers. patch_length and the
+    header's d_dim are positive JSON integers, and the seed is a
+    non-negative one. A latent is as wide as its patch, so a codebook
+    width other than patch_length is a DataError, and so is an
+    embed_mode outside EMBED_MODES.
     """
     header, rec = records.read_one(path, "quantizer")
 
@@ -421,15 +383,12 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, EmbedSpec, int, int]:
         raise DataError(
             f"{path}: quantizer header d_dim {d_dim} differs from its codebook width {quantizer.d_dim}"
         )
-    embed_d_dim = rec.get("embed_d_dim")
     patch_length = whole("patch_length", rec.get("patch_length"))
-    try:
-        spec = EmbedSpec(
-            mode=rec.get("embed_mode"),
-            d_dim=None if embed_d_dim is None else whole("embed_d_dim", embed_d_dim),
-            projection_seed=whole("projection_seed", rec.get("projection_seed", 0), 0),
+    if patch_length != quantizer.d_dim:
+        raise DataError(
+            f"{path}: quantizer codebook width {quantizer.d_dim} differs from its patch_length {patch_length}"
         )
-        spec.projection(patch_length)
-    except ConfigError as exc:
-        raise DataError(f"{path}: quantizer {exc}") from exc
-    return quantizer, spec, patch_length, whole("seed", rec.get("seed"), 0)
+    mode = rec.get("embed_mode")
+    if mode not in EMBED_MODES:
+        raise DataError(f"{path}: quantizer embed mode must be one of {EMBED_MODES}, got {mode!r}")
+    return quantizer, mode, patch_length, whole("seed", rec.get("seed"), 0)

@@ -822,7 +822,7 @@ SMALL_SYNTH = ("--n-source", 30, "--n-target", 20, "--length", 64)
         {"seed": -3},
         {"prior": [0.5, "0.5"]},
         {"prior": [True, False]},
-        {"d_dim": 4.0},
+        {"n_coarse": 4.0},
         {"synth": {"length": 32.0}},
         {"synth": {"noise": "0.3"}},
         {"synth": {"noise": [[0.1, 0.2, 0.3]]}},
@@ -844,9 +844,7 @@ def test_ill_typed_config_value_is_config_error(tmp_path, capsys, config):
     "flags, config",
     [
         (("--seed", -1), None),
-        (("--projection-seed", -1), None),
         ((), {"seed": -3}),
-        ((), {"projection_seed": -1}),
         ((), {"synth": {"seed": -2}}),
         (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5", "--corrupt-seed", -1), None),
     ],
@@ -891,8 +889,8 @@ def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsy
 @pytest.mark.parametrize("command", ["fit", "label", "eval"])
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--embed-mode", "bogus", "embed mode must be one of"), ("--d-dim", "1", "d_dim must be >= 2")],
-    ids=["embed-mode", "d-dim"],
+    [("--embed-mode", "bogus", "embed mode must be one of")],
+    ids=["embed-mode"],
 )
 def test_every_stage_rejects_a_bad_embedding_before_reading_any_file(tmp_path, capsys, command, flag, value, message):
     assert run(command, *absent_inputs(command, tmp_path), flag, value) == 1
@@ -920,25 +918,49 @@ def test_a_prior_flag_and_its_config_list_write_the_same_label_files(workspace, 
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "label", "eval"])
-def test_every_stage_refuses_a_d_dim_above_patch_length_before_any_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("key", ["d_dim", "projection_seed"])
+def test_every_stage_refuses_a_removed_projection_key_before_any_file(tmp_path, capsys, command, key):
     out = tmp_path / "out"
     inputs = ("--out-dir", out) if command == "synth" else absent_inputs(command, tmp_path)
-    assert run(command, *inputs, "--d-dim", 9) == 1
-    assert "config error: d_dim 9 exceeds patch_length 8" in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: 4}))
+    assert run(command, *inputs, "--config", cfg_path) == 1
+    assert f"config error: {cfg_path}: unknown config keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+    flag = "--" + key.replace("_", "-")
+    assert run(command, *inputs, flag, 4) == 1
+    assert f"config error: unrecognized arguments: {flag} 4" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_label_refuses_a_bundle_that_projects_up_before_reading_the_target(workspace, tmp_path, capsys):
+def test_label_reads_a_bundle_with_the_removed_projection_fields_byte_identically(workspace, tmp_path):
+    data, model, _ = workspace
+    header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
+    # how a bundle written before the projection was removed records an unprojected fit
+    old = tmp_path / "old_quantizer.jsonl"
+    records.write_record_file(old, header, [{**rec, "embed_d_dim": None, "projection_seed": 0}])
+    inputs = ("--target", data / "target.jsonl", "--transitions", model / "transitions.jsonl")
+    fresh, edited = tmp_path / "fresh", tmp_path / "edited"
+    assert run("label", *inputs, "--quantizer", model / "quantizer.jsonl", "--out-dir", fresh) == 0
+    assert run("label", *inputs, "--quantizer", old, "--out-dir", edited) == 0
+    for name in ("labels.jsonl", "selected.jsonl", "alignment_report.tsv"):
+        assert (fresh / name).read_bytes() == (edited / name).read_bytes(), name
+
+
+def test_label_refuses_a_bundle_whose_codebook_width_is_not_its_patch_length_before_reading_the_target(
+    workspace, tmp_path, capsys
+):
     data, model, out = workspace
     assert run("fit", "--source", data / "source.jsonl", "--out-dir", model,
-               "--n-coarse", 4, "--n-fine", 8, "--patch-length", 16, "--d-dim", 9) == 0
+               "--n-coarse", 4, "--n-fine", 8, "--patch-length", 16) == 0
     header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
-    rec["patch_length"] = 8  # a 9-wide codebook now claims to project 8-sample patches
+    # what a bundle fit with a projection from 32-sample patches to 16 dimensions recorded
+    rec.update(patch_length=32, embed_d_dim=16, projection_seed=2)
     records.write_record_file(model / "quantizer.jsonl", header, [rec])
     assert run("label", "--target", tmp_path / "absent.jsonl", "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
     err = capsys.readouterr().err
-    assert "data error:" in err and "quantizer d_dim 9 exceeds patch_length 8" in err
+    assert "data error:" in err and "quantizer codebook width 16 differs from its patch_length 32" in err
     assert not out.exists()
 
 
@@ -1091,8 +1113,6 @@ RUN_OPTIONS = {
     ("--n-coarse", "run_n_coarse"),
     ("--n-fine", "run_n_fine"),
     ("--embed-mode", "run_embed_mode"),
-    ("--d-dim", "run_d_dim"),
-    ("--projection-seed", "run_projection_seed"),
     ("--epsilon", "run_epsilon"),
     ("--sigma", "run_sigma"),
     ("--tau", "run_tau"),
@@ -1151,7 +1171,7 @@ def test_every_subcommand_keeps_its_option_strings_and_dests():
         actions = sub.choices[name]._actions
         assert {(" ".join(a.option_strings), a.dest) for a in actions} == want, name
         assert len(actions) == len(want)
-    assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [37, 18, 20, 20]
+    assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [35, 16, 18, 18]
 
 
 def test_console_entrypoint_help():

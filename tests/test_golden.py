@@ -56,11 +56,6 @@ CASES = {
          "--tau", "0.5", "--r-top", "0.3"),
         "target.jsonl",
     ),
-    "d-dim-projection": (
-        ("--n-source", "30", "--n-target", "20", "--seed", "6"),
-        ("--d-dim", "5", "--projection-seed", "2"),
-        "target.jsonl",
-    ),
     "raw-embed-at-cap": (
         ("--n-source", "30", "--n-target", "20", "--seed", "7"),
         ("--embed-mode", "raw", "--n-fine", "16", "--max-iters", "3"),

@@ -57,29 +57,8 @@ def test_embed_unit_power():
 
 def test_embed_raw_mode_keeps_patches():
     grid = grid_from([[1.0, 2.0, 3.0, 4.0]], 4)
-    latents = rvq.embed(grid, rvq.EmbedSpec(mode="raw"))
+    latents = rvq.embed(grid, "raw")
     assert_array_equal(latents, grid)
-
-
-def test_projection_is_orthogonal_and_seeded():
-    spec = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=11)
-    q1 = spec.projection(8)
-    q2 = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=11).projection(8)
-    q3 = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=12).projection(8)
-    assert q1.shape == (8, 6)
-    assert_allclose(q1.T @ q1, np.eye(6), atol=1e-12)
-    assert_array_equal(q1, q2)
-    assert not np.array_equal(q1, q3)
-
-
-def test_projected_embedding_shape():
-    rng = np.random.default_rng(2)
-    grid = grid_from(rng.normal(size=(2, 24)), 8)
-    spec = rvq.EmbedSpec(mode="znorm", d_dim=5)
-    latents = rvq.embed(grid, spec)
-    assert latents.shape == (2, 3, 5)
-    plain = rvq.embed(grid)
-    assert_allclose(latents, plain @ spec.projection(8), atol=0)
 
 
 # ---------------------------------------------------------------- codebooks
@@ -311,14 +290,12 @@ def test_code_stats_refuses_empty_indices():
 def test_quantizer_round_trip_bit_exact(tmp_path):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=20, seed=3)
-    spec = rvq.EmbedSpec(mode="znorm", d_dim=4, projection_seed=7)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
-    back, back_spec, back_m, back_seed = rvq.load_quantizer(path)
+    rvq.save_quantizer(path, result.quantizer, "raw", patch_length=4, seed=3)
+    back, back_mode, back_m, back_seed = rvq.load_quantizer(path)
     assert back.coarse.tobytes() == result.quantizer.coarse.tobytes()
     assert back.fine.tobytes() == result.quantizer.fine.tobytes()
-    assert back_spec == spec
-    assert (back_m, back_seed) == (4, 3)
+    assert (back_mode, back_m, back_seed) == ("raw", 4, 3)
 
 
 @pytest.mark.parametrize(
@@ -332,11 +309,6 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
         ("record", "seed", 3.0),
         ("record", "seed", -1),
         ("record", "seed", None),
-        ("record", "projection_seed", "3"),
-        ("record", "projection_seed", 7.5),
-        ("record", "projection_seed", False),
-        ("record", "embed_d_dim", 4.0),
-        ("record", "embed_d_dim", "4"),
         ("header", "d_dim", 4.0),
         ("header", "d_dim", True),
         ("header", "d_dim", "4"),
@@ -345,9 +317,8 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
 def test_load_quantizer_rejects_a_field_that_is_not_an_integer(tmp_path, part, key, value):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
-    spec = rvq.EmbedSpec(mode="znorm", d_dim=4, projection_seed=7)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, spec, patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -361,7 +332,7 @@ def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(t
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(), patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -376,15 +347,15 @@ def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(t
     [
         ("embed_mode", "bogus", "embed mode must be one of"),
         ("embed_mode", None, "embed mode must be one of"),
-        ("embed_d_dim", 1, "d_dim must be >= 2"),
+        ("patch_length", 5, "codebook width 4 differs from its patch_length 5"),
     ],
-    ids=["unknown-mode", "null-mode", "d-dim-1"],
+    ids=["unknown-mode", "null-mode", "width-not-patch-length"],
 )
 def test_load_quantizer_rejects_an_embedding_spec_as_a_data_error(tmp_path, key, value, message):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(mode="znorm"), patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -401,7 +372,7 @@ def test_load_quantizer_rejects_codebook_cells_that_are_not_json_numbers(tmp_pat
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, rvq.EmbedSpec(mode="znorm"), patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
     header, (rec,) = records.read_record_file(path)
     rows = rec[key]
     if spoil == "string":
@@ -462,23 +433,21 @@ def test_fit_pools_corpora_along_the_instance_axis():
 
 def test_embed_dataset_embeds_the_whole_corpus():
     source, _ = synth.generate(synth.SynthConfig(n_source=6, n_target=2, seed=15))
-    spec = rvq.EmbedSpec(d_dim=5, projection_seed=2)
-    got = rvq.embed_dataset(source, 8, spec).latents
-    assert got.shape == (6, source.n_channels, source.length // 8, 5)
-    assert_array_equal(got, rvq.embed(ds.patchify(source.values, 8), spec))
+    got = rvq.embed_dataset(source, 8, "raw").latents
+    assert got.shape == (6, source.n_channels, source.length // 8, 8)
+    assert_array_equal(got, rvq.embed(ds.patchify(source.values, 8), "raw"))
 
 
 def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
     source, _ = synth.generate(synth.SynthConfig(n_source=12, n_target=4, seed=13))
-    spec = rvq.EmbedSpec(mode="znorm", d_dim=6, projection_seed=3)
-    latents = rvq.embed(ds.patchify(source.values, 8), spec)
+    latents = rvq.embed(ds.patchify(source.values, 8))
     q = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=20, seed=0).quantizer
     coarse_idx, fine_idx = rvq.encode(q, latents)
     coarse_only, no_fine = rvq.encode(q, latents, fine=False)
     assert no_fine is None
     assert_array_equal(coarse_only, coarse_idx)
     for n, values in enumerate(source.values):
-        one = rvq.embed(ds.patchify(values, 8), spec)
+        one = rvq.embed(ds.patchify(values, 8))
         assert one.tobytes() == latents[n].tobytes()
         c, f = rvq.encode(q, one)
         assert_array_equal(c, coarse_idx[n])
