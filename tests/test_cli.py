@@ -844,7 +844,10 @@ def test_ill_typed_config_value_is_config_error(tmp_path, capsys, config):
     "flags, config",
     [
         (("--seed", -1), None),
+        # the noise seed a ladder derives, seed + 1000, would be valid for either negative seed
+        (("--seed", -1, "--corrupt-channel", 1, "--corrupt-magnitudes", "0.5"), None),
         ((), {"seed": -3}),
+        (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5"), {"synth": {"seed": -2}}),
         ((), {"synth": {"seed": -2}}),
         (("--corrupt-channel", 1, "--corrupt-magnitudes", "0.5", "--corrupt-seed", -1), None),
     ],
@@ -889,8 +892,12 @@ def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsy
 @pytest.mark.parametrize("command", ["fit", "label", "eval"])
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--embed-mode", "bogus", "embed mode must be one of")],
-    ids=["embed-mode"],
+    [
+        ("--embed-mode", "bogus", "embed mode must be one of"),
+        # the projection width flag is gone; a value it refused is still refused
+        ("--d-dim", "1", "unrecognized arguments: --d-dim 1"),
+    ],
+    ids=["embed-mode", "d-dim"],
 )
 def test_every_stage_rejects_a_bad_embedding_before_reading_any_file(tmp_path, capsys, command, flag, value, message):
     assert run(command, *absent_inputs(command, tmp_path), flag, value) == 1
@@ -915,6 +922,16 @@ def test_a_prior_flag_and_its_config_list_write_the_same_label_files(workspace, 
     assert run("label", *inputs, "--out-dir", config, "--config", cfg_path) == 0
     for name in ("labels.jsonl", "selected.jsonl", "alignment_report.tsv"):
         assert (flag / name).read_bytes() == (config / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "label", "eval"])
+def test_every_stage_refuses_a_d_dim_above_patch_length_before_any_file(tmp_path, capsys, command):
+    # refused as a projection that raises the dimension before d_dim was removed, refused as unknown now
+    out = tmp_path / "out"
+    inputs = ("--out-dir", out) if command == "synth" else absent_inputs(command, tmp_path)
+    assert run(command, *inputs, "--d-dim", 9) == 1
+    assert "config error: unrecognized arguments: --d-dim 9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "label", "eval"])
@@ -947,21 +964,33 @@ def test_label_reads_a_bundle_with_the_removed_projection_fields_byte_identicall
         assert (fresh / name).read_bytes() == (edited / name).read_bytes(), name
 
 
-def test_label_refuses_a_bundle_whose_codebook_width_is_not_its_patch_length_before_reading_the_target(
-    workspace, tmp_path, capsys
-):
+def label_an_edited_bundle(workspace, tmp_path, **edits):
+    """Fit 16-sample patches, apply edits to the bundle record, label an absent target: the exit code."""
     data, model, out = workspace
     assert run("fit", "--source", data / "source.jsonl", "--out-dir", model,
                "--n-coarse", 4, "--n-fine", 8, "--patch-length", 16) == 0
     header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
+    records.write_record_file(model / "quantizer.jsonl", header, [{**rec, **edits}])
+    return run("label", "--target", tmp_path / "absent.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out)
+
+
+def test_label_refuses_a_bundle_that_projects_up_before_reading_the_target(workspace, tmp_path, capsys):
+    # a 16-wide codebook that claims to project 8-sample patches
+    assert label_an_edited_bundle(workspace, tmp_path, patch_length=8) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "quantizer codebook width 16 differs from its patch_length 8" in err
+    assert not workspace[2].exists()
+
+
+def test_label_refuses_a_bundle_whose_codebook_width_is_not_its_patch_length_before_reading_the_target(
+    workspace, tmp_path, capsys
+):
     # what a bundle fit with a projection from 32-sample patches to 16 dimensions recorded
-    rec.update(patch_length=32, embed_d_dim=16, projection_seed=2)
-    records.write_record_file(model / "quantizer.jsonl", header, [rec])
-    assert run("label", "--target", tmp_path / "absent.jsonl", "--quantizer", model / "quantizer.jsonl",
-               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2
+    assert label_an_edited_bundle(workspace, tmp_path, patch_length=32, embed_d_dim=16, projection_seed=2) == 2
     err = capsys.readouterr().err
     assert "data error:" in err and "quantizer codebook width 16 differs from its patch_length 32" in err
-    assert not out.exists()
+    assert not workspace[2].exists()
 
 
 def test_label_refuses_a_tau_whose_prior_term_overflows_before_reading_the_target(workspace, monkeypatch, capsys):
