@@ -222,12 +222,14 @@ def cmd_fit(args) -> None:
     if flat.size:
         raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")
     embedded = rvq.embed_dataset(source, cfg.patch_length, cfg.embed_mode)
+    labels, n_classes = source.labels, source.n_classes
+    del source  # frees the corpus values: only the latents are read from here on
     fit_result = rvq.fit(
         [embedded], cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
     quantizer = fit_result.quantizer
     codes = fit_result.coarse_idx
-    class_tm = markov.build_class_tm(codes, source.labels, source.n_classes, cfg.n_coarse)
+    class_tm = markov.build_class_tm(codes, labels, n_classes, cfg.n_coarse)
     channel_src = markov.build_channel_tm(codes, cfg.n_coarse)
 
     out_dir = Path(args.out_dir)
@@ -239,7 +241,7 @@ def cmd_fit(args) -> None:
     markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
     mse = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
-    print(f"fit: {len(source)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
+    print(f"fit: {len(labels)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
     stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
     print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
     print("recon mse: coarse {:.6f}, coarse+fine {:.6f}".format(*mse))

@@ -155,7 +155,8 @@ def load_corpus(path) -> DomainDataset:
         for key in ("n_channels", "length", "n_classes")
     )
     size = n_channels * length * 8
-    rows: list[bytes] = []
+    # one buffer that grows as records are read: never sized from the header's count
+    buf = bytearray()
     ids: list[str] = []
     labels: list[int] = []
     for rec in recs:
@@ -174,12 +175,12 @@ def load_corpus(path) -> DomainDataset:
                 f"instance {rid!r}: channels hold {len(row)} bytes, expected {size} "
                 f"({n_channels} x {length} float64)"
             )
-        rows.append(row)
+        buf += row
         ids.append(rid)
         labels.append(UNLABELED if label is None else label)
-    records.require_count(path, header, "n_instances", len(rows))
+    records.require_count(path, header, "n_instances", len(ids))
     # a bytearray buffer keeps the array writable without another copy
-    values = np.frombuffer(bytearray().join(rows), "<f8").reshape(len(rows), n_channels, length)
+    values = np.frombuffer(buf, "<f8").reshape(len(ids), n_channels, length)
     return DomainDataset(
         values=values,
         ids=ids,

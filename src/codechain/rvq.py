@@ -30,6 +30,11 @@ while the assignments agreed in every case tested. A Lloyd stage sums
 |p|^2 once, not once per call. The mean update sums each code's members
 with one np.bincount per latent dimension, which adds in point order
 exactly as np.add.at would, at a fraction of its cost.
+
+Row-wise steps (embedding, normalization, |p|^2, residuals, errors) run
+over the same row blocks, each row alone, so their bytes are the
+whole-array formula's. fit holds the caller's latents and one pool-sized
+array (normalized latents, then residuals); encode and code_stats one each.
 """
 
 from __future__ import annotations
@@ -66,9 +71,14 @@ def embed(patches: np.ndarray, mode: str = "znorm") -> np.ndarray:
     patches = np.asarray(patches, dtype=np.float64)
     if mode == "raw":
         return patches.copy()
-    mean = patches.mean(axis=-1, keepdims=True)
-    std = patches.std(axis=-1, keepdims=True)
-    return (patches - mean) / (std + _STD_FLOOR)
+    rows = patches.reshape(-1, patches.shape[-1])  # a view when length is a multiple of the patch length
+    out = np.empty(patches.shape)
+
+    def znorm(b):
+        return (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
+
+    _by_blocks(out.reshape(rows.shape), znorm, rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,20 @@ def _block_bounds(n: int) -> np.ndarray:
     return np.arange(n_blocks + 1) * n // n_blocks
 
 
+def _by_blocks(out: np.ndarray, row_wise, *arrays) -> np.ndarray:
+    """out = row_wise(*arrays), computed and stored one row block at a time."""
+    bounds = _block_bounds(len(out))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = row_wise(*(a[lo:hi] for a in arrays))
+    return out
+
+
+def _residuals(work: np.ndarray, codewords: np.ndarray, assign: np.ndarray) -> None:
+    """work -= l2_normalize(codewords)[assign], in place."""
+    cn = l2_normalize(codewords, axis=1)
+    _by_blocks(work, lambda w, a: w - cn[a], work, assign)
+
+
 def _nearest(
     points: np.ndarray, codewords: np.ndarray, sq_norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +186,18 @@ def _nearest(
     # p @ (2c) holds the same products as (2p) @ c, since doubling is exact
     twice = 2.0 * cn
     c_sq = (cn * cn).sum(axis=1)
-    if sq_norms is None:
-        sq_norms = (points * points).sum(axis=1)
     n = len(points)
     assign = np.empty(n, dtype=np.intp)
     err = np.empty(n)
     bounds = _block_bounds(n)
     buf = np.empty((int(np.diff(bounds).max()), len(cn)))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = points[lo:hi]
+        sq = (block * block).sum(axis=1) if sq_norms is None else sq_norms[lo:hi]
         # |p|^2 - 2 p.c + |c|^2, evaluated in that order inside one (block, k) buffer
         d2 = buf[: hi - lo]
-        np.matmul(points[lo:hi], twice.T, out=d2)
-        np.subtract(sq_norms[lo:hi, None], d2, out=d2)
+        np.matmul(block, twice.T, out=d2)
+        np.subtract(sq[:, None], d2, out=d2)
         d2 += c_sq
         best = np.argmin(d2, axis=1)
         assign[lo:hi] = best
@@ -205,11 +229,33 @@ def _code_sums(columns, assign, n_codes):
     )
 
 
+def _draw_distinct(points, n_codes, rng):
+    """np.unique(points, axis=0)[rng.choice(n_distinct, n_codes, replace=False)], in O(n) memory.
+
+    np.unique's order is lexicographic over float columns (-0.0 equals 0.0):
+    one argsort of the first column, then each run of tied first values
+    re-sorted stably on every column, last first. A rank takes its run's first row.
+    """
+    order = np.argsort(points[:, 0])
+    tie = np.flatnonzero(np.diff(points[order, 0]) == 0.0)  # sorted row i ties with row i + 1
+    tied = np.zeros(len(points), dtype=bool)  # a mask: np.union1d would import numpy.ma
+    tied[tie] = tied[tie + 1] = True
+    run = np.sort(order[tied])
+    for col in points.T[::-1]:
+        run = run[np.argsort(col[run], kind="stable")]
+    order[tied] = run
+    same = np.all([col[order[tie]] == col[order[tie + 1]] for col in points.T], axis=0)
+    starts = np.delete(np.arange(len(points)), tie[same] + 1)
+    if len(starts) < n_codes:
+        raise DataError(f"need at least {n_codes} distinct vectors to fit {n_codes} codes, have {len(starts)}")
+    return points[order[starts[rng.choice(len(starts), size=n_codes, replace=False)]]]
+
+
 def _lloyd(points, n_codes, max_iters, rng):
     """Lloyd iterations under the normalized-codeword metric.
 
-    Initial codewords are drawn without replacement from the distinct
-    rows of the pool. Each of at most max_iters + 1 passes assigns,
+    Initial codewords are distinct pool rows drawn at np.unique's ranks
+    (_draw_distinct). Each of at most max_iters + 1 passes assigns,
     re-seeds empties and records the mean error, then stops when the
     passes run out, when the assignments repeat, or when the loss fell
     by at most _LOSS_TOL of the previous pass's loss; else it updates
@@ -217,14 +263,8 @@ def _lloyd(points, n_codes, max_iters, rng):
     max_iters losses when the stage converged (by either rule), and
     max_iters + 1 when the stage hit its cap.
     """
-    distinct = np.unique(points, axis=0)
-    if len(distinct) < n_codes:
-        raise DataError(
-            f"need at least {n_codes} distinct vectors to fit {n_codes} codes, have {len(distinct)}"
-        )
-    centroids = distinct[rng.choice(len(distinct), size=n_codes, replace=False)]
-    sq_norms = (points * points).sum(axis=1)
-    columns = points.T.copy()
+    centroids = _draw_distinct(points, n_codes, rng)
+    sq_norms = _by_blocks(np.empty(len(points)), lambda p: (p * p).sum(axis=1), points)
     losses: list[float] = []
     prev = None
     for it in range(max_iters + 1):
@@ -238,18 +278,14 @@ def _lloyd(points, n_codes, max_iters, rng):
         ):
             break
         prev = assign
-        sums = _code_sums(columns, assign, n_codes)
+        sums = _code_sums(points.T, assign, n_codes)
         counts = np.bincount(assign, minlength=n_codes).astype(np.float64)
         centroids = sums / counts[:, None]
     return centroids, assign, losses
 
 
 def fit(
-    latent_grids: Sequence[CorpusLatents],
-    n_coarse: int,
-    n_fine: int,
-    max_iters: int = 50,
-    seed: int = 0,
+    latent_grids: Sequence[CorpusLatents], n_coarse: int, n_fine: int, max_iters: int = 50, seed: int = 0
 ) -> QuantizerFit:
     """Fit coarse then fine codebooks on the latents of the given corpora.
 
@@ -267,7 +303,7 @@ def fit(
         raise DataError("no latent vectors to fit on")
     if len({g.shape[1:] for g in grids}) > 1:
         raise DataError("pooled corpora must share every latent axis but the first")
-    latents = np.concatenate(grids)
+    latents = grids[0] if len(grids) == 1 else np.concatenate(grids)
     d_dim = latents.shape[-1]
     pool = latents.reshape(-1, d_dim)
     if n_coarse >= len(pool):
@@ -276,20 +312,15 @@ def fit(
         raise DataError(f"n_fine {n_fine} must be below the pooled patch count {len(pool)}")
 
     rng = np.random.default_rng(seed)
-    zn = l2_normalize(pool, axis=1)
-    coarse_vecs, coarse_assign, coarse_losses = _lloyd(zn, n_coarse, max_iters, rng)
-    residuals = zn - l2_normalize(coarse_vecs, axis=1)[coarse_assign]
-    fine_vecs, _, fine_losses = _lloyd(residuals, n_fine, max_iters, rng)
+    work = _by_blocks(np.empty(pool.shape), l2_normalize, pool)
+    coarse_vecs, coarse_assign, coarse_losses = _lloyd(work, n_coarse, max_iters, rng)
+    _residuals(work, coarse_vecs, coarse_assign)
+    fine_vecs, _, fine_losses = _lloyd(work, n_fine, max_iters, rng)
+    del work
 
     quantizer = ResidualQuantizer(coarse=coarse_vecs, fine=fine_vecs)
     codes = encode(quantizer, latents)
-    return QuantizerFit(
-        quantizer=quantizer,
-        coarse_idx=codes.coarse_idx,
-        fine_idx=codes.fine_idx,
-        coarse_losses=tuple(coarse_losses),
-        fine_losses=tuple(fine_losses),
-    )
+    return QuantizerFit(quantizer, codes.coarse_idx, codes.fine_idx, tuple(coarse_losses), tuple(fine_losses))
 
 
 def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True) -> Codes:
@@ -302,25 +333,24 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
         raise DataError(
             f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}"
         )
-    zn = l2_normalize(lat.reshape(-1, quantizer.d_dim), axis=1)
-    coarse_idx, _ = _nearest(zn, quantizer.coarse)
+    rows = lat.reshape(-1, quantizer.d_dim)
+    work = _by_blocks(np.empty(rows.shape), l2_normalize, rows)
+    coarse_idx, _ = _nearest(work, quantizer.coarse)
     if not fine:
         return Codes(coarse_idx.reshape(lat.shape[:-1]), None)
-    residual = zn - l2_normalize(quantizer.coarse, axis=1)[coarse_idx]
-    fine_idx, _ = _nearest(residual, quantizer.fine)
+    _residuals(work, quantizer.coarse, coarse_idx)
+    fine_idx, _ = _nearest(work, quantizer.fine)
     return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]))
 
 
 def code_stats(
-    quantizer: ResidualQuantizer,
-    latents: np.ndarray,
-    coarse_idx: np.ndarray,
-    fine_idx: np.ndarray,
+    quantizer: ResidualQuantizer, latents: np.ndarray, coarse_idx: np.ndarray, fine_idx: np.ndarray
 ) -> tuple[float, float]:
     """(mse_coarse, mse_coarse_fine): the mean squared error of coarse[c] and
     of coarse[c] + fine[f] against the L2-normalized latents the assignment
     quantizes. Each index array is shaped like the latents without their last
     axis, non-empty, and in [0, len(book)): numpy would wrap a negative index.
+    Squared errors fill one latents-shaped array, summed in whole-array order.
     """
     latents = np.asarray(latents, dtype=np.float64)
     c, f = (np.asarray(i, dtype=np.int64) for i in (coarse_idx, fine_idx))
@@ -329,19 +359,17 @@ def code_stats(
             raise DataError(f"{name} indices {i.shape} are empty or misaligned with latents {latents.shape}")
         if i.min() < 0 or i.max() >= len(book):
             raise DataError(f"{name} index out of range [0, {len(book)}) for this quantizer")
-    zn = l2_normalize(latents, axis=-1)
-    rec_c = quantizer.coarse[c]
-    rec_cf = rec_c + quantizer.fine[f]
-    return tuple(float(((zn - rec) ** 2).sum()) / zn.size for rec in (rec_c, rec_cf))
+    rows, c, f = latents.reshape(-1, latents.shape[-1]), c.ravel(), f.ravel()
+    err = np.empty(latents.shape)
+    mse = []
+    for rec in (lambda i, j: quantizer.coarse[i], lambda i, j: quantizer.coarse[i] + quantizer.fine[j]):
+        _by_blocks(err.reshape(rows.shape), lambda z, i, j: (l2_normalize(z) - rec(i, j)) ** 2, rows, c, f)
+        mse.append(float(err.sum()) / err.size)
+    return tuple(mse)
 
 
 def save_quantizer(
-    path,
-    quantizer: ResidualQuantizer,
-    embed_mode: str,
-    patch_length: int,
-    seed: int,
-    config: dict | None = None,
+    path, quantizer: ResidualQuantizer, embed_mode: str, patch_length: int, seed: int, config: dict | None = None
 ) -> None:
     header = {
         "kind": "quantizer",

@@ -238,21 +238,12 @@ def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
         values = scale[:, None] * values + offset[:, None]
         trg_values[i] = values + noise[:, None] * rng.standard_normal(values.shape)
 
-    source = DomainDataset(
-        values=src_values,
-        ids=[f"src-{i:04d}" for i in range(cfg.n_source)],
-        labels=src_labels,
-        n_classes=cfg.n_classes,
-        role="source",
+    return tuple(
+        DomainDataset(values, [f"{prefix}-{i:04d}" for i in range(len(values))], labels, cfg.n_classes, role)
+        for values, labels, prefix, role in (
+            (src_values, src_labels, "src", "source"), (trg_values, trg_labels, "trg", "target")
+        )
     )
-    target = DomainDataset(
-        values=trg_values,
-        ids=[f"trg-{i:04d}" for i in range(cfg.n_target)],
-        labels=trg_labels,
-        n_classes=cfg.n_classes,
-        role="target",
-    )
-    return source, target
 
 
 def inject_channel_noise(

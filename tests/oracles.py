@@ -58,6 +58,20 @@ def linprog_emd_cost(optimize, p, q, costs):
     return res.fun
 
 
+def unique_draw(points: np.ndarray, n_codes: int, rng: np.random.Generator) -> np.ndarray:
+    """Lloyd's initial codewords through np.unique, which rvq._draw_distinct must match.
+
+    np.unique sorts the distinct rows of the pool, and rng.choice picks
+    n_codes of their ranks without replacement.
+    """
+    distinct = np.unique(points, axis=0)
+    if len(distinct) < n_codes:
+        raise DataError(
+            f"need at least {n_codes} distinct vectors to fit {n_codes} codes, have {len(distinct)}"
+        )
+    return distinct[rng.choice(len(distinct), size=n_codes, replace=False)]
+
+
 def two_heap_tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Basic flows on a spanning-tree basis by leaf stripping, from two heaps.
 

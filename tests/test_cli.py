@@ -1239,6 +1239,19 @@ def test_label_runs_without_importing_numpy_ma(workspace):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_fit_runs_without_importing_numpy_ma(workspace, tmp_path):
+    # Lloyd draws its initial codewords at np.unique's ranks without calling np.unique(..., axis=0)
+    data, _, _ = workspace
+    argv = ["fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "refit"]
+    script = (
+        "import sys; from codechain import cli; "
+        f"code = cli.main({[str(a) for a in argv]!r}); print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 # ---------------------------------------------------------------- pipeline
 
 def test_full_pipeline_reproducible(tmp_path):

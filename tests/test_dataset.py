@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,22 @@ def test_load_corpus_does_not_trust_the_header_instance_count(tmp_path, count):
     )
     with pytest.raises(DataError, match=expected):
         ds.load_corpus(path)
+
+
+def test_load_corpus_holds_the_values_once(tmp_path):
+    data = tiny_dataset(n=64, d=4, t=1024)
+    path = tmp_path / "c.jsonl"
+    ds.save_corpus(path, data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = ds.load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == data.values.tobytes()
+    # one buffer grown as the records are read: its slack and the finiteness mask, no second copy
+    assert peak <= 1.5 * back.values.nbytes
 
 
 def test_load_corpus_missing_label_for_source(tmp_path):

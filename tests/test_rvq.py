@@ -1,16 +1,20 @@
 """Embedding, residual codebook fitting, and code assignment."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import records, rvq, synth
 from codechain import dataset as ds
 from codechain.errors import ConfigError, DataError
+from oracles import unique_draw
 
 
 def grid_from(values, m):
@@ -553,6 +557,8 @@ def test_code_sums_equal_add_at_bitwise(n_codes):
     got = rvq._code_sums(points.T.copy(), assign, n_codes)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # a Lloyd stage passes the strided view, one column copied at a time
+    assert rvq._code_sums(points.T, assign, n_codes).tobytes() == want.tobytes()
 
 
 def test_an_empty_code_is_reseeded_at_the_worst_quantized_point():
@@ -567,3 +573,56 @@ def test_an_empty_code_is_reseeded_at_the_worst_quantized_point():
     assert_array_equal(centroids[2], [1.0, 0.0])  # the caller's array is left as it was
     assert_array_equal(assign, [0, 1, 1, 2])
     assert (np.bincount(assign, minlength=3) > 0).all()
+
+
+# ---------------------------------------------------------------- distinct draw
+
+# few values, so pools repeat rows, tie on leading columns and mix -0.0 with 0.0
+TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-4.0, 4.0, width=16)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    points=st.integers(1, 4).flatmap(
+        lambda d: hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(d)), elements=TIED)
+    ),
+    n_codes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    points=np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [1.0, 0.0], [-0.0, -1.0]]),
+    n_codes=3,
+    seed=0,
+)
+@example(points=np.array([[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]), n_codes=2, seed=1)
+def test_the_distinct_draw_takes_np_uniques_rows_at_the_same_ranks(points, n_codes, seed):
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    n_distinct = len(np.unique(points, axis=0))
+    # the same distinct count, read off the refusal of one code too many
+    with pytest.raises(DataError, match=f"have {n_distinct}$"):
+        rvq._draw_distinct(points, n_distinct + 1, np.random.default_rng(seed))
+    try:
+        want = unique_draw(points, n_codes, want_rng)
+    except DataError as exc:
+        with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+            rvq._draw_distinct(points, n_codes, got_rng)
+        return
+    got = rvq._draw_distinct(points, n_codes, got_rng)
+    assert_array_equal(got, want)  # as np.unique sees rows: -0.0 equals 0.0
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_fit_holds_one_pool_sized_working_array_beside_the_latents():
+    # 19200 rows of width 8: the row blocks and the (block, k) buffer are small beside the pool
+    latents = rvq.embed(np.random.default_rng(0).normal(size=(400, 3, 16, 8)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert fit.coarse_idx.shape == latents.shape[:-1]
+    # the working array, a few (n,) index, error and norm vectors (1/8 pool each) and the blocks
+    # come to 2.0 pools; one more copy of the pool, or a gather of it, breaks the bound
+    assert peak <= 2.5 * latents.nbytes
