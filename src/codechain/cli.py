@@ -221,15 +221,13 @@ def cmd_fit(args) -> None:
     flat = np.flatnonzero(np.ptp(source.values, axis=(0, 2)) == 0.0)
     if flat.size:
         raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")
-    embedded = rvq.embed_dataset(source, cfg.patch_length, cfg.embed_mode)
-    labels, n_classes = source.labels, source.n_classes
-    del source  # frees the corpus values: only the latents are read from here on
+    embedded = rvq.embed_dataset(source, cfg.patch_length, cfg.embed_mode)  # spends source.values
     fit_result = rvq.fit(
         [embedded], cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
     quantizer = fit_result.quantizer
     codes = fit_result.coarse_idx
-    class_tm = markov.build_class_tm(codes, labels, n_classes, cfg.n_coarse)
+    class_tm = markov.build_class_tm(codes, source.labels, source.n_classes, cfg.n_coarse)
     channel_src = markov.build_channel_tm(codes, cfg.n_coarse)
 
     out_dir = Path(args.out_dir)
@@ -241,7 +239,7 @@ def cmd_fit(args) -> None:
     markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
     mse = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
-    print(f"fit: {len(labels)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
+    print(f"fit: {len(source)} instances, {codes.size} patches, d_dim={quantizer.d_dim}")
     stages = (("coarse", fit_result.coarse_losses), ("fine", fit_result.fine_losses))
     print("lloyd: " + ", ".join(_lloyd_summary(*stage, cfg.max_iters) for stage in stages))
     print("recon mse: coarse {:.6f}, coarse+fine {:.6f}".format(*mse))
@@ -277,8 +275,9 @@ def cmd_label(args) -> None:
         raise DataError(f"target has {target.n_channels} channels but the transition bundle has {n_channels}")
     ds.require_transitions(target, patch_length)
 
-    embedded = rvq.embed_dataset(target, patch_length, embed_mode)
-    codes, _ = rvq.encode(quantizer, embedded.latents, fine=False)
+    ids = target.ids
+    codes, _ = rvq.encode(quantizer, rvq.embed_dataset(target, patch_length, embed_mode).latents, fine=False)
+    del target  # frees the corpus buffer, which held the latents: only the codes are read from here on
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed, mean_costs = transport.channel_weights(
         channel_src, markov.smooth(channel_trg, cfg.epsilon), costs, cfg.sigma
@@ -286,7 +285,7 @@ def cmd_label(args) -> None:
     used = computed if cfg.use_ca else np.ones(n_channels)
     if not used.any():
         raise ConfigError(f"sigma = {cfg.sigma} is too small: every channel weight underflows to 0")
-    labels = pseudolabel.label_dataset(codes, class_tm, used, prior, target.ids)
+    labels = pseudolabel.label_dataset(codes, class_tm, used, prior, ids)
     selected = pseudolabel.top_r_select(labels.confidence, cfg.r_top)
 
     out_dir = Path(args.out_dir)

@@ -33,8 +33,9 @@ exactly as np.add.at would, at a fraction of its cost.
 
 Row-wise steps (embedding, normalization, |p|^2, residuals, errors) run
 over the same row blocks, each row alone, so their bytes are the
-whole-array formula's. fit holds the caller's latents and one pool-sized
-array (normalized latents, then residuals); encode and code_stats one each.
+whole-array formula's. embed_dataset writes the latents over the corpus
+values. fit holds them and one pool-sized array (normalized latents, then
+residuals), code_stats one, and encode none: each block runs end to end.
 """
 
 from __future__ import annotations
@@ -60,8 +61,16 @@ def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
+def _embed_series(series: np.ndarray, out: np.ndarray, mode: str) -> None:
+    """out = the latents of series (n, n_patches, patch_length); each block is read before it is written."""
+    def znorm(b):
+        return (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
+
+    _by_blocks(out, np.array if mode == "raw" else znorm, series, rows_each=series.shape[1])
+
+
 def embed(patches: np.ndarray, mode: str = "znorm") -> np.ndarray:
-    """Map patches (..., patch_length) to latent vectors of the same shape.
+    """Map patches (..., patch_length) to new latent vectors of the same shape.
 
     mode "znorm" standardizes each patch with the population std and a
     1e-8 floor; an exactly constant patch becomes the zero vector, which
@@ -69,15 +78,10 @@ def embed(patches: np.ndarray, mode: str = "znorm") -> np.ndarray:
     rule. mode "raw" passes the values through.
     """
     patches = np.asarray(patches, dtype=np.float64)
-    if mode == "raw":
-        return patches.copy()
-    rows = patches.reshape(-1, patches.shape[-1])  # a view when length is a multiple of the patch length
     out = np.empty(patches.shape)
-
-    def znorm(b):
-        return (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
-
-    _by_blocks(out.reshape(rows.shape), znorm, rows)
+    # a view of patchify's output at every series length: its leading axes merge
+    shape = (-1, patches.shape[-2] if patches.ndim > 2 else 1, patches.shape[-1])
+    _embed_series(patches.reshape(shape), out.reshape(shape), mode)
     return out
 
 
@@ -89,8 +93,12 @@ class CorpusLatents:
 
 
 def embed_dataset(dataset: DomainDataset, patch_length: int, mode: str = "znorm") -> CorpusLatents:
-    """Patchify and embed every series of a corpus in one call."""
-    return CorpusLatents(embed(patchify(dataset.values, patch_length), mode))
+    """Patchify and embed every series of a corpus, consuming dataset.values: the latents
+    are written over the start of its buffer, so read the values before the call, never after."""
+    grid = patchify(dataset.values, patch_length)
+    latents = dataset.values.reshape(-1)[: grid.size].reshape(grid.shape)
+    _embed_series(grid.reshape(-1, *grid.shape[-2:]), latents.reshape(-1, *grid.shape[-2:]), mode)
+    return CorpusLatents(latents)
 
 
 @dataclass(frozen=True)
@@ -147,30 +155,24 @@ class QuantizerFit:
     fine_losses: tuple[float, ...]
 
 
-def _block_bounds(n: int) -> np.ndarray:
-    """Row bounds of ceil(n / _BLOCK) near-equal blocks of at most _BLOCK rows.
+def _block_bounds(n: int, rows_each: int = 1) -> np.ndarray:
+    """Bounds of ceil(n * rows_each / _BLOCK) near-equal blocks of n items of rows_each rows.
 
-    Near-equal blocks hold at least 2 rows whenever n does, so each goes
-    through the same matrix-matrix product as the whole array would; a
-    1-row block would take numpy's vector-matrix path, whose sums can
+    Near-equal blocks of rows hold at least 2 whenever n does, so each
+    goes through the same matrix-matrix product as the whole array would;
+    a 1-row block would take numpy's vector-matrix path, whose sums can
     round differently.
     """
-    n_blocks = max(1, -(-n // _BLOCK))
+    n_blocks = max(1, -(-n * rows_each // _BLOCK))
     return np.arange(n_blocks + 1) * n // n_blocks
 
 
-def _by_blocks(out: np.ndarray, row_wise, *arrays) -> np.ndarray:
-    """out = row_wise(*arrays), computed and stored one row block at a time."""
-    bounds = _block_bounds(len(out))
+def _by_blocks(out: np.ndarray, row_wise, *arrays, rows_each: int = 1) -> np.ndarray:
+    """out = row_wise(*arrays), computed and stored one block at a time."""
+    bounds = _block_bounds(len(out), rows_each)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         out[lo:hi] = row_wise(*(a[lo:hi] for a in arrays))
     return out
-
-
-def _residuals(work: np.ndarray, codewords: np.ndarray, assign: np.ndarray) -> None:
-    """work -= l2_normalize(codewords)[assign], in place."""
-    cn = l2_normalize(codewords, axis=1)
-    _by_blocks(work, lambda w, a: w - cn[a], work, assign)
 
 
 def _nearest(
@@ -304,19 +306,17 @@ def fit(
     if len({g.shape[1:] for g in grids}) > 1:
         raise DataError("pooled corpora must share every latent axis but the first")
     latents = grids[0] if len(grids) == 1 else np.concatenate(grids)
-    d_dim = latents.shape[-1]
-    pool = latents.reshape(-1, d_dim)
-    if n_coarse >= len(pool):
-        raise DataError(f"n_coarse {n_coarse} must be below the pooled patch count {len(pool)}")
-    if n_fine >= len(pool):
-        raise DataError(f"n_fine {n_fine} must be below the pooled patch count {len(pool)}")
+    pool = latents.reshape(-1, latents.shape[-1])
+    for name, n_codes in (("n_coarse", n_coarse), ("n_fine", n_fine)):
+        if n_codes >= len(pool):
+            raise DataError(f"{name} {n_codes} must be below the pooled patch count {len(pool)}")
 
     rng = np.random.default_rng(seed)
     work = _by_blocks(np.empty(pool.shape), l2_normalize, pool)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(work, n_coarse, max_iters, rng)
-    _residuals(work, coarse_vecs, coarse_assign)
+    cn = l2_normalize(coarse_vecs, axis=1)
+    _by_blocks(work, lambda w, a: w - cn[a], work, coarse_assign)  # residuals, in place
     fine_vecs, _, fine_losses = _lloyd(work, n_fine, max_iters, rng)
-    del work
 
     quantizer = ResidualQuantizer(coarse=coarse_vecs, fine=fine_vecs)
     codes = encode(quantizer, latents)
@@ -330,17 +330,19 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
     """
     lat = np.asarray(latents, dtype=np.float64)
     if lat.ndim < 1 or lat.shape[-1] != quantizer.d_dim:
-        raise DataError(
-            f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}"
-        )
+        raise DataError(f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}")
     rows = lat.reshape(-1, quantizer.d_dim)
-    work = _by_blocks(np.empty(rows.shape), l2_normalize, rows)
-    coarse_idx, _ = _nearest(work, quantizer.coarse)
-    if not fine:
-        return Codes(coarse_idx.reshape(lat.shape[:-1]), None)
-    _residuals(work, quantizer.coarse, coarse_idx)
-    fine_idx, _ = _nearest(work, quantizer.fine)
-    return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]))
+    cn = l2_normalize(quantizer.coarse, axis=1)
+    coarse_idx = np.empty(len(rows), dtype=np.intp)
+    fine_idx = np.empty(len(rows), dtype=np.intp) if fine else None
+    bounds = _block_bounds(len(rows))
+    # each row block runs end to end, each search a one-block _nearest
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z = l2_normalize(rows[lo:hi])
+        coarse_idx[lo:hi] = _nearest(z, quantizer.coarse)[0]
+        if fine:
+            fine_idx[lo:hi] = _nearest(z - cn[coarse_idx[lo:hi]], quantizer.fine)[0]
+    return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]) if fine else None)
 
 
 def code_stats(

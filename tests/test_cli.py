@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -193,6 +194,25 @@ def test_label_writes_outputs(workspace, capsys):
     labels, header = pseudolabel.load_labels(out / "labels.jsonl")
     assert len(labels.ids) == 20
     assert len(header["channel_weights"]) == 3
+
+
+def test_label_holds_the_target_values_about_once(tmp_path):
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert run(*synth_args(data, n_source=30, n_target=600, length=128)) == 0
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model, "--n-coarse", 4, "--n-fine", 8) == 0
+    values_nbytes = ds.load_corpus(data / "target.jsonl").values.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+                   "--transitions", model / "transitions.jsonl", "--out-dir", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the values, their read buffer's slack and the codes come to 1.4 times the values; the
+    # corpus buffer becomes the latents, so a second latents-sized array breaks the bound
+    assert peak <= 1.75 * values_nbytes
 
 
 def test_label_without_alignment_uses_unit_weights(workspace):

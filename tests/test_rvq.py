@@ -437,9 +437,41 @@ def test_fit_pools_corpora_along_the_instance_axis():
 
 def test_embed_dataset_embeds_the_whole_corpus():
     source, _ = synth.generate(synth.SynthConfig(n_source=6, n_target=2, seed=15))
+    values = source.values.copy()  # the call consumes source.values
     got = rvq.embed_dataset(source, 8, "raw").latents
     assert got.shape == (6, source.n_channels, source.length // 8, 8)
-    assert_array_equal(got, rvq.embed(ds.patchify(source.values, 8), "raw"))
+    assert_array_equal(got, rvq.embed(ds.patchify(values, 8), "raw"))
+
+
+@pytest.mark.parametrize("length", [128, 129])
+@pytest.mark.parametrize("mode", rvq.EMBED_MODES)
+def test_embed_dataset_writes_the_latents_of_its_values_over_them(mode, length):
+    # 4800 series of 16 patches: several blocks, and at length 129 a remainder left behind each series
+    rng = np.random.default_rng(length)
+    values = rng.normal(size=(1600, 3, length)) * rng.uniform(0.1, 10.0, size=(1600, 3, 1))
+    values[0, 1] = 2.5  # constant patches go to the zero vector
+    source = ds.DomainDataset(values.copy(), [f"i{n}" for n in range(1600)], np.zeros(1600), 1, "source")
+    got = rvq.embed_dataset(source, 8, mode).latents
+    want = rvq.embed(ds.patchify(values, 8), mode)
+    assert got.shape == want.shape == (1600, 3, 16, 8)
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, source.values)
+
+
+@pytest.mark.parametrize("length", [128, 129])
+def test_embed_holds_one_pool_sized_array_at_any_series_length(length):
+    # 48000 patches of width 8: a 2048-row block is small beside the pool
+    patches = ds.patchify(np.random.default_rng(1).normal(size=(1000, 3, length)), 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        latents = rvq.embed(patches)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert latents.tobytes() == rvq.embed(patches.copy()).tobytes()
+    # the output and a few blocks come to 1.11 pools; a copy of the strided patches at length 129 breaks it
+    assert peak <= 1.25 * latents.nbytes
 
 
 def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
@@ -626,3 +658,19 @@ def test_fit_holds_one_pool_sized_working_array_beside_the_latents():
     # the working array, a few (n,) index, error and norm vectors (1/8 pool each) and the blocks
     # come to 2.0 pools; one more copy of the pool, or a gather of it, breaks the bound
     assert peak <= 2.5 * latents.nbytes
+
+
+def test_encode_holds_no_pool_sized_array():
+    # 48000 rows of width 8: the row blocks and the (block, k) buffer are small beside the pool
+    latents = rvq.embed(np.random.default_rng(2).normal(size=(1000, 3, 16, 8)))
+    quantizer = rvq.fit([rvq.CorpusLatents(latents[:50])], n_coarse=8, n_fine=16, max_iters=3).quantizer
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        codes = rvq.encode(quantizer, latents, fine=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(codes.coarse_idx, rvq.encode(quantizer, latents).coarse_idx)
+    # the (n,) index output is 1/8 pool and the blocks add about as much; a normalized copy is a whole pool
+    assert peak <= 0.5 * latents.nbytes
