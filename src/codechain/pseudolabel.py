@@ -64,7 +64,7 @@ def label_dataset(
     n_codes) class matrices; weights has one entry per channel, prior is
     the log_prior vector and ids name the instances. A channel's
     log-likelihood under a class is sum_t ln p(s[t+1] | s[t]) / n_patches,
-    from one gather over every transition; its posterior is the softmax
+    summed over t in time order; its posterior is the softmax
     over classes of log-likelihood + prior. Scores are sum_d w_d *
     posterior_d / n_channels, not renormalized, so a channel of weight 0
     drops out; the label is the argmax score, ties to the lowest class.
@@ -88,9 +88,12 @@ def label_dataset(
     if not (np.isfinite(model) & (model > 0.0)).all():
         raise DataError("model must be finite and above 0; smooth it first")
     log_probs = np.moveaxis(np.log(model), 0, -1)  # (channels, from, to, classes)
-    channel = np.arange(n_channels)[None, :, None]
-    gathered = log_probs[channel, codes[:, :, :-1], codes[:, :, 1:]]
-    logits = gathered.sum(axis=2) / codes.shape[2] + prior
+    channel = np.arange(n_channels)[None, :]
+    # one (instances, channels, classes) gather per step, added in time order as a sum over steps adds
+    total = log_probs[channel, codes[:, :, 0], codes[:, :, 1]]
+    for t in range(1, codes.shape[2] - 1):
+        total += log_probs[channel, codes[:, :, t], codes[:, :, t + 1]]
+    logits = total / codes.shape[2] + prior
     logits = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
     posteriors = e / e.sum(axis=-1, keepdims=True)

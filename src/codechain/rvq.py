@@ -15,7 +15,11 @@ with the largest current quantization error, so a fit on the training
 pool terminates with every code in use. A stage stops when its
 assignments repeat, when a pass lowers the mean error by no more than
 _LOSS_TOL of the pass before (the same rule for both stages), or at its
-cap of max_iters updates, whichever comes first.
+cap of max_iters updates, whichever comes first. Both stages draw their
+initial codewords from one PCG64 seeded with the fit seed, which repeats
+numpy 2.4's default_rng(seed).choice draw for draw on Python ints: fit
+never imports numpy.random (5 MB of RSS for a few draws), and a numpy
+release that changes its Generator streams moves no codebook byte.
 
 The nearest-code search evaluates |p|^2 - 2 p.c + |c|^2 over row
 blocks of at most _BLOCK points, each in one (block, k) buffer that
@@ -46,6 +50,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import records
+from ._pcg64 import PCG64
 from .dataset import DomainDataset, patchify
 from .errors import ConfigError, DataError
 
@@ -311,7 +316,7 @@ def fit(
         if n_codes >= len(pool):
             raise DataError(f"{name} {n_codes} must be below the pooled patch count {len(pool)}")
 
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     work = _by_blocks(np.empty(pool.shape), l2_normalize, pool)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(work, n_coarse, max_iters, rng)
     cn = l2_normalize(coarse_vecs, axis=1)

@@ -1246,30 +1246,34 @@ def test_cli_imports_numpy_but_no_scipy():
 
 
 def test_label_runs_without_importing_numpy_ma(workspace):
-    # np.unique(..., axis=0) imports numpy.ma on its first call, which costs label tens of ms
+    # np.unique(..., axis=0) imports numpy.ma on its first call, which costs label tens of ms;
+    # numpy.random would cost it 5 MB of RSS
     data, model, out = workspace
     argv = ["label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
             "--transitions", model / "transitions.jsonl", "--out-dir", out]
     script = (
         "import sys; from codechain import cli; "
-        f"code = cli.main({[str(a) for a in argv]!r}); print(code, 'numpy.ma' in sys.modules)"
+        f"code = cli.main({[str(a) for a in argv]!r}); "
+        "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_fit_runs_without_importing_numpy_ma(workspace, tmp_path):
-    # Lloyd draws its initial codewords at np.unique's ranks without calling np.unique(..., axis=0)
+    # Lloyd draws its initial codewords at np.unique's ranks without calling np.unique(..., axis=0),
+    # and from its own PCG64, since numpy.random would cost fit 5 MB of RSS
     data, _, _ = workspace
     argv = ["fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "refit"]
     script = (
         "import sys; from codechain import cli; "
-        f"code = cli.main({[str(a) for a in argv]!r}); print(code, 'numpy.ma' in sys.modules)"
+        f"code = cli.main({[str(a) for a in argv]!r}); "
+        "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 # ---------------------------------------------------------------- pipeline

@@ -1,6 +1,7 @@
 """Posteriors, the weighted vote, labeling, and confident selection."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,42 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
         ])
         assert_allclose(labels.per_channel_posteriors[n], oracle, rtol=0, atol=1e-12)
         assert_allclose(labels.scores[n], (weights[:, None] * oracle).sum(axis=0) / 3, rtol=0, atol=1e-12)
+
+
+def random_scoring_inputs(n, d, p, k, n_codes=8, seed=0):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, n_codes, size=(n, d, p))
+    model = rng.dirichlet(np.ones(n_codes), size=(k, d, n_codes))
+    prior = pseudolabel.log_prior(rng.dirichlet(np.ones(k)), 0.8)
+    return codes, model, rng.uniform(0.1, 1.0, size=d), prior, [f"i{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("n, d, p, k", [(50, 1, 2, 2), (40, 3, 3, 4), (30, 2, 17, 3), (20, 3, 40, 7), (1, 1, 129, 2)])
+def test_step_by_step_scores_are_bitwise_the_gathered_sum_over_steps(n, d, p, k):
+    codes, model, weights, prior, ids = random_scoring_inputs(n, d, p, k, seed=n * p + k)
+    log_probs = np.moveaxis(np.log(model), 0, -1)
+    gathered = log_probs[np.arange(d)[None, :, None], codes[:, :, :-1], codes[:, :, 1:]]  # (n, d, p - 1, k)
+    logits = gathered.sum(axis=2) / p + prior
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    posteriors = e / e.sum(axis=-1, keepdims=True)
+    labels = pseudolabel.label_dataset(codes, model, weights, prior, ids)
+    assert_array_equal(labels.per_channel_posteriors, posteriors)
+    assert_array_equal(labels.scores, (weights[None, :, None] * posteriors).sum(axis=1) / d)
+
+
+def test_scoring_holds_no_gather_of_every_step():
+    codes, model, weights, prior, ids = random_scoring_inputs(2000, 3, 16, 4)
+    gather_bytes = 2000 * 3 * 15 * 4 * 8  # the (N, D, P - 1, K) float64 log-probabilities: 2.88 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels = pseudolabel.label_dataset(codes, model, weights, prior, ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert labels.scores.shape == (2000, 4)
+    # a few (N, D, K) arrays: the running sum, one step's gather, the posteriors and their temporaries
+    assert peak < gather_bytes
 
 
 # ---------------------------------------------------------------- selection

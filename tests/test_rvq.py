@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from codechain import records, rvq, synth
+from codechain import _pcg64, records, rvq, synth
 from codechain import dataset as ds
 from codechain.errors import ConfigError, DataError
 from oracles import unique_draw
@@ -642,6 +642,34 @@ def test_the_distinct_draw_takes_np_uniques_rows_at_the_same_ranks(points, n_cod
     got = rvq._draw_distinct(points, n_codes, got_rng)
     assert_array_equal(got, want)  # as np.unique sees rows: -0.0 equals 0.0
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------- initial-codeword generator
+
+# small populations, both sides of choice's tail-shuffle cutoff (n > 10000 and k > n // 50),
+# and one past 2**32, whose draws take the 64-bit bounded path
+DRAWS = st.one_of(st.integers(1, 300), st.integers(9_990, 12_000), st.just(2**33)).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, min(n, 400)))
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**140), draws=st.lists(DRAWS, min_size=2, max_size=3))
+@example(seed=0, draws=[(8, 8), (10_001, 10_001)])
+@example(seed=2**32, draws=[(48_000, 8), (48_000, 64)])
+@example(seed=2**128 + 1, draws=[(2**33, 5), (3, 2), (2**33, 1)])
+def test_the_fit_generator_draws_as_numpys_default_rng(seed, draws):
+    assert _pcg64._seed_words(seed) == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    want, got = np.random.default_rng(seed), _pcg64.PCG64(seed)
+    for n, k in draws:
+        expected = want.choice(n, size=k, replace=False)
+        drawn = got.choice(n, size=k, replace=False)
+        assert drawn.dtype == expected.dtype and drawn.tolist() == expected.tolist()
+    # the same state after the draws, down to the buffered half-word
+    state = want.bit_generator.state
+    assert (got.state, got.inc) == (state["state"]["state"], state["state"]["inc"])
+    assert got.half == (state["uinteger"] if state["has_uint32"] else None)
+    assert [got.next64() for _ in range(3)] == want.bit_generator.random_raw(3).tolist()
 
 
 def test_fit_holds_one_pool_sized_working_array_beside_the_latents():
