@@ -35,7 +35,6 @@ class RunConfig:
     patch_length: int = 8
     n_coarse: int = 8
     n_fine: int = 64
-    embed_mode: str = "znorm"
     epsilon: float = 1e-8
     sigma: float = 0.2
     tau: float = 1.0
@@ -60,8 +59,6 @@ class RunConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.embed_mode not in rvq.EMBED_MODES:
-            raise ConfigError(f"embed mode must be one of {rvq.EMBED_MODES}, got {self.embed_mode!r}")
         if isinstance(self.prior, str) and self.prior != "uniform":
             raise ConfigError(f"prior must be 'uniform' or a vector, got {self.prior!r}")
         if not isinstance(self.prior, str):
@@ -205,7 +202,7 @@ def _lloyd_summary(stage: str, losses, max_iters: int) -> str:
 
 
 # the RunConfig fields that fit and label read, and so the only ones their outputs echo
-_FIT_FIELDS = ("patch_length", "n_coarse", "n_fine", "embed_mode", "max_iters", "seed")
+_FIT_FIELDS = ("patch_length", "n_coarse", "n_fine", "max_iters", "seed")
 _LABEL_FIELDS = ("epsilon", "sigma", "tau", "r_top", "use_ca", "prior")
 
 
@@ -214,6 +211,8 @@ def cmd_fit(args) -> None:
     source = ds.load_corpus(args.source)
     if source.role != "source":
         raise DataError(f"fit needs a source-role corpus, got role {source.role!r}")
+    if source.n_classes < 2:
+        raise DataError(f"the source header holds {source.n_classes} class; fitting needs >= 2")
     ds.require_transitions(source, cfg.patch_length)
     empty = np.flatnonzero(np.bincount(source.labels, minlength=source.n_classes) == 0)
     if empty.size:
@@ -221,7 +220,7 @@ def cmd_fit(args) -> None:
     flat = np.flatnonzero(np.ptp(source.values, axis=(0, 2)) == 0.0)
     if flat.size:
         raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")
-    embedded = rvq.embed_dataset(source, cfg.patch_length, cfg.embed_mode)  # spends source.values
+    embedded = rvq.embed_dataset(source, cfg.patch_length)  # spends source.values
     fit_result = rvq.fit(
         [embedded], cfg.n_coarse, cfg.n_fine, max_iters=cfg.max_iters, seed=cfg.seed
     )
@@ -233,9 +232,7 @@ def cmd_fit(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {"run": _echo(cfg, _FIT_FIELDS)}
-    rvq.save_quantizer(
-        out_dir / "quantizer.jsonl", quantizer, cfg.embed_mode, cfg.patch_length, cfg.seed, config=echo
-    )
+    rvq.save_quantizer(out_dir / "quantizer.jsonl", quantizer, cfg.patch_length, cfg.seed, config=echo)
     markov.save_transitions(out_dir / "transitions.jsonl", class_tm, channel_src, config=echo)
 
     mse = rvq.code_stats(quantizer, embedded.latents, codes, fit_result.fine_idx)
@@ -254,7 +251,7 @@ def cmd_fit(args) -> None:
 def cmd_label(args) -> None:
     cfg, _ = load_run_config(args)
     # both bundles are read and cross-checked before the (larger) target corpus
-    quantizer, embed_mode, patch_length, _ = rvq.load_quantizer(args.quantizer)
+    quantizer, patch_length, _ = rvq.load_quantizer(args.quantizer)
     class_tm, channel_src = markov.load_transitions(args.transitions)
     n_classes, n_channels, n_codes = class_tm.shape[:3]
     if n_codes != len(quantizer.coarse):
@@ -276,7 +273,7 @@ def cmd_label(args) -> None:
     ds.require_transitions(target, patch_length)
 
     ids = target.ids
-    codes, _ = rvq.encode(quantizer, rvq.embed_dataset(target, patch_length, embed_mode).latents, fine=False)
+    codes, _ = rvq.encode(quantizer, rvq.embed_dataset(target, patch_length).latents, fine=False)
     del target  # frees the corpus buffer, which held the latents: only the codes are read from here on
     channel_trg = markov.build_channel_tm(codes, n_codes)
     computed, mean_costs = transport.channel_weights(

@@ -1,10 +1,10 @@
 """Residual coarse/fine codebooks over latent patch vectors.
 
-Patches are embedded by per-patch standardization (mean removed, scaled
-by the standard deviation with a small floor, so constant patches map to
-the zero vector), or passed through raw, so a latent is as wide as its
-patch. Quantization is a two-stage residual scheme with cosine
-geometry: both the latent and the codewords are L2-normalized before
+Patches are embedded by per-patch standardization: the mean removed,
+scaled by the standard deviation with a small floor, so a latent is as
+wide as its patch and blind to its offset and scale, and exactly the
+flat patches map to the zero vector. Quantization is a two-stage
+residual scheme with cosine geometry: both the latent and the codewords are L2-normalized before
 the nearest-neighbor search, first against the coarse book, then the
 residual against the fine book. Stored codewords stay un-normalized.
 
@@ -54,7 +54,6 @@ from ._pcg64 import PCG64
 from .dataset import DomainDataset, patchify
 from .errors import ConfigError, DataError
 
-EMBED_MODES = ("znorm", "raw")
 _STD_FLOOR = 1e-8
 _BLOCK = 2048  # points per block of the nearest-code search
 _LOSS_TOL = 1e-4  # a Lloyd stage stops once a pass lowers its loss by at most this fraction
@@ -66,27 +65,27 @@ def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
-def _embed_series(series: np.ndarray, out: np.ndarray, mode: str) -> None:
-    """out = the latents of series (n, n_patches, patch_length); each block is read before it is written."""
-    def znorm(b):
-        return (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
+def _znorm(b: np.ndarray) -> np.ndarray:
+    """Standardized patches (..., patch_length), the flat ones exactly zero: a rounded
+    mean leaves them equal tiny deviations, which L2 normalization would blow up."""
+    z = (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
+    z[(b == b[..., :1]).all(axis=-1)] = 0.0
+    return z
 
-    _by_blocks(out, np.array if mode == "raw" else znorm, series, rows_each=series.shape[1])
 
-
-def embed(patches: np.ndarray, mode: str = "znorm") -> np.ndarray:
+def embed(patches: np.ndarray) -> np.ndarray:
     """Map patches (..., patch_length) to new latent vectors of the same shape.
 
-    mode "znorm" standardizes each patch with the population std and a
-    1e-8 floor; an exactly constant patch becomes the zero vector, which
-    downstream assignment resolves to code 0 by the lowest-index tie
-    rule. mode "raw" passes the values through.
+    Each patch is standardized with the population std and a 1e-8
+    floor. A patch whose values are all equal becomes exactly the zero
+    vector at every patch length, which downstream assignment resolves
+    to code 0 by the lowest-index tie rule.
     """
     patches = np.asarray(patches, dtype=np.float64)
     out = np.empty(patches.shape)
     # a view of patchify's output at every series length: its leading axes merge
     shape = (-1, patches.shape[-2] if patches.ndim > 2 else 1, patches.shape[-1])
-    _embed_series(patches.reshape(shape), out.reshape(shape), mode)
+    _by_blocks(out.reshape(shape), _znorm, patches.reshape(shape), rows_each=shape[1])
     return out
 
 
@@ -97,12 +96,14 @@ class CorpusLatents:
     latents: np.ndarray
 
 
-def embed_dataset(dataset: DomainDataset, patch_length: int, mode: str = "znorm") -> CorpusLatents:
+def embed_dataset(dataset: DomainDataset, patch_length: int) -> CorpusLatents:
     """Patchify and embed every series of a corpus, consuming dataset.values: the latents
-    are written over the start of its buffer, so read the values before the call, never after."""
+    are written over the start of its buffer, so read the values before the call, never after.
+    Series blocks are embedded in order, each read before it is written."""
     grid = patchify(dataset.values, patch_length)
     latents = dataset.values.reshape(-1)[: grid.size].reshape(grid.shape)
-    _embed_series(grid.reshape(-1, *grid.shape[-2:]), latents.reshape(-1, *grid.shape[-2:]), mode)
+    series = (-1, *grid.shape[-2:])
+    _by_blocks(latents.reshape(series), _znorm, grid.reshape(series), rows_each=grid.shape[-2])
     return CorpusLatents(latents)
 
 
@@ -376,7 +377,7 @@ def code_stats(
 
 
 def save_quantizer(
-    path, quantizer: ResidualQuantizer, embed_mode: str, patch_length: int, seed: int, config: dict | None = None
+    path, quantizer: ResidualQuantizer, patch_length: int, seed: int, config: dict | None = None
 ) -> None:
     header = {
         "kind": "quantizer",
@@ -388,21 +389,20 @@ def save_quantizer(
     rec = {
         "coarse": quantizer.coarse.tolist(),
         "fine": quantizer.fine.tolist(),
-        "embed_mode": embed_mode,
         "patch_length": patch_length,
         "seed": seed,
     }
     records.write_record_file(path, header, [rec])
 
 
-def load_quantizer(path) -> tuple[ResidualQuantizer, str, int, int]:
-    """Load (quantizer, embed_mode, patch_length, fit seed) from a bundle.
+def load_quantizer(path) -> tuple[ResidualQuantizer, int, int]:
+    """Load (quantizer, patch_length, fit seed) from a bundle.
 
     The codebooks are matrices of JSON numbers. patch_length and the
     header's d_dim are positive JSON integers, and the seed is a
     non-negative one. A latent is as wide as its patch, so a codebook
-    width other than patch_length is a DataError, and so is an
-    embed_mode outside EMBED_MODES.
+    width other than patch_length is a DataError, and so is an older
+    bundle's embed_mode other than "znorm", the only embedding.
     """
     header, rec = records.read_one(path, "quantizer")
 
@@ -423,7 +423,6 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, str, int, int]:
         raise DataError(
             f"{path}: quantizer codebook width {quantizer.d_dim} differs from its patch_length {patch_length}"
         )
-    mode = rec.get("embed_mode")
-    if mode not in EMBED_MODES:
-        raise DataError(f"{path}: quantizer embed mode must be one of {EMBED_MODES}, got {mode!r}")
-    return quantizer, mode, patch_length, whole("seed", rec.get("seed"), 0)
+    if rec.get("embed_mode", "znorm") != "znorm":
+        raise DataError(f"{path}: quantizer embed_mode {rec['embed_mode']!r} is not 'znorm', the only embedding")
+    return quantizer, patch_length, whole("seed", rec.get("seed"), 0)

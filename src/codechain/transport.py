@@ -44,7 +44,8 @@ def cosine_cost(vectors: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DataError("cosine cost undefined for a zero-norm codeword")
     u = v / norms[:, None]
-    sim = np.clip(u @ u.T, -1.0, 1.0)
+    # an elementwise product and sum, not a GEMM, whose rounding would depend on the BLAS kernel
+    sim = np.clip((u[:, None, :] * u[None, :, :]).sum(axis=-1), -1.0, 1.0)
     costs = 1.0 - sim
     np.fill_diagonal(costs, 0.0)
     return 0.5 * (costs + costs.T)

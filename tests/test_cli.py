@@ -446,6 +446,19 @@ def test_fit_rejects_a_source_class_with_no_instances_before_embedding(tmp_path,
     assert not (tmp_path / "m").exists()
 
 
+def test_fit_rejects_a_source_of_one_class_before_embedding(tmp_path, monkeypatch, capsys):
+    # label would refuse every bundle fit on it: the transition bundle would hold 1 class
+    data = tmp_path / "data"
+    assert run(*synth_args(data)) == 0
+    source = ds.load_corpus(data / "source.jsonl")
+    ds.save_corpus(data / "one.jsonl", replace(source, labels=np.zeros(len(source)), n_classes=1))
+    monkeypatch.setattr(rvq, "embed", never_called)
+    monkeypatch.setattr(rvq, "embed_dataset", never_called)
+    assert run("fit", "--source", data / "one.jsonl", "--out-dir", tmp_path / "m") == 2
+    assert "data error: the source header holds 1 class; fitting needs >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_internal_error_exits_3(workspace, monkeypatch, capsys):
     data, model, out = workspace
 
@@ -913,8 +926,8 @@ def test_every_stage_rejects_a_bad_prior_before_reading_any_file(tmp_path, capsy
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--embed-mode", "bogus", "embed mode must be one of"),
-        # the projection width flag is gone; a value it refused is still refused
+        # the embedding and projection width flags are gone; a value each refused is still refused
+        ("--embed-mode", "bogus", "unrecognized arguments: --embed-mode bogus"),
         ("--d-dim", "1", "unrecognized arguments: --d-dim 1"),
     ],
     ids=["embed-mode", "d-dim"],
@@ -955,7 +968,7 @@ def test_every_stage_refuses_a_d_dim_above_patch_length_before_any_file(tmp_path
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "label", "eval"])
-@pytest.mark.parametrize("key", ["d_dim", "projection_seed"])
+@pytest.mark.parametrize("key", ["d_dim", "projection_seed", "embed_mode"])
 def test_every_stage_refuses_a_removed_projection_key_before_any_file(tmp_path, capsys, command, key):
     out = tmp_path / "out"
     inputs = ("--out-dir", out) if command == "synth" else absent_inputs(command, tmp_path)
@@ -970,18 +983,27 @@ def test_every_stage_refuses_a_removed_projection_key_before_any_file(tmp_path, 
     assert not out.exists()
 
 
-def test_label_reads_a_bundle_with_the_removed_projection_fields_byte_identically(workspace, tmp_path):
+def assert_a_bundle_with_old_fields_labels_byte_identically(workspace, tmp_path, **old_fields):
     data, model, _ = workspace
     header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
-    # how a bundle written before the projection was removed records an unprojected fit
     old = tmp_path / "old_quantizer.jsonl"
-    records.write_record_file(old, header, [{**rec, "embed_d_dim": None, "projection_seed": 0}])
+    records.write_record_file(old, header, [{**rec, **old_fields}])
     inputs = ("--target", data / "target.jsonl", "--transitions", model / "transitions.jsonl")
     fresh, edited = tmp_path / "fresh", tmp_path / "edited"
     assert run("label", *inputs, "--quantizer", model / "quantizer.jsonl", "--out-dir", fresh) == 0
     assert run("label", *inputs, "--quantizer", old, "--out-dir", edited) == 0
     for name in ("labels.jsonl", "selected.jsonl", "alignment_report.tsv"):
         assert (fresh / name).read_bytes() == (edited / name).read_bytes(), name
+
+
+def test_label_reads_a_bundle_with_the_removed_projection_fields_byte_identically(workspace, tmp_path):
+    # how a bundle written before the projection was removed records an unprojected fit
+    assert_a_bundle_with_old_fields_labels_byte_identically(workspace, tmp_path, embed_d_dim=None, projection_seed=0)
+
+
+def test_label_reads_a_bundle_that_records_the_znorm_embedding_byte_identically(workspace, tmp_path):
+    # how a bundle written before the embed_mode field was removed records the standardization
+    assert_a_bundle_with_old_fields_labels_byte_identically(workspace, tmp_path, embed_mode="znorm")
 
 
 def label_an_edited_bundle(workspace, tmp_path, **edits):
@@ -1010,6 +1032,13 @@ def test_label_refuses_a_bundle_whose_codebook_width_is_not_its_patch_length_bef
     assert label_an_edited_bundle(workspace, tmp_path, patch_length=32, embed_d_dim=16, projection_seed=2) == 2
     err = capsys.readouterr().err
     assert "data error:" in err and "quantizer codebook width 16 differs from its patch_length 32" in err
+    assert not workspace[2].exists()
+
+
+def test_label_refuses_a_bundle_of_the_removed_raw_embedding_before_reading_the_target(workspace, tmp_path, capsys):
+    assert label_an_edited_bundle(workspace, tmp_path, embed_mode="raw") == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "quantizer embed_mode 'raw' is not 'znorm', the only embedding" in err
     assert not workspace[2].exists()
 
 
@@ -1118,10 +1147,10 @@ def test_synth_echoes_no_run_field_and_its_resolved_patch_length(tmp_path):
 
 def test_label_echoes_only_the_run_fields_it_reads(workspace):
     data, model, out = workspace
-    # the bundles decide n_coarse, patch_length and the embedding; label reads none of these flags
+    # the bundles decide n_coarse and patch_length; label reads neither flag
     assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl", "--out-dir", out,
-               "--n-coarse", 16, "--patch-length", 32, "--embed-mode", "raw", "--tau", 3) == 0
+               "--n-coarse", 16, "--patch-length", 32, "--tau", 3) == 0
     want = {"epsilon": 1e-8, "sigma": 0.2, "tau": 3.0, "r_top": 0.5, "use_ca": True, "prior": "uniform"}
     for name in ("labels.jsonl", "selected.jsonl"):
         header, _ = records.read_record_file(out / name)
@@ -1161,7 +1190,6 @@ RUN_OPTIONS = {
     ("--patch-length", "run_patch_length"),
     ("--n-coarse", "run_n_coarse"),
     ("--n-fine", "run_n_fine"),
-    ("--embed-mode", "run_embed_mode"),
     ("--epsilon", "run_epsilon"),
     ("--sigma", "run_sigma"),
     ("--tau", "run_tau"),
@@ -1220,7 +1248,7 @@ def test_every_subcommand_keeps_its_option_strings_and_dests():
         actions = sub.choices[name]._actions
         assert {(" ".join(a.option_strings), a.dest) for a in actions} == want, name
         assert len(actions) == len(want)
-    assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [35, 16, 18, 18]
+    assert [len(OPTIONS[n]) for n in ("synth", "fit", "label", "eval")] == [34, 15, 17, 17]
 
 
 def test_console_entrypoint_help():

@@ -59,10 +59,17 @@ def test_embed_unit_power():
     assert_allclose(power, 1.0, atol=1e-6)
 
 
-def test_embed_raw_mode_keeps_patches():
-    grid = grid_from([[1.0, 2.0, 3.0, 4.0]], 4)
-    latents = rvq.embed(grid, "raw")
-    assert_array_equal(latents, grid)
+@pytest.mark.parametrize("m", [3, 5, 7, 10, 12, 33])
+def test_embed_maps_a_flat_patch_to_exactly_zero_at_any_patch_length(m):
+    # a rounded mean left -7.3e-4 in every slot of the length-3 patch -53566.94
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=2000) * 10.0 ** rng.integers(-6, 7, size=2000)
+    values[0] = -53566.94
+    flat = np.repeat(values[:, None], m, axis=1)
+    assert not rvq.embed(flat).any()
+    noisy = flat.copy()
+    noisy[:, -1] = np.nextafter(noisy[:, -1], np.inf)
+    assert rvq.embed(noisy).any(axis=-1).all()
 
 
 # ---------------------------------------------------------------- codebooks
@@ -295,11 +302,11 @@ def test_quantizer_round_trip_bit_exact(tmp_path):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=20, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, "raw", patch_length=4, seed=3)
-    back, back_mode, back_m, back_seed = rvq.load_quantizer(path)
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
+    back, back_m, back_seed = rvq.load_quantizer(path)
     assert back.coarse.tobytes() == result.quantizer.coarse.tobytes()
     assert back.fine.tobytes() == result.quantizer.fine.tobytes()
-    assert (back_mode, back_m, back_seed) == ("raw", 4, 3)
+    assert (back_m, back_seed) == (4, 3)
 
 
 @pytest.mark.parametrize(
@@ -322,7 +329,7 @@ def test_load_quantizer_rejects_a_field_that_is_not_an_integer(tmp_path, part, k
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -336,7 +343,7 @@ def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(t
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -349,17 +356,19 @@ def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(t
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("embed_mode", "bogus", "embed mode must be one of"),
-        ("embed_mode", None, "embed mode must be one of"),
+        # an older bundle records its embedding; only "znorm", the one embedding there is, loads
+        ("embed_mode", "bogus", "embed_mode 'bogus' is not 'znorm', the only embedding"),
+        ("embed_mode", None, "embed_mode None is not 'znorm', the only embedding"),
+        ("embed_mode", "raw", "embed_mode 'raw' is not 'znorm', the only embedding"),
         ("patch_length", 5, "codebook width 4 differs from its patch_length 5"),
     ],
-    ids=["unknown-mode", "null-mode", "width-not-patch-length"],
+    ids=["unknown-mode", "null-mode", "raw-mode", "width-not-patch-length"],
 )
 def test_load_quantizer_rejects_an_embedding_spec_as_a_data_error(tmp_path, key, value, message):
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
     header, recs = records.read_record_file(path)
     rec = next(recs)
     recs.close()
@@ -376,7 +385,7 @@ def test_load_quantizer_rejects_codebook_cells_that_are_not_json_numbers(tmp_pat
     latents, _ = cluster_cloud(3, 15, 4, seed=10)
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
     path = tmp_path / "q.jsonl"
-    rvq.save_quantizer(path, result.quantizer, "znorm", patch_length=4, seed=3)
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
     header, (rec,) = records.read_record_file(path)
     rows = rec[key]
     if spoil == "string":
@@ -438,21 +447,20 @@ def test_fit_pools_corpora_along_the_instance_axis():
 def test_embed_dataset_embeds_the_whole_corpus():
     source, _ = synth.generate(synth.SynthConfig(n_source=6, n_target=2, seed=15))
     values = source.values.copy()  # the call consumes source.values
-    got = rvq.embed_dataset(source, 8, "raw").latents
+    got = rvq.embed_dataset(source, 8).latents
     assert got.shape == (6, source.n_channels, source.length // 8, 8)
-    assert_array_equal(got, rvq.embed(ds.patchify(values, 8), "raw"))
+    assert_array_equal(got, rvq.embed(ds.patchify(values, 8)))
 
 
-@pytest.mark.parametrize("length", [128, 129])
-@pytest.mark.parametrize("mode", rvq.EMBED_MODES)
-def test_embed_dataset_writes_the_latents_of_its_values_over_them(mode, length):
+@pytest.mark.parametrize("length", [128, 129], ids=["znorm-128", "znorm-129"])
+def test_embed_dataset_writes_the_latents_of_its_values_over_them(length):
     # 4800 series of 16 patches: several blocks, and at length 129 a remainder left behind each series
     rng = np.random.default_rng(length)
     values = rng.normal(size=(1600, 3, length)) * rng.uniform(0.1, 10.0, size=(1600, 3, 1))
     values[0, 1] = 2.5  # constant patches go to the zero vector
     source = ds.DomainDataset(values.copy(), [f"i{n}" for n in range(1600)], np.zeros(1600), 1, "source")
-    got = rvq.embed_dataset(source, 8, mode).latents
-    want = rvq.embed(ds.patchify(values, 8), mode)
+    got = rvq.embed_dataset(source, 8).latents
+    want = rvq.embed(ds.patchify(values, 8))
     assert got.shape == want.shape == (1600, 3, 16, 8)
     assert got.tobytes() == want.tobytes()
     assert np.shares_memory(got, source.values)

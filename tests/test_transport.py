@@ -72,6 +72,15 @@ def test_cosine_cost_identical_orthogonal_antipodal():
     assert np.all((cost >= 0) & (cost <= 2))
 
 
+@pytest.mark.parametrize("d", [3, 8, 16, 64])
+def test_cosine_cost_of_a_pair_is_that_pairs_own_sum(d):
+    # no GEMM, whose rounding depends on the BLAS kernel and on the other rows
+    v = np.random.default_rng(d).normal(size=(12, d))
+    u = v / np.linalg.norm(v, axis=1)[:, None]
+    want = [[0.0 if i == j else 1.0 - np.clip(np.sum(u[i] * u[j]), -1.0, 1.0) for j in range(12)] for i in range(12)]
+    assert transport.cosine_cost(v).tobytes() == np.array(want).tobytes()
+
+
 def test_cosine_cost_rejects_zero_vector():
     with pytest.raises(DataError):
         transport.cosine_cost(np.array([[0.0, 0.0], [1.0, 0.0]]))
