@@ -21,19 +21,23 @@ numpy 2.4's default_rng(seed).choice draw for draw on Python ints: fit
 never imports numpy.random (5 MB of RSS for a few draws), and a numpy
 release that changes its Generator streams moves no codebook byte.
 
-The nearest-code search evaluates |p|^2 - 2 p.c + |c|^2 over row
-blocks of at most _BLOCK points, each in one (block, k) buffer that
-stays in cache, instead of one (n, k) array. The blocks are near-equal,
-so none holds a single row and each goes through the matrix-matrix
-product the whole array would. Whether a block's product rounds each row
-as the whole array's does is up to the BLAS kernel. Under OpenBLAS's
-SkylakeX, Cooperlake and Sandybridge kernels, assignments and errors are
-bitwise those of the whole-array formula. Under its Haswell, Zen,
-Nehalem and Prescott kernels some errors differ in their last bits,
-while the assignments agreed in every case tested. A Lloyd stage sums
-|p|^2 once, not once per call. The mean update sums each code's members
-with one np.bincount per latent dimension, which adds in point order
-exactly as np.add.at would, at a fraction of its cost.
+The nearest-code search ranks codes by |c|^2 - 2 p.c, as |p - c|^2
+would, over row blocks of at most _BLOCK points: one product of a
+block's [p, 1] rows with the rows [-2c, |c|^2] fills one (block, k)
+buffer that stays in cache, and its argmin is the assignment. The error
+is |p|^2 plus the chosen entry; no elementwise pass over the buffer
+remains. The blocks are near-equal, so none holds
+a single row and each goes through the matrix-matrix product the whole
+array would. Whether a block's product rounds each row as the whole
+array's does is up to the BLAS kernel. Under OpenBLAS's SkylakeX,
+Cooperlake and Sandybridge kernels, assignments and errors are bitwise
+those of the whole-array formula. Under its Haswell, Zen, Nehalem and
+Prescott kernels some errors differ in their last bits, while the
+assignments agreed in every case tested. A Lloyd stage sums |p|^2 once,
+not once per call. The mean update sums each code's members with one
+np.bincount per latent dimension, which adds in point order exactly as
+np.add.at would, at a fraction of its cost; fit lays its pool out by
+columns, so each of those columns is contiguous.
 
 Row-wise steps (embedding, normalization, |p|^2, residuals, errors) run
 over the same row blocks, each row alone, so their bytes are the
@@ -186,30 +190,29 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assignment to the nearest L2-normalized codeword; ties -> lowest index.
 
-    Returns (assignment, squared error). sq_norms, when given, must be
-    (points * points).sum(axis=1); a Lloyd stage passes it in so it is
-    summed once per stage rather than once per call.
+    Returns (assignment, squared error), in the same bytes for any layout of
+    points. sq_norms, when given, must be (points * points).sum(axis=1) over
+    C-ordered rows; a Lloyd stage passes it in so it is summed once per stage.
     """
     cn = l2_normalize(codewords, axis=1)
-    # p @ (2c) holds the same products as (2p) @ c, since doubling is exact
-    twice = 2.0 * cn
-    c_sq = (cn * cn).sum(axis=1)
-    n = len(points)
+    # a row [p, 1] times a row [-2c, |c|^2] is |c|^2 - 2 p.c; doubling is exact
+    lifted = np.concatenate([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]], axis=1)
+    n, d = points.shape
     assign = np.empty(n, dtype=np.intp)
     err = np.empty(n)
     bounds = _block_bounds(n)
-    buf = np.empty((int(np.diff(bounds).max()), len(cn)))
+    rows = int(np.diff(bounds).max())
+    padded = np.ones((rows, d + 1))  # [p, 1] rows
+    buf = np.empty((rows, len(cn)))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = points[lo:hi]
-        sq = (block * block).sum(axis=1) if sq_norms is None else sq_norms[lo:hi]
-        # |p|^2 - 2 p.c + |c|^2, evaluated in that order inside one (block, k) buffer
-        d2 = buf[: hi - lo]
-        np.matmul(block, twice.T, out=d2)
-        np.subtract(sq[:, None], d2, out=d2)
-        d2 += c_sq
-        best = np.argmin(d2, axis=1)
+        block, g = padded[: hi - lo], buf[: hi - lo]
+        block[:, :d] = points[lo:hi]
+        p = block[:, :d]
+        sq = (p * p).sum(axis=1) if sq_norms is None else sq_norms[lo:hi]
+        np.matmul(block, lifted.T, out=g)
+        best = np.argmin(g, axis=1)
         assign[lo:hi] = best
-        err[lo:hi] = d2[np.arange(hi - lo), best]
+        err[lo:hi] = sq + g[np.arange(hi - lo), best]
     return assign, np.maximum(err, 0.0, out=err)
 
 
@@ -272,7 +275,8 @@ def _lloyd(points, n_codes, max_iters, rng):
     max_iters + 1 when the stage hit its cap.
     """
     centroids = _draw_distinct(points, n_codes, rng)
-    sq_norms = _by_blocks(np.empty(len(points)), lambda p: (p * p).sum(axis=1), points)
+    # C-ordered squares, so each row sums in the order it would in a C-ordered pool
+    sq_norms = _by_blocks(np.empty(len(points)), lambda p: np.multiply(p, p, order="C").sum(axis=1), points)
     losses: list[float] = []
     prev = None
     for it in range(max_iters + 1):
@@ -318,7 +322,8 @@ def fit(
             raise DataError(f"{name} {n_codes} must be below the pooled patch count {len(pool)}")
 
     rng = PCG64(seed)
-    work = _by_blocks(np.empty(pool.shape), l2_normalize, pool)
+    # column-major, so the mean update hands np.bincount contiguous columns
+    work = _by_blocks(np.empty(pool.shape[::-1]).T, l2_normalize, pool)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(work, n_coarse, max_iters, rng)
     cn = l2_normalize(coarse_vecs, axis=1)
     _by_blocks(work, lambda w, a: w - cn[a], work, coarse_assign)  # residuals, in place

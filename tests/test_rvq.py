@@ -501,13 +501,12 @@ def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
 # ---------------------------------------------------------------- blocked assignment
 
 def unblocked_nearest(points, codewords):
-    """The whole-array formula: |p|^2 - 2 p.c + |c|^2 in one (n, k) buffer."""
+    """The whole-array formula: g = [p, 1] @ [-2c, |c|^2]^T in one (n, k) product,
+    the argmin of g, and the error |p|^2 + g[best] clamped at 0."""
     cn = rvq.l2_normalize(codewords, axis=1)
-    d2 = (2.0 * points) @ cn.T
-    np.subtract((points * points).sum(axis=1)[:, None], d2, out=d2)
-    d2 += (cn * cn).sum(axis=1)[None, :]
-    assign = np.argmin(d2, axis=1)
-    return assign, np.maximum(d2[np.arange(len(points)), assign], 0.0)
+    g = np.hstack([points, np.ones((len(points), 1))]) @ np.hstack([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]]).T
+    assign = np.argmin(g, axis=1)
+    return assign, np.maximum((points * points).sum(axis=1) + g[np.arange(len(points)), assign], 0.0)
 
 
 def oracle_points(n, d, seed):
@@ -585,6 +584,42 @@ def test_exact_ties_across_a_block_edge_go_to_the_lowest_index():
     want_assign, want_err = unblocked_nearest(points, codewords)
     assert assign.tobytes() == want_assign.tobytes()
     assert err.tobytes() == want_err.tobytes()
+
+
+def test_a_column_major_pool_gives_the_bytes_of_a_c_ordered_copy():
+    # fit lays its working pool out by columns; rows must still sum and rank as they would in C order
+    points = oracle_points(3 * rvq._BLOCK + 5, 8, seed=11)
+    columns = np.asfortranarray(points)
+    sq_norms = (points * points).sum(axis=1)
+    for k in (8, 64):
+        codewords = np.random.default_rng(k + 1).normal(size=(k, 8))
+        for sq in (None, sq_norms):
+            want, got = rvq._nearest(points, codewords, sq), rvq._nearest(columns, codewords, sq)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    want = rvq._lloyd(points, 8, 6, _pcg64.PCG64(3))
+    got = rvq._lloyd(columns, 8, 6, _pcg64.PCG64(3))
+    assert got[0].tobytes() == want[0].tobytes()  # centroids
+    assert got[1].tobytes() == want[1].tobytes()  # assignments
+    assert got[2] == want[2] and len(want[2]) > 2  # the loss trace, float for float
+
+
+@pytest.mark.parametrize("with_norms", [False, True])
+def test_nearest_holds_one_block_buffer_beside_its_outputs(with_norms):
+    # 48000 rows of width 8 against 64 codes: a whole (n, k) product would be 24.6 MB
+    points = oracle_points(48000, 8, seed=5)
+    codewords = np.random.default_rng(6).normal(size=(64, 8))
+    sq_norms = (points * points).sum(axis=1) if with_norms else None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assign, err = rvq._nearest(points, codewords, sq_norms)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    rows = int(np.diff(rvq._block_bounds(len(points))).max())
+    # the outputs, the (block, k) and (block, d + 1) buffers, a block's squares and a few block vectors
+    budget = assign.nbytes + err.nbytes + rows * (64 + 9) * 8 + rows * (2 * 8 + 8) * 8
+    assert peak <= budget
 
 
 @pytest.mark.parametrize("n_codes", [3, 64])
