@@ -17,6 +17,7 @@ import numpy as np
 
 from . import records
 from .errors import ConfigError, DataError
+from .records import libm
 
 
 def log_prior(probs, tau: float) -> np.ndarray:
@@ -38,7 +39,7 @@ def log_prior(probs, tau: float) -> np.ndarray:
         raise ConfigError("tau must be > 0")
     p = np.maximum(p, 1e-12)
     with np.errstate(over="ignore"):
-        terms = np.log(p / p.sum()) / tau
+        terms = libm(math.log, p / p.sum()) / tau
     if not np.isfinite(terms).all():
         raise ConfigError(f"tau = {tau} is too small: a prior term log(p) / tau overflows")
     return terms
@@ -87,7 +88,7 @@ def label_dataset(
         raise DataError(f"code out of range [0, {model.shape[-1]})")
     if not (np.isfinite(model) & (model > 0.0)).all():
         raise DataError("model must be finite and above 0; smooth it first")
-    log_probs = np.moveaxis(np.log(model), 0, -1)  # (channels, from, to, classes)
+    log_probs = np.moveaxis(libm(math.log, model), 0, -1)  # (channels, from, to, classes)
     channel = np.arange(n_channels)[None, :]
     # one (instances, channels, classes) gather per step, added in time order as a sum over steps adds
     total = log_probs[channel, codes[:, :, 0], codes[:, :, 1]]
@@ -95,7 +96,7 @@ def label_dataset(
         total += log_probs[channel, codes[:, :, t], codes[:, :, t + 1]]
     logits = total / codes.shape[2] + prior
     logits = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
+    e = libm(math.exp, logits)
     posteriors = e / e.sum(axis=-1, keepdims=True)
     scores = (weights[None, :, None] * posteriors).sum(axis=1) / n_channels
     labels = np.argmax(scores, axis=1)

@@ -37,6 +37,17 @@ def dump_line(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def libm(fn, values) -> np.ndarray:
+    """fn (math.exp or math.log) of every entry of a float array, in its shape.
+
+    numpy's AVX-512 exp and log loops round some results unlike its other
+    SIMD targets; the C library's rounds alike on every x86-64 host with
+    FMA, so a value written to an artifact keeps its bytes across them.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
+
+
 def require_finite(config) -> None:
     """ConfigError naming the first field of a config dataclass that holds a
     NaN, an infinity or an int too large for a float, alone or in a vector

@@ -23,11 +23,13 @@ plan's cost, which by weak duality proves the plan optimal.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from . import records
 from .errors import ConfigError, DataError, InternalError
+from .records import libm
 
 _PERTURB = 1e-12
 _PRICE_TOL = 1e-12
@@ -288,7 +290,7 @@ def channel_weights(
             total += solve_emd(src[d, i], trg[d, i], costs)[1]
         mean_costs[d] = total / n_codes
     with np.errstate(over="ignore"):
-        return np.exp(-((mean_costs / sigma) ** 2)), mean_costs
+        return libm(math.exp, -((mean_costs / sigma) ** 2)), mean_costs
 
 
 def write_alignment_report(

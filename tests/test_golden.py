@@ -12,11 +12,10 @@ hash moved:
 
 Floats depend on numpy, so the file records the numpy version it was
 made with and a failure names both versions. They hold under every
-OpenBLAS kernel (test_blas_kernels.py), but not under every numpy SIMD
-target: np.exp and np.log round differently in their AVX-512 loops, so
-with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" on an
-AVX-512 machine six of the seven tests here fail, out/labels.jsonl
-moving in each and defaults' out/selected.jsonl too.
+OpenBLAS kernel (test_blas_kernels.py) and under numpy's X86_V4, X86_V3
+and X86_V2 SIMD targets (test_simd_targets.py): the label path takes exp
+and log from the C library, since numpy's AVX-512 loops round some
+results differently.
 """
 
 import contextlib

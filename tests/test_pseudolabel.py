@@ -306,10 +306,11 @@ def random_scoring_inputs(n, d, p, k, n_codes=8, seed=0):
 @pytest.mark.parametrize("n, d, p, k", [(50, 1, 2, 2), (40, 3, 3, 4), (30, 2, 17, 3), (20, 3, 40, 7), (1, 1, 129, 2)])
 def test_step_by_step_scores_are_bitwise_the_gathered_sum_over_steps(n, d, p, k):
     codes, model, weights, prior, ids = random_scoring_inputs(n, d, p, k, seed=n * p + k)
-    log_probs = np.moveaxis(np.log(model), 0, -1)
+    # the C library's log and exp, as label_dataset takes them
+    log_probs = np.moveaxis(np.vectorize(math.log)(model), 0, -1)
     gathered = log_probs[np.arange(d)[None, :, None], codes[:, :, :-1], codes[:, :, 1:]]  # (n, d, p - 1, k)
     logits = gathered.sum(axis=2) / p + prior
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e = np.vectorize(math.exp)(logits - logits.max(axis=-1, keepdims=True))
     posteriors = e / e.sum(axis=-1, keepdims=True)
     labels = pseudolabel.label_dataset(codes, model, weights, prior, ids)
     assert_array_equal(labels.per_channel_posteriors, posteriors)
