@@ -38,12 +38,9 @@ def dump_line(obj: Any) -> str:
 
 
 def libm(fn, values) -> np.ndarray:
-    """fn (math.exp or math.log) of every entry of a float array, in its shape.
-
-    numpy's AVX-512 exp and log loops round some results unlike its other
-    SIMD targets; the C library's rounds alike on every x86-64 host with
-    FMA, so a value written to an artifact keeps its bytes across them.
-    """
+    """fn (math.exp or math.log) of every entry of a float array, in its shape. numpy's
+    AVX-512 exp and log round some results unlike its other SIMD targets; the C library
+    rounds alike on every x86-64 host with FMA, so an artifact keeps its bytes."""
     values = np.asarray(values, dtype=np.float64)
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64, values.size).reshape(values.shape)
 

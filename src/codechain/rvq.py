@@ -185,15 +185,22 @@ def _by_blocks(out: np.ndarray, row_wise, *arrays, rows_each: int = 1) -> np.nda
     return out
 
 
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """|p|^2 of every row, summed over C-ordered squares by blocks, so any layout gives the same bytes."""
+    return _by_blocks(np.empty(len(points)), lambda p: np.multiply(p, p, order="C").sum(axis=1), points)
+
+
 def _nearest(
     points: np.ndarray, codewords: np.ndarray, sq_norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assignment to the nearest L2-normalized codeword; ties -> lowest index.
 
     Returns (assignment, squared error), in the same bytes for any layout of
-    points. sq_norms, when given, must be (points * points).sum(axis=1) over
-    C-ordered rows; a Lloyd stage passes it in so it is summed once per stage.
+    points. sq_norms, when given, must be _sq_norms(points); a Lloyd stage
+    passes it in so it is summed once per stage rather than once per call.
     """
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
     cn = l2_normalize(codewords, axis=1)
     # a row [p, 1] times a row [-2c, |c|^2] is |c|^2 - 2 p.c; doubling is exact
     lifted = np.concatenate([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]], axis=1)
@@ -207,12 +214,10 @@ def _nearest(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block, g = padded[: hi - lo], buf[: hi - lo]
         block[:, :d] = points[lo:hi]
-        p = block[:, :d]
-        sq = (p * p).sum(axis=1) if sq_norms is None else sq_norms[lo:hi]
         np.matmul(block, lifted.T, out=g)
         best = np.argmin(g, axis=1)
         assign[lo:hi] = best
-        err[lo:hi] = sq + g[np.arange(hi - lo), best]
+        err[lo:hi] = sq_norms[lo:hi] + g[np.arange(hi - lo), best]
     return assign, np.maximum(err, 0.0, out=err)
 
 
@@ -275,8 +280,7 @@ def _lloyd(points, n_codes, max_iters, rng):
     max_iters + 1 when the stage hit its cap.
     """
     centroids = _draw_distinct(points, n_codes, rng)
-    # C-ordered squares, so each row sums in the order it would in a C-ordered pool
-    sq_norms = _by_blocks(np.empty(len(points)), lambda p: np.multiply(p, p, order="C").sum(axis=1), points)
+    sq_norms = _sq_norms(points)
     losses: list[float] = []
     prev = None
     for it in range(max_iters + 1):

@@ -504,7 +504,8 @@ def unblocked_nearest(points, codewords):
     """The whole-array formula: g = [p, 1] @ [-2c, |c|^2]^T in one (n, k) product,
     the argmin of g, and the error |p|^2 + g[best] clamped at 0."""
     cn = rvq.l2_normalize(codewords, axis=1)
-    g = np.hstack([points, np.ones((len(points), 1))]) @ np.hstack([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]]).T
+    lifted = np.hstack([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]])
+    g = np.hstack([points, np.ones((len(points), 1))]) @ lifted.T
     assign = np.argmin(g, axis=1)
     return assign, np.maximum((points * points).sum(axis=1) + g[np.arange(len(points)), assign], 0.0)
 
@@ -617,8 +618,9 @@ def test_nearest_holds_one_block_buffer_beside_its_outputs(with_norms):
     finally:
         tracemalloc.stop()
     rows = int(np.diff(rvq._block_bounds(len(points))).max())
-    # the outputs, the (block, k) and (block, d + 1) buffers, a block's squares and a few block vectors
-    budget = assign.nbytes + err.nbytes + rows * (64 + 9) * 8 + rows * (2 * 8 + 8) * 8
+    # the outputs and norms, the (block, k) and (block, d + 1) buffers, a block's squares
+    # and a few block vectors
+    budget = (3 if sq_norms is None else 2) * err.nbytes + rows * (64 + 9) * 8 + rows * (2 * 8 + 8) * 8
     assert peak <= budget
 
 
