@@ -22,22 +22,20 @@ never imports numpy.random (5 MB of RSS for a few draws), and a numpy
 release that changes its Generator streams moves no codebook byte.
 
 The nearest-code search ranks codes by |c|^2 - 2 p.c, as |p - c|^2
-would, over row blocks of at most _BLOCK points: one product of a
-block's [p, 1] rows with the rows [-2c, |c|^2] fills one (block, k)
-buffer that stays in cache, and its argmin is the assignment. The error
-is |p|^2 plus the chosen entry; no elementwise pass over the buffer
-remains. The blocks are near-equal, so none holds
-a single row and each goes through the matrix-matrix product the whole
-array would. Whether a block's product rounds each row as the whole
-array's does is up to the BLAS kernel. Under OpenBLAS's SkylakeX,
-Cooperlake and Sandybridge kernels, assignments and errors are bitwise
-those of the whole-array formula. Under its Haswell, Zen, Nehalem and
-Prescott kernels some errors differ in their last bits, while the
-assignments agreed in every case tested. A Lloyd stage sums |p|^2 once,
-not once per call. The mean update sums each code's members with one
-np.bincount per latent dimension, which adds in point order exactly as
-np.add.at would, at a fraction of its cost; fit lays its pool out by
-columns, so each of those columns is contiguous.
+would, over near-equal row blocks of at most _BLOCK points: one product
+of a block's [p, 1] rows with the rows [-2c, |c|^2] fills one (block, k)
+buffer that stays in cache, its argmin is the assignment and |p|^2 plus
+the chosen entry the error. No block holds a single row, so each goes
+through the matrix-matrix product the whole array would; whether it
+rounds each row as the whole array's does is up to the BLAS kernel.
+Under OpenBLAS's SkylakeX, Cooperlake and Sandybridge kernels,
+assignments and errors are bitwise those of the whole-array formula;
+under its Haswell, Zen, Nehalem and Prescott kernels some errors differ
+in their last bits, while the assignments agreed in every case tested.
+A Lloyd stage sums |p|^2 once. The mean update sums each code's members
+with one np.bincount per latent dimension, which adds in point order
+exactly as np.add.at would, at a fraction of its cost; fit lays its
+pool out by columns, so each such column is contiguous.
 
 Row-wise steps (embedding, normalization, |p|^2, residuals, errors) run
 over the same row blocks, each row alone, so their bytes are the
