@@ -46,11 +46,12 @@ def cosine_cost(vectors: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DataError("cosine cost undefined for a zero-norm codeword")
     u = v / norms[:, None]
-    # an elementwise product and sum, not a GEMM, whose rounding would depend on the BLAS kernel
+    # an elementwise product and sum, not a GEMM, whose rounding would depend on the BLAS kernel;
+    # entries (i, j) and (j, i) sum the same products in the same order, so costs is symmetric bit for bit
     sim = np.clip((u[:, None, :] * u[None, :, :]).sum(axis=-1), -1.0, 1.0)
     costs = 1.0 - sim
     np.fill_diagonal(costs, 0.0)
-    return 0.5 * (costs + costs.T)
+    return costs
 
 
 def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
