@@ -214,9 +214,11 @@ def cmd_fit(args) -> None:
     if source.n_classes < 2:
         raise DataError(f"the source header holds {source.n_classes} class; fitting needs >= 2")
     ds.require_transitions(source, cfg.patch_length)
-    empty = np.flatnonzero(np.bincount(source.labels, minlength=source.n_classes) == 0)
-    if empty.size:
-        raise DataError(f"source class {empty[0]} of {source.n_classes} has no instances")
+    # a set, not np.unique (which imports numpy.ma), and sized by the records, not the header's n_classes
+    present = set(source.labels.tolist())
+    if len(present) < source.n_classes:
+        first = min(set(range(len(present) + 1)) - present)
+        raise DataError(f"source class {first} of {source.n_classes} has no instances")
     flat = np.flatnonzero(np.ptp(source.values, axis=(0, 2)) == 0.0)
     if flat.size:
         raise DataError(f"source channel {flat[0]} of {source.n_channels} holds a single value throughout")

@@ -141,8 +141,8 @@ def load_corpus(path) -> DomainDataset:
     integers; the file holds exactly n_instances records. Every
     record's channels is a strict base64 string of exactly
     n_channels * length little-endian float64 values. A label on file is
-    null ("unlabeled") or a JSON integer, never a float, string or bool;
-    a negative one is out of range.
+    null ("unlabeled") or a JSON integer in [0, n_classes), never a
+    float, string or bool.
     """
     header, recs = records.read_record_file(path, expected_kind="corpus")
     encoding = header.get("channels_encoding")
@@ -164,7 +164,7 @@ def load_corpus(path) -> DomainDataset:
         label = rec.get("label")
         if label is not None and type(label) is not int:
             raise DataError(f"instance {rid!r}: label {label!r} is not an integer")
-        if label is not None and label < 0:
+        if label is not None and not 0 <= label < n_classes:
             raise DataError(f"instance {rid!r}: label {label} out of range [0, {n_classes})")
         try:
             row = base64.b64decode(rec.get("channels"), validate=True)
@@ -217,7 +217,7 @@ def load_truth(path) -> tuple[dict[str, int], int]:
     """Read a truth file; returns (id -> label, n_classes).
 
     n_classes is a JSON integer of at least 2, n_instances the record
-    count and every label a JSON integer.
+    count and every label a JSON integer in [0, n_classes).
     """
     header, recs = records.read_record_file(path, expected_kind="truth")
     n_classes = whole_number(path, "truth header n_classes", header.get("n_classes"))
@@ -230,6 +230,8 @@ def load_truth(path) -> tuple[dict[str, int], int]:
             raise DataError(f"{path}: duplicate truth id {rid!r}")
         if type(rec.get("label")) is not int:
             raise DataError(f"truth record {rid!r}: label must be an integer")
+        if not 0 <= rec["label"] < n_classes:
+            raise DataError(f"truth record {rid!r}: label {rec['label']} out of range [0, {n_classes})")
         out[rid] = rec["label"]
     records.require_count(path, header, "n_instances", len(out))
     return out, n_classes

@@ -61,9 +61,9 @@ _BLOCK = 2048  # points per block of the nearest-code search
 _LOSS_TOL = 1e-4  # a Lloyd stage stops once a pass lowers its loss by at most this fraction
 
 
-def l2_normalize(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """v / ||v||, with zero vectors mapped to themselves."""
-    norms = np.linalg.norm(x, axis=axis, keepdims=True)
+def l2_normalize(x: np.ndarray) -> np.ndarray:
+    """v / ||v|| over the last axis, with zero vectors mapped to themselves."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.where(norms == 0.0, 1.0, norms)
 
 
@@ -73,22 +73,6 @@ def _znorm(b: np.ndarray) -> np.ndarray:
     z = (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
     z[(b == b[..., :1]).all(axis=-1)] = 0.0
     return z
-
-
-def embed(patches: np.ndarray) -> np.ndarray:
-    """Map patches (..., patch_length) to new latent vectors of the same shape.
-
-    Each patch is standardized with the population std and a 1e-8
-    floor. A patch whose values are all equal becomes exactly the zero
-    vector at every patch length, which downstream assignment resolves
-    to code 0 by the lowest-index tie rule.
-    """
-    patches = np.asarray(patches, dtype=np.float64)
-    out = np.empty(patches.shape)
-    # a view of patchify's output at every series length: its leading axes merge
-    shape = (-1, patches.shape[-2] if patches.ndim > 2 else 1, patches.shape[-1])
-    _by_blocks(out.reshape(shape), _znorm, patches.reshape(shape), rows_each=shape[1])
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,7 +183,7 @@ def _nearest(
     """
     if sq_norms is None:
         sq_norms = _sq_norms(points)
-    cn = l2_normalize(codewords, axis=1)
+    cn = l2_normalize(codewords)
     # a row [p, 1] times a row [-2c, |c|^2] is |c|^2 - 2 p.c; doubling is exact
     lifted = np.concatenate([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]], axis=1)
     n, d = points.shape
@@ -327,7 +311,7 @@ def fit(
     # column-major, so the mean update hands np.bincount contiguous columns
     work = _by_blocks(np.empty(pool.shape[::-1]).T, l2_normalize, pool)
     coarse_vecs, coarse_assign, coarse_losses = _lloyd(work, n_coarse, max_iters, rng)
-    cn = l2_normalize(coarse_vecs, axis=1)
+    cn = l2_normalize(coarse_vecs)
     _by_blocks(work, lambda w, a: w - cn[a], work, coarse_assign)  # residuals, in place
     fine_vecs, _, fine_losses = _lloyd(work, n_fine, max_iters, rng)
 
@@ -345,7 +329,7 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
     if lat.ndim < 1 or lat.shape[-1] != quantizer.d_dim:
         raise DataError(f"latents of shape {lat.shape} do not match quantizer d_dim {quantizer.d_dim}")
     rows = lat.reshape(-1, quantizer.d_dim)
-    cn = l2_normalize(quantizer.coarse, axis=1)
+    cn = l2_normalize(quantizer.coarse)
     coarse_idx = np.empty(len(rows), dtype=np.intp)
     fine_idx = np.empty(len(rows), dtype=np.intp) if fine else None
     bounds = _block_bounds(len(rows))

@@ -23,7 +23,7 @@ def report(n, detail):
 
 
 def embed_corpus(dataset, m=8):
-    return rvq.embed(ds.patchify(dataset.values, m))
+    return rvq._znorm(ds.patchify(dataset.values, m))
 
 
 def fit_source(source, n_coarse=8, n_fine=64, m=8, seed=0):
@@ -376,8 +376,8 @@ def test_criterion_10e_codes_invariant_to_amplitude_shift():
         b = rng.uniform(-5.0, 5.0, size=(2, 1))
         plain = ds.patchify(values, 4)
         moved = ds.patchify(a * values + b, 4)
-        g1 = rvq.encode(fit.quantizer, rvq.embed(plain))
-        g2 = rvq.encode(fit.quantizer, rvq.embed(moved))
+        g1 = rvq.encode(fit.quantizer, rvq._znorm(plain))
+        g2 = rvq.encode(fit.quantizer, rvq._znorm(moved))
         assert_array_equal(g1[0], g2[0])
         assert_array_equal(g1[1], g2[1])
     report("10e", "1000 affine amplitude shifts leave code grids identical")

@@ -398,7 +398,6 @@ def test_label_single_patch_corpus_fails_before_encoding(tmp_path, monkeypatch):
     target = ds.load_corpus(data / "target.jsonl")
     ds.save_corpus(tmp_path / "one_patch.jsonl", replace(target, values=target.values[:, :, :12]))
     monkeypatch.setattr(rvq, "encode", never_called)
-    monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("label", "--target", tmp_path / "one_patch.jsonl",
                "--quantizer", model / "quantizer.jsonl",
@@ -411,7 +410,6 @@ def test_fit_single_patch_corpus_fails_before_embedding(tmp_path, monkeypatch):
     assert run(*synth_args(tmp_path / "data", length=16)) == 0
     source = ds.load_corpus(tmp_path / "data" / "source.jsonl")
     ds.save_corpus(tmp_path / "one_patch.jsonl", replace(source, values=source.values[:, :, :12]))
-    monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "fit", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", tmp_path / "one_patch.jsonl", "--out-dir", tmp_path / "m") == 2
@@ -424,7 +422,6 @@ def test_fit_rejects_an_all_constant_source_channel_before_embedding(tmp_path, m
     values = source.values.copy()
     values[:, 1] = 0.25
     ds.save_corpus(data / "flat.jsonl", replace(source, values=values))
-    monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", data / "flat.jsonl", "--out-dir", tmp_path / "m") == 2
     assert "data error: source channel 1 of 3 holds a single value throughout" in capsys.readouterr().err
@@ -439,10 +436,21 @@ def test_fit_rejects_an_all_constant_source_channel_before_embedding(tmp_path, m
 def test_fit_rejects_a_source_class_with_no_instances_before_embedding(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data"
     assert run(*synth_args(data), "--class-probs-source", "0.5,0.5,0,0") == 0
-    monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", data / "source.jsonl", "--out-dir", tmp_path / "m") == 2
     assert "data error: source class 2 of 4 has no instances" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("probs, n_classes, first", [("0.25,0.25,0.25,0.25", 2**63, 4), ("0.5,0,0.5,0", 4, 1)],
+                         ids=["header-above-int64", "gap-between-classes"])
+def test_fit_names_the_first_missing_source_class(tmp_path, capsys, probs, n_classes, first):
+    data = tmp_path / "data"
+    assert run(*synth_args(data), "--class-probs-source", probs) == 0
+    header, recs = records.read_record_file(data / "source.jsonl")
+    records.write_record_file(data / "edited.jsonl", {**header, "n_classes": n_classes}, list(recs))
+    assert run("fit", "--source", data / "edited.jsonl", "--out-dir", tmp_path / "m") == 2
+    assert f"data error: source class {first} of {n_classes} has no instances" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 
@@ -452,7 +460,6 @@ def test_fit_rejects_a_source_of_one_class_before_embedding(tmp_path, monkeypatc
     assert run(*synth_args(data)) == 0
     source = ds.load_corpus(data / "source.jsonl")
     ds.save_corpus(data / "one.jsonl", replace(source, labels=np.zeros(len(source)), n_classes=1))
-    monkeypatch.setattr(rvq, "embed", never_called)
     monkeypatch.setattr(rvq, "embed_dataset", never_called)
     assert run("fit", "--source", data / "one.jsonl", "--out-dir", tmp_path / "m") == 2
     assert "data error: the source header holds 1 class; fitting needs >= 2" in capsys.readouterr().err
@@ -760,6 +767,52 @@ def test_eval_refuses_a_header_count_that_differs_from_the_file(workspace, tmp_p
                "--subset", files["selected"], "--out", tmp_path / "metrics.jsonl") == 2
     assert capsys.readouterr().err == f"data error: {files[name]}: {message}\n"
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def labelled(tmp_path_factory):
+    """Every artifact of one synth, fit and label run, by name."""
+    root = tmp_path_factory.mktemp("labelled")
+    data, model, out = root / "data", root / "model", root / "out"
+    assert run(*synth_args(data)) == 0
+    assert run("fit", "--source", data / "source.jsonl", "--out-dir", model, "--n-coarse", 4, "--n-fine", 8) == 0
+    assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl", "--out-dir", out) == 0
+    return {"source": data / "source.jsonl", "target": data / "target.jsonl", "truth": data / "target_truth.jsonl",
+            "quantizer": model / "quantizer.jsonl", "transitions": model / "transitions.jsonl",
+            "labels": out / "labels.jsonl", "selected": out / "selected.jsonl"}
+
+
+def stage_reading(name, files, out):
+    """The command line of the stage that reads the named artifact."""
+    if name == "source":
+        return ["fit", "--source", files["source"], "--out-dir", out, "--n-coarse", 4, "--n-fine", 8]
+    if name in ("target", "quantizer", "transitions"):
+        return ["label", "--target", files["target"], "--quantizer", files["quantizer"],
+                "--transitions", files["transitions"], "--out-dir", out]
+    return ["eval", "--labels", files["labels"], "--truth", files["truth"], "--subset", files["selected"]]
+
+
+@pytest.mark.parametrize("value", [2**63, 10**30], ids=["2**63", "10**30"])
+@pytest.mark.parametrize("name", ["source", "target", "truth", "quantizer", "transitions", "labels", "selected"])
+def test_an_integer_too_large_for_int64_in_any_artifact_exits_0_or_2(labelled, tmp_path, capsys, name, value):
+    # every integer of the header and of the first record, and the label a target record holds as null
+    header, recs = records.read_record_file(labelled[name])
+    recs = list(recs)
+    keys = [(0, key) for key, v in header.items() if type(v) is int]
+    keys += [(1, key) for key, v in recs[0].items() if type(v) is int or key == "label"]
+    assert len(keys) >= 2
+    files = {**labelled, name: tmp_path / f"{name}.jsonl"}
+    for line, key in keys:
+        lines = [header, *recs]
+        lines[line] = {**lines[line], key: value}
+        records.write_record_file(files[name], lines[0], lines[1:])
+        try:
+            code = run(*stage_reading(name, files, tmp_path / "out"))
+        except Exception as exc:  # the exit-code contract allows no traceback
+            pytest.fail(f"{name} line {line} {key} {value}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("data error: ")), (line, key, code, err)
 
 
 # ---------------------------------------------------------------- config

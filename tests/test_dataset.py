@@ -296,8 +296,9 @@ def test_load_corpus_dimension_mismatch_names_id(tmp_path):
         ds.load_corpus(path)
 
 
-@pytest.mark.parametrize("label", [-1, -5, 2.7, 1.0, "3", True, False])
+@pytest.mark.parametrize("label", [-1, -5, 2, 2**63, 2.7, 1.0, "3", True, False])
 def test_load_corpus_rejects_a_negative_label_on_file(tmp_path, label):
+    # the header holds 2 classes, so 2 is the least label out of range
     path = tmp_path / "c.jsonl"
     write_corpus(path, [{"id": "a", "label": label, "channels": encode([[0.0, 1.0]])}])
     expected = "out of range" if type(label) is int else "is not an integer"
@@ -444,6 +445,14 @@ def test_load_truth_rejects_a_boolean_label(tmp_path):
     path = tmp_path / "truth.jsonl"
     records.write_record_file(path, {"kind": "truth", "n_classes": 2}, [{"id": "a", "label": True}])
     with pytest.raises(DataError, match="must be an integer"):
+        ds.load_truth(path)
+
+
+@pytest.mark.parametrize("label", [-1, 2, 10**30])
+def test_load_truth_rejects_a_label_out_of_range_naming_its_record(tmp_path, label):
+    path = tmp_path / "truth.jsonl"
+    records.write_record_file(path, {"kind": "truth", "n_classes": 2}, [{"id": "a", "label": label}])
+    with pytest.raises(DataError, match=rf"truth record 'a': label {label} out of range \[0, 2\)"):
         ds.load_truth(path)
 
 

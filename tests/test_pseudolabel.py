@@ -44,7 +44,7 @@ def fitted():
         seed=3,
     )
     source, _ = synth.generate(cfg)
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=50, seed=0)
     codes, _ = rvq.encode(fit.quantizer, latents)
     class_tm = markov.smooth(markov.build_class_tm(codes, source.labels, 2, 3), 1e-8)
@@ -52,7 +52,7 @@ def fitted():
 
 
 def coarse_codes(quantizer, dataset, patch_length=8):
-    codes, _ = rvq.encode(quantizer, rvq.embed(ds.patchify(dataset.values, patch_length)), fine=False)
+    codes, _ = rvq.encode(quantizer, rvq._znorm(ds.patchify(dataset.values, patch_length)), fine=False)
     return codes
 
 
@@ -230,7 +230,7 @@ def test_label_recovers_source_classes(fitted):
 
 def test_label_rejects_unsmoothed_model(fitted):
     source, quantizer, _ = fitted
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     codes, _ = rvq.encode(quantizer, latents)
     raw_tm = markov.build_class_tm(codes, source.labels, 2, 3)
     with pytest.raises(DataError, match="smooth it first"):
@@ -278,7 +278,7 @@ def test_label_refuses_inputs_that_disagree(change, message):
 def test_batched_posteriors_match_the_log_likelihood_oracle():
     cfg = synth.SynthConfig(n_source=80, n_target=40, target_regime_mix=0.3, noise=0.5, seed=6)
     source, target = synth.generate(cfg)
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=16, max_iters=50, seed=0)
     model = markov.smooth(markov.build_class_tm(fit.coarse_idx, source.labels, 4, 8), 1e-8)
     prior = pseudolabel.log_prior(np.array([0.4, 0.3, 0.2, 0.1]), 0.7)

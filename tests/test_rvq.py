@@ -39,7 +39,7 @@ def cluster_cloud(n_dirs, per_dir, d, seed=0, spread=0.02):
 
 def test_embed_removes_mean_and_scales():
     grid = grid_from([[1.0, 2.0, 3.0, 4.0]], 4)
-    latent = rvq.embed(grid)[0, 0]
+    latent = rvq._znorm(grid)[0, 0]
     std = np.std([1.0, 2.0, 3.0, 4.0])
     assert std == 1.118033988749895
     assert_allclose(latent, np.array([-1.5, -0.5, 0.5, 1.5]) / (std + 1e-8), rtol=0, atol=0)
@@ -48,13 +48,13 @@ def test_embed_removes_mean_and_scales():
 
 def test_embed_constant_patch_is_zero():
     grid = grid_from([[5.0, 5.0, 5.0, 5.0]], 4)
-    assert_array_equal(rvq.embed(grid)[0, 0], np.zeros(4))
+    assert_array_equal(rvq._znorm(grid)[0, 0], np.zeros(4))
 
 
 def test_embed_unit_power():
     rng = np.random.default_rng(1)
     grid = grid_from(rng.normal(size=(3, 32)), 8)
-    latents = rvq.embed(grid)
+    latents = rvq._znorm(grid)
     power = (latents ** 2).sum(axis=-1) / 8
     assert_allclose(power, 1.0, atol=1e-6)
 
@@ -66,10 +66,10 @@ def test_embed_maps_a_flat_patch_to_exactly_zero_at_any_patch_length(m):
     values = rng.normal(size=2000) * 10.0 ** rng.integers(-6, 7, size=2000)
     values[0] = -53566.94
     flat = np.repeat(values[:, None], m, axis=1)
-    assert not rvq.embed(flat).any()
+    assert not rvq._znorm(flat).any()
     noisy = flat.copy()
     noisy[:, -1] = np.nextafter(noisy[:, -1], np.inf)
-    assert rvq.embed(noisy).any(axis=-1).all()
+    assert rvq._znorm(noisy).any(axis=-1).all()
 
 
 # ---------------------------------------------------------------- codebooks
@@ -137,6 +137,17 @@ def test_encode_zero_latent_ties_to_lowest_index():
     assert coarse_idx[0, 0] == 0
     # residual is -e0 = (-1, 0), exactly fine code 2
     assert fine_idx[0, 0] == 2
+
+
+def test_encode_zero_latent_goes_to_the_least_rounded_normalized_norm():
+    # a flat patch's zero latent scores |c|^2 of each normalized codeword, which rounds to
+    # 1 + 2^-52, 1 - 2^-53, 1 - 2^-52 and exactly 1 here: code 2 wins, not the lowest index
+    coarse = np.array([[1.0, 5.0], [1.0, 2.0], [1.0, 1.0], [1.0, 0.0]])
+    cn = rvq.l2_normalize(coarse)
+    least = np.argmin((cn * cn).sum(axis=1))
+    assert least == 2
+    q = rvq.ResidualQuantizer(coarse=coarse, fine=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert rvq.encode(q, latent_from([[0.0, 0.0]])).coarse_idx[0, 0] == least
 
 
 @pytest.mark.parametrize(
@@ -401,7 +412,7 @@ def test_load_quantizer_rejects_codebook_cells_that_are_not_json_numbers(tmp_pat
 
 def test_encode_dataset_shapes():
     rng = np.random.default_rng(11)
-    latents = rvq.embed(ds.patchify(rng.normal(size=(4, 2, 20)), 5))
+    latents = rvq._znorm(ds.patchify(rng.normal(size=(4, 2, 20)), 5))
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=2, n_fine=2, max_iters=10, seed=0)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     assert len(coarse_idx) == 4
@@ -412,7 +423,7 @@ def test_encode_dataset_shapes():
 
 def test_fit_assignments_equal_a_fresh_encode_of_the_training_latents():
     source, _ = synth.generate(synth.SynthConfig(n_source=60, n_target=4, seed=12))
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=8, n_fine=16, max_iters=50, seed=0)
     coarse_idx, fine_idx = rvq.encode(result.quantizer, latents)
     assert result.coarse_idx.shape == result.fine_idx.shape == latents.shape[:-1]
@@ -431,8 +442,8 @@ def test_fit_assignments_equal_a_fresh_encode_of_the_training_latents():
 
 def test_fit_pools_corpora_along_the_instance_axis():
     rng = np.random.default_rng(14)
-    a = rvq.embed(ds.patchify(rng.normal(size=(5, 2, 24)), 6))
-    b = rvq.embed(ds.patchify(rng.normal(size=(3, 2, 24)), 6))
+    a = rvq._znorm(ds.patchify(rng.normal(size=(5, 2, 24)), 6))
+    b = rvq._znorm(ds.patchify(rng.normal(size=(3, 2, 24)), 6))
     pooled = rvq.fit([rvq.CorpusLatents(a), rvq.CorpusLatents(b)], n_coarse=3, n_fine=4, seed=1)
     joined = rvq.fit([rvq.CorpusLatents(np.concatenate([a, b]))], n_coarse=3, n_fine=4, seed=1)
     assert pooled.coarse_idx.shape == (8, 2, 4)
@@ -449,7 +460,7 @@ def test_embed_dataset_embeds_the_whole_corpus():
     values = source.values.copy()  # the call consumes source.values
     got = rvq.embed_dataset(source, 8).latents
     assert got.shape == (6, source.n_channels, source.length // 8, 8)
-    assert_array_equal(got, rvq.embed(ds.patchify(values, 8)))
+    assert_array_equal(got, rvq._znorm(ds.patchify(values, 8)))
 
 
 @pytest.mark.parametrize("length", [128, 129], ids=["znorm-128", "znorm-129"])
@@ -460,38 +471,39 @@ def test_embed_dataset_writes_the_latents_of_its_values_over_them(length):
     values[0, 1] = 2.5  # constant patches go to the zero vector
     source = ds.DomainDataset(values.copy(), [f"i{n}" for n in range(1600)], np.zeros(1600), 1, "source")
     got = rvq.embed_dataset(source, 8).latents
-    want = rvq.embed(ds.patchify(values, 8))
+    want = rvq._znorm(ds.patchify(values, 8))
     assert got.shape == want.shape == (1600, 3, 16, 8)
     assert got.tobytes() == want.tobytes()
     assert np.shares_memory(got, source.values)
 
 
 @pytest.mark.parametrize("length", [128, 129])
-def test_embed_holds_one_pool_sized_array_at_any_series_length(length):
+def test_embed_dataset_holds_a_quarter_pool_beyond_its_input_at_any_series_length(length):
     # 48000 patches of width 8: a 2048-row block is small beside the pool
-    patches = ds.patchify(np.random.default_rng(1).normal(size=(1000, 3, length)), 8)
+    values = np.random.default_rng(1).normal(size=(1000, 3, length))
+    source = ds.DomainDataset(values.copy(), [f"i{n}" for n in range(1000)], np.zeros(1000), 1, "source")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        latents = rvq.embed(patches)
+        latents = rvq.embed_dataset(source, 8).latents
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert latents.tobytes() == rvq.embed(patches.copy()).tobytes()
-    # the output and a few blocks come to 1.11 pools; a copy of the strided patches at length 129 breaks it
-    assert peak <= 1.25 * latents.nbytes
+    assert latents.tobytes() == rvq._znorm(ds.patchify(values, 8)).tobytes()
+    # a few blocks come to 0.11 pools at length 128 and 0.13 at 129; a copy of the strided patches breaks it
+    assert peak <= 0.25 * latents.nbytes
 
 
 def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
     source, _ = synth.generate(synth.SynthConfig(n_source=12, n_target=4, seed=13))
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     q = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=8, max_iters=20, seed=0).quantizer
     coarse_idx, fine_idx = rvq.encode(q, latents)
     coarse_only, no_fine = rvq.encode(q, latents, fine=False)
     assert no_fine is None
     assert_array_equal(coarse_only, coarse_idx)
     for n, values in enumerate(source.values):
-        one = rvq.embed(ds.patchify(values, 8))
+        one = rvq._znorm(ds.patchify(values, 8))
         assert one.tobytes() == latents[n].tobytes()
         c, f = rvq.encode(q, one)
         assert_array_equal(c, coarse_idx[n])
@@ -503,7 +515,7 @@ def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
 def unblocked_nearest(points, codewords):
     """The whole-array formula: g = [p, 1] @ [-2c, |c|^2]^T in one (n, k) product,
     the argmin of g, and the error |p|^2 + g[best] clamped at 0."""
-    cn = rvq.l2_normalize(codewords, axis=1)
+    cn = rvq.l2_normalize(codewords)
     lifted = np.hstack([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]])
     g = np.hstack([points, np.ones((len(points), 1))]) @ lifted.T
     assign = np.argmin(g, axis=1)
@@ -517,7 +529,7 @@ def oracle_points(n, d, seed):
     vector-matrix product, whose sums round differently for most rows.
     """
     rng = np.random.default_rng(seed)
-    points = rvq.l2_normalize(rng.normal(size=(n, d)), axis=1)
+    points = rvq.l2_normalize(rng.normal(size=(n, d)))
     points[0] = 0.0
     points[n // 2] = 0.0
     return points
@@ -538,7 +550,7 @@ def test_blocked_nearest_is_bitwise_the_unblocked_formula(n, k):
     again, again_err = rvq._nearest(points, codewords, sq_norms)
     assert again.tobytes() == assign.tobytes() and again_err.tobytes() == err.tobytes()
     # brute force: explicit squared differences against every codeword
-    cn = rvq.l2_normalize(codewords, axis=1)
+    cn = rvq.l2_normalize(codewords)
     scan = ((points[:, None, :] - cn[None]) ** 2).sum(axis=2)
     assert_array_equal(assign, scan.argmin(axis=1))
     assert_allclose(err, scan.min(axis=1), rtol=0, atol=1e-12)
@@ -719,7 +731,7 @@ def test_the_fit_generator_draws_as_numpys_default_rng(seed, draws):
 
 def test_fit_holds_one_pool_sized_working_array_beside_the_latents():
     # 19200 rows of width 8: the row blocks and the (block, k) buffer are small beside the pool
-    latents = rvq.embed(np.random.default_rng(0).normal(size=(400, 3, 16, 8)))
+    latents = rvq._znorm(np.random.default_rng(0).normal(size=(400, 3, 16, 8)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -735,7 +747,7 @@ def test_fit_holds_one_pool_sized_working_array_beside_the_latents():
 
 def test_encode_holds_no_pool_sized_array():
     # 48000 rows of width 8: the row blocks and the (block, k) buffer are small beside the pool
-    latents = rvq.embed(np.random.default_rng(2).normal(size=(1000, 3, 16, 8)))
+    latents = rvq._znorm(np.random.default_rng(2).normal(size=(1000, 3, 16, 8)))
     quantizer = rvq.fit([rvq.CorpusLatents(latents[:50])], n_coarse=8, n_fine=16, max_iters=3).quantizer
     tracemalloc.start()
     try:

@@ -130,10 +130,10 @@ def test_amplitude_shift_leaves_codes_unchanged():
         atol=1e-12,
     )
     source, _ = synth.generate(plain_cfg)
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=4, n_fine=6, max_iters=30, seed=0)
-    a = rvq.encode(fit.quantizer, rvq.embed(ds.patchify(plain.values, 8)))
-    b = rvq.encode(fit.quantizer, rvq.embed(ds.patchify(shifted.values, 8)))
+    a = rvq.encode(fit.quantizer, rvq._znorm(ds.patchify(plain.values, 8)))
+    b = rvq.encode(fit.quantizer, rvq._znorm(ds.patchify(shifted.values, 8)))
     assert_array_equal(a[0], b[0])
     assert_array_equal(a[1], b[1])
 
@@ -161,7 +161,7 @@ def test_disjoint_primitive_supports_yield_disjoint_dominant_transitions():
         seed=2,
     )
     source, _ = synth.generate(cfg)
-    latents = rvq.embed(ds.patchify(source.values, 8))
+    latents = rvq._znorm(ds.patchify(source.values, 8))
     fit = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=40, seed=0)
     codes, _ = rvq.encode(fit.quantizer, latents)
     ctm = markov.build_class_tm(codes, source.labels, 2, 3)
