@@ -103,8 +103,9 @@ def save_transitions(
 def load_transitions(path) -> tuple[np.ndarray, np.ndarray]:
     """(class matrices, source channel matrices), all JSON numbers, rows stochastic.
 
-    The epsilon key that older bundles carry is ignored."""
-    _, rec = records.read_one(path, "transitions")
+    The header's n_classes, n_channels and n_coarse must be the matrices'
+    counts. The epsilon key that older bundles carry is ignored."""
+    header, rec = records.read_one(path, "transitions")
 
     def matrices(field: str, ndim: int) -> np.ndarray:
         probs = records.numbers(path, f"transitions {field}", rec.get(field), ndim)
@@ -122,4 +123,6 @@ def load_transitions(path) -> tuple[np.ndarray, np.ndarray]:
     class_tm, channel_src = matrices("class_tms", 4), matrices("channel_tms_source", 3)
     if class_tm.shape[1:] != channel_src.shape:
         raise DataError(f"{path}: class and channel matrices disagree on channels or codes")
+    for key, held, what in zip(("n_classes", "n_channels", "n_coarse"), class_tm.shape, ("classes", "channels", "codes")):
+        records.require_count(path, header, key, held, what)
     return class_tm, channel_src

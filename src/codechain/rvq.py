@@ -24,18 +24,19 @@ release that changes its Generator streams moves no codebook byte.
 The nearest-code search ranks codes by |c|^2 - 2 p.c, as |p - c|^2
 would, over near-equal row blocks of at most _BLOCK points: one product
 of a block's [p, 1] rows with the rows [-2c, |c|^2] fills one (block, k)
-buffer that stays in cache, its argmin is the assignment and |p|^2 plus
-the chosen entry the error. No block holds a single row, so each goes
-through the matrix-matrix product the whole array would; whether it
-rounds each row as the whole array's does is up to the BLAS kernel.
-Under OpenBLAS's SkylakeX, Cooperlake and Sandybridge kernels,
-assignments and errors are bitwise those of the whole-array formula;
-under its Haswell, Zen, Nehalem and Prescott kernels some errors differ
-in their last bits, while the assignments agreed in every case tested.
-A Lloyd stage sums |p|^2 once. The mean update sums each code's members
-with one np.bincount per latent dimension, which adds in point order
-exactly as np.add.at would, at a fraction of its cost; fit lays its
-pool out by columns, so each such column is contiguous.
+buffer that stays in cache, and its argmin, the search's only output, is
+the assignment. No block holds a single row, so each goes through the
+matrix-matrix product the whole array would. The last bits of its
+entries depend on the BLAS kernel; the assignments agreed with the
+whole-array argmin under all six OpenBLAS kernels tested (SkylakeX,
+Haswell, Zen, Sandybridge, Nehalem, Prescott). The mean update sums each
+code's members with one np.bincount per latent dimension, which adds in
+point order exactly as np.add.at would, at a fraction of its cost; fit
+lays its pool out by columns, so each such column is contiguous. A
+pass's loss comes from those sums: a code's members err by
+sum |p|^2 - 2 c.sums + count |c|^2 in all, taken elementwise with
+sum |p|^2 once per stage, so it reads no GEMM output and its bytes are
+the same under every kernel.
 
 Row-wise steps (embedding, normalization, |p|^2, residuals, errors) run
 over the same row blocks, each row alone, so their bytes are the
@@ -172,23 +173,13 @@ def _sq_norms(points: np.ndarray) -> np.ndarray:
     return _by_blocks(np.empty(len(points)), lambda p: np.multiply(p, p, order="C").sum(axis=1), points)
 
 
-def _nearest(
-    points: np.ndarray, codewords: np.ndarray, sq_norms: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assignment to the nearest L2-normalized codeword; ties -> lowest index.
-
-    Returns (assignment, squared error), in the same bytes for any layout of
-    points. sq_norms, when given, must be _sq_norms(points); a Lloyd stage
-    passes it in so it is summed once per stage rather than once per call.
-    """
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
+def _nearest(points: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    """Assignment to the nearest L2-normalized codeword; ties -> lowest index."""
     cn = l2_normalize(codewords)
     # a row [p, 1] times a row [-2c, |c|^2] is |c|^2 - 2 p.c; doubling is exact
     lifted = np.concatenate([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]], axis=1)
     n, d = points.shape
     assign = np.empty(n, dtype=np.intp)
-    err = np.empty(n)
     bounds = _block_bounds(n)
     rows = int(np.diff(bounds).max())
     padded = np.ones((rows, d + 1))  # [p, 1] rows
@@ -197,23 +188,23 @@ def _nearest(
         block, g = padded[: hi - lo], buf[: hi - lo]
         block[:, :d] = points[lo:hi]
         np.matmul(block, lifted.T, out=g)
-        best = np.argmin(g, axis=1)
-        assign[lo:hi] = best
-        err[lo:hi] = sq_norms[lo:hi] + g[np.arange(hi - lo), best]
-    return assign, np.maximum(err, 0.0, out=err)
+        assign[lo:hi] = np.argmin(g, axis=1)
+    return assign
 
 
-def _reseed_empty(points, sq_norms, centroids, assign, err, n_codes):
+def _reseed_empty(points, centroids, assign, n_codes):
     """Re-seed codes with no members from the worst-quantized point."""
     for _ in range(n_codes):
         used = np.bincount(assign, minlength=n_codes)
         empty = np.flatnonzero(used == 0)
         if empty.size == 0:
             break
+        cn = l2_normalize(centroids)
+        err = _by_blocks(np.empty(len(points)), lambda p, a: np.square(p - cn[a], order="C").sum(axis=1), points, assign)
         centroids = centroids.copy()
         centroids[empty[0]] = points[int(np.argmax(err))]
-        assign, err = _nearest(points, centroids, sq_norms)
-    return centroids, assign, err
+        assign = _nearest(points, centroids)
+    return centroids, assign
 
 
 def _code_sums(columns, assign, n_codes):
@@ -254,21 +245,25 @@ def _lloyd(points, n_codes, max_iters, rng):
 
     Initial codewords are distinct pool rows drawn at np.unique's ranks
     (_draw_distinct). Each of at most max_iters + 1 passes assigns,
-    re-seeds empties and records the mean error, then stops when the
-    passes run out, when the assignments repeat, or when the loss fell
-    by at most _LOSS_TOL of the previous pass's loss; else it updates
-    the means. The recorded trace is non-increasing. It holds at most
+    re-seeds empties, sums each code's members and records the mean
+    error read off those sums, then stops when the passes run out, when
+    the assignments repeat, or when the loss fell by at most _LOSS_TOL
+    of the previous pass's loss; else the same sums update the means.
+    The recorded trace is non-increasing. It holds at most
     max_iters losses when the stage converged (by either rule), and
     max_iters + 1 when the stage hit its cap.
     """
     centroids = _draw_distinct(points, n_codes, rng)
-    sq_norms = _sq_norms(points)
+    sq_total = _sq_norms(points).sum()
     losses: list[float] = []
     prev = None
     for it in range(max_iters + 1):
-        assign, err = _nearest(points, centroids, sq_norms)
-        centroids, assign, err = _reseed_empty(points, sq_norms, centroids, assign, err, n_codes)
-        losses.append(float(err.mean()))
+        centroids, assign = _reseed_empty(points, centroids, _nearest(points, centroids), n_codes)
+        sums = _code_sums(points.T, assign, n_codes)
+        counts = np.bincount(assign, minlength=n_codes).astype(np.float64)
+        cn = l2_normalize(centroids)
+        # the members' |p - c|^2 sum to their |p|^2 - 2 c.sums + counts |c|^2, elementwise
+        losses.append(float(sq_total - 2.0 * (cn * sums).sum() + (counts * (cn * cn).sum(axis=1)).sum()) / len(points))
         if it == max_iters:
             break
         if prev is not None and (
@@ -276,8 +271,6 @@ def _lloyd(points, n_codes, max_iters, rng):
         ):
             break
         prev = assign
-        sums = _code_sums(points.T, assign, n_codes)
-        counts = np.bincount(assign, minlength=n_codes).astype(np.float64)
         centroids = sums / counts[:, None]
     return centroids, assign, losses
 
@@ -336,9 +329,9 @@ def encode(quantizer: ResidualQuantizer, latents: np.ndarray, fine: bool = True)
     # each row block runs end to end, each search a one-block _nearest
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         z = l2_normalize(rows[lo:hi])
-        coarse_idx[lo:hi] = _nearest(z, quantizer.coarse)[0]
+        coarse_idx[lo:hi] = _nearest(z, quantizer.coarse)
         if fine:
-            fine_idx[lo:hi] = _nearest(z - cn[coarse_idx[lo:hi]], quantizer.fine)[0]
+            fine_idx[lo:hi] = _nearest(z - cn[coarse_idx[lo:hi]], quantizer.fine)
     return Codes(coarse_idx.reshape(lat.shape[:-1]), fine_idx.reshape(lat.shape[:-1]) if fine else None)
 
 
@@ -391,7 +384,8 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, int, int]:
 
     The codebooks are matrices of JSON numbers. patch_length and the
     header's d_dim are positive JSON integers, and the seed is a
-    non-negative one. A latent is as wide as its patch, so a codebook
+    non-negative one. The header's n_coarse and n_fine must be the
+    codebooks' lengths. A latent is as wide as its patch, so a codebook
     width other than patch_length is a DataError, and so is an older
     bundle's embed_mode other than "znorm", the only embedding.
     """
@@ -409,6 +403,8 @@ def load_quantizer(path) -> tuple[ResidualQuantizer, int, int]:
         raise DataError(
             f"{path}: quantizer header d_dim {d_dim} differs from its codebook width {quantizer.d_dim}"
         )
+    for key, book in (("n_coarse", quantizer.coarse), ("n_fine", quantizer.fine)):
+        records.require_count(path, header, key, len(book), "codes")
     patch_length = whole("patch_length", rec.get("patch_length"))
     if patch_length != quantizer.d_dim:
         raise DataError(

@@ -374,7 +374,10 @@ def never_called(*args, **kwargs):
 def test_label_refuses_a_one_class_transitions_bundle_before_reading_the_target(workspace, monkeypatch, capsys):
     data, model, out = workspace
     header, (rec,) = records.read_record_file(model / "transitions.jsonl")
-    records.write_record_file(model / "transitions.jsonl", header, [{**rec, "class_tms": rec["class_tms"][:1]}])
+    # a consistent one-class bundle: its header counts the one class it holds
+    records.write_record_file(
+        model / "transitions.jsonl", {**header, "n_classes": 1}, [{**rec, "class_tms": rec["class_tms"][:1]}]
+    )
     monkeypatch.setattr(ds, "load_corpus", never_called)
     assert run("label", "--target", data / "target.jsonl", "--quantizer", model / "quantizer.jsonl",
                "--transitions", model / "transitions.jsonl", "--out-dir", out) == 2

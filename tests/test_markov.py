@@ -342,6 +342,14 @@ def test_load_transitions_rejects_matrices_of_the_wrong_shape(tmp_path, key, val
         markov.load_transitions(path)
 
 
+@pytest.mark.parametrize("key", ["n_classes", "n_channels", "n_coarse"])
+def test_load_transitions_rejects_a_header_count_its_matrices_do_not_hold(tmp_path, key):
+    path, header, rec = two_code_bundle(tmp_path)
+    records.write_record_file(path, {**header, key: 99}, [rec])
+    with pytest.raises(DataError, match=f"transitions header {key} is 99, the file holds [12] "):
+        markov.load_transitions(path)
+
+
 @pytest.mark.parametrize("token", ['"1e-8"', "true", "-1", "0", "-0.0", "NaN", "Infinity", "null"])
 def test_load_transitions_ignores_the_epsilon_of_an_older_bundle(tmp_path, token):
     path, _, _ = two_code_bundle(tmp_path)

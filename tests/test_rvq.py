@@ -204,6 +204,24 @@ def test_fit_losses_non_increasing():
         assert np.all(np.diff(arr) <= 1e-12)
 
 
+@pytest.mark.parametrize("n_coarse, n_fine", [(8, 64), (64, 8)])
+@pytest.mark.parametrize("max_iters", [3, 50])
+def test_each_stage_records_the_brute_force_mean_error_of_its_last_pass(n_coarse, n_fine, max_iters):
+    latents = rvq._znorm(np.random.default_rng(0).normal(size=(200, 3, 16, 8)))
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse, n_fine, max_iters=max_iters, seed=1)
+    q = result.quantizer
+    pool = rvq.l2_normalize(latents.reshape(-1, 8))
+    residuals = pool - rvq.l2_normalize(q.coarse)[result.coarse_idx.ravel()]
+    # each stage's last pass measures the returned codewords against the assignments fit returns
+    stages = (
+        (pool, q.coarse, result.coarse_idx, result.coarse_losses),
+        (residuals, q.fine, result.fine_idx, result.fine_losses),
+    )
+    for points, book, idx, losses in stages:
+        brute = ((points - rvq.l2_normalize(book)[idx.ravel()]) ** 2).sum(axis=1).mean()
+        assert abs(losses[-1] - brute) <= 1e-12
+
+
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -364,6 +382,19 @@ def test_load_quantizer_rejects_a_header_d_dim_that_differs_from_the_codebooks(t
         rvq.load_quantizer(path)
 
 
+@pytest.mark.parametrize("key", ["n_coarse", "n_fine"])
+def test_load_quantizer_rejects_a_header_code_count_its_book_does_not_hold(tmp_path, key):
+    latents, _ = cluster_cloud(3, 15, 4, seed=10)
+    result = rvq.fit([rvq.CorpusLatents(latents)], n_coarse=3, n_fine=4, max_iters=5, seed=3)
+    path = tmp_path / "q.jsonl"
+    rvq.save_quantizer(path, result.quantizer, patch_length=4, seed=3)
+    header, (rec,) = records.read_record_file(path)
+    held = header[key]
+    records.write_record_file(path, {**header, key: held + 5}, [rec])
+    with pytest.raises(DataError, match=f"quantizer header {key} is {held + 5}, the file holds {held} codes"):
+        rvq.load_quantizer(path)
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -513,13 +544,10 @@ def test_whole_corpus_embed_and_encode_match_one_instance_at_a_time():
 # ---------------------------------------------------------------- blocked assignment
 
 def unblocked_nearest(points, codewords):
-    """The whole-array formula: g = [p, 1] @ [-2c, |c|^2]^T in one (n, k) product,
-    the argmin of g, and the error |p|^2 + g[best] clamped at 0."""
+    """The whole-array formula: the argmin of g = [p, 1] @ [-2c, |c|^2]^T in one (n, k) product."""
     cn = rvq.l2_normalize(codewords)
     lifted = np.hstack([-2.0 * cn, (cn * cn).sum(axis=1)[:, None]])
-    g = np.hstack([points, np.ones((len(points), 1))]) @ lifted.T
-    assign = np.argmin(g, axis=1)
-    return assign, np.maximum((points * points).sum(axis=1) + g[np.arange(len(points)), assign], 0.0)
+    return np.argmin(np.hstack([points, np.ones((len(points), 1))]) @ lifted.T, axis=1)
 
 
 def oracle_points(n, d, seed):
@@ -542,22 +570,14 @@ def oracle_points(n, d, seed):
 def test_blocked_nearest_is_bitwise_the_unblocked_formula(n, k):
     points = oracle_points(n, 8, seed=n + k)
     codewords = np.random.default_rng(k).normal(size=(k, 8))
-    assign, err = rvq._nearest(points, codewords)
-    want_assign, want_err = unblocked_nearest(points, codewords)
-    assert assign.tobytes() == want_assign.tobytes()
-    assert err.tobytes() == want_err.tobytes()
-    sq_norms = (points * points).sum(axis=1)
-    again, again_err = rvq._nearest(points, codewords, sq_norms)
-    assert again.tobytes() == assign.tobytes() and again_err.tobytes() == err.tobytes()
+    assign = rvq._nearest(points, codewords)
+    assert assign.tobytes() == unblocked_nearest(points, codewords).tobytes()
     # brute force: explicit squared differences against every codeword
     cn = rvq.l2_normalize(codewords)
     scan = ((points[:, None, :] - cn[None]) ** 2).sum(axis=2)
     assert_array_equal(assign, scan.argmin(axis=1))
-    assert_allclose(err, scan.min(axis=1), rtol=0, atol=1e-12)
     # a zero vector goes to the normalized codeword of least rounded norm
-    c_sq = (cn * cn).sum(axis=1)
-    assert assign[0] == assign[n // 2] == np.argmin(c_sq)
-    assert err[0] == err[n // 2] == c_sq.min()
+    assert assign[0] == assign[n // 2] == np.argmin((cn * cn).sum(axis=1))
 
 
 @pytest.mark.parametrize("n", range(1, 24))
@@ -570,10 +590,7 @@ def test_blocks_never_exceed_the_block_size_nor_leave_a_single_row(n, monkeypatc
     assert n == 1 or sizes.min() >= 2
     points = oracle_points(n, 8, seed=n)
     codewords = np.random.default_rng(n).normal(size=(64, 8))
-    assign, err = rvq._nearest(points, codewords)
-    want_assign, want_err = unblocked_nearest(points, codewords)
-    assert assign.tobytes() == want_assign.tobytes()
-    assert err.tobytes() == want_err.tobytes()
+    assert rvq._nearest(points, codewords).tobytes() == unblocked_nearest(points, codewords).tobytes()
 
 
 def test_exact_ties_across_a_block_edge_go_to_the_lowest_index():
@@ -590,25 +607,19 @@ def test_exact_ties_across_a_block_edge_go_to_the_lowest_index():
     points[rows[::2]] = diagonal
     points[rows[1::2]] = e[0]
     points[edge + 3] = 0.0
-    assign, err = rvq._nearest(points, codewords)
+    assign = rvq._nearest(points, codewords)
     assert_array_equal(assign[rows], [1, 2, 1, 2, 1, 2])
     assert assign[edge + 3] == 0
-    assert err[rows[1::2]].max() == 0.0
-    want_assign, want_err = unblocked_nearest(points, codewords)
-    assert assign.tobytes() == want_assign.tobytes()
-    assert err.tobytes() == want_err.tobytes()
+    assert assign.tobytes() == unblocked_nearest(points, codewords).tobytes()
 
 
 def test_a_column_major_pool_gives_the_bytes_of_a_c_ordered_copy():
     # fit lays its working pool out by columns; rows must still sum and rank as they would in C order
     points = oracle_points(3 * rvq._BLOCK + 5, 8, seed=11)
     columns = np.asfortranarray(points)
-    sq_norms = (points * points).sum(axis=1)
     for k in (8, 64):
         codewords = np.random.default_rng(k + 1).normal(size=(k, 8))
-        for sq in (None, sq_norms):
-            want, got = rvq._nearest(points, codewords, sq), rvq._nearest(columns, codewords, sq)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert rvq._nearest(columns, codewords).tobytes() == rvq._nearest(points, codewords).tobytes()
     want = rvq._lloyd(points, 8, 6, _pcg64.PCG64(3))
     got = rvq._lloyd(columns, 8, 6, _pcg64.PCG64(3))
     assert got[0].tobytes() == want[0].tobytes()  # centroids
@@ -616,23 +627,20 @@ def test_a_column_major_pool_gives_the_bytes_of_a_c_ordered_copy():
     assert got[2] == want[2] and len(want[2]) > 2  # the loss trace, float for float
 
 
-@pytest.mark.parametrize("with_norms", [False, True])
-def test_nearest_holds_one_block_buffer_beside_its_outputs(with_norms):
+def test_nearest_holds_one_block_buffer_beside_its_output():
     # 48000 rows of width 8 against 64 codes: a whole (n, k) product would be 24.6 MB
     points = oracle_points(48000, 8, seed=5)
     codewords = np.random.default_rng(6).normal(size=(64, 8))
-    sq_norms = (points * points).sum(axis=1) if with_norms else None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assign, err = rvq._nearest(points, codewords, sq_norms)
+        assign = rvq._nearest(points, codewords)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     rows = int(np.diff(rvq._block_bounds(len(points))).max())
-    # the outputs and norms, the (block, k) and (block, d + 1) buffers, a block's squares
-    # and a few block vectors
-    budget = (3 if sq_norms is None else 2) * err.nbytes + rows * (64 + 9) * 8 + rows * (2 * 8 + 8) * 8
+    # the output, the (block, k) and (block, d + 1) buffers and a few block vectors
+    budget = assign.nbytes + rows * (64 + 9) * 8 + rows * (2 * 8 + 8) * 8
     assert peak <= budget
 
 
@@ -654,10 +662,10 @@ def test_an_empty_code_is_reseeded_at_the_worst_quantized_point():
     points = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-1.0, 0.0]])
     # code 2 duplicates code 0, so ties to the lower index leave it empty
     centroids = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    sq_norms = (points * points).sum(axis=1)
-    assign, err = rvq._nearest(points, centroids, sq_norms)
+    assign = rvq._nearest(points, centroids)
+    err = ((points - centroids[assign]) ** 2).sum(axis=1)
     assert np.bincount(assign, minlength=3)[2] == 0 and int(np.argmax(err)) == 3
-    new, assign, _ = rvq._reseed_empty(points, sq_norms, centroids, assign, err, 3)
+    new, assign = rvq._reseed_empty(points, centroids, assign, 3)
     assert_array_equal(new, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     assert_array_equal(centroids[2], [1.0, 0.0])  # the caller's array is left as it was
     assert_array_equal(assign, [0, 1, 1, 2])
