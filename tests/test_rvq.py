@@ -627,9 +627,13 @@ def test_a_column_major_pool_gives_the_bytes_of_a_c_ordered_copy():
     assert got[2] == want[2] and len(want[2]) > 2  # the loss trace, float for float
 
 
-def test_nearest_holds_one_block_buffer_beside_its_output():
+@pytest.mark.parametrize("column_major", [False, True])
+def test_nearest_holds_one_block_buffer_beside_its_outputs(column_major):
     # 48000 rows of width 8 against 64 codes: a whole (n, k) product would be 24.6 MB
     points = oracle_points(48000, 8, seed=5)
+    # fit passes its pool laid out by columns; copying a block in must not copy the whole pool
+    if column_major:
+        points = np.asfortranarray(points)
     codewords = np.random.default_rng(6).normal(size=(64, 8))
     tracemalloc.start()
     try:
