@@ -10,12 +10,16 @@ Bland's rule and cannot cycle. The basis is a spanning tree over the n
 rows and n columns, held once: adjacency lists plus one flow per basic
 cell, both built by the start; each pivot moves flow around the cycle,
 drops the leaving cell and adds the entering one. The tree is walked
-once from row 0 per pivot for the duals and a parent and depth per
-node; the cycle of an entering cell is read off by climbing parent
-pointers from its ends. The marginals are perturbed internally by a
+in full once from row 0 for the duals and a parent and depth per node;
+after each pivot only the subtree the leaving cell cuts off is walked
+again, hung from the entering cell's end outside it, which leaves every
+value bitwise that of a full walk. The cycle of an entering cell is
+read off by climbing parent pointers from its ends. The start takes the
+cells in cost_order, which channel_weights computes once for all its
+rows. The marginals are perturbed internally by a
 tiny constant to keep the start nondegenerate; the plan is re-solved
 on the optimal basis from the true marginals by stripping leaves off
-the same lists, and certified before returning: the final walk's duals
+the same lists, and certified before returning: the final duals
 must price no cell below 0 and give a dual objective equal to the
 plan's cost, which by weak duality proves the plan optimal.
 """
@@ -54,18 +58,26 @@ def cosine_cost(vectors: np.ndarray) -> np.ndarray:
     return costs
 
 
-def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
+def cost_order(costs: np.ndarray) -> list[tuple[int, int]]:
+    """The cells (i, j) of an (n, n) cost matrix in the order the
+    least-cost start takes them: the stable argsort of costs, ties to
+    the lowest flat index."""
+    rows, cols = np.divmod(np.argsort(costs, axis=None, kind="stable"), len(costs))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _least_cost_start(a: np.ndarray, b: np.ndarray, order: list[tuple[int, int]]):
     """Initial basis by the least-cost rule: (flows, adjacent).
 
     flows maps each of the exactly 2n - 1 basic cells (i, j) to its
     flow; adjacent lists each node's neighbours in the basis tree, node
-    i < n being row i and n + j column j. Cells are taken in the stable
-    argsort of costs (ties to the lowest flat index), skipping any whose
-    row or column is crossed out. Each taken cell crosses out exactly
-    one line, its row once the row's supply is spent, else its column,
-    and both at the last cell. The last open row or column is never
-    crossed out before that cell, so the start stays a spanning tree
-    even when the marginal sums disagree at the 1e-9 tolerance.
+    i < n being row i and n + j column j. Cells are taken in order, as
+    cost_order returns it, skipping any whose row or column is crossed
+    out. Each taken cell crosses out exactly one line, its row once the
+    row's supply is spent, else its column, and both at the last cell.
+    The last open row or column is never crossed out before that cell,
+    so the start stays a spanning tree even when the marginal sums
+    disagree at the 1e-9 tolerance.
     """
     n = a.size
     flows: dict[tuple[int, int], float] = {}
@@ -75,8 +87,7 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
     row_open = [True] * n
     col_open = [True] * n
     rows_left = cols_left = n
-    order = np.divmod(np.argsort(costs, axis=None, kind="stable"), n)
-    for i, j in zip(*(idx.tolist() for idx in order)):
+    for i, j in order:
         if not (row_open[i] and col_open[j]):
             continue
         t = min(a[i], b[j])
@@ -96,21 +107,17 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, costs: np.ndarray):
     return flows, adjacent
 
 
-def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
-    """Walk the basis tree once from row 0: duals, parents, depths.
+def _walk(adjacent: list[list[int]], costs: list[list[float]], tree, up: int, nodes) -> None:
+    """Hang nodes from up and walk the subtrees below them, in place.
 
-    adjacent lists each node's neighbours, as _least_cost_start builds
-    them, and costs is nested lists. The duals satisfy u_i + v_j = c_ij
-    on every basic cell, anchored at u_0 = 0; the root's parent is -1. A
-    basis with a cycle raises after 2n nodes, one that leaves a node
-    unreached raises after the walk.
+    tree holds the (dual, parent, depth) lists, final at up. Each node
+    gets its parent, its depth and the dual that prices its cell at 0
+    from its parent's alone, so they depend only on its path from row 0.
+    A walk that reaches 2n nodes has met a cycle and raises.
     """
+    dual, parent, depth = tree
     n = len(costs)
-    dual = [0.0] * (2 * n)
-    parent = [-1] * (2 * n)
-    depth = [-1] * (2 * n)
-    depth[0] = 0
-    stack = [(0, nxt) for nxt in adjacent[0]]
+    stack = [(up, node) for node in nodes]
     for _ in range(2 * n):
         if not stack:
             break
@@ -124,9 +131,23 @@ def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
                 stack.append((node, nxt))
     else:
         raise InternalError("transport basis contains a cycle")
-    if min(depth) < 0:
+
+
+def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
+    """Walk the basis tree in full from row 0: (dual, parent, depth).
+
+    adjacent lists each node's neighbours, as _least_cost_start builds
+    them, and costs is nested lists. The duals satisfy u_i + v_j = c_ij
+    on every basic cell, anchored at u_0 = 0; the root's parent is -1. A
+    basis with a cycle raises from _walk, one that leaves a node
+    unreached raises after it.
+    """
+    n = len(costs)
+    tree = ([0.0] * (2 * n), [-1] * (2 * n), [0] + [-1] * (2 * n - 1))
+    _walk(adjacent, costs, tree, 0, adjacent[0])
+    if min(tree[2]) < 0:
         raise InternalError("transport basis is not connected")
-    return dual, parent, depth
+    return tree
 
 
 def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int]):
@@ -187,12 +208,16 @@ def _tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.n
     return flow
 
 
-def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, float]:
+def solve_emd(
+    p: np.ndarray, q: np.ndarray, costs: np.ndarray, *, order: list[tuple[int, int]] | None = None
+) -> tuple[np.ndarray, float]:
     """(plan, cost): exact optimal transport between two discrete distributions.
 
     p and q must sum to 1 within 1e-9 with non-negative entries; costs
     is an (n, n) non-negative matrix. The plan has row sums p and column
-    sums q within 1e-9 and globally minimal total cost.
+    sums q within 1e-9 and globally minimal total cost. order is
+    cost_order(costs), computed here when not given; callers that solve
+    many pairs under one cost matrix compute it once.
     """
     costs = np.asarray(costs, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -218,10 +243,10 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
     qq = q.copy()
     qq[-1] += n * _PERTURB
 
-    flows, adjacent = _least_cost_start(pp, qq, costs)
+    flows, adjacent = _least_cost_start(pp, qq, cost_order(costs) if order is None else order)
     rows = costs.tolist()
+    tree = dual, parent, depth = _spanning_tree(adjacent, rows)
     for _ in range(_MAX_PIVOTS):
-        dual, parent, depth = _spanning_tree(adjacent, rows)
         duals = np.array(dual)
         # a basic cell prices at 0 up to rounding, far above -_PRICE_TOL, so it never enters
         reduced = costs - duals[:n, None] - duals[None, n:]
@@ -243,6 +268,14 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         adjacent[n + leaving[1]].remove(leaving[0])
         adjacent[entering[0]].append(n + entering[1])
         adjacent[n + entering[1]].append(entering[0])
+        # the leaving cell cut off the subtree below its lower end, cut; walk it again,
+        # hung from the entering cell's end outside it, the end that does not climb to cut
+        cut = leaving[0] if parent[leaving[0]] == n + leaving[1] else n + leaving[1]
+        inside = n + entering[1]
+        while depth[inside] > depth[cut]:
+            inside = parent[inside]
+        hang, root = (entering[0], n + entering[1]) if inside == cut else (n + entering[1], entering[0])
+        _walk(adjacent, rows, tree, hang, [root])
     else:
         raise InternalError("transportation simplex failed to terminate")
 
@@ -253,7 +286,7 @@ def solve_emd(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarr
         or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
     ):
         raise InternalError("transport plan violates its marginals")
-    # certify the final basis: its walk's duals leave no cell, basic ones too,
+    # certify the final basis: its duals leave no cell, basic ones too,
     # a reduced cost below 0, and by weak duality a dual objective equal to
     # the plan's cost then proves the plan optimal however the duals were found
     cost = float((plan * costs).sum())
@@ -284,11 +317,12 @@ def channel_weights(
     shape = (n_channels, n_codes, n_codes)
     if src.shape != shape or trg.shape != shape or np.shape(costs) != (n_codes, n_codes):
         raise DataError("transition matrices must be (n_channels, n_codes, n_codes) over the costs' n_codes")
+    order = cost_order(costs)
     mean_costs = np.empty(n_channels)
     for d in range(n_channels):
         total = 0.0
         for i in range(n_codes):
-            total += solve_emd(src[d, i], trg[d, i], costs)[1]
+            total += solve_emd(src[d, i], trg[d, i], costs, order=order)[1]
         mean_costs[d] = total / n_codes
     with np.errstate(over="ignore"):
         return libm(math.exp, -((mean_costs / sigma) ** 2)), mean_costs

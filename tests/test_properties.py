@@ -125,7 +125,7 @@ def test_the_least_cost_start_is_a_feasible_spanning_tree(n, gap, data):
     a, b = data.draw(marginal(n)), data.draw(marginal(n)) * (1.0 + gap)
     # a few distinct values, so many costs tie
     costs = data.draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
-    flows, adjacent = transport._least_cost_start(a, b, costs)
+    flows, adjacent = transport._least_cost_start(a, b, transport.cost_order(costs))
     assert len(flows) == 2 * n - 1
     # the adjacency lists hold the flows' cells, once from each end
     assert sorted((i, v - n) for i in range(n) for v in adjacent[i]) == sorted(flows)

@@ -33,9 +33,10 @@ def test_golden_hashes_hold_under_another_simd_target(target):
         pytest.skip(f"{target} is the host's own target, which test_golden.py runs")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    # no cache provider: the run leaves nothing in the checkout
+    # no cache provider: the run leaves nothing in the checkout; -rfE puts the failing
+    # tests' names, not every PASSED line, in the summary the message's tail shows
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_golden.py")],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_golden.py")],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -181,12 +181,13 @@ def test_emd_matches_highs_beyond_enumeration(n):
 def trace_pivots(monkeypatch):
     """Snapshot the solver's state at each walk that follows a pivot.
 
-    solve_emd walks its basis with _spanning_tree at the start and again
-    after every pivot; once a pivot is made, the solver's frame holds the
-    entering cell, the flow it moved and the reduced costs it was chosen from.
+    solve_emd walks its basis in full with _spanning_tree at the start,
+    and the subtree a pivot cuts off with _walk after every pivot; the
+    solver's frame then holds the entering cell, the flow it moved and
+    the reduced costs it was chosen from.
     """
     pivots = []
-    walk = transport._spanning_tree
+    walk = transport._walk
 
     def traced(*args):
         solver = sys._getframe(1).f_locals
@@ -202,7 +203,7 @@ def trace_pivots(monkeypatch):
             )
         return walk(*args)
 
-    monkeypatch.setattr(transport, "_spanning_tree", traced)
+    monkeypatch.setattr(transport, "_walk", traced)
     return pivots
 
 
@@ -245,7 +246,7 @@ def test_a_walk_whose_duals_do_not_price_the_plan_fails_the_certificate(monkeypa
     p, q = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
     costs = transport.cosine_cost(rng.normal(size=(8, 4)))
     _, optimum = transport.solve_emd(p, q, costs)
-    start, _ = transport._least_cost_start(p, q, costs)
+    start, _ = transport._least_cost_start(p, q, transport.cost_order(costs))
     assert sum(flow * costs[cell] for cell, flow in start.items()) > optimum + 0.01
     walk = transport._spanning_tree
 
@@ -298,32 +299,94 @@ def test_emd_plans_and_costs_keep_their_bytes():
 )
 def test_basic_cells_price_at_zero_so_the_entering_cell_is_never_basic(monkeypatch, batch, perturb):
     """solve_emd takes the argmin of the reduced costs over every cell,
-    basic ones too; that is the non-basic Dantzig cell only because each
-    walk prices every basic cell at 0 up to rounding, far above -1e-12."""
+    basic ones too; that is the non-basic Dantzig cell only because the
+    full walk, and the walk after each pivot, price every basic cell at
+    0 up to rounding, far above -1e-12."""
     monkeypatch.setattr(transport, "_PERTURB", perturb)
-    walk = transport._spanning_tree
+    spanning_tree, walk = transport._spanning_tree, transport._walk
     previous: set = set()
     pivots = 0
 
-    def traced(adjacent, costs):
-        nonlocal previous, pivots
-        solver = sys._getframe(1).f_locals
+    def check(solver, adjacent, costs, dual):
+        nonlocal previous
         n = len(costs)
-        if "entering" in solver:  # the walk after a pivot
-            assert solver["entering"] not in previous
-            pivots += 1
         basis = {(i, v - n) for i in range(n) for v in adjacent[i]}
         assert basis == set(solver["flows"])  # the two halves of the basis agree
-        dual, parent, depth = walk(adjacent, costs)
         for i, j in basis:
             assert abs(costs[i][j] - dual[i] - dual[n + j]) <= 1e-13
         previous = basis
-        return dual, parent, depth
 
-    monkeypatch.setattr(transport, "_spanning_tree", traced)
+    def first_walk(adjacent, costs):
+        tree = spanning_tree(adjacent, costs)
+        check(sys._getframe(1).f_locals, adjacent, costs, tree[0])
+        return tree
+
+    def pivot_walk(adjacent, costs, tree, up, nodes):
+        nonlocal pivots
+        solver = sys._getframe(1).f_locals
+        if "entering" not in solver:  # the full walk inside _spanning_tree
+            return walk(adjacent, costs, tree, up, nodes)
+        assert solver["entering"] not in previous
+        pivots += 1
+        walk(adjacent, costs, tree, up, nodes)
+        check(solver, adjacent, costs, tree[0])
+
+    monkeypatch.setattr(transport, "_spanning_tree", first_walk)
+    monkeypatch.setattr(transport, "_walk", pivot_walk)
     for p, q, costs in batch():
         transport.solve_emd(p, q, costs)
     assert pivots > 500
+
+
+@pytest.mark.parametrize(
+    "batch, perturb",
+    [(pinned_batch, transport._PERTURB), (degenerate_batch, 0.0)],
+    ids=["pinned", "degenerate-unperturbed"],
+)
+def test_each_pivot_walk_leaves_the_tree_a_full_walk_gives(monkeypatch, batch, perturb):
+    """After every pivot only the cut-off subtree is walked again; the
+    duals, parents and depths it leaves are bitwise a fresh full walk's."""
+    monkeypatch.setattr(transport, "_PERTURB", perturb)
+    walk = transport._walk
+    pivots = 0
+
+    def checked(adjacent, costs, tree, up, nodes):
+        nonlocal pivots
+        walk(adjacent, costs, tree, up, nodes)
+        if "entering" in sys._getframe(1).f_locals:  # the walk after a pivot
+            pivots += 1
+            dual, parent, depth = tree
+            fresh_dual, fresh_parent, fresh_depth = transport._spanning_tree(adjacent, costs)
+            assert np.array(dual).tobytes() == np.array(fresh_dual).tobytes()
+            assert parent == fresh_parent
+            assert depth == fresh_depth
+
+    monkeypatch.setattr(transport, "_walk", checked)
+    for p, q, costs in batch():
+        transport.solve_emd(p, q, costs)
+    assert pivots > 500
+
+
+def test_one_precomputed_order_serves_every_pair_under_its_costs():
+    for p, q, costs in pinned_batch():
+        order = transport.cost_order(costs)
+        for a, b in [(p, q), (q, p), (p, p)]:
+            plan, cost = transport.solve_emd(a, b, costs)
+            ordered_plan, ordered_cost = transport.solve_emd(a, b, costs, order=order)
+            assert ordered_plan.tobytes() == plan.tobytes()
+            assert repr(ordered_cost) == repr(cost)
+
+
+@pytest.mark.parametrize(
+    "adjacent, message",
+    [([[2, 3], [2, 3], [0, 1], [0, 1]], "basis contains a cycle"), ([[2], [3], [0], [1]], "basis is not connected")],
+    ids=["cycle", "disconnected"],
+)
+def test_the_walk_refuses_a_basis_that_is_not_a_spanning_tree(adjacent, message):
+    # two rows (nodes 0, 1) and two columns (nodes 2, 3): one 4-cycle, or two separate cells
+    costs = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(InternalError, match=message):
+        transport._spanning_tree(adjacent, costs)
 
 
 @pytest.mark.parametrize(
