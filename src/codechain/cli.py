@@ -128,6 +128,10 @@ def load_run_config(args) -> tuple[RunConfig, dict]:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: config is not valid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config is not UTF-8 text") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{path}: config JSON is nested too deeply") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
     synth_section = raw.pop("synth", {})

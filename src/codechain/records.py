@@ -169,20 +169,26 @@ def read_one(path, kind: str) -> tuple[dict, dict]:
 
 
 def _read(path, expected_kind: str | None) -> Iterator[dict]:
-    """Yield the checked header, then every record."""
+    """Yield the checked header, then every record. Text is decoded a chunk ahead
+    of the lines read, so a byte that is not UTF-8 lies at or after the next line."""
+    no = 0  # lines read
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(path, 1, "missing header line")
-        header = _parse(path, 1, first)
-        if header.get("format") != FORMAT:
-            raise ParseError(path, 1, f"unrecognized format {header.get('format')!r}")
-        if expected_kind is not None and header.get("kind") != expected_kind:
-            raise ParseError(path, 1, f"expected kind {expected_kind!r}, got {header.get('kind')!r}")
-        yield header
-        for no, line in enumerate(fh, start=2):
-            if line.strip():
-                yield _parse(path, no, line)
+        try:
+            first = fh.readline()
+            no = 1
+            if not first.strip():
+                raise ParseError(path, 1, "missing header line")
+            header = _parse(path, 1, first)
+            if header.get("format") != FORMAT:
+                raise ParseError(path, 1, f"unrecognized format {header.get('format')!r}")
+            if expected_kind is not None and header.get("kind") != expected_kind:
+                raise ParseError(path, 1, f"expected kind {expected_kind!r}, got {header.get('kind')!r}")
+            yield header
+            for no, line in enumerate(fh, start=2):
+                if line.strip():
+                    yield _parse(path, no, line)
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, no + 1, f"not UTF-8 text at or after line {no + 1}") from exc
 
 
 def _parse(path, no: int, line: str) -> dict:
@@ -190,6 +196,8 @@ def _parse(path, no: int, line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(path, no, f"bad JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(path, no, "JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError(path, no, "each line must be a JSON object")
     return obj

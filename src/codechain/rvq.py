@@ -97,7 +97,7 @@ def embed_dataset(dataset: DomainDataset, patch_length: int) -> CorpusLatents:
 @dataclass(frozen=True)
 class ResidualQuantizer:
     """Coarse and fine codebooks: (n_codes, d_dim) float64 arrays of the
-    same width, each of at least 2 distinct finite rows."""
+    same width, each of at least 2 distinct rows whose squared norms are finite."""
 
     coarse: np.ndarray
     fine: np.ndarray
@@ -109,8 +109,9 @@ class ResidualQuantizer:
                 raise DataError("codebook vectors must be 2-D (n_codes, d_dim)")
             if vectors.shape[0] < 2:
                 raise DataError("codebook needs at least 2 codes")
-            if not np.all(np.isfinite(vectors)):
-                raise DataError("codebook contains non-finite vectors")
+            with np.errstate(over="ignore"):  # a row whose squares overflow would normalize to 0
+                if not np.all(np.isfinite(np.square(vectors).sum(axis=1))):
+                    raise DataError("codebook contains non-finite vectors or one whose squared norm overflows")
             # a set of row tuples sees -0.0 as 0.0, like np.unique, without importing numpy.ma
             if len(set(map(tuple, vectors.tolist()))) != len(vectors):
                 raise DataError("codebook contains duplicate vectors")

@@ -10,18 +10,18 @@ Bland's rule and cannot cycle. The basis is a spanning tree over the n
 rows and n columns, held once: adjacency lists plus one flow per basic
 cell, both built by the start; each pivot moves flow around the cycle,
 drops the leaving cell and adds the entering one. The tree is walked
-in full once from row 0 for the duals and a parent and depth per node;
-after each pivot only the subtree the leaving cell cuts off is walked
-again, hung from the entering cell's end outside it, which leaves every
-value bitwise that of a full walk. The cycle of an entering cell is
-read off by climbing parent pointers from its ends. The start takes the
-cells in cost_order, which channel_weights computes once for all its
-rows. The marginals are perturbed internally by a
-tiny constant to keep the start nondegenerate; the plan is re-solved
-on the optimal basis from the true marginals by stripping leaves off
-the same lists, and certified before returning: the final duals
-must price no cell below 0 and give a dual objective equal to the
-plan's cost, which by weak duality proves the plan optimal.
+in full once from row 0 for the duals and a parent and depth per node.
+A pivot finds its cycle by one climb of parent pointers from both ends
+of the entering cell; the leaving cell cuts off the subtree of the end
+whose climb it lies on, and only that subtree is walked again, hung
+from the other end, which leaves every value bitwise a full walk's.
+Every size, n = 1 too, takes this path; no plan meets marginal totals
+more than 1e-9 apart, so they are a DataError. A tiny perturbation of
+the marginals keeps the start nondegenerate; the plan is re-solved on
+the optimal basis from the true marginals by stripping leaves off the
+same lists, and certified before returning: the final duals must price
+no cell below 0 and give a dual objective equal to the plan's cost,
+which by weak duality proves the plan optimal.
 """
 
 from __future__ import annotations
@@ -151,11 +151,12 @@ def _spanning_tree(adjacent: list[list[int]], costs: list[list[float]]):
 
 
 def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int]):
-    """The unique cycle created by adding the entering cell to the tree.
+    """The unique cycle created by adding the entering cell to the tree: (cells, k).
 
-    Returned cells start at the entering cell and alternate +/- along
-    the cycle: then comes the tree path from column j0 to row i0, found
-    by climbing the parent pointers of both ends until they meet.
+    cells start at the entering cell and alternate +/- along the cycle,
+    then follow the tree path from column j0 to row i0, found by climbing
+    parent pointers from both ends until they meet; the k cells after
+    the entering one come from column j0's climb.
     """
     n = len(parent) // 2
 
@@ -175,7 +176,7 @@ def _basis_cycle(parent: list[int], depth: list[int], entering: tuple[int, int])
         else:
             from_row.append(edge(b))
             b = parent[b]
-    return [entering] + from_col + from_row[::-1]
+    return [entering] + from_col + from_row[::-1], len(from_col)
 
 
 def _tree_flows(adjacent: list[list[int]], p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -213,9 +214,10 @@ def solve_emd(
 ) -> tuple[np.ndarray, float]:
     """(plan, cost): exact optimal transport between two discrete distributions.
 
-    p and q must sum to 1 within 1e-9 with non-negative entries; costs
-    is an (n, n) non-negative matrix. The plan has row sums p and column
-    sums q within 1e-9 and globally minimal total cost. order is
+    p and q must have non-negative entries and each sum to 1 within
+    1e-9, and their sums may differ by at most 1e-9; costs is an (n, n)
+    non-negative finite matrix. The plan has row sums p and column sums
+    q within 1e-9 and globally minimal total cost. order is
     cost_order(costs), computed here when not given; callers that solve
     many pairs under one cost matrix compute it once.
     """
@@ -233,10 +235,10 @@ def solve_emd(
         raise DataError("marginals must be non-negative numbers")
     if abs(p.sum() - 1.0) > _MARGINAL_TOL or abs(q.sum() - 1.0) > _MARGINAL_TOL:
         raise DataError("marginals must sum to 1 within 1e-9")
+    if abs(p.sum() - q.sum()) > _MARGINAL_TOL:
+        raise DataError("marginal totals must agree within 1e-9")
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)
-    if n == 1:
-        return np.array([[1.0]]), float(costs[0, 0])
 
     # perturbed marginals keep every basic flow strictly positive
     pp = p + _PERTURB
@@ -253,13 +255,12 @@ def solve_emd(
         entering = divmod(int(np.argmin(reduced)), n)
         if not reduced[entering] < -_PRICE_TOL:
             break
-        cycle = _basis_cycle(parent, depth, entering)
-        theta = min(flows[c] for c in cycle[1::2])
+        cycle, k = _basis_cycle(parent, depth, entering)
+        theta, leaving = min((flows[c], c) for c in cycle[1::2])
         if not theta > 0.0:  # Dantzig's cell moves no flow: Bland's, the first negative cell, enters
             entering = divmod(int(np.argmax(reduced < -_PRICE_TOL)), n)
-            cycle = _basis_cycle(parent, depth, entering)
-            theta = min(flows[c] for c in cycle[1::2])
-        leaving = min(c for c in cycle[1::2] if flows[c] == theta)
+            cycle, k = _basis_cycle(parent, depth, entering)
+            theta, leaving = min((flows[c], c) for c in cycle[1::2])
         flows[entering] = 0.0
         for idx, cell in enumerate(cycle):
             flows[cell] += theta if idx % 2 == 0 else -theta
@@ -268,13 +269,8 @@ def solve_emd(
         adjacent[n + leaving[1]].remove(leaving[0])
         adjacent[entering[0]].append(n + entering[1])
         adjacent[n + entering[1]].append(entering[0])
-        # the leaving cell cut off the subtree below its lower end, cut; walk it again,
-        # hung from the entering cell's end outside it, the end that does not climb to cut
-        cut = leaving[0] if parent[leaving[0]] == n + leaving[1] else n + leaving[1]
-        inside = n + entering[1]
-        while depth[inside] > depth[cut]:
-            inside = parent[inside]
-        hang, root = (entering[0], n + entering[1]) if inside == cut else (n + entering[1], entering[0])
+        # walk again the subtree cut off, that of the end whose climb held the leaving cell
+        hang, root = (entering[0], n + entering[1]) if cycle.index(leaving) <= k else (n + entering[1], entering[0])
         _walk(adjacent, rows, tree, hang, [root])
     else:
         raise InternalError("transportation simplex failed to terminate")

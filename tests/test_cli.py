@@ -174,6 +174,32 @@ def test_fit_rejects_target_corpus(workspace, tmp_path):
     assert run("fit", "--source", data / "target.jsonl", "--out-dir", tmp_path / "m") == 2
 
 
+@pytest.mark.parametrize("where", ["header", "last-record"])
+def test_a_corpus_byte_that_is_not_utf8_is_a_data_error_at_or_after_its_line(workspace, tmp_path, capsys, where):
+    data, _, _ = workspace
+    lines = (data / "source.jsonl").read_bytes().splitlines(keepends=True)
+    bad_line = 1 if where == "header" else len(lines)
+    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+    source = tmp_path / "source.jsonl"
+    source.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run("fit", "--source", source, "--out-dir", tmp_path / "m") == 2
+    err = capsys.readouterr().err
+    no = int(err.split(":")[2])
+    assert err == f"data error: {source}:{no}: not UTF-8 text at or after line {no}\n"
+    assert 1 <= no <= bad_line
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_truth_header_nested_too_deeply_is_a_data_error(labelled, tmp_path, capsys):
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text('{"format":"codechain.v1","kind":"truth","n_classes":' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    capsys.readouterr()
+    assert run("eval", "--labels", labelled["labels"], "--truth", truth, "--out", tmp_path / "metrics.jsonl") == 2
+    assert capsys.readouterr().err == f"data error: {truth}:1: JSON nested too deeply\n"
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
 def test_fit_missing_file_is_data_error(tmp_path):
     assert run("fit", "--source", tmp_path / "absent.jsonl", "--out-dir", tmp_path / "m") == 2
 
@@ -324,6 +350,22 @@ def test_label_rejects_a_zero_norm_coarse_codeword_before_reading_the_target(wor
                "--transitions", model / "transitions.jsonl",
                "--out-dir", out) == 2
     assert "zero-norm codeword" in capsys.readouterr().err
+
+
+def test_label_rejects_a_codeword_whose_squared_norm_overflows_before_reading_the_target(
+    workspace, monkeypatch, capsys
+):
+    data, model, out = workspace
+    header, (rec,) = records.read_record_file(model / "quantizer.jsonl")
+    rec["coarse"][0] = [1e300] * len(rec["coarse"][0])
+    records.write_record_file(model / "quantizer.jsonl", header, [rec])
+    monkeypatch.setattr(ds, "load_corpus", never_called)
+    assert run("label", "--target", data / "target.jsonl",
+               "--quantizer", model / "quantizer.jsonl",
+               "--transitions", model / "transitions.jsonl",
+               "--out-dir", out) == 2
+    assert "squared norm overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_label_checks_the_prior_length_before_reading_the_target(workspace, monkeypatch, capsys):
@@ -891,6 +933,19 @@ def test_a_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, cap
     assert run(*synth_args(tmp_path / "d"), "--config", cfg_path) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(b"\xff{}", "config is not UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "config JSON is nested too deeply")],
+    ids=["not-utf8", "nested"],
+)
+def test_a_config_file_that_cannot_be_decoded_is_a_config_error(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(text)
+    assert run("fit", "--source", tmp_path / "absent.jsonl", "--config", cfg_path, "--out-dir", tmp_path / "m") == 1
+    assert capsys.readouterr().err == f"config error: {cfg_path}: {message}\n"
+    assert not (tmp_path / "m").exists()
 
 
 def test_bad_flag_value_is_config_error(tmp_path):

@@ -86,6 +86,8 @@ def test_codebook_needs_two_distinct_finite_rows():
         (np.array([[1.0, 0.0]]), "at least 2 codes"),
         (np.array([[1.0, 0.0], [1.0, 0.0]]), "duplicate vectors"),
         (np.array([[1.0, 0.0], [np.inf, 0.0]]), "non-finite"),
+        # finite entries whose squares overflow; pytest turns a numpy overflow warning into a failure
+        (np.array([[1.0, 0.0], [1e300, 1e300]]), "squared norm overflows"),
     ]:
         for books in with_each_book(bad):
             with pytest.raises(DataError, match=message):

@@ -431,6 +431,32 @@ def test_emd_rejects_bad_marginals():
         transport.solve_emd(np.array([1.5, -0.5]), np.array([0.5, 0.5]), costs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_marginal_totals_more_than_1e9_apart_are_a_data_error(n):
+    # each total lies within 1e-9 of 1, but no plan has row sums p and column sums q
+    rng = np.random.default_rng(50 + n)
+    costs = random_cost(rng, n)
+    for _ in range(50):
+        p = rng.dirichlet(np.ones(n)) * (1.0 + 0.9e-9)
+        q = rng.dirichlet(np.ones(n)) * (1.0 - 0.9e-9)
+        for a, b in [(p, q), (q, p)]:
+            with pytest.raises(DataError, match="totals must agree within 1e-9"):
+                transport.solve_emd(a, b, costs)
+
+
+def test_one_code_takes_the_simplex_path_and_moves_its_mass():
+    rng = np.random.default_rng(59)
+    for _ in range(50):
+        # totals within 1e-9 of 1 and of each other
+        p, q = 1.0 + rng.uniform(-0.5e-9, 0.5e-9, size=(2, 1))
+        costs = rng.uniform(0.0, 1.0, size=(1, 1))
+        plan, cost = transport.solve_emd(p, q, costs)
+        assert abs(cost - enumerate_emd(p, q, costs)) < 1e-9
+        assert plan.tobytes() == p[:, None].tobytes() and cost == p[0] * costs[0, 0]
+        assert_allclose(plan.sum(axis=1), p, atol=1e-9)
+        assert_allclose(plan.sum(axis=0), q, atol=1e-9)
+
+
 @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0, 1.0]],
                          ids=["nan", "inf", "minus-inf"])
 def test_emd_rejects_a_non_finite_marginal_as_data_error(p):
