@@ -185,7 +185,7 @@ def test_a_corpus_byte_that_is_not_utf8_is_a_data_error_at_or_after_its_line(wor
     capsys.readouterr()
     assert run("fit", "--source", source, "--out-dir", tmp_path / "m") == 2
     err = capsys.readouterr().err
-    no = int(err.split(":")[2])
+    no = int(err.removeprefix(f"data error: {source}:").split(":")[0])
     assert err == f"data error: {source}:{no}: not UTF-8 text at or after line {no}\n"
     assert 1 <= no <= bad_line
     assert not (tmp_path / "m").exists()
