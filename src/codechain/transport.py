@@ -20,8 +20,8 @@ more than 1e-9 apart, so they are a DataError. A tiny perturbation of
 the marginals keeps the start nondegenerate; the plan is re-solved on
 the optimal basis from the true marginals by stripping leaves off the
 same lists, and certified before returning: the final duals must price
-no cell below 0 and give a dual objective equal to the plan's cost,
-which by weak duality proves the plan optimal.
+no cell below 0 and give, on the plan's own row and column sums, a dual
+objective equal to its cost, which by weak duality proves it optimal.
 """
 
 from __future__ import annotations
@@ -277,16 +277,16 @@ def solve_emd(
 
     # re-solve the optimal basis on the true marginals
     plan = np.maximum(_tree_flows(adjacent, p, q), 0.0)
-    if (
-        np.max(np.abs(plan.sum(axis=1) - p)) > _MARGINAL_TOL
-        or np.max(np.abs(plan.sum(axis=0) - q)) > _MARGINAL_TOL
-    ):
+    out, into = plan.sum(axis=1), plan.sum(axis=0)
+    if np.max(np.abs(out - p)) > _MARGINAL_TOL or np.max(np.abs(into - q)) > _MARGINAL_TOL:
         raise InternalError("transport plan violates its marginals")
-    # certify the final basis: its duals leave no cell, basic ones too,
-    # a reduced cost below 0, and by weak duality a dual objective equal to
-    # the plan's cost then proves the plan optimal however the duals were found
+    # certify the final basis: its duals leave no cell, basic ones too, a
+    # reduced cost below 0, and by weak duality a dual objective on the plan's
+    # own row and column sums equal to its cost then proves the plan optimal
+    # for them however the duals were found; p and q themselves would miss by
+    # a dual times the totals' gap, which costs above 1 lift past 1e-9
     cost = float((plan * costs).sum())
-    if float(reduced.min()) < -_CERT_TOL or abs(cost - (duals[:n] @ p + duals[n:] @ q)) > _CERT_TOL:
+    if float(reduced.min()) < -_CERT_TOL or abs(cost - (duals[:n] @ out + duals[n:] @ into)) > _CERT_TOL:
         raise InternalError("transport optimality certificate failed")
     return plan, cost
 

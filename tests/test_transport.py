@@ -447,14 +447,34 @@ def test_marginal_totals_more_than_1e9_apart_are_a_data_error(n):
 def test_one_code_takes_the_simplex_path_and_moves_its_mass():
     rng = np.random.default_rng(59)
     for _ in range(50):
-        # totals within 1e-9 of 1 and of each other
-        p, q = 1.0 + rng.uniform(-0.5e-9, 0.5e-9, size=(2, 1))
-        costs = rng.uniform(0.0, 1.0, size=(1, 1))
+        # totals within 1e-9 of 1 and 0.8e-9 to 0.9e-9 apart, under a cost near 2
+        gap = rng.choice([-1.0, 1.0]) * rng.uniform(0.4e-9, 0.45e-9)
+        p, q = np.array([1.0 + gap]), np.array([1.0 - gap])
+        costs = rng.uniform(1.5, 2.0, size=(1, 1))
         plan, cost = transport.solve_emd(p, q, costs)
         assert abs(cost - enumerate_emd(p, q, costs)) < 1e-9
         assert plan.tobytes() == p[:, None].tobytes() and cost == p[0] * costs[0, 0]
         assert_allclose(plan.sum(axis=1), p, atol=1e-9)
         assert_allclose(plan.sum(axis=0), q, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [2.0, 2000.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_totals_up_to_1e9_apart_are_certified_at_any_cost_scale(n, scale):
+    # the re-solved plan meets one marginal only up to the totals' gap, so
+    # the certificate must price the plan's own sums, not p and q
+    rng = np.random.default_rng(60 + n)
+    for _ in range(50):
+        costs = rng.random((n, n))
+        costs = (costs + costs.T) * (scale / 2.0)
+        np.fill_diagonal(costs, 0.0)
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        exact = transport.solve_emd(a, b, costs)[1]
+        for p, q in [(a * (1.0 + 0.45e-9), b * (1.0 - 0.45e-9)), (a * (1.0 - 0.45e-9), b * (1.0 + 0.45e-9))]:
+            plan, cost = transport.solve_emd(p, q, costs)
+            assert_allclose(plan.sum(axis=1), p, atol=1e-9)
+            assert_allclose(plan.sum(axis=0), q, atol=1e-9)
+            assert abs(cost - exact) <= scale * 1e-9
 
 
 @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0, 1.0]],
