@@ -197,7 +197,7 @@ def trace_pivots(monkeypatch):
                     "entering": solver["entering"],
                     "theta": solver["theta"],
                     "first_candidate": divmod(
-                        int(np.argmax(solver["reduced"] < -transport._PRICE_TOL)), solver["n"]
+                        int(np.argmax(solver["reduced"] < -solver["price_tol"])), solver["n"]
                     ),
                 }
             )
@@ -475,6 +475,24 @@ def test_totals_up_to_1e9_apart_are_certified_at_any_cost_scale(n, scale):
             assert_allclose(plan.sum(axis=1), p, atol=1e-9)
             assert_allclose(plan.sum(axis=0), q, atol=1e-9)
             assert abs(cost - exact) <= scale * 1e-9
+
+
+@pytest.mark.parametrize("scale", [2e5, 2e8])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_large_costs_are_solved_to_the_highs_optimum(n, scale):
+    # rounding in the duals grows with the costs: an absolute tolerance let a
+    # basic cell enter (a KeyError later) and failed the certificate on optimal plans
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(70 + n)
+    for _ in range(50):
+        costs = rng.random((n, n))
+        costs = (costs + costs.T) * (scale / 2.0)
+        np.fill_diagonal(costs, 0.0)
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        plan, cost = transport.solve_emd(p, q, costs)
+        assert_allclose(plan.sum(axis=1), p, atol=1e-9)
+        assert_allclose(plan.sum(axis=0), q, atol=1e-9)
+        assert abs(cost - linprog_emd_cost(optimize, p, q, costs)) <= scale * 1e-9
 
 
 @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 1.0, 1.0]],
