@@ -11,8 +11,6 @@ are (from, to).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import records
@@ -35,7 +33,7 @@ def build_class_tm(
     codes is (n_instances, n_channels, n_patches) coarse indices; all
     transitions are counted with one bincount over the flat cell index
     ((class * n_channels + channel) * n_codes + from) * n_codes + to.
-    A class with no instances gets uniform matrices and a warning.
+    A class with no instances gets uniform matrices.
     """
     codes = np.asarray(codes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -55,8 +53,6 @@ def build_class_tm(
     group = labels[:, None, None] * n_channels + np.arange(n_channels)[None, :, None]
     cells = (group * n_codes + codes[:, :, :-1]) * n_codes + codes[:, :, 1:]
     counts = np.bincount(cells.ravel(), minlength=n_classes * n_channels * n_codes * n_codes)
-    for k in np.flatnonzero(np.bincount(labels, minlength=n_classes) == 0):
-        warnings.warn(f"class {k} has no instances; using uniform transitions")
     return _row_normalize(counts.reshape(n_classes, n_channels, n_codes, n_codes))
 
 

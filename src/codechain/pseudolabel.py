@@ -5,7 +5,9 @@ class's transition matrix, adds a label prior tempered by tau, and takes
 a softmax over classes as the channel posterior. The posteriors are
 averaged with the alignment weights and reported as-is (not
 renormalized), so confidence reflects both class preference and how
-much total weight the channels carried.
+much total weight the channels carried. A label record holds the id,
+label, confidence and weighted scores; the channel posteriors are not
+kept, since nothing downstream reads them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class PseudoLabels(NamedTuple):
     label: np.ndarray  # (N,) argmax class
     confidence: np.ndarray  # (N,) score of that class
     scores: np.ndarray  # (N, n_classes) weighted class scores
-    per_channel_posteriors: np.ndarray  # (N, n_channels, n_classes)
 
 
 def label_dataset(
@@ -69,6 +70,8 @@ def label_dataset(
     over classes of log-likelihood + prior. Scores are sum_d w_d *
     posterior_d / n_channels, not renormalized, so a channel of weight 0
     drops out; the label is the argmax score, ties to the lowest class.
+    The result holds ids, label, confidence and scores, not the channel
+    posteriors they come from.
     """
     model = np.asarray(model, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
@@ -88,8 +91,17 @@ def label_dataset(
         raise DataError(f"code out of range [0, {model.shape[-1]})")
     if not (np.isfinite(model) & (model > 0.0)).all():
         raise DataError("model must be finite and above 0; smooth it first")
+    scores = (weights[None, :, None] * _posteriors(codes, model, prior)).sum(axis=1) / n_channels
+    labels = np.argmax(scores, axis=1)
+    confidence = scores[np.arange(len(scores)), labels]
+    return PseudoLabels(ids, labels, confidence, scores)
+
+
+def _posteriors(codes: np.ndarray, model: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """The (n_instances, n_channels, n_classes) channel posteriors that
+    label_dataset votes over, from its checked int64 codes and float64 model."""
     log_probs = np.moveaxis(libm(math.log, model), 0, -1)  # (channels, from, to, classes)
-    channel = np.arange(n_channels)[None, :]
+    channel = np.arange(model.shape[1])[None, :]
     # one (instances, channels, classes) gather per step, added in time order as a sum over steps adds
     total = log_probs[channel, codes[:, :, 0], codes[:, :, 1]]
     for t in range(1, codes.shape[2] - 1):
@@ -97,11 +109,7 @@ def label_dataset(
     logits = total / codes.shape[2] + prior
     logits = logits - logits.max(axis=-1, keepdims=True)
     e = libm(math.exp, logits)
-    posteriors = e / e.sum(axis=-1, keepdims=True)
-    scores = (weights[None, :, None] * posteriors).sum(axis=1) / n_channels
-    labels = np.argmax(scores, axis=1)
-    confidence = scores[np.arange(len(scores)), labels]
-    return PseudoLabels(ids, labels, confidence, scores, posteriors)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def top_r_select(confidence: np.ndarray, r_top: float) -> np.ndarray:
@@ -129,15 +137,8 @@ def save_labels(path, labels: PseudoLabels, weights: np.ndarray, config: dict | 
         "channel_weights": np.asarray(weights, dtype=np.float64).tolist(),
         "config": config,
     }
-    rows = zip(
-        labels.ids.tolist(), labels.label.tolist(), labels.confidence.tolist(),
-        labels.scores, labels.per_channel_posteriors,
-    )
-    # one row at a time: a whole-array tolist would hold every posterior as Python floats
-    recs = (
-        {"id": i, "label": k, "confidence": c, "scores": s.tolist(), "per_channel_posteriors": p.tolist()}
-        for i, k, c, s, p in rows
-    )
+    rows = zip(labels.ids.tolist(), labels.label.tolist(), labels.confidence.tolist(), labels.scores.tolist())
+    recs = ({"id": i, "label": k, "confidence": c, "scores": s} for i, k, c, s in rows)
     records.write_record_file(path, header, recs)
 
 
@@ -145,9 +146,10 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
     """Pseudo-labels from a file of at least one record: id a non-empty
     JSON string that no other record repeats, label a non-negative JSON
     integer below the score count, confidence a finite JSON number
-    (never a bool), scores a vector and per_channel_posteriors a matrix
-    of JSON numbers, each of one shape across the records. The header's
-    n_instances is the record count and n_classes the score count."""
+    (never a bool) and scores a vector of JSON numbers, of one length
+    across the records. The header's n_instances is the record count and
+    n_classes the score count. The per_channel_posteriors of older files
+    are ignored."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     rows = [
         (
@@ -155,28 +157,24 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
             records.whole_number(path, "pseudo-label label", rec.get("label"), least=0),
             records.number(path, "pseudo-label confidence", rec.get("confidence")),
             records.numbers(path, "pseudo-label scores", rec.get("scores"), 1),
-            records.numbers(
-                path, "pseudo-label scores per channel", rec.get("per_channel_posteriors"), 2
-            ),
         )
         for rec in recs
     ]
     if not rows:
         raise DataError(f"{path}: label file holds no records")
-    ids, label, confidence, scores, posteriors = zip(*rows)
+    ids, label, confidence, scores = zip(*rows)
     # an object array keeps each id as written; a str array drops trailing NULs
     ids = np.array(ids, dtype=object)
     unique, counts = np.unique(ids, return_counts=True)
     if (counts > 1).any():
         raise DataError(f"{path}: duplicate pseudo-label id {unique[np.argmax(counts)]!r}")
-    if len({s.shape for s in scores}) > 1 or len({p.shape for p in posteriors}) > 1:
+    if len({s.shape for s in scores}) > 1:
         raise DataError(f"{path}: pseudo-label scores differ in shape between records")
     records.require_count(path, header, "n_instances", len(rows))
     records.require_count(path, header, "n_classes", len(scores[0]), "scores per record")
     if max(label) >= len(scores[0]):
         raise DataError(f"{path}: pseudo-label label {max(label)} is not below its {len(scores[0])} scores")
-    stacked = (np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores), np.stack(posteriors))
-    return PseudoLabels(ids, *stacked), header
+    return PseudoLabels(ids, np.array(label, dtype=np.int64), np.array(confidence), np.stack(scores)), header
 
 
 def save_selection(path, labels: PseudoLabels, indices: np.ndarray, r_top: float, config: dict | None = None) -> None:

@@ -31,10 +31,12 @@ from .errors import ConfigError, DataError, ParseError
 
 FORMAT = "codechain.v1"
 JSON_NUMBERS = frozenset((int, float))
+# json.dumps with these options builds a new encoder per call; one serves every line
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dump_line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def libm(fn, values) -> np.ndarray:

@@ -71,7 +71,9 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
 def _znorm(b: np.ndarray) -> np.ndarray:
     """Standardized patches (..., patch_length), the flat ones exactly zero: a rounded
     mean leaves them equal tiny deviations, which L2 normalization would blow up."""
-    z = (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + _STD_FLOOR)
+    # the mean once: np.std takes the same mean, squares and sums, so every byte is b.std's
+    dev = b - b.mean(axis=-1, keepdims=True)
+    z = dev / (np.sqrt(np.square(dev).sum(axis=-1, keepdims=True) / b.shape[-1]) + _STD_FLOOR)
     z[(b == b[..., :1]).all(axis=-1)] = 0.0
     return z
 

@@ -643,7 +643,6 @@ def test_eval_perfect_labels(tmp_path, capsys):
         label=label,
         confidence=np.ones(len(label)),
         scores=scores,
-        per_channel_posteriors=scores[:, None, :],
     )
     path = tmp_path / "labels.jsonl"
     pseudolabel.save_labels(path, labels, np.ones(3))
@@ -696,7 +695,6 @@ def eval_two_labels(tmp_path, selection):
         label=np.arange(2),
         confidence=np.ones(2),
         scores=np.eye(2),
-        per_channel_posteriors=np.eye(2)[:, None, :],
     )
     pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
     records.write_record_file(
@@ -737,7 +735,6 @@ def test_eval_rejects_a_label_not_below_its_score_count(tmp_path, capsys, label)
         label=np.arange(2),
         confidence=np.ones(2),
         scores=np.eye(2),
-        per_channel_posteriors=np.eye(2)[:, None, :],
     )
     pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
     header, recs = records.read_record_file(tmp_path / "labels.jsonl")
@@ -758,7 +755,6 @@ def test_eval_refuses_a_one_class_truth_file_as_a_data_error(tmp_path, capsys):
         label=np.zeros(2, dtype=np.int64),
         confidence=np.ones(2),
         scores=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        per_channel_posteriors=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
     )
     pseudolabel.save_labels(tmp_path / "labels.jsonl", labels, np.ones(1))
     assert run("eval", "--labels", tmp_path / "labels.jsonl", "--truth", tmp_path / "truth.jsonl") == 2

@@ -81,8 +81,7 @@ def test_estimate_rejects_bad_input():
 
 def test_class_tm_single_instance_and_uniform_fallback():
     g = grid([[0, 1, 0, 1], [1, 1, 1, 1]])
-    with pytest.warns(UserWarning):
-        ctm = markov.build_class_tm([g], [0], n_classes=2, n_codes=2)
+    ctm = markov.build_class_tm([g], [0], n_classes=2, n_codes=2)
     assert_array_equal(ctm[0, 0], counter_oracle([g[0]], 2))
     assert_array_equal(ctm[0, 1], [[0.5, 0.5], [0.0, 1.0]])
     for d in range(2):
@@ -107,9 +106,7 @@ def test_class_tm_matches_counter_oracle_per_class_and_channel():
         n_classes, n_channels, n_codes = (int(x) for x in rng.integers(2, 5, size=3))
         codes = rng.integers(0, n_codes, size=(int(rng.integers(1, 9)), n_channels, int(rng.integers(2, 12))))
         labels = rng.integers(0, n_classes, size=len(codes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ctm = markov.build_class_tm(codes, labels, n_classes, n_codes)
+        ctm = markov.build_class_tm(codes, labels, n_classes, n_codes)
         assert ctm.shape == (n_classes, n_channels, n_codes, n_codes)
         for k in range(n_classes):
             for d in range(n_channels):
@@ -280,8 +277,7 @@ def test_transitions_round_trip(tmp_path):
 
 def test_transitions_round_trip_without_target(tmp_path):
     g = grid([[0, 1, 0, 1]])
-    with pytest.warns(UserWarning):
-        ctm = markov.build_class_tm([g], [0], 2, 2)
+    ctm = markov.build_class_tm([g], [0], 2, 2)
     ch = markov.build_channel_tm([g], 2)
     path = tmp_path / "t.jsonl"
     markov.save_transitions(path, ctm, ch)

@@ -4,9 +4,9 @@ Every test runs at most 50 derandomized examples, so the suite stays
 fast and gives the same result on every run.
 """
 
+import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from codechain import dataset as ds
-from codechain import markov, pseudolabel, rvq, transport
+from codechain import markov, pseudolabel, records, rvq, transport
 from oracles import linprog_emd_cost
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -49,7 +49,10 @@ def test_permuting_channels_with_their_model_and_weights_keeps_the_scores(seed, 
     base = pseudolabel.label_dataset(codes, model, weights, prior, ids)
     permuted = pseudolabel.label_dataset(codes[:, perm], model[:, perm], weights[perm], prior, ids)
     assert_allclose(permuted.scores, base.scores, rtol=0, atol=1e-12)
-    assert_array_equal(permuted.per_channel_posteriors, base.per_channel_posteriors[:, perm])
+    assert_array_equal(
+        pseudolabel._posteriors(codes[:, perm], model[:, perm], prior),
+        pseudolabel._posteriors(codes, model, prior)[:, perm],
+    )
 
 
 @st.composite
@@ -94,9 +97,7 @@ def test_smoothed_class_matrices_are_positive_and_stochastic(seed, shape, eps):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, c, size=(n, d, t))
     labels = rng.integers(0, k, size=n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a class with no instances gets uniform rows and a warning
-        tm = markov.smooth(markov.build_class_tm(codes, labels, k, c), eps)
+    tm = markov.smooth(markov.build_class_tm(codes, labels, k, c), eps)
     assert (tm > 0.0).all()
     assert_allclose(tm.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -167,6 +168,50 @@ def test_a_quantizer_file_round_trips_exactly(tmp_path_factory, books):
     # bytes, not values: -0.0 == 0.0 would hide a lost sign
     assert back.coarse.tobytes() == written.coarse.tobytes()
     assert back.fine.tobytes() == written.fine.tobytes()
+
+
+# JSON values as records hold them: ints past 2**53, ids with NULs and non-ASCII text, nesting
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@BOUNDED
+@given(obj=JSON_VALUES)
+@example(obj={"id": "i1\x00", "label": 2**53 + 1, "scores": [0.1, -0.0, 5e-324], "z": {"\u00fc\u20ac\U0001d11e": [[10**30]]}})
+@example(obj={"\x00": None, "\u00e9t\u00e9": [True, False, -(2**64)], "": {"": []}})
+def test_dump_line_writes_what_json_dumps_wrote(obj):
+    assert records.dump_line(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "minus-inf"])
+def test_dump_line_refuses_a_non_finite_float_and_then_writes_on(value):
+    with pytest.raises(ValueError):
+        records.dump_line({"id": "i0", "scores": [0.5, [value]]})
+    assert records.dump_line({"b": [1.5], "a": "\x00"}) == '{"a":"\\u0000","b":[1.5]}'
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 16)),
+    kind=st.sampled_from(["random", "flat", "near-flat"]),
+    offset=st.sampled_from([0.0, 1.0, -2.5, 3e3, -1e8, 1e12]),
+    spread=st.floats(1e-9, 1e6),
+)
+def test_znorm_is_bitwise_the_mean_and_std_formula(seed, shape, kind, offset, spread):
+    rng = np.random.default_rng(seed)
+    b = np.full(shape, offset)
+    if kind == "random":
+        b += spread * rng.standard_normal(shape)
+    elif kind == "near-flat":  # one entry per patch an ulp or a spread away
+        step = np.nextafter(offset, np.inf) - offset if rng.random() < 0.5 else spread
+        b[..., rng.integers(shape[-1])] += step
+    want = (b - b.mean(axis=-1, keepdims=True)) / (b.std(axis=-1, keepdims=True) + rvq._STD_FLOOR)
+    want[(b == b[..., :1]).all(axis=-1)] = 0.0
+    assert rvq._znorm(b).tobytes() == want.tobytes()
 
 
 PROBE = """

@@ -106,8 +106,8 @@ def test_log_prior_takes_the_floored_log_scaled_by_tau():
 
 # ---------------------------------------------------------------- posterior
 
-def vote(probs, weights=None, prior=None):
-    """label_dataset on a chosen (N, D, K) array of transition probabilities.
+def vote_inputs(probs, weights=None, prior=None):
+    """label_dataset's arguments for a chosen (N, D, K) array of transition probabilities.
 
     Channel d of instance n is the code sequence [n, n]: its one
     transition n -> n has probability probs[n, d, k] under class k, so
@@ -121,37 +121,48 @@ def vote(probs, weights=None, prior=None):
     codes = np.repeat(np.arange(n), 2 * d).reshape(n, d, 2)
     weights = np.ones(d) if weights is None else weights
     prior = uniform(k) if prior is None else prior
-    return pseudolabel.label_dataset(codes, model, weights, prior, [f"i{i}" for i in range(n)])
+    return codes, model, weights, prior, [f"i{i}" for i in range(n)]
+
+
+def vote(probs, weights=None, prior=None):
+    """label_dataset on vote_inputs(probs, weights, prior)."""
+    return pseudolabel.label_dataset(*vote_inputs(probs, weights, prior))
+
+
+def posteriors(probs, prior=None):
+    """The (N, D, K) channel posteriors that vote(probs, prior=prior) weighs."""
+    codes, model, _, prior, _ = vote_inputs(probs, prior=prior)
+    return pseudolabel._posteriors(codes, model, prior)
 
 
 def test_posterior_symmetry():
-    post = vote([[[0.3, 0.3, 0.3]]], prior=uniform(3)).per_channel_posteriors
+    post = posteriors([[[0.3, 0.3, 0.3]]], prior=uniform(3))
     assert_allclose(post, 1.0 / 3.0, atol=1e-15)
 
 
 def test_posterior_bayes_evaluation():
     # log-likelihoods ln(0.9) and ln(0.1): a uniform prior leaves them as they are
-    post = vote([[[0.81, 0.01]]]).per_channel_posteriors
+    post = posteriors([[[0.81, 0.01]]])
     assert_allclose(post[0, 0], [0.9, 0.1], atol=1e-12)
 
 
 def test_posterior_small_tau_follows_prior():
     prior = pseudolabel.log_prior(np.array([0.9, 0.1]), 0.001)
-    post = vote([[[0.01**2, 0.99**2]]], prior=prior).per_channel_posteriors
+    post = posteriors([[[0.01**2, 0.99**2]]], prior=prior)
     assert int(np.argmax(post[0, 0])) == 0
 
 
 def test_posterior_uniform_prior_tau_cancels():
     probs = np.exp(2.0 * np.array([[[-3.0, -1.5, -2.2]]]))
-    a = vote(probs, prior=uniform(3, tau=1.0)).per_channel_posteriors
-    b = vote(probs, prior=uniform(3, tau=7.0)).per_channel_posteriors
+    a = posteriors(probs, prior=uniform(3, tau=1.0))
+    b = posteriors(probs, prior=uniform(3, tau=7.0))
     assert_allclose(a, b, atol=1e-12)
 
 
 def test_posterior_stable_at_extreme_logliks():
     # each logit is near -1040, so exp without the max shift underflows to 0 / 0
     probs = np.array([[[1e-304, 1e-303]]])
-    post = vote(probs, prior=uniform(2, tau=1e-3)).per_channel_posteriors
+    post = posteriors(probs, prior=uniform(2, tau=1e-3))
     assert np.all(np.isfinite(post))
     assert_allclose(post.sum(), 1.0, atol=1e-9)
     assert_allclose(post[0, 0], softmax(np.log(probs[0, 0]) / 2), rtol=0, atol=1e-12)
@@ -167,8 +178,8 @@ def test_posterior_monotone_in_prior():
         boosted = base.copy()
         boosted[target] *= 3.0
         boosted /= boosted.sum()
-        post_base = vote(probs, prior=pseudolabel.log_prior(base, 1.0)).per_channel_posteriors
-        post_boost = vote(probs, prior=pseudolabel.log_prior(boosted, 1.0)).per_channel_posteriors
+        post_base = posteriors(probs, prior=pseudolabel.log_prior(base, 1.0))
+        post_boost = posteriors(probs, prior=pseudolabel.log_prior(boosted, 1.0))
         assert post_boost[0, 0, target] >= post_base[0, 0, target] - 1e-12
 
 
@@ -176,7 +187,7 @@ def test_posterior_monotone_in_prior():
 
 def test_vote_single_channel_identity():
     out = vote([[[0.09, 0.49]]], np.array([1.0]))
-    assert_array_equal(out.scores, out.per_channel_posteriors[:, 0])
+    assert_array_equal(out.scores, posteriors([[[0.09, 0.49]]])[:, 0])
     assert_allclose(out.scores[0], [0.3, 0.7], atol=1e-15)
     assert out.label[0] == 1
     assert out.confidence[0] == out.scores[0, 1]
@@ -184,7 +195,7 @@ def test_vote_single_channel_identity():
 
 def test_vote_hand_values():
     out = vote([[[0.64, 0.04], [0.36, 0.16]]], np.array([1.0, 1.0]))
-    post = out.per_channel_posteriors
+    post = posteriors([[[0.64, 0.04], [0.36, 0.16]]])
     assert_array_equal(out.scores, (post[:, 0] + post[:, 1]) / 2)
     assert_allclose(out.scores[0], [0.7, 0.3], atol=1e-15)
     assert out.label[0] == 0
@@ -192,7 +203,7 @@ def test_vote_hand_values():
 
 def test_vote_zero_weight_drops_channel():
     out = vote([[[0.64, 0.04], [0.36, 0.16]]], np.array([1.0, 0.0]))
-    assert_array_equal(out.scores, out.per_channel_posteriors[:, 0] / 2)
+    assert_array_equal(out.scores, posteriors([[[0.64, 0.04], [0.36, 0.16]]])[:, 0] / 2)
     assert_allclose(out.scores[0], [0.4, 0.1], atol=1e-15)
     assert out.label[0] == 0
 
@@ -220,12 +231,11 @@ def test_vote_argmax_invariant_to_weight_scale():
 
 def test_label_recovers_source_classes(fitted):
     source, quantizer, class_tm = fitted
-    labels = pseudolabel.label_dataset(
-        coarse_codes(quantizer, source), class_tm, np.ones(1), uniform(2), source.ids
-    )
+    codes = coarse_codes(quantizer, source)
+    labels = pseudolabel.label_dataset(codes, class_tm, np.ones(1), uniform(2), source.ids)
     assert labels.label.tolist() == source.labels.tolist()
     assert labels.ids.tolist() == source.ids.tolist()
-    assert_allclose(labels.per_channel_posteriors.sum(axis=2), 1.0, atol=1e-9)
+    assert_allclose(pseudolabel._posteriors(codes, class_tm, uniform(2)).sum(axis=2), 1.0, atol=1e-9)
 
 
 def test_label_rejects_unsmoothed_model(fitted):
@@ -285,13 +295,14 @@ def test_batched_posteriors_match_the_log_likelihood_oracle():
     weights = np.array([0.9, 0.5, 0.2])
     codes = coarse_codes(fit.quantizer, target)
     labels = pseudolabel.label_dataset(codes, model, weights, prior, target.ids)
+    post = pseudolabel._posteriors(codes, model, prior)
     assert labels.ids.tolist() == target.ids.tolist()
     for n in range(len(target)):
         oracle = np.stack([
             softmax(np.array([log_likelihood(codes[n, d], model[k, d]) for k in range(4)]) + prior)
             for d in range(3)
         ])
-        assert_allclose(labels.per_channel_posteriors[n], oracle, rtol=0, atol=1e-12)
+        assert_allclose(post[n], oracle, rtol=0, atol=1e-12)
         assert_allclose(labels.scores[n], (weights[:, None] * oracle).sum(axis=0) / 3, rtol=0, atol=1e-12)
 
 
@@ -311,10 +322,10 @@ def test_step_by_step_scores_are_bitwise_the_gathered_sum_over_steps(n, d, p, k)
     gathered = log_probs[np.arange(d)[None, :, None], codes[:, :, :-1], codes[:, :, 1:]]  # (n, d, p - 1, k)
     logits = gathered.sum(axis=2) / p + prior
     e = np.vectorize(math.exp)(logits - logits.max(axis=-1, keepdims=True))
-    posteriors = e / e.sum(axis=-1, keepdims=True)
+    post = e / e.sum(axis=-1, keepdims=True)
     labels = pseudolabel.label_dataset(codes, model, weights, prior, ids)
-    assert_array_equal(labels.per_channel_posteriors, posteriors)
-    assert_array_equal(labels.scores, (weights[None, :, None] * posteriors).sum(axis=1) / d)
+    assert_array_equal(pseudolabel._posteriors(codes, model, prior), post)
+    assert_array_equal(labels.scores, (weights[None, :, None] * post).sum(axis=1) / d)
 
 
 def test_scoring_holds_no_gather_of_every_step():
@@ -341,7 +352,6 @@ def fake_labels(confidences):
         label=np.argmax(scores, axis=1),
         confidence=scores.max(axis=1),
         scores=scores,
-        per_channel_posteriors=scores[:, None, :],
     )
 
 
@@ -390,8 +400,55 @@ def test_labels_round_trip(tmp_path):
     assert back.label.tolist() == labels.label.tolist()
     for n in range(len(labels.ids)):
         assert back.scores[n].tobytes() == labels.scores[n].tobytes()
-        assert back.per_channel_posteriors[n].tobytes() == labels.per_channel_posteriors[n].tobytes()
     assert header["channel_weights"] == [0.8]
+
+
+def test_a_label_record_holds_id_label_confidence_and_scores_only(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    pseudolabel.save_labels(path, vote([[[0.64, 0.04], [0.36, 0.16]], [[0.2, 0.3], [0.1, 0.5]]]), np.ones(2))
+    _, recs = records.read_record_file(path)
+    for rec in recs:
+        assert sorted(rec) == ["confidence", "id", "label", "scores"]
+
+
+def with_channel_posteriors(path, value=lambda rec: [rec["scores"]]):
+    """Rewrite a labels file as older builds wrote it, each record with per_channel_posteriors."""
+    header, recs = records.read_record_file(path)
+    records.write_record_file(path, header, [{**rec, "per_channel_posteriors": value(rec)} for rec in recs])
+    return path
+
+
+@pytest.mark.parametrize(
+    "value",
+    [lambda rec: [rec["scores"]], lambda rec: [[False, "0.25"]]],
+    ids=["as-written", "not-numbers"],
+)
+def test_load_labels_ignores_the_channel_posteriors_of_an_older_file(tmp_path, value):
+    labels = vote([[[0.64, 0.04], [0.36, 0.16]], [[0.2, 0.3], [0.1, 0.5]]])
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    pseudolabel.save_labels(new, labels, np.ones(2))
+    pseudolabel.save_labels(old, labels, np.ones(2))
+    back, header = pseudolabel.load_labels(with_channel_posteriors(old, value))
+    want, want_header = pseudolabel.load_labels(new)
+    assert header == want_header
+    for field, got in zip(back._fields, back):
+        assert got.tolist() == getattr(want, field).tolist(), field
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("label", True, "pseudo-label label True is not a non-negative integer"),
+        ("confidence", "0.9", "pseudo-label confidence '0.9' is not"),
+        ("scores", [0.5, None], "pseudo-label scores"),
+        ("scores", [0.5, 0.3, 0.2], "pseudo-label scores differ in shape"),
+        ("id", "i0", "duplicate pseudo-label id 'i0'"),
+    ],
+)
+def test_an_older_file_is_refused_for_the_same_reasons(tmp_path, key, value, message):
+    path = with_channel_posteriors(saved_labels_with(tmp_path, key, value))
+    with pytest.raises(DataError, match=message):
+        pseudolabel.load_labels(path)
 
 
 def test_selection_round_trip(tmp_path):
@@ -443,9 +500,6 @@ def test_load_labels_rejects_a_label_or_confidence_of_the_wrong_kind(tmp_path, k
         ("scores", ["1.5", True]),
         ("scores", [0.5, None]),
         ("scores", 0.5),
-        ("per_channel_posteriors", [[False, "0.25"]]),
-        ("per_channel_posteriors", [[0.5, 0.5], [0.5]]),
-        ("per_channel_posteriors", [0.5, 0.5]),
     ],
 )
 def test_load_labels_rejects_scores_that_are_not_json_numbers(tmp_path, key, value):
@@ -454,10 +508,7 @@ def test_load_labels_rejects_scores_that_are_not_json_numbers(tmp_path, key, val
         pseudolabel.load_labels(path)
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("scores", [0.5, 0.3, 0.2]), ("per_channel_posteriors", [[0.6, 0.4], [0.6, 0.4]])],
-)
+@pytest.mark.parametrize("key, value", [("scores", [0.5, 0.3, 0.2])])
 def test_load_labels_rejects_scores_whose_shape_differs_between_records(tmp_path, key, value):
     path = saved_labels_with(tmp_path, key, value)
     with pytest.raises(DataError, match="pseudo-label scores differ in shape"):
@@ -518,6 +569,13 @@ def test_load_labels_requires_positive_integer_header_counts(tmp_path, key, coun
     shown = None if count is ... else count
     with pytest.raises(DataError, match=f"pseudo_labels header {key} {shown!r} is not a positive integer"):
         pseudolabel.load_labels(with_header(path, key, count))
+
+
+def test_an_older_file_is_refused_for_a_header_count_it_does_not_hold(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    pseudolabel.save_labels(path, fake_labels([0.9, 0.6]), np.ones(1))
+    with pytest.raises(DataError, match="pseudo_labels header n_instances is 3, the file holds 2 records"):
+        pseudolabel.load_labels(with_header(with_channel_posteriors(path), "n_instances", 3))
 
 
 @pytest.mark.parametrize("count", [..., True, 0], ids=["missing", "bool", "zero"])
