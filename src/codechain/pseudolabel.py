@@ -5,9 +5,8 @@ class's transition matrix, adds a label prior tempered by tau, and takes
 a softmax over classes as the channel posterior. The posteriors are
 averaged with the alignment weights and reported as-is (not
 renormalized), so confidence reflects both class preference and how
-much total weight the channels carried. A label record holds the id,
-label, confidence and weighted scores; the channel posteriors are not
-kept, since nothing downstream reads them.
+much total weight the channels carried. Nothing downstream reads the
+channel posteriors, so neither a result nor a label record keeps them.
 """
 
 from __future__ import annotations
@@ -70,8 +69,6 @@ def label_dataset(
     over classes of log-likelihood + prior. Scores are sum_d w_d *
     posterior_d / n_channels, not renormalized, so a channel of weight 0
     drops out; the label is the argmax score, ties to the lowest class.
-    The result holds ids, label, confidence and scores, not the channel
-    posteriors they come from.
     """
     model = np.asarray(model, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
@@ -147,9 +144,8 @@ def load_labels(path) -> tuple[PseudoLabels, dict]:
     JSON string that no other record repeats, label a non-negative JSON
     integer below the score count, confidence a finite JSON number
     (never a bool) and scores a vector of JSON numbers, of one length
-    across the records. The header's n_instances is the record count and
-    n_classes the score count. The per_channel_posteriors of older files
-    are ignored."""
+    across the records; older files' per_channel_posteriors are ignored.
+    The header's n_instances is the record count and n_classes the score count."""
     header, recs = records.read_record_file(path, expected_kind="pseudo_labels")
     rows = [
         (

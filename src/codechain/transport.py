@@ -250,19 +250,18 @@ def solve_emd(
     flows, adjacent = _least_cost_start(pp, qq, cost_order(costs) if order is None else order)
     rows = costs.tolist()
     scale = max(1.0, float(costs.max()))
-    price_tol, cert_tol = _PRICE_TOL * scale, _CERT_TOL * scale
     tree = dual, parent, depth = _spanning_tree(adjacent, rows)
     for _ in range(_MAX_PIVOTS):
         duals = np.array(dual)
-        # a basic cell prices at 0 up to rounding, far above -price_tol, so it never enters
+        # a basic cell prices at 0 up to rounding, far above -_PRICE_TOL * scale, so it never enters
         reduced = costs - duals[:n, None] - duals[None, n:]
         entering = divmod(int(np.argmin(reduced)), n)
-        if not reduced[entering] < -price_tol:
+        if not reduced[entering] < -_PRICE_TOL * scale:
             break
         cycle, k = _basis_cycle(parent, depth, entering)
         theta, leaving = min((flows[c], c) for c in cycle[1::2])
         if not theta > 0.0:  # Dantzig's cell moves no flow: Bland's, the first negative cell, enters
-            entering = divmod(int(np.argmax(reduced < -price_tol)), n)
+            entering = divmod(int(np.argmax(reduced < -_PRICE_TOL * scale)), n)
             cycle, k = _basis_cycle(parent, depth, entering)
             theta, leaving = min((flows[c], c) for c in cycle[1::2])
         flows[entering] = 0.0
@@ -290,6 +289,7 @@ def solve_emd(
     # for them however the duals were found; p and q themselves would miss by
     # a dual times the totals' gap, which costs above 1 lift past 1e-9
     cost = float((plan * costs).sum())
+    cert_tol = _CERT_TOL * scale
     if float(reduced.min()) < -cert_tol or abs(cost - (duals[:n] @ out + duals[n:] @ into)) > cert_tol:
         raise InternalError("transport optimality certificate failed")
     return plan, cost

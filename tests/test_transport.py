@@ -197,7 +197,7 @@ def trace_pivots(monkeypatch):
                     "entering": solver["entering"],
                     "theta": solver["theta"],
                     "first_candidate": divmod(
-                        int(np.argmax(solver["reduced"] < -solver["price_tol"])), solver["n"]
+                        int(np.argmax(solver["reduced"] < -transport._PRICE_TOL * solver["scale"])), solver["n"]
                     ),
                 }
             )
