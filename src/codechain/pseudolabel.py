@@ -69,6 +69,7 @@ def label_dataset(
     over classes of log-likelihood + prior. Scores are sum_d w_d *
     posterior_d / n_channels, not renormalized, so a channel of weight 0
     drops out; the label is the argmax score, ties to the lowest class.
+    The channel posteriors themselves (_posteriors) are not returned.
     """
     model = np.asarray(model, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)

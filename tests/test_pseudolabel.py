@@ -421,7 +421,7 @@ def with_channel_posteriors(path, value=lambda rec: [rec["scores"]]):
 @pytest.mark.parametrize(
     "value",
     [lambda rec: [rec["scores"]], lambda rec: [[False, "0.25"]]],
-    ids=["as-written", "not-numbers"],
+    ids=["a-matrix", "not-numbers"],
 )
 def test_load_labels_ignores_the_channel_posteriors_of_an_older_file(tmp_path, value):
     labels = vote([[[0.64, 0.04], [0.36, 0.16]], [[0.2, 0.3], [0.1, 0.5]]])
