@@ -24,6 +24,12 @@ to the order changes every corpus byte:
 
 The affine shift draws nothing, so two configs differing only in
 scale/offset emit identical chains and identical pre-shift values.
+
+Each domain is filled in blocks of _BLOCK instances: the block's draws
+are made in the order above, each patch's noise straight into the
+domain's array, then all of the block's patches are shaped at once and
+the target's shift is applied. Shaping and shift are elementwise, so the
+block size moves no byte.
 """
 
 from __future__ import annotations
@@ -174,36 +180,52 @@ def _class_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _emit_series(rng, cdf_kd: list, cfg: SynthConfig) -> np.ndarray:
-    """(n_channels, length) raw values for one instance of one class.
+_BLOCK = 64  # instances shaped at once: numpy's per-call cost is amortised, the temporaries stay small
 
-    cdf_kd[d][i] is row i of the class's channel-d regime, cumulated and
-    normalised as Generator.choice does. All draws come first, in the
-    module docstring's order; then every patch is shaped at once.
+
+def _emit_domain(rng, cdf: list, labels: np.ndarray, cfg: SynthConfig, shift=None) -> np.ndarray:
+    """(len(labels), n_channels, length) values of one domain, instance i of class labels[i].
+
+    cdf[k][d][i] is row i of class k's channel-d regime, cumulated and
+    normalised as Generator.choice does. shift, for the target, holds
+    the per-channel scale, offset and noise.
     """
-    n_patches = cfg.length // cfg.patch_length
-    t = np.linspace(-1.0, 1.0, cfg.patch_length)
+    n_patches, m = cfg.length // cfg.patch_length, cfg.patch_length
+    t = np.linspace(-1.0, 1.0, m)
+    sine_arg = 2.0 * math.pi * cfg.sine_freq * (t + 1.0) / 2.0
     limit = (cfg.curvature_jitter, cfg.curvature_jitter, 0.0, cfg.phase_jitter)
-    prims = np.empty((cfg.n_channels, n_patches), dtype=np.int64)
-    jitter = np.zeros((cfg.n_channels, n_patches))
-    noise = np.empty((cfg.n_channels, n_patches, cfg.patch_length))
-    for d in range(cfg.n_channels):
-        state = int(rng.integers(cfg.n_primitives))
-        for j in range(n_patches):
-            prims[d, j] = state
-            if state != 2:  # Generator.uniform(lo, hi) is lo + (hi - lo) * random()
-                jitter[d, j] = -limit[state] + 2.0 * limit[state] * rng.random()
-            rng.standard_normal(out=noise[d, j])
-            state = bisect_right(cdf_kd[d][state], rng.random())
-    u = jitter[..., None]
-    ramp = t + u * t * t
-    sine = np.sin(2.0 * math.pi * cfg.sine_freq * (t + 1.0) / 2.0 + u)
-    shapes = np.choose(prims[..., None], (ramp, -ramp, 0.0, sine))
-    return (shapes + cfg.base_noise * noise).reshape(cfg.n_channels, cfg.length)
+    random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
+    out = np.empty((len(labels), cfg.n_channels, n_patches, m))
+    patches = iter(out.reshape(-1, m))
+    eta = None if shift is None else np.empty((min(_BLOCK, len(labels)), *out.shape[1:]))
+    for start in range(0, len(labels), _BLOCK):
+        block = labels[start:start + _BLOCK].tolist()
+        states, jitters = [], []
+        for i, y in enumerate(block):
+            for cdf_d in cdf[y]:
+                state = int(integers(cfg.n_primitives))
+                for _ in range(n_patches):
+                    states.append(state)
+                    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(); a flat patch draws none
+                    jitters.append(-limit[state] + 2.0 * limit[state] * random() if state != 2 else 0.0)
+                    standard_normal(out=next(patches))
+                    state = bisect_right(cdf_d[state], random())
+            if shift is not None:
+                standard_normal(out=eta[i])
+        x = out[start:start + len(block)]
+        u = np.array(jitters).reshape(*x.shape[:-1], 1)
+        ramp = t + u * t * t
+        # a flat patch is 0.0 + base_noise * noise, +0.0 where base_noise is 0, as one patch at a time gives
+        shapes = np.choose(np.array(states).reshape(u.shape), (ramp, -ramp, 0.0, np.sin(sine_arg + u)))
+        x[...] = shapes + cfg.base_noise * x
+        if shift is not None:
+            scale, offset, noise = (v[:, None, None] for v in shift)
+            x[...] = (scale * x + offset) + noise * eta[:len(x)]
+    return out.reshape(len(labels), cfg.n_channels, cfg.length)
 
 
 def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
-    """Build (source, target) corpora.
+    """Build (source, target) corpora, each shaped per block of instances.
 
     Both datasets carry labels; the target's are meant for sealed
     evaluation only and are stripped before a target corpus is written
@@ -229,14 +251,9 @@ def generate(cfg: SynthConfig) -> tuple[DomainDataset, DomainDataset]:
         return labels[rng.permutation(n)]
 
     src_labels = draw_labels("source", cfg.n_source)
-    src_values = np.stack([_emit_series(rng, cdf_src[y], cfg) for y in src_labels])
-
+    src_values = _emit_domain(rng, cdf_src, src_labels, cfg)
     trg_labels = draw_labels("target", cfg.n_target)
-    trg_values = np.empty((cfg.n_target, cfg.n_channels, cfg.length))
-    for i, y in enumerate(trg_labels):
-        values = _emit_series(rng, cdf_trg[y], cfg)
-        values = scale[:, None] * values + offset[:, None]
-        trg_values[i] = values + noise[:, None] * rng.standard_normal(values.shape)
+    trg_values = _emit_domain(rng, cdf_trg, trg_labels, cfg, (scale, offset, noise))
 
     return tuple(
         DomainDataset(values, [f"{prefix}-{i:04d}" for i in range(len(values))], labels, cfg.n_classes, role)

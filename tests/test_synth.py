@@ -1,6 +1,7 @@
 """Synthetic corpus generation and controlled channel corruption."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,18 +295,60 @@ def random_config(rng):
     )
 
 
+def assert_matches_per_patch(cfg):
+    source, target = synth.generate(cfg)
+    (src_values, src_labels), (trg_values, trg_labels) = per_patch_generate(cfg)
+    assert source.values.tobytes() == src_values.tobytes(), cfg
+    assert target.values.tobytes() == trg_values.tobytes(), cfg
+    assert_array_equal(source.labels, src_labels)
+    assert_array_equal(target.labels, trg_labels)
+    assert source.ids.tolist() == [f"src-{i:04d}" for i in range(cfg.n_source)]
+    assert target.ids.tolist() == [f"trg-{i:04d}" for i in range(cfg.n_target)]
+
+
 def test_generate_draws_the_per_patch_stream_bit_for_bit():
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        cfg = random_config(rng)
+        assert_matches_per_patch(random_config(rng))
+
+
+def flat_heavy_regimes(n_classes, n_channels):
+    """Every row sends 0.7 of its mass to the flat primitive (index 2)."""
+    regimes = np.full((n_classes, n_channels, 4, 4), 0.1)
+    regimes[..., 2] = 0.7
+    return regimes
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(class_regimes=flat_heavy_regimes(2, 2), base_noise=0.0,
+             shift_scale=(2.0, 0.5), shift_offset=(1.0, -1.0), noise=(0.3, 0.0), target_regime_mix=(0.2, 0.9)),
+        dict(curvature_jitter=0.0, phase_jitter=0.0, base_noise=0.0, noise=0.0),
+        dict(class_regimes=flat_heavy_regimes(2, 2), curvature_jitter=0.0, phase_jitter=0.0,
+             shift_scale=(0.5, 3.0), noise=(0.0, 0.2)),
+    ],
+    ids=["flat-heavy-no-base-noise-vector-shift", "no-jitter-no-noise", "flat-heavy-no-jitter"],
+)
+def test_generate_matches_the_per_patch_stream_across_instance_blocks(kw):
+    # the source crosses two whole blocks and ends in a partial one; the target ends on a block boundary
+    block = synth._BLOCK
+    assert_matches_per_patch(small_cfg(n_source=2 * block + 3, n_target=3 * block, **kw))
+
+
+def test_generate_holds_little_beside_the_values_it_returns():
+    synth.generate(small_cfg())  # numpy's imports on first use are not the generator's working set
+    cfg = synth.SynthConfig(n_channels=1, length=128, patch_length=32, n_source=1000, n_target=1000, noise=0.3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
         source, target = synth.generate(cfg)
-        (src_values, src_labels), (trg_values, trg_labels) = per_patch_generate(cfg)
-        assert source.values.tobytes() == src_values.tobytes(), cfg
-        assert target.values.tobytes() == trg_values.tobytes(), cfg
-        assert_array_equal(source.labels, src_labels)
-        assert_array_equal(target.labels, trg_labels)
-        assert source.ids.tolist() == [f"src-{i:04d}" for i in range(cfg.n_source)]
-        assert target.ids.tolist() == [f"trg-{i:04d}" for i in range(cfg.n_target)]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # both domains' values and one block's shaping temporaries come to about 1.25 times the
+    # values; shaping a whole domain at once holds domain-sized temporaries and breaks the bound
+    assert peak <= 1.5 * (source.values.nbytes + target.values.nbytes)
 
 # ---------------------------------------------------------------- noise
 
